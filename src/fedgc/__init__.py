@@ -53,7 +53,14 @@ from .federation import (
     run_round,
     save_checkpoint,
 )
-from .losses import LossGrad, LossSpec, batch_loss_and_grad, global_softmax_grad, local_loss_and_grad
+from .losses import (
+    LossGrad,
+    LossSpec,
+    NonFiniteError,
+    batch_loss_and_grad,
+    global_softmax_grad,
+    local_loss_and_grad,
+)
 from .nn import (
     BackboneParams,
     SgdState,

@@ -7,7 +7,8 @@ metrics/checkpoint files, so identical configs reproduce outputs bitwise.
 
 A cell whose loss turns non-finite is recorded as diverged and the rest of
 the grid still runs; this is expected behavior for deliberately-too-large
-correction multipliers rather than an error.
+correction multipliers rather than an error. Any other exception is a
+program error and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.special import logsumexp
 
 from . import data as datasets
 from . import evaluation, federation, nn
-from .losses import LossSpec, batch_loss_and_grad, global_softmax_grad
+from .losses import LossSpec, NonFiniteError, batch_loss_and_grad, global_softmax_grad
 from .regularizers import StackedEmbeddings, cosine_reg, softmax_reg, softmax_reg_naive
 
 OK = "ok"
@@ -582,7 +583,7 @@ def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
                     if not _finite_row(row):
                         raise _Divergence
                     metrics.append(row)
-            except (_Divergence, ValueError):
+            except (_Divergence, NonFiniteError):
                 return DIVERGED, metrics, server, clients
     return OK, metrics, server, clients
 
@@ -619,16 +620,18 @@ def train_centralized(dataset, cfg, eval_every: int = 10):
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             theta, head = federation.centralized_train(x, y, c, cfg, on_round)
-    except (_Divergence, ValueError):
+    except (_Divergence, NonFiniteError):
         state = final.get("state", (None, None))
         return DIVERGED, metrics, state[0], state[1]
     server, clients = snapshot(theta, head, cfg.rounds)
     return OK, metrics, server, clients
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell) -> CellResult:
+def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
+    """Train one grid cell on `dataset`, generated from the spec when not given."""
     cfg = cell_config(spec, cell)
-    dataset = make_dataset(spec, cfg)
+    if dataset is None:
+        dataset = make_dataset(spec, cfg)
     if cfg.mode == "centralized":
         status, metrics, server, clients = train_centralized(dataset, cfg, spec.eval_every)
     else:
@@ -716,9 +719,9 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     results = []
     for cell in spec.grid():
-        result = run_cell(spec, cell)
-        cfg = cell_config(spec, cell)
-        write_cell_outputs(spec, result, make_dataset(spec, cfg))
+        dataset = make_dataset(spec, cell_config(spec, cell))
+        result = run_cell(spec, cell, dataset)
+        write_cell_outputs(spec, result, dataset)
         results.append(result)
         if echo is not None:
             echo(

@@ -9,6 +9,10 @@ Modes:
   fedpe_fixed - heads frozen at initialization; only the backbone trains
   centralized - pooled single-head SGD, the upper-bound baseline
 
+All training runs through one fused loop, local_sgd, which is bitwise equal
+to chaining the public reference pieces the gradient checks exercise:
+nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_step.
+
 The server stores every client's head between rounds (it receives them for
 aggregation anyway); "private" means client-to-client isolation: a client is
 only ever sent the backbone and its own columns.
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .losses import LossSpec, batch_loss_and_grad
+from .losses import LossSpec, batch_loss_and_grad, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, masked_softmax_reg, softmax_reg
 
 MODES = ("fedpe", "fedgc", "fedcos", "fedpe_fixed", "centralized")
@@ -181,40 +185,79 @@ def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator):
         yield perm[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
 
 
+def local_sgd(
+    theta: nn.BackboneParams,
+    head: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    batches,
+    opt: nn.SgdState,
+    loss: LossSpec,
+    train_head: bool,
+) -> tuple[nn.BackboneParams, np.ndarray, list[float]]:
+    """Minibatch SGD on (backbone, head) over the index arrays in `batches`.
+
+    The one training loop behind client_update and centralized_train; opt
+    carries the momentum, so the caller decides whether it persists. Shapes
+    and labels are checked once per call. Each step runs one recorded
+    forward pass for both the loss and the reverse sweep, then a single
+    nn.sgd_step on the flat buffer that every parameter is a view into.
+
+    Returns fresh (theta, head, per-step losses); inputs are not mutated.
+    With train_head False the head comes back unchanged.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    nn.check_input(theta, x)
+    check_inputs(head, (len(x), theta.output_dim), y)
+    arrays = theta.to_list() + [head]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    head = views.pop()
+    theta = nn.BackboneParams.from_list(views, theta.activation)
+    stepped = flat if train_head else flat[: flat.size - head.size]
+    num_classes = head.shape[1]
+    trace = []
+    for idx in batches:
+        xb = x[idx]
+        feats, tape = nn.record_forward(theta, xb)
+        lg = loss_and_grad(loss, head, feats, target_index(y[idx], num_classes))
+        trace.append(lg.loss)
+        grad_layers, _ = nn.reverse_sweep(theta, tape, lg.grad_feature, input_grad=False)
+        grads = [g.ravel() for pair in grad_layers for g in pair]
+        if train_head:
+            grads.append(lg.grad_embeddings.ravel())
+        stepped[...] = nn.sgd_step(opt, [stepped], [np.concatenate(grads)])[0]
+    return theta, head, trace
+
+
 def client_update(
     client: ClientState, theta: nn.BackboneParams, cfg: FederationConfig, round_index: int = 0
 ) -> tuple[nn.BackboneParams, np.ndarray, list[float]] | None:
     """Local minibatch SGD on (backbone, head) against the client's own classes.
 
-    Returns updated copies plus the per-step loss trace, or None for a client
-    with no data (skip signal). Deterministic given (seed, round, client_id).
+    Runs local_sgd with fresh momentum. Returns updated copies plus the
+    per-step loss trace, or None for a client with no data (skip signal).
+    Deterministic given (seed, round, client_id).
     """
     if client.n_samples == 0:
         return None
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, round_index, client.client_id, 0xC1])
     )
-    theta_k = theta.copy()
-    head = client.head.copy()
-    train_head = cfg.mode != "fedpe_fixed"
-    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
-    trace = []
-    for idx in _batch_plan(client.n_samples, cfg, rng):
-        xb, yb = client.x[idx], client.y_local[idx]
-        feats = nn.forward(theta_k, xb)
-        lg = batch_loss_and_grad(cfg.loss, head, feats, yb)
-        trace.append(lg.loss)
-        grad_layers, _ = nn.backward(theta_k, xb, np.atleast_2d(lg.grad_feature))
-        params = theta_k.to_list()
-        grads = [g for pair in grad_layers for g in pair]
-        if train_head:
-            params.append(head)
-            grads.append(lg.grad_embeddings)
-        new = nn.sgd_step(opt, params, grads)
-        if train_head:
-            head = new.pop()
-        theta_k = nn.BackboneParams.from_list(new, theta_k.activation)
-    return theta_k, head, trace
+    return local_sgd(
+        theta,
+        client.head,
+        client.x,
+        client.y_local,
+        _batch_plan(client.n_samples, cfg, rng),
+        nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay),
+        cfg.loss,
+        cfg.mode != "fedpe_fixed",
+    )
 
 
 def aggregate_theta(updates: list[tuple[nn.BackboneParams, int]]) -> nn.BackboneParams:
@@ -386,17 +429,9 @@ def centralized_train(
     opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
     for r in range(cfg.rounds):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r, 0xCE]))
-        trace = []
-        for idx in _batch_plan(len(y), cfg, rng):
-            xb, yb = x[idx], y[idx]
-            feats = nn.forward(theta, xb)
-            lg = batch_loss_and_grad(cfg.loss, head, feats, yb)
-            trace.append(lg.loss)
-            grad_layers, _ = nn.backward(theta, xb, np.atleast_2d(lg.grad_feature))
-            grads = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
-            new = nn.sgd_step(opt, theta.to_list() + [head], grads)
-            head = new.pop()
-            theta = nn.BackboneParams.from_list(new, theta.activation)
+        theta, head, trace = local_sgd(
+            theta, head, x, y, _batch_plan(len(y), cfg, rng), opt, cfg.loss, True
+        )
         if on_round is not None:
             on_round(r, theta, head, float(np.mean(trace)) if trace else float("nan"))
     return theta, head

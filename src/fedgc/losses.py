@@ -53,6 +53,14 @@ class LossSpec:
         return self.variant != "softmax"
 
 
+class NonFiniteError(ValueError):
+    """A training quantity went non-finite or lost its norm: the run diverged.
+
+    Raised instead of a plain ValueError wherever trained state is checked,
+    so a caller can tell a diverged run from a program error.
+    """
+
+
 @dataclass
 class LossGrad:
     loss: float
@@ -63,18 +71,27 @@ class LossGrad:
 def stable_log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis via max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite logits")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _check_inputs(embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray) -> None:
+def check_inputs(embeddings: np.ndarray, feature_shape: tuple, labels: np.ndarray) -> None:
+    """Shape and label-range rule shared by every loss entry point."""
+    n, feature_dim = feature_shape
     d, c = embeddings.shape
-    if features.shape[-1] != d:
-        raise ValueError(f"feature dim {features.shape[-1]} != embedding dim {d}")
-    if np.any(labels < 0) or np.any(labels >= c):
+    if feature_dim != d:
+        raise ValueError(f"feature dim {feature_dim} != embedding dim {d}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels of shape {labels.shape} for {n} features")
+    if (labels < 0).any() or (labels >= c).any():
         raise ValueError(f"label out of range for {c} classes")
+
+
+def target_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Flat positions of the (row, label) entries in a C-contiguous (n, C) array."""
+    return np.arange(len(labels)) * num_classes + labels
 
 
 def batch_loss_and_grad(
@@ -87,55 +104,70 @@ def batch_loss_and_grad(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    _check_inputs(embeddings, features, labels)
+    check_inputs(embeddings, features.shape, labels)
+    lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
+    lg.grad_feature = _squeeze(lg.grad_feature, features)
+    return lg
+
+
+def loss_and_grad(
+    spec: LossSpec, embeddings: np.ndarray, features: np.ndarray, target: np.ndarray
+) -> LossGrad:
+    """batch_loss_and_grad on checked float64 inputs, with labels as target_index.
+
+    Skips the per-call conversions and label checks; the finiteness and
+    zero-norm checks on the trained quantities stay. grad_feature is (n, d).
+    """
     n = features.shape[0]
-    rows = np.arange(n)
 
     if spec.variant == "softmax":
         logits = features @ embeddings                      # (n, C)
         logp = stable_log_softmax(logits)
-        loss = float(-logp[rows, labels].mean())
+        loss = float(-(logp.reshape(-1)[target].sum() / n))
         delta = np.exp(logp)                                # softmax probabilities
-        delta[rows, labels] -= 1.0
+        delta.reshape(-1)[target] -= 1.0
         delta /= n
         grad_feat = delta @ embeddings.T
         grad_emb = features.T @ delta
-        return LossGrad(loss, _squeeze(grad_feat, features), grad_emb)
+        return LossGrad(loss, grad_feat, grad_emb)
 
     # margin variants: normalized feature and columns, scaled logits
-    w_norm = np.linalg.norm(embeddings, axis=0)
-    x_norm = np.linalg.norm(features, axis=1)
-    if np.any(x_norm == 0.0) or np.any(w_norm == 0.0):
-        raise ValueError("zero-norm feature or embedding under a normalizing loss variant")
+    # (sqrt of the summed squares is np.linalg.norm's own path for these axes)
+    w_norm = np.sqrt(np.add.reduce(embeddings * embeddings, axis=0))
+    x_norm = np.sqrt(np.add.reduce(features * features, axis=1))
+    if (x_norm == 0.0).any() or (w_norm == 0.0).any():
+        raise NonFiniteError("zero-norm feature or embedding under a normalizing loss variant")
     w_hat = embeddings / w_norm
     x_hat = features / x_norm[:, None]
     cos = x_hat @ w_hat                                     # (n, C)
+    cos_t = cos.reshape(-1)[target]
 
     logits = spec.scale * cos
-    # d(target logit)/d(cos): cosface shifts, arcface warps through arccos
-    target_slope = np.ones(n)
+    # d(target logit)/d(cos): cosface shifts (slope 1), arcface warps through arccos
+    target_slope = None
     if spec.variant == "cosface":
-        logits[rows, labels] = spec.scale * (cos[rows, labels] - spec.margin)
+        logits.reshape(-1)[target] = spec.scale * (cos_t - spec.margin)
     else:
-        c_t = np.clip(cos[rows, labels], -_COS_CLIP, _COS_CLIP)
-        theta = np.arccos(c_t)
-        logits[rows, labels] = spec.scale * np.cos(theta + spec.margin)
-        inside = np.abs(cos[rows, labels]) < _COS_CLIP
+        theta = np.arccos(np.clip(cos_t, -_COS_CLIP, _COS_CLIP))
+        logits.reshape(-1)[target] = spec.scale * np.cos(theta + spec.margin)
+        inside = np.abs(cos_t) < _COS_CLIP
         target_slope = np.where(inside, np.sin(theta + spec.margin) / np.sin(theta), 0.0)
 
     logp = stable_log_softmax(logits)
-    loss = float(-logp[rows, labels].mean())
+    loss = float(-(logp.reshape(-1)[target].sum() / n))
     delta = np.exp(logp)
-    delta[rows, labels] -= 1.0
+    delta.reshape(-1)[target] -= 1.0
     delta *= spec.scale / n                                 # dL/d(cos) before margin slopes
-    delta[rows, labels] *= target_slope
+    if target_slope is not None:
+        delta.reshape(-1)[target] *= target_slope
 
     # chain through both normalizations:
     #   dcos_j/dw_j = (x_hat - cos_j w_hat_j) / |w_j|
     #   dcos_j/dx   = (w_hat_j - cos_j x_hat) / |x|
-    grad_emb = (x_hat.T @ delta - w_hat * (cos * delta).sum(axis=0)) / w_norm
-    grad_feat = (delta @ w_hat.T - x_hat * (cos * delta).sum(axis=1)[:, None]) / x_norm[:, None]
-    return LossGrad(loss, _squeeze(grad_feat, features), grad_emb)
+    cos_delta = cos * delta
+    grad_emb = (x_hat.T @ delta - w_hat * cos_delta.sum(axis=0)) / w_norm
+    grad_feat = (delta @ w_hat.T - x_hat * cos_delta.sum(axis=1)[:, None]) / x_norm[:, None]
+    return LossGrad(loss, grad_feat, grad_emb)
 
 
 def _squeeze(grad_feat: np.ndarray, features: np.ndarray) -> np.ndarray:

@@ -87,19 +87,61 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
     return 1.0 - a * a
 
 
+def check_input(params: BackboneParams, h: np.ndarray) -> None:
+    """Reject a (n, in_dim) batch whose width is not the backbone's input dim."""
+    if h.shape[1] != params.input_dim:
+        raise ValueError(f"input dim {h.shape[1]} != backbone input {params.input_dim}")
+
+
 def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     """Embed x (a single vector or a (n, in_dim) batch). Pure function."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {h.shape[1]} != backbone input {params.input_dim}")
-    n_layers = len(params.layers)
-    for i, (w, b) in enumerate(params.layers):
-        h = h @ w + b
-        if i < n_layers - 1:
-            h = _activate(h, params.activation)
+    check_input(params, h)
+    h, _ = record_forward(params, h)
     return h[0] if single else h
+
+
+def record_forward(params: BackboneParams, h: np.ndarray) -> tuple[np.ndarray, list]:
+    """The layer loop on a checked (n, in_dim) float64 batch.
+
+    Returns the embeddings and a tape for reverse_sweep: every layer input
+    and every hidden layer's pre- and post-activation.
+    """
+    n_layers = len(params.layers)
+    inputs, pre, post = [], [], []
+    for i, (w, b) in enumerate(params.layers):
+        inputs.append(h)
+        z = h @ w + b
+        if i < n_layers - 1:
+            a = _activate(z, params.activation)
+            pre.append(z)
+            post.append(a)
+            h = a
+        else:
+            h = z
+    return h, [inputs, pre, post]
+
+
+def reverse_sweep(
+    params: BackboneParams, tape: list, g: np.ndarray, input_grad: bool = True
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
+    """Backpropagate a (n, out_dim) grad_out through a record_forward tape.
+
+    Returns (grad_layers, grad_x); grad_x is None when input_grad is False,
+    which skips the last product.
+    """
+    inputs, pre, post = tape
+    n_layers = len(params.layers)
+    grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        w, _ = params.layers[i]
+        if i < n_layers - 1:
+            g = g * _activate_grad(pre[i], post[i], params.activation)
+        grad_layers[i] = (inputs[i].T @ g, g.sum(axis=0))
+        g = g @ w.T if i or input_grad else None
+    return grad_layers, g
 
 
 def backward(
@@ -117,32 +159,11 @@ def backward(
     single = x.ndim == 1
     h = x[None, :] if single else x
     g = grad_out[None, :] if single else grad_out
-    if h.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {h.shape[1]} != backbone input {params.input_dim}")
+    check_input(params, h)
     if g.shape != (h.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
-
-    n_layers = len(params.layers)
-    inputs = []  # input to each layer
-    pre, post = [], []  # pre-activation / activated output per hidden layer
-    for i, (w, b) in enumerate(params.layers):
-        inputs.append(h)
-        z = h @ w + b
-        if i < n_layers - 1:
-            a = _activate(z, params.activation)
-            pre.append(z)
-            post.append(a)
-            h = a
-        else:
-            h = z
-
-    grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        w, _ = params.layers[i]
-        if i < n_layers - 1:
-            g = g * _activate_grad(pre[i], post[i], params.activation)
-        grad_layers[i] = (inputs[i].T @ g, g.sum(axis=0))
-        g = g @ w.T
+    _, tape = record_forward(params, h)
+    grad_layers, g = reverse_sweep(params, tape, g)
     grad_x = g[0] if single else g
     return grad_layers, grad_x
 

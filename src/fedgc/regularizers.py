@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .losses import NonFiniteError
+
 
 @dataclass
 class StackedEmbeddings:
@@ -93,13 +95,13 @@ def _pair_mask(emb: StackedEmbeddings, shared_groups) -> np.ndarray:
 
 def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> np.ndarray:
     w = emb.W
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite entry in stacked embeddings")
+    if not np.isfinite(w).all():
+        raise NonFiniteError("non-finite entry in stacked embeddings")
     if not normalize_columns:
         return w
     norms = np.linalg.norm(w, axis=0)
     if np.any(norms == 0.0):
-        raise ValueError("zero-norm column cannot be normalized")
+        raise NonFiniteError("zero-norm column cannot be normalized")
     return w / norms
 
 

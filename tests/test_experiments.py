@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedgc import data as datasets
-from fedgc import federation
+from fedgc import experiments, federation
 from fedgc.experiments import (
     DIVERGED,
     OK,
@@ -25,6 +25,7 @@ from fedgc.experiments import (
     partition_problems,
     run_cell,
     run_experiment,
+    train_centralized,
     train_federated,
     validate_config,
     verification_suite,
@@ -294,6 +295,24 @@ def test_divergent_cell_is_reported_not_raised():
         assert all(np.isfinite(v) for v in m.to_dict().values())
 
 
+def test_program_error_propagates_instead_of_diverging(monkeypatch):
+    # only non-finite training state is divergence; any other ValueError is a bug
+    spec = tiny_spec()
+    cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
+    ds = make_dataset(spec, cfg)
+    part, shards = make_partition(ds, "balanced", spec, cfg)
+
+    def broken(*args, **kwargs):
+        raise ValueError("backbone structure mismatch")
+
+    monkeypatch.setattr(federation, "aggregate_theta", broken)
+    with pytest.raises(ValueError, match="structure mismatch"):
+        train_federated(ds, part, shards, cfg)
+    monkeypatch.setattr(federation, "local_sgd", broken)
+    with pytest.raises(ValueError, match="structure mismatch"):
+        train_centralized(ds, replace(cfg, mode="centralized"))
+
+
 def test_run_cell_centralized():
     spec = tiny_spec(modes=["centralized"])
     result = run_cell(spec, Cell("centralized", 1.0, 0.0, "balanced"))
@@ -323,6 +342,15 @@ def test_run_experiment_outputs_and_exit_code(tmp_path):
     assert summary[0].startswith("mode,fraction,lambda,partition,status")
     assert len(summary) == 1 + 3
     assert all(",ok," in line for line in summary[1:])
+
+
+def test_run_experiment_generates_each_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.make_dataset
+    monkeypatch.setattr(experiments, "make_dataset", lambda *a: calls.append(a) or real(*a))
+    spec = tiny_spec(tmp_path / "out", modes=["fedpe", "centralized"])
+    assert run_experiment(spec) == 0
+    assert len(calls) == len(spec.grid())
 
 
 def test_run_experiment_bitwise_reproducible(tmp_path):

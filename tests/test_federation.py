@@ -5,6 +5,7 @@ the documented order (local updates -> restack -> aggregate -> merge ->
 correct) and demands bitwise agreement with run_round.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from fedgc import nn
 from fedgc.data import SyntheticSpec, generate, partition_balanced, partition_shared
 from fedgc.federation import (
     FederationConfig,
+    _batch_plan,
     aggregate_theta,
     build_federation,
     centralized_train,
@@ -200,6 +202,87 @@ def test_local_training_reduces_loss():
     _, server, clients = make_federation(cfg)
     _, _, trace = client_update(clients[0], server.theta, cfg)
     assert np.mean(trace[-3:]) < np.mean(trace[:3])
+
+
+# ---------------------------------------------------------------- fused loop vs reference
+
+
+def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
+    """The unfused loop local_sgd replaced, kept here as its bitwise oracle.
+
+    Each step runs nn.forward, batch_loss_and_grad, nn.backward (which runs
+    the forward pass again) and one nn.sgd_step over the separate tensors.
+    """
+    head = head.copy()
+    trace = []
+    for idx in batches:
+        xb, yb = x[idx], y[idx]
+        feats = nn.forward(theta, xb)
+        lg = batch_loss_and_grad(loss, head, feats, yb)
+        trace.append(lg.loss)
+        grad_layers, _ = nn.backward(theta, xb, np.atleast_2d(lg.grad_feature))
+        params = theta.to_list()
+        grads = [g for pair in grad_layers for g in pair]
+        if train_head:
+            params.append(head)
+            grads.append(lg.grad_embeddings)
+        new = nn.sgd_step(opt, params, grads)
+        if train_head:
+            head = new.pop()
+        theta = nn.BackboneParams.from_list(new, theta.activation)
+    return theta, head, trace
+
+
+def assert_same_training(got, want):
+    (theta_a, head_a, trace_a), (theta_b, head_b, trace_b) = got, want
+    for a, b in zip(theta_a.to_list(), theta_b.to_list(), strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(head_a, head_b)
+    np.testing.assert_array_equal(trace_a, trace_b)
+
+
+@pytest.mark.parametrize("mode", ["fedpe", "fedpe_fixed"])
+@pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
+def test_client_update_bitwise_matches_reference_loop(loss, mode):
+    # 36 samples in batches of 16: seven steps cross two epoch boundaries and
+    # take the partial 4-sample batch twice
+    cfg = small_cfg(loss=loss, mode=mode, local_steps=7)
+    _, server, clients = make_federation(cfg)
+    cl = clients[0]
+    assert cl.n_samples % cfg.batch_size
+    assert cfg.local_steps > 2 * math.ceil(cl.n_samples / cfg.batch_size)
+    got = client_update(cl, server.theta, cfg, round_index=2)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
+    want = reference_local_sgd(
+        server.theta, cl.head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
+        nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay), cfg.loss, mode != "fedpe_fixed",
+    )
+    assert_same_training(got, want)
+    if mode == "fedpe_fixed":
+        np.testing.assert_array_equal(got[1], cl.head)
+
+
+@pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
+def test_centralized_train_bitwise_matches_reference_loop(loss):
+    # momentum carried across three rounds of a partial-batch epoch each
+    ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
+    cfg = small_cfg(rounds=3, mode="centralized", loss=loss, batch_size=20)
+    assert len(ds.train_y) % cfg.batch_size
+    got = []
+    centralized_train(
+        ds.train_x, ds.train_y, 8, cfg, on_round=lambda r, t, h, loss: got.append((t, h, loss))
+    )
+    theta = nn.init_backbone([5, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
+    head = init_head(8, cfg.embedding_dim, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0])))
+    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
+    for r in range(cfg.rounds):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r, 0xCE]))
+        theta, head, trace = reference_local_sgd(
+            theta, head, ds.train_x, ds.train_y, _batch_plan(len(ds.train_y), cfg, rng),
+            opt, cfg.loss, True,
+        )
+        theta_c, head_c, loss_c = got[r]
+        assert_same_training((theta_c, head_c, [loss_c]), (theta, head, [np.mean(trace)]))
 
 
 # ---------------------------------------------------------------- aggregation

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from fedgc.evaluation import finite_diff_check
 from fedgc.losses import (
     LossSpec,
+    NonFiniteError,
     batch_loss_and_grad,
     global_softmax_grad,
     local_loss_and_grad,
@@ -36,7 +37,7 @@ def test_stable_log_softmax_matches_direct_and_survives_shift():
     # large common offsets must not overflow
     shifted = stable_log_softmax(logits + 1e4)
     np.testing.assert_allclose(shifted, direct, atol=1e-8)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         stable_log_softmax(np.array([1.0, np.inf]))
 
 
@@ -133,9 +134,9 @@ def test_arcface_near_parallel_feature_stays_finite():
 
 
 def test_margin_loss_rejects_zero_norm():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         local_loss_and_grad(LossSpec.cosface(), np.eye(2), np.zeros(2), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         local_loss_and_grad(LossSpec.cosface(), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2), 0)
 
 
@@ -146,6 +147,8 @@ def test_input_validation():
         local_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros(3), 3)
     with pytest.raises(ValueError):
         local_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros((2, 3)), 0)
+    with pytest.raises(ValueError, match="labels of shape"):
+        batch_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros((2, 3)), [0])
 
 
 def test_global_softmax_is_softmax_over_full_stack():
@@ -162,3 +165,55 @@ def test_global_softmax_is_softmax_over_full_stack():
     delta = p.copy()
     delta[7] -= 1.0
     np.testing.assert_allclose(lg.grad_embeddings, np.outer(feat, delta), atol=1e-12)
+
+
+def reference_batch_loss(spec, embeddings, features, labels):
+    """The loss math as first written (np.linalg.norm, (row, label) fancy
+    indexing, mean), kept as the bitwise oracle for the rewritten kernel."""
+    n = features.shape[0]
+    rows = np.arange(n)
+    if spec.variant == "softmax":
+        logp = stable_log_softmax(features @ embeddings)
+        loss = float(-logp[rows, labels].mean())
+        delta = np.exp(logp)
+        delta[rows, labels] -= 1.0
+        delta /= n
+        return loss, delta @ embeddings.T, features.T @ delta
+    w_norm = np.linalg.norm(embeddings, axis=0)
+    x_norm = np.linalg.norm(features, axis=1)
+    w_hat = embeddings / w_norm
+    x_hat = features / x_norm[:, None]
+    cos = x_hat @ w_hat
+    logits = spec.scale * cos
+    target_slope = np.ones(n)
+    if spec.variant == "cosface":
+        logits[rows, labels] = spec.scale * (cos[rows, labels] - spec.margin)
+    else:
+        theta = np.arccos(np.clip(cos[rows, labels], -1.0 + 1e-7, 1.0 - 1e-7))
+        logits[rows, labels] = spec.scale * np.cos(theta + spec.margin)
+        inside = np.abs(cos[rows, labels]) < 1.0 - 1e-7
+        target_slope = np.where(inside, np.sin(theta + spec.margin) / np.sin(theta), 0.0)
+    logp = stable_log_softmax(logits)
+    loss = float(-logp[rows, labels].mean())
+    delta = np.exp(logp)
+    delta[rows, labels] -= 1.0
+    delta *= spec.scale / n
+    delta[rows, labels] *= target_slope
+    grad_emb = (x_hat.T @ delta - w_hat * (cos * delta).sum(axis=0)) / w_norm
+    grad_feat = (delta @ w_hat.T - x_hat * (cos * delta).sum(axis=1)[:, None]) / x_norm[:, None]
+    return loss, grad_feat, grad_emb
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_batch_loss_bitwise_matches_reference(spec, n):
+    rng = np.random.default_rng(n)
+    emb = rng.normal(size=(6, 9))
+    feats = rng.normal(size=(n, 6))
+    labels = rng.integers(0, 9, size=n)
+    feats[0] = emb[:, labels[0]]  # a target cosine of exactly 1 hits the arcface clip
+    lg = batch_loss_and_grad(spec, emb, feats, labels)
+    loss, grad_feat, grad_emb = reference_batch_loss(spec, emb, feats, labels)
+    assert lg.loss == loss
+    np.testing.assert_array_equal(np.atleast_2d(lg.grad_feature), grad_feat)
+    np.testing.assert_array_equal(lg.grad_embeddings, grad_emb)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedgc.evaluation import finite_diff_check
+from fedgc.losses import NonFiniteError
 from fedgc.regularizers import (
     StackedEmbeddings,
     cosine_reg,
@@ -239,7 +240,13 @@ def test_non_finite_stack_rejected():
     w = np.ones((3, 4))
     w[1, 2] = np.nan
     emb = StackedEmbeddings(w, np.array([0, 0, 1, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         softmax_reg(emb)
+    with pytest.raises(NonFiniteError):
+        cosine_reg(emb)
     with pytest.raises(ValueError):
         softmax_reg_naive(emb)
+    zero_col = np.ones((3, 4))
+    zero_col[:, 0] = 0.0
+    with pytest.raises(NonFiniteError, match="zero-norm"):
+        softmax_reg(StackedEmbeddings(zero_col, emb.client_of), normalize_columns=True)

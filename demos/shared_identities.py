@@ -55,7 +55,7 @@ def main() -> int:
     new_w = server.embeddings.W.copy()
     for k in range(cfg.num_clients):
         theta_b, head_b = federation.client_payload(server, k)
-        _, head_k, _ = federation.client_update(replace(clients[k], head=head_b), theta_b, cfg, server.round)
+        _, head_k, _ = federation.client_update(clients[k], theta_b, head_b, cfg, server.round)
         new_w[:, server.head_slices[k]] = head_k
     drifted = replace(server, embeddings=StackedEmbeddings(new_w, server.embeddings.client_of.copy()))
     merged = federation.merge_shared_identities(drifted, server.shared_groups)

@@ -12,11 +12,9 @@ from .data import (
     SyntheticSpec,
     VerificationPairs,
     generate,
-    load_samples,
     partition_balanced,
     partition_lognormal,
     partition_shared,
-    save_samples,
 )
 from .evaluation import (
     RoundMetrics,
@@ -39,12 +37,12 @@ from .experiments import (
     verification_suite,
 )
 from .federation import (
-    ClientState,
     FederationConfig,
     ServerState,
     aggregate_theta,
+    build_centralized,
     build_federation,
-    centralized_train,
+    centralized_round,
     client_update,
     combined_objective,
     correction_step,
@@ -59,7 +57,6 @@ from .losses import (
     NonFiniteError,
     batch_loss_and_grad,
     global_softmax_grad,
-    local_loss_and_grad,
 )
 from .nn import (
     BackboneParams,

@@ -26,8 +26,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.samples_per_class < 2:
-            raise ValueError("need >= 2 samples per class for a train/test split")
+        if self.samples_per_class < 8:
+            # a quarter of the samples go to test and positive pairs need two
+            # distinct test samples of the same class
+            raise ValueError(f"samples_per_class must be >= 8, got {self.samples_per_class}")
         if self.input_dim < 1 or self.cluster_std < 0.0:
             raise ValueError("bad input_dim or cluster_std")
 
@@ -70,10 +72,6 @@ def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     c, spc, dim = spec.num_classes, spec.samples_per_class, spec.input_dim
-    if spc < 8:
-        # a quarter of the samples go to test and positive pairs need two
-        # distinct test samples of the same class
-        raise ValueError(f"samples_per_class must be >= 8, got {spc}")
     centers = rng.normal(0.0, spec.class_center_scale, size=(c, dim))
 
     n_test = spc // 4
@@ -265,36 +263,3 @@ def partition_shared(
     clients = _build_clients(dataset, holders, splits, num_clients)
     n_k = np.array([cl.n_samples for cl in clients])
     return PartitionSpec(num_clients, holders, n_k, "shared", shared_groups), clients
-
-
-def save_samples(path, x: np.ndarray, y: np.ndarray) -> None:
-    """Plain-text export: header '<n> <dim>', then 'label,v1,...,vdim' per record.
-
-    Floats use 17 significant digits, so float64 values round-trip exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("expected x (n, dim) and y (n,)")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{x.shape[0]} {x.shape[1]}\n")
-        for label, row in zip(y, x):
-            fh.write(f"{label}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of save_samples."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad header, expected '<n> <dim>'")
-        n, dim = int(header[0]), int(header[1])
-        x = np.empty((n, dim))
-        y = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            fields = fh.readline().rstrip("\n").split(",")
-            if len(fields) != dim + 1:
-                raise ValueError(f"{path}: record {i} has {len(fields) - 1} values, expected {dim}")
-            y[i] = int(fields[0])
-            x[i] = [float(v) for v in fields[1:]]
-    return x, y

@@ -87,8 +87,8 @@ class CellResult:
     status: str
     rounds_completed: int
     metrics: list[evaluation.RoundMetrics]
-    server: federation.ServerState | None = None
-    clients: list[federation.ClientState] | None = None
+    server: federation.ServerState
+    clients: list[datasets.ClientData]
     test_features: np.ndarray | None = None
 
     @property
@@ -565,17 +565,18 @@ def _eval_now(r: int, cfg, eval_every: int) -> bool:
     return (r + 1) % eval_every == 0 or r + 1 == cfg.rounds
 
 
-def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
-    """Train one federated cell; returns (status, metrics, server, clients)."""
-    server, clients = federation.build_federation(
-        client_data, dataset.input_dim, cfg, part.shared_groups
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
+def _train_rounds(server, clients, step, cfg, dataset, eval_every: int):
+    """Advance `server` by `step(server) -> (server, mean_loss)` for cfg.rounds rounds.
+
+    The one round/eval/divergence loop behind federated and centralized
+    cells; returns (status, metrics, server, clients), where a diverged cell
+    keeps the state of the round it reached.
+    """
     metrics: list[evaluation.RoundMetrics] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for r in range(cfg.rounds):
             try:
-                server, mean_loss = federation.run_round(server, clients, cfg, rng)
+                server, mean_loss = step(server)
                 if not np.isfinite(mean_loss):
                     raise _Divergence
                 if _eval_now(r, cfg, eval_every):
@@ -588,43 +589,30 @@ def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
     return OK, metrics, server, clients
 
 
+def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
+    """Train one federated cell; returns (status, metrics, server, clients)."""
+    server, clients = federation.build_federation(
+        client_data, dataset.input_dim, cfg, part.shared_groups
+    )
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
+
+    def step(s):
+        return federation.run_round(s, clients, cfg, rng)
+
+    return _train_rounds(server, clients, step, cfg, dataset, eval_every)
+
+
 def train_centralized(dataset, cfg, eval_every: int = 10):
     """Pooled-baseline cell with the same metrics cadence as federated cells."""
-    x, y, c = dataset.train_x, dataset.train_y, dataset.num_classes
-    metrics: list[evaluation.RoundMetrics] = []
-    final = {}
+    server, client = federation.build_centralized(
+        dataset.train_x, dataset.train_y, dataset.num_classes, cfg
+    )
+    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
 
-    def snapshot(theta, head, round_index):
-        emb = StackedEmbeddings(head, np.zeros(head.shape[1], dtype=np.int64))
-        server = federation.ServerState(
-            theta=theta,
-            embeddings=emb,
-            weights=np.ones(1),
-            round=round_index,
-            head_slices=[slice(0, c)],
-            class_of=np.arange(c),
-        )
-        return server, [federation.ClientState(0, x, y, head, list(range(c)))]
+    def step(s):
+        return federation.centralized_round(s, client, cfg, opt)
 
-    def on_round(r, theta, head, mean_loss):
-        if not np.isfinite(mean_loss):
-            raise _Divergence
-        if _eval_now(r, cfg, eval_every):
-            server, clients = snapshot(theta, head, r + 1)
-            row = compute_round_metrics(server, clients, cfg, dataset, mean_loss)
-            if not _finite_row(row):
-                raise _Divergence
-            metrics.append(row)
-            final["state"] = (server, clients)
-
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            theta, head = federation.centralized_train(x, y, c, cfg, on_round)
-    except (_Divergence, NonFiniteError):
-        state = final.get("state", (None, None))
-        return DIVERGED, metrics, state[0], state[1]
-    server, clients = snapshot(theta, head, cfg.rounds)
-    return OK, metrics, server, clients
+    return _train_rounds(server, [client], step, cfg, dataset, eval_every)
 
 
 def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
@@ -639,11 +627,8 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
         status, metrics, server, clients = train_federated(
             dataset, part, client_data, cfg, spec.eval_every
         )
-    feats = None
-    if status == OK and server is not None:
-        feats = nn.forward(server.theta, dataset.test_x)
-    rounds_done = server.round if server is not None else 0
-    return CellResult(cell, status, rounds_done, metrics, server, clients, feats)
+    feats = nn.forward(server.theta, dataset.test_x) if status == OK else None
+    return CellResult(cell, status, server.round, metrics, server, clients, feats)
 
 
 def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
@@ -660,7 +645,7 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
     with open(os.path.join(cell_dir, "metrics.jsonl"), "w") as fh:
         for m in result.metrics:
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
-    if result.status == OK and result.server is not None:
+    if result.status == OK:
         federation.save_checkpoint(
             result.server, result.clients, os.path.join(cell_dir, "checkpoint")
         )

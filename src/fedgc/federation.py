@@ -13,9 +13,12 @@ All training runs through one fused loop, local_sgd, which is bitwise equal
 to chaining the public reference pieces the gradient checks exercise:
 nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_step.
 
-The server stores every client's head between rounds (it receives them for
-aggregation anyway); "private" means client-to-client isolation: a client is
-only ever sent the backbone and its own columns.
+Heads live only on the server, as the columns of one stacked matrix (it
+receives them for aggregation anyway); a client holds just its data shard.
+"Private" means client-to-client isolation: a client is only ever sent the
+backbone and its own columns. The centralized baseline is the same server
+state with a single client that holds every class, advanced by
+centralized_round instead of run_round.
 
 All randomness is derived from (seed, round, client_id), so a run is
 bit-reproducible and independent of client execution order.
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
+from .data import ClientData
 from .losses import LossSpec, batch_loss_and_grad, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, masked_softmax_reg, softmax_reg
 
@@ -94,23 +98,6 @@ class FederationConfig:
 
 
 @dataclass
-class ClientState:
-    client_id: int
-    x: np.ndarray
-    y_local: np.ndarray
-    head: np.ndarray         # (d, C_k), this client's private class embeddings
-    classes: list[int]       # global class ids, local label j <-> classes[j]
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.y_local)
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.shape[1]
-
-
-@dataclass
 class ServerState:
     theta: nn.BackboneParams
     embeddings: StackedEmbeddings
@@ -138,17 +125,20 @@ def init_head(num_classes: int, embedding_dim: int, rng: np.random.Generator) ->
 
 
 def build_federation(
-    client_data, input_dim: int, cfg: FederationConfig, shared_groups=None
-) -> tuple[ServerState, list[ClientState]]:
-    """Server and client states from partitioned data, all seeded from cfg.seed."""
+    client_data: list[ClientData], input_dim: int, cfg: FederationConfig, shared_groups=None
+) -> tuple[ServerState, list[ClientData]]:
+    """The server state for partitioned data, seeded from cfg.seed, and the shards.
+
+    Every head lives only in the server's stacked matrix; a client receives
+    its own columns through client_payload each round.
+    """
     theta = nn.init_backbone([input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
-    clients, heads, client_of, class_of, slices = [], [], [], [], []
+    clients = list(client_data)
+    heads, client_of, class_of, slices = [], [], [], []
     start = 0
-    for cd in client_data:
+    for cd in clients:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xEB, cd.client_id]))
-        head = init_head(len(cd.classes), cfg.embedding_dim, rng)
-        clients.append(ClientState(cd.client_id, cd.x, cd.y_local, head.copy(), list(cd.classes)))
-        heads.append(head)
+        heads.append(init_head(len(cd.classes), cfg.embedding_dim, rng))
         client_of.extend([cd.client_id] * len(cd.classes))
         class_of.extend(cd.classes)
         slices.append(slice(start, start + len(cd.classes)))
@@ -197,7 +187,7 @@ def local_sgd(
 ) -> tuple[nn.BackboneParams, np.ndarray, list[float]]:
     """Minibatch SGD on (backbone, head) over the index arrays in `batches`.
 
-    The one training loop behind client_update and centralized_train; opt
+    The one training loop behind client_update and centralized_round; opt
     carries the momentum, so the caller decides whether it persists. Shapes
     and labels are checked once per call. Each step runs one recorded
     forward pass for both the loss and the reverse sweep, then a single
@@ -235,13 +225,18 @@ def local_sgd(
 
 
 def client_update(
-    client: ClientState, theta: nn.BackboneParams, cfg: FederationConfig, round_index: int = 0
+    client: ClientData,
+    theta: nn.BackboneParams,
+    head: np.ndarray,
+    cfg: FederationConfig,
+    round_index: int = 0,
 ) -> tuple[nn.BackboneParams, np.ndarray, list[float]] | None:
     """Local minibatch SGD on (backbone, head) against the client's own classes.
 
-    Runs local_sgd with fresh momentum. Returns updated copies plus the
-    per-step loss trace, or None for a client with no data (skip signal).
-    Deterministic given (seed, round, client_id).
+    theta and head are what client_payload sent this client. Runs local_sgd
+    with fresh momentum. Returns updated copies plus the per-step loss
+    trace, or None for a client with no data (skip signal). Deterministic
+    given (seed, round, client_id).
     """
     if client.n_samples == 0:
         return None
@@ -250,7 +245,7 @@ def client_update(
     )
     return local_sgd(
         theta,
-        client.head,
+        head,
         client.x,
         client.y_local,
         _batch_plan(client.n_samples, cfg, rng),
@@ -319,7 +314,7 @@ def sample_clients(cfg: FederationConfig, rng: np.random.Generator) -> np.ndarra
 
 def run_round(
     server: ServerState,
-    clients: list[ClientState],
+    clients: list[ClientData],
     cfg: FederationConfig,
     rng: np.random.Generator,
 ) -> tuple[ServerState, float]:
@@ -334,8 +329,7 @@ def run_round(
     updates, losses = [], []
     for k in sampled:
         theta_b, head_b = client_payload(server, int(k))
-        cs = replace(clients[k], head=head_b)
-        result = client_update(cs, theta_b, cfg, server.round)
+        result = client_update(clients[k], theta_b, head_b, cfg, server.round)
         if result is None:
             continue
         theta_k, head_k, trace = result
@@ -389,7 +383,7 @@ def merge_shared_identities(server: ServerState, groups) -> ServerState:
     return replace(server, embeddings=emb)
 
 
-def combined_objective(server: ServerState, clients: list[ClientState], cfg: FederationConfig) -> float:
+def combined_objective(server: ServerState, clients: list[ClientData], cfg: FederationConfig) -> float:
     """Weighted mean of client empirical losses plus lambda times the regularizer.
 
     Evaluation only; the training loop never differentiates this directly.
@@ -408,36 +402,46 @@ def combined_objective(server: ServerState, clients: list[ClientState], cfg: Fed
     return total
 
 
-def centralized_train(
-    x: np.ndarray,
-    y: np.ndarray,
-    num_classes: int,
-    cfg: FederationConfig,
-    on_round=None,
-) -> tuple[nn.BackboneParams, np.ndarray]:
-    """Pooled minibatch SGD with one global head; the upper-bound baseline.
-
-    Momentum persists across rounds (one round = one epoch unless
-    local_steps says otherwise). on_round(round, theta, head, mean_loss) is
-    called after every round when given.
-    """
+def build_centralized(
+    x: np.ndarray, y: np.ndarray, num_classes: int, cfg: FederationConfig
+) -> tuple[ServerState, ClientData]:
+    """The pooled upper-bound baseline: a one-client state holding every class."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     theta = nn.init_backbone([x.shape[1], cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
-    rng0 = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0]))
-    head = init_head(num_classes, cfg.embedding_dim, rng0)
-    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
-    for r in range(cfg.rounds):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r, 0xCE]))
-        theta, head, trace = local_sgd(
-            theta, head, x, y, _batch_plan(len(y), cfg, rng), opt, cfg.loss, True
-        )
-        if on_round is not None:
-            on_round(r, theta, head, float(np.mean(trace)) if trace else float("nan"))
-    return theta, head
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0]))
+    head = init_head(num_classes, cfg.embedding_dim, rng)
+    server = ServerState(
+        theta=theta,
+        embeddings=StackedEmbeddings(head, np.zeros(num_classes, dtype=np.int64)),
+        weights=np.ones(1),
+        round=0,
+        head_slices=[slice(0, num_classes)],
+        class_of=np.arange(num_classes),
+    )
+    return server, ClientData(0, list(range(num_classes)), x, y)
 
 
-def save_checkpoint(server: ServerState, clients: list[ClientState], path) -> None:
+def centralized_round(
+    server: ServerState, client: ClientData, cfg: FederationConfig, opt: nn.SgdState
+) -> tuple[ServerState, float]:
+    """One round of pooled SGD with the single head; returns the new state and mean loss.
+
+    One round is one epoch unless local_steps says otherwise. opt carries the
+    momentum, so passing the same one every round keeps it across rounds.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
+    batches = _batch_plan(client.n_samples, cfg, rng)
+    theta, head, trace = local_sgd(
+        server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss, True
+    )
+    new_server = replace(
+        server, theta=theta, embeddings=replace(server.embeddings, W=head), round=server.round + 1
+    )
+    return new_server, float(np.mean(trace)) if trace else float("nan")
+
+
+def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> None:
     """Checkpoint directory: manifest.json plus one tensor section per parameter set."""
     os.makedirs(path, exist_ok=True)
     manifest = {
@@ -446,7 +450,7 @@ def save_checkpoint(server: ServerState, clients: list[ClientState], path) -> No
         "clients": [
             {
                 "id": cl.client_id,
-                "num_classes": cl.num_classes,
+                "num_classes": len(cl.classes),
                 "classes": [int(c) for c in cl.classes],
                 "n_samples": cl.n_samples,
             }

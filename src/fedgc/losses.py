@@ -174,16 +174,6 @@ def _squeeze(grad_feat: np.ndarray, features: np.ndarray) -> np.ndarray:
     return grad_feat[0] if features.shape[0] == 1 and grad_feat.shape[0] == 1 else grad_feat
 
 
-def local_loss_and_grad(
-    spec: LossSpec, embeddings: np.ndarray, feature: np.ndarray, label: int
-) -> LossGrad:
-    """Single-sample loss of a client head against its local class space."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise ValueError("local_loss_and_grad expects a single feature vector")
-    return batch_loss_and_grad(spec, embeddings, feature[None, :], np.array([label]))
-
-
 def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int) -> LossGrad:
     """Standard softmax CE over the full stacked class space.
 
@@ -191,4 +181,4 @@ def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int)
     it is plain cross entropy on raw logits, identical in form to the local
     softmax but over every class column.
     """
-    return local_loss_and_grad(LossSpec.softmax(), embeddings, feature, label)
+    return batch_loss_and_grad(LossSpec.softmax(), embeddings, feature, label)

@@ -268,7 +268,7 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
     new_w = server.embeddings.W.copy()
     for cl in clients:
         theta_b, head_b = federation.client_payload(server, cl.client_id)
-        _, head_k, _ = federation.client_update(replace(cl, head=head_b), theta_b, cfg, server.round)
+        _, head_k, _ = federation.client_update(cl, theta_b, head_b, cfg, server.round)
         new_w[:, server.head_slices[cl.client_id]] = head_k
 
     copy_cosines = []

@@ -7,11 +7,9 @@ from fedgc.data import (
     Dataset,
     SyntheticSpec,
     generate,
-    load_samples,
     partition_balanced,
     partition_lognormal,
     partition_shared,
-    save_samples,
 )
 
 
@@ -165,32 +163,3 @@ def test_shared_partition_validation():
         partition_shared(ds, 4, share_fraction=0.25, seed=0, group_size=5)
     with pytest.raises(ValueError):
         partition_shared(ds, 4, share_fraction=0.25, seed=0, group_size=1)
-
-
-def test_save_load_roundtrip_is_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(7, 3)) * np.pi  # irrational values exercise the 17g format
-    y = rng.integers(0, 5, size=7)
-    path = tmp_path / "samples.txt"
-    save_samples(path, x, y)
-    x2, y2 = load_samples(path)
-    np.testing.assert_array_equal(x, x2)
-    np.testing.assert_array_equal(y, y2)
-
-
-def test_save_samples_validation(tmp_path):
-    with pytest.raises(ValueError):
-        save_samples(tmp_path / "bad.txt", np.zeros(3), np.zeros(3, dtype=int))
-    with pytest.raises(ValueError):
-        save_samples(tmp_path / "bad.txt", np.zeros((3, 2)), np.zeros(4, dtype=int))
-
-
-def test_load_samples_rejects_malformed_files(tmp_path):
-    p = tmp_path / "bad_header.txt"
-    p.write_text("3\n")
-    with pytest.raises(ValueError, match="bad header"):
-        load_samples(p)
-    p = tmp_path / "bad_record.txt"
-    p.write_text("1 3\n0,1.0,2.0\n")
-    with pytest.raises(ValueError, match="record 0"):
-        load_samples(p)

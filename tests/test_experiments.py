@@ -1,5 +1,6 @@
 """Config parsing, grid expansion, cell training, outputs, and the check suite."""
 
+import csv
 import json
 import textwrap
 from dataclasses import replace
@@ -369,12 +370,29 @@ def test_run_experiment_bitwise_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_experiment_exit_2_when_everything_diverges(tmp_path):
-    spec = tiny_spec(tmp_path / "bad", modes=["fedpe"])
+def test_run_experiment_exit_2_when_everything_diverges(tmp_path, monkeypatch):
+    # a diverged cell reports the round it reached: the round of the last
+    # state a round step returned, for federated and centralized cells alike
+    reached = {}
+    for name, mode in (("run_round", "fedpe"), ("centralized_round", "centralized")):
+
+        def spy(*args, _step=getattr(federation, name), _mode=mode):
+            server, loss = _step(*args)
+            reached[_mode] = server.round
+            return server, loss
+
+        monkeypatch.setattr(federation, name, spy)
+    spec = tiny_spec(tmp_path / "bad", modes=["fedpe", "centralized"])
     spec = replace(spec, fed=replace(spec.fed, eta=1e6, rounds=6))
     assert run_experiment(spec) == 2
-    summary = (tmp_path / "bad" / "summary.csv").read_text()
-    assert "diverged" in summary
+    with open(tmp_path / "bad" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["mode"] for row in rows] == ["fedpe", "centralized"]
+    for row in rows:
+        assert row["status"] == DIVERGED
+        stopped = reached.get(row["mode"], 0)
+        assert 0 < stopped < spec.fed.rounds
+        assert int(row["rounds_completed"]) == stopped
 
 
 # ---------------------------------------------------------------- check suite

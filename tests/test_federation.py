@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from fedgc import nn
-from fedgc.data import SyntheticSpec, generate, partition_balanced, partition_shared
+from fedgc.data import ClientData, SyntheticSpec, generate, partition_balanced, partition_shared
 from fedgc.federation import (
     FederationConfig,
     _batch_plan,
     aggregate_theta,
+    build_centralized,
     build_federation,
-    centralized_train,
+    centralized_round,
     client_payload,
     client_update,
     combined_objective,
@@ -56,6 +57,21 @@ def make_federation(cfg, num_classes=8, spc=12, seed=1, share_fraction=None):
 
 def round_rng(seed):
     return np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
+
+
+def centralized_rounds(ds, cfg):
+    """(theta, head, mean loss) after each of cfg.rounds centralized rounds.
+
+    One optimizer is passed to every round, so momentum carries across them.
+    """
+    server, client = build_centralized(ds.train_x, ds.train_y, ds.num_classes, cfg)
+    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
+    states = []
+    for r in range(cfg.rounds):
+        server, loss = centralized_round(server, client, cfg, opt)
+        assert server.round == r + 1
+        states.append((server.theta, server.head_of(0), loss))
+    return states
 
 
 # ---------------------------------------------------------------- config
@@ -106,10 +122,11 @@ def test_build_federation_layout():
     np.testing.assert_array_equal(server.embeddings.client_of, np.repeat([0, 1], 4))
     np.testing.assert_allclose(server.weights, [0.5, 0.5])
     assert server.round == 0 and server.shared_groups == []
-    for cl in clients:
-        np.testing.assert_array_equal(server.head_of(cl.client_id), cl.head)
+    # the clients are the partition's shards; their heads live only on the server
+    assert [cl.client_id for cl in clients] == [0, 1]
+    assert all(isinstance(cl, ClientData) for cl in clients)
     # per-client head seeds differ, and rebuilding reproduces everything
-    assert not np.array_equal(clients[0].head, clients[1].head)
+    assert not np.array_equal(server.head_of(0), server.head_of(1))
     _, server2, _ = make_federation(cfg)
     np.testing.assert_array_equal(server.embeddings.W, server2.embeddings.W)
 
@@ -141,9 +158,10 @@ def test_client_update_deterministic_and_round_dependent():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     theta = server.theta
-    a = client_update(clients[0], theta, cfg, round_index=3)
-    b = client_update(clients[0], theta, cfg, round_index=3)
-    c = client_update(clients[0], theta, cfg, round_index=4)
+    head = server.head_of(0)
+    a = client_update(clients[0], theta, head, cfg, round_index=3)
+    b = client_update(clients[0], theta, head, cfg, round_index=3)
+    c = client_update(clients[0], theta, head, cfg, round_index=4)
     for x, y in zip(a[0].to_list(), b[0].to_list()):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(a[1], b[1])
@@ -155,16 +173,17 @@ def test_client_update_empty_client_skips():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     empty = replace(clients[0], x=clients[0].x[:0], y_local=clients[0].y_local[:0])
-    assert client_update(empty, server.theta, cfg) is None
+    assert client_update(empty, server.theta, server.head_of(0), cfg) is None
 
 
 def test_client_update_does_not_mutate_inputs():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
-    head_before = clients[0].head.copy()
+    head = server.head_of(0)
+    head_before = head.copy()
     theta_before = [a.copy() for a in server.theta.to_list()]
-    client_update(clients[0], server.theta, cfg)
-    np.testing.assert_array_equal(clients[0].head, head_before)
+    client_update(clients[0], server.theta, head, cfg)
+    np.testing.assert_array_equal(head, head_before)
     for a, b in zip(server.theta.to_list(), theta_before):
         np.testing.assert_array_equal(a, b)
 
@@ -177,13 +196,14 @@ def test_client_update_single_step_matches_hand_gradient():
     _, server, clients = make_federation(cfg)
     cl = clients[0]
     assert cl.n_samples <= cfg.batch_size
-    theta_k, head_k, trace = client_update(cl, server.theta, cfg)
+    head = server.head_of(0)
+    theta_k, head_k, trace = client_update(cl, server.theta, head, cfg)
 
     feats = nn.forward(server.theta, cl.x)
-    lg = batch_loss_and_grad(cfg.loss, cl.head, feats, cl.y_local)
+    lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
     grad_layers, _ = nn.backward(server.theta, cl.x, lg.grad_feature)
     assert abs(trace[0] - lg.loss) < 1e-12
-    np.testing.assert_allclose(head_k, cl.head - cfg.eta * lg.grad_embeddings, atol=1e-12)
+    np.testing.assert_allclose(head_k, head - cfg.eta * lg.grad_embeddings, atol=1e-12)
     for (w, b), (gw, gb), (w0, b0) in zip(theta_k.layers, grad_layers, server.theta.layers):
         np.testing.assert_allclose(w, w0 - cfg.eta * gw, atol=1e-12)
         np.testing.assert_allclose(b, b0 - cfg.eta * gb, atol=1e-12)
@@ -192,15 +212,15 @@ def test_client_update_single_step_matches_hand_gradient():
 def test_fixed_head_mode_trains_backbone_only():
     cfg = small_cfg(mode="fedpe_fixed")
     _, server, clients = make_federation(cfg)
-    theta_k, head_k, _ = client_update(clients[0], server.theta, cfg)
-    np.testing.assert_array_equal(head_k, clients[0].head)
+    theta_k, head_k, _ = client_update(clients[0], server.theta, server.head_of(0), cfg)
+    np.testing.assert_array_equal(head_k, server.head_of(0))
     assert not np.array_equal(theta_k.layers[0][0], server.theta.layers[0][0])
 
 
 def test_local_training_reduces_loss():
     cfg = small_cfg(local_steps=30)
     _, server, clients = make_federation(cfg)
-    _, _, trace = client_update(clients[0], server.theta, cfg)
+    _, _, trace = client_update(clients[0], server.theta, server.head_of(0), cfg)
     assert np.mean(trace[-3:]) < np.mean(trace[:3])
 
 
@@ -251,15 +271,16 @@ def test_client_update_bitwise_matches_reference_loop(loss, mode):
     cl = clients[0]
     assert cl.n_samples % cfg.batch_size
     assert cfg.local_steps > 2 * math.ceil(cl.n_samples / cfg.batch_size)
-    got = client_update(cl, server.theta, cfg, round_index=2)
+    head = server.head_of(0)
+    got = client_update(cl, server.theta, head, cfg, round_index=2)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
     want = reference_local_sgd(
-        server.theta, cl.head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
+        server.theta, head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
         nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay), cfg.loss, mode != "fedpe_fixed",
     )
     assert_same_training(got, want)
     if mode == "fedpe_fixed":
-        np.testing.assert_array_equal(got[1], cl.head)
+        np.testing.assert_array_equal(got[1], head)
 
 
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
@@ -268,10 +289,7 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
     cfg = small_cfg(rounds=3, mode="centralized", loss=loss, batch_size=20)
     assert len(ds.train_y) % cfg.batch_size
-    got = []
-    centralized_train(
-        ds.train_x, ds.train_y, 8, cfg, on_round=lambda r, t, h, loss: got.append((t, h, loss))
-    )
+    got = centralized_rounds(ds, cfg)
     theta = nn.init_backbone([5, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     head = init_head(8, cfg.embedding_dim, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0])))
     opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
@@ -373,7 +391,7 @@ def test_run_round_matches_manual_replay():
     updates, losses = [], []
     for k in sampled:
         theta_b, head_b = client_payload(server, int(k))
-        result = client_update(replace(clients[k], head=head_b), theta_b, cfg, server.round)
+        result = client_update(clients[k], theta_b, head_b, cfg, server.round)
         theta_k, head_k, trace = result
         updates.append((theta_k, clients[k].n_samples))
         new_w[:, server.head_slices[k]] = head_k
@@ -395,11 +413,12 @@ def test_run_round_leaves_inputs_untouched():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     w_before = server.embeddings.W.copy()
-    heads_before = [cl.head.copy() for cl in clients]
+    data_before = [(cl.x.copy(), cl.y_local.copy()) for cl in clients]
     run_round(server, clients, cfg, round_rng(cfg.seed))
     np.testing.assert_array_equal(server.embeddings.W, w_before)
-    for cl, h in zip(clients, heads_before):
-        np.testing.assert_array_equal(cl.head, h)
+    for cl, (x, y) in zip(clients, data_before):
+        np.testing.assert_array_equal(cl.x, x)
+        np.testing.assert_array_equal(cl.y_local, y)
 
 
 def test_fixed_heads_stay_at_initialization_across_rounds():
@@ -527,14 +546,12 @@ def test_combined_objective_hand_value():
 def test_centralized_train_deterministic_and_learns():
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
     cfg = small_cfg(rounds=6, mode="centralized")
-    seen = []
-    theta, head = centralized_train(
-        ds.train_x, ds.train_y, 8, cfg, on_round=lambda r, t, h, loss: seen.append((r, loss))
-    )
-    assert [r for r, _ in seen] == list(range(6))
-    assert seen[-1][1] < seen[0][1]
+    seen = centralized_rounds(ds, cfg)
+    assert len(seen) == 6
+    assert seen[-1][2] < seen[0][2]
+    theta, head, _ = seen[-1]
     assert head.shape == (cfg.embedding_dim, 8)
-    theta2, head2 = centralized_train(ds.train_x, ds.train_y, 8, cfg)
+    theta2, head2, _ = centralized_rounds(ds, cfg)[-1]
     np.testing.assert_array_equal(head, head2)
     for a, b in zip(theta.to_list(), theta2.to_list()):
         np.testing.assert_array_equal(a, b)
@@ -545,11 +562,7 @@ def test_centralized_momentum_persists_across_rounds():
     # and the velocity carried into round 2 follows the hand recursion
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
     cfg = small_cfg(rounds=2, mode="centralized", local_steps=1, batch_size=256, weight_decay=0.0)
-    states = []
-    centralized_train(
-        ds.train_x, ds.train_y, 8, cfg,
-        on_round=lambda r, t, h, loss: states.append((t.copy(), h.copy())),
-    )
+    states = centralized_rounds(ds, cfg)
     theta0 = nn.init_backbone([5, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     rng0 = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0]))
     head0 = init_head(8, cfg.embedding_dim, rng0)

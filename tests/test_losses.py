@@ -10,7 +10,6 @@ from fedgc.losses import (
     NonFiniteError,
     batch_loss_and_grad,
     global_softmax_grad,
-    local_loss_and_grad,
     stable_log_softmax,
 )
 
@@ -45,7 +44,7 @@ def test_softmax_loss_two_class_hand_value():
     # logits (1, 0), label 0: loss = log(1 + e^-1); d/dlogit = (p - onehot)
     emb = np.array([[1.0, 0.0]])
     feat = np.array([1.0])
-    lg = local_loss_and_grad(LossSpec.softmax(), emb, feat, 0)
+    lg = batch_loss_and_grad(LossSpec.softmax(), emb, feat, 0)
     expected = np.log1p(np.exp(-1.0))
     assert abs(lg.loss - expected) < 1e-12
     p1 = 1.0 / (1.0 + np.e)  # probability of the wrong class
@@ -61,7 +60,7 @@ def test_batch_loss_is_mean_of_singles():
     labels = rng.integers(5, size=8)
     for spec in ALL_SPECS:
         batch = batch_loss_and_grad(spec, emb, feats, labels)
-        singles = [local_loss_and_grad(spec, emb, feats[i], int(labels[i])) for i in range(8)]
+        singles = [batch_loss_and_grad(spec, emb, feats[i], int(labels[i])) for i in range(8)]
         assert abs(batch.loss - np.mean([s.loss for s in singles])) < 1e-12
         np.testing.assert_allclose(
             batch.grad_feature, np.stack([s.grad_feature for s in singles]) / 8.0, atol=1e-12
@@ -127,7 +126,7 @@ def test_arcface_near_parallel_feature_stays_finite():
     # cos(theta) ~ 1: the arccos chain would blow up without the clip
     emb = np.array([[1.0, 0.0], [0.0, 1.0]])
     feat = np.array([1.0, 1e-9])
-    lg = local_loss_and_grad(LossSpec.arcface(), emb, feat, 0)
+    lg = batch_loss_and_grad(LossSpec.arcface(), emb, feat, 0)
     assert np.isfinite(lg.loss)
     assert np.all(np.isfinite(lg.grad_feature))
     assert np.all(np.isfinite(lg.grad_embeddings))
@@ -135,18 +134,18 @@ def test_arcface_near_parallel_feature_stays_finite():
 
 def test_margin_loss_rejects_zero_norm():
     with pytest.raises(NonFiniteError):
-        local_loss_and_grad(LossSpec.cosface(), np.eye(2), np.zeros(2), 0)
+        batch_loss_and_grad(LossSpec.cosface(), np.eye(2), np.zeros(2), 0)
     with pytest.raises(NonFiniteError):
-        local_loss_and_grad(LossSpec.cosface(), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2), 0)
+        batch_loss_and_grad(LossSpec.cosface(), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2), 0)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        local_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros(2), 0)
+        batch_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros(2), 0)
     with pytest.raises(ValueError):
-        local_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros(3), 3)
+        batch_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros(3), 3)
     with pytest.raises(ValueError):
-        local_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros((2, 3)), 0)
+        batch_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros((2, 3)), 0)
     with pytest.raises(ValueError, match="labels of shape"):
         batch_loss_and_grad(LossSpec.softmax(), np.eye(3), np.zeros((2, 3)), [0])
 
@@ -156,7 +155,7 @@ def test_global_softmax_is_softmax_over_full_stack():
     stack = rng.normal(size=(6, 10))
     feat = rng.normal(size=6)
     lg = global_softmax_grad(stack, feat, 7)
-    ref = local_loss_and_grad(LossSpec.softmax(), stack, feat, 7)
+    ref = batch_loss_and_grad(LossSpec.softmax(), stack, feat, 7)
     assert lg.loss == ref.loss
     np.testing.assert_array_equal(lg.grad_embeddings, ref.grad_embeddings)
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import nn
 from .losses import global_softmax_grad
-from .regularizers import StackedEmbeddings
+from .regularizers import StackedEmbeddings, _blocks
 
 
 @dataclass
@@ -21,9 +21,11 @@ class RoundMetrics:
     cross_client_max_cos: float
     within_client_max_cos: float
     mean_anchor_feature_dist: float
+    # the similarity statistics behind the two max-cos fields; not part of the row
+    similarity: SimilarityStats = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "similarity"}
 
 
 def best_threshold_accuracy(similarities: np.ndarray, same: np.ndarray) -> float:
@@ -31,6 +33,9 @@ def best_threshold_accuracy(similarities: np.ndarray, same: np.ndarray) -> float
 
     Sweeps every midpoint of consecutive sorted similarities plus the two
     extremes, so the result depends only on the ordering of similarities.
+    Each threshold's correct count comes from cumulative same-pair counts
+    over the sorted similarities, which is O(N log N); NaN similarities pass
+    no threshold.
     """
     similarities = np.asarray(similarities, dtype=np.float64)
     same = np.asarray(same, dtype=bool)
@@ -39,9 +44,16 @@ def best_threshold_accuracy(similarities: np.ndarray, same: np.ndarray) -> float
     order = np.sort(np.unique(similarities))
     midpoints = (order[:-1] + order[1:]) / 2.0
     thresholds = np.concatenate([[order[0] - 1.0], midpoints, [order[-1] + 1.0]])
-    pred = similarities[None, :] >= thresholds[:, None]
-    accuracy = (pred == same[None, :]).mean(axis=1)
-    return float(accuracy.max())
+    by_similarity = np.argsort(similarities, kind="stable")
+    sorted_sims = similarities[by_similarity]
+    same_before = np.concatenate([[0], np.cumsum(same[by_similarity])])
+    # sorted positions [lo, hi) are predicted same; NaNs sort last and pass nothing
+    hi = int(np.count_nonzero(~np.isnan(similarities)))
+    lo = np.minimum(np.searchsorted(sorted_sims, thresholds, side="left"), hi)
+    true_same = same_before[hi] - same_before[lo]
+    different = similarities.size - same_before[-1]
+    correct = different + 2 * true_same - (hi - lo)
+    return float(correct.max() / similarities.size)
 
 
 def pair_cosines(params: nn.BackboneParams, x: np.ndarray, pairs) -> np.ndarray:
@@ -87,24 +99,30 @@ def embedding_similarity_stats(
     excluded = int((~keep).sum())
     w = emb.W[:, keep] / norms[keep]
     clients = emb.client_of[keep]
-    cos = w.T @ w
-    iu, ju = np.triu_indices(w.shape[1], k=1)
-    distinct = np.ones(iu.shape, dtype=bool)
-    if class_of is not None:
-        cls = np.asarray(class_of)[keep]
-        distinct = cls[iu] != cls[ju]
-    is_cross = clients[iu] != clients[ju]
-    cross = cos[iu, ju][is_cross & distinct]
-    within = cos[iu, ju][~is_cross & distinct]
+    cls = None if class_of is None else np.asarray(class_of)[keep]
+    n = w.shape[1]
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    # floating error can push a cosine a hair past +/-1
-    cross_hist, _ = np.histogram(np.clip(cross, -1, 1), bins=edges)
-    within_hist, _ = np.histogram(np.clip(within, -1, 1), bins=edges)
+    hists = {True: np.zeros(bins, dtype=np.int64), False: np.zeros(bins, dtype=np.int64)}
+    maxima = {True: [], False: []}
+    # row blocks of the upper triangle: rows i in blk against columns j > i
+    for blk in _blocks(n, n):
+        rows, cols = np.arange(blk.start, blk.stop), np.arange(blk.start, n)
+        cos = w[:, blk].T @ w[:, blk.start:]
+        pick = cols[None, :] > rows[:, None]
+        if cls is not None:
+            pick &= cls[rows, None] != cls[None, cols]
+        is_cross = clients[rows, None] != clients[None, cols]
+        for cross in (True, False):
+            values = cos[pick & (is_cross == cross)]
+            if values.size:
+                maxima[cross].append(values.max())
+                # floating error can push a cosine a hair past +/-1
+                hists[cross] += np.histogram(np.clip(values, -1, 1), bins=edges)[0]
     return SimilarityStats(
-        cross_client_max_cos=float(cross.max()) if cross.size else float("nan"),
-        within_client_max_cos=float(within.max()) if within.size else float("nan"),
-        cross_hist=cross_hist,
-        within_hist=within_hist,
+        cross_client_max_cos=float(np.max(maxima[True])) if maxima[True] else float("nan"),
+        within_client_max_cos=float(np.max(maxima[False])) if maxima[False] else float("nan"),
+        cross_hist=hists[True],
+        within_hist=hists[False],
         bin_edges=edges,
         excluded_zero_norm=excluded,
     )

@@ -99,6 +99,11 @@ class CellResult:
     def final_cross_cos(self) -> float:
         return self.metrics[-1].cross_client_max_cos if self.metrics else float("nan")
 
+    @property
+    def similarity(self) -> evaluation.SimilarityStats | None:
+        """Similarity statistics of the last evaluated round; the final state's for ok cells."""
+        return self.metrics[-1].similarity if self.metrics else None
+
 
 # ---------------------------------------------------------------------------
 # config files
@@ -554,6 +559,7 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
         cross_client_max_cos=cross,
         within_client_max_cos=within,
         mean_anchor_feature_dist=evaluation.mean_anchor_feature_distance(server, clients),
+        similarity=stats,
     )
 
 
@@ -649,9 +655,11 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
         federation.save_checkpoint(
             result.server, result.clients, os.path.join(cell_dir, "checkpoint")
         )
-        stats = evaluation.embedding_similarity_stats(
-            result.server.embeddings, class_of=result.server.class_of
-        )
+        stats = result.similarity
+        if stats is None:  # no round was evaluated (rounds = 0)
+            stats = evaluation.embedding_similarity_stats(
+                result.server.embeddings, class_of=result.server.class_of
+            )
         _write_hist(
             os.path.join(cell_dir, "similarity_cross.csv"), stats.bin_edges, stats.cross_hist
         )

@@ -15,6 +15,17 @@ variant of the plain cosine (dot-product) regularizer.
 Values are computed in the shifted log-sum-exp form above; the naive
 direct-exponential form is kept only as a small-scale cross-check because
 exp(|w|^2) overflows quickly for unnormalized embeddings.
+
+Nothing here holds a dense C x C array. The softmax penalty streams the
+anchors in blocks: each block's scores against every column, their
+log-sum-exp and their softmax weights live in one (B, C) buffer, with B set
+by a fixed element budget, so memory is O(d C + C B). Each anchor's term is
+independent, so blocking changes only the summation order. Which pairs may
+be separated comes from client ownership: plain stacks compare client_of,
+and stacks with shared-identity columns use a C x K 0/1 ownership matrix M,
+where two columns are separable iff their entry of M M^T is 0. The cosine
+penalty needs no pairs at all: it is evaluated in closed form from
+per-client column sums in O(d C).
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .losses import NonFiniteError
 
@@ -70,27 +80,40 @@ class RegGrad:
     grad: np.ndarray  # (d, C), same layout as the stacked matrix
 
 
-def _owner_sets(emb: StackedEmbeddings, shared_groups) -> list[frozenset[int]]:
-    owners = [frozenset((int(k),)) for k in emb.client_of]
-    for col, clients in shared_groups or ():
-        owners[col] = frozenset(int(k) for k in clients)
+# Elements in one block of pair scores: 4 MiB of float64 per temporary, so a
+# pass over all C x C pairs holds O(C * B) memory instead of O(C^2).
+_BLOCK_ELEMENTS = 1 << 19
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Cut `count` rows into slices of at most _BLOCK_ELEMENTS / width rows."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _ownership(emb: StackedEmbeddings, shared_groups) -> np.ndarray | None:
+    """C x K 0/1 matrix of the clients owning each column; None without shared groups.
+
+    A shared column is owned by its whole group, every other column by its
+    own client. Two columns may be separated iff they share no owner.
+    """
+    if not shared_groups:
+        return None
+    group_ids = [int(k) for _, clients in shared_groups for k in clients]
+    ids = np.unique(np.concatenate([emb.client_of, np.asarray(group_ids, dtype=np.int64)]))
+    owners = np.zeros((emb.num_columns, ids.size))
+    owners[np.arange(emb.num_columns), np.searchsorted(ids, emb.client_of)] = 1.0
+    for col, clients in shared_groups:
+        owners[col] = 0.0
+        owners[col, np.searchsorted(ids, [int(k) for k in clients])] = 1.0
     return owners
 
 
-def _pair_mask(emb: StackedEmbeddings, shared_groups) -> np.ndarray:
-    """allowed[w, a]: column w is a negative for anchor a.
-
-    True iff the owner sets are disjoint (plain case: different clients) and
-    column a is an anchor.
-    """
-    if not shared_groups:
-        allowed = emb.client_of[:, None] != emb.client_of[None, :]
-    else:
-        owners = _owner_sets(emb, shared_groups)
-        allowed = np.array([[ow.isdisjoint(oa) for oa in owners] for ow in owners])
-    if emb.anchor_mask is not None:
-        allowed = allowed & emb.anchor_mask[None, :]
-    return allowed
+def _same_owner(emb: StackedEmbeddings, owners: np.ndarray | None, anchors: np.ndarray) -> np.ndarray:
+    """same[i, w]: column w may not act as a negative for anchor column anchors[i]."""
+    if owners is None:
+        return emb.client_of[anchors, None] == emb.client_of[None, :]
+    return owners[anchors] @ owners.T != 0.0
 
 
 def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> np.ndarray:
@@ -112,26 +135,35 @@ def _chain_normalization(emb: StackedEmbeddings, grad_n: np.ndarray) -> np.ndarr
     return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
 
 
+def _anchor_columns(emb: StackedEmbeddings) -> np.ndarray:
+    if emb.anchor_mask is None:
+        return np.arange(emb.num_columns)
+    return np.flatnonzero(emb.anchor_mask)
+
+
 def _softmax_reg(emb: StackedEmbeddings, shared_groups, normalize_columns: bool) -> RegGrad:
     a_mat = _columns(emb, normalize_columns)
-    allowed = _pair_mask(emb, shared_groups)
-
-    gram = a_mat.T @ a_mat
-    # exponent of negative w against anchor a, shifted by the self term
-    shifted = gram - np.diag(gram)[None, :]
-    shifted = np.where(allowed, shifted, -np.inf)
-    # the self term contributes exp(0) to every anchor denominator
-    with_self = np.vstack([shifted, np.zeros((1, emb.num_columns))])
-    per_anchor = logsumexp(with_self, axis=0)  # log(1 + sum exp(...)), 0 if no negatives
-
-    weights = np.exp(shifted - per_anchor[None, :])
-    weights[~allowed] = 0.0
-    grad_n = a_mat @ weights.T  # grad[:, w] = sum_a weights[w, a] * anchor_a
-
-    if emb.anchor_mask is not None:
-        per_anchor = per_anchor * emb.anchor_mask
+    owners = _ownership(emb, shared_groups)
+    anchors = _anchor_columns(emb)
+    value = 0.0
+    grad_n = np.zeros_like(a_mat)
+    for blk in _blocks(anchors.size, emb.num_columns):
+        cols = anchors[blk]
+        block = a_mat[:, cols]
+        # exponent of every negative w against each anchor a, shifted by the self term
+        scores = block.T @ a_mat
+        scores -= scores[np.arange(cols.size), cols][:, None]
+        np.putmask(scores, _same_owner(emb, owners, cols), -np.inf)
+        # log(1 + sum exp(...)) with the self term's exp(0) folded in; 0 if no negatives
+        top = np.maximum(scores.max(axis=1), 0.0)
+        scores -= top[:, None]
+        np.exp(scores, out=scores)
+        denom = scores.sum(axis=1) + np.exp(-top)
+        value += float((top + np.log(denom)).sum())
+        scores /= denom[:, None]
+        grad_n += block @ scores  # grad[:, w] = sum_a weight[a, w] * anchor_a
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
-    return RegGrad(float(per_anchor.sum()), grad)
+    return RegGrad(value, grad)
 
 
 def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
@@ -165,12 +197,23 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     No stop-gradient here: the gradient on a column is twice the sum of all
     other clients' columns, so every column is pushed away from the bulk of
     the rest with equal weight.
+
+    Evaluated in closed form from column sums: with S the sum of all columns,
+    S_A the sum of the anchor columns and S_k, S_{A,k} the same sums over
+    client k, value = S.S_A - sum_k S_k.S_{A,k}, and column v of client k
+    gets (S_A - S_{A,k}) + [v is an anchor] (S - S_k).
     """
     a_mat = _columns(emb, normalize_columns)
-    allowed = _pair_mask(emb, None).astype(np.float64)
-    gram = a_mat.T @ a_mat
-    value = float((gram * allowed).sum())
-    grad_n = a_mat @ (allowed + allowed.T)
+    is_anchor = np.ones(emb.num_columns) if emb.anchor_mask is None else emb.anchor_mask * 1.0
+    a_anchor = a_mat * is_anchor
+    ids, client = np.unique(emb.client_of, return_inverse=True)
+    own = np.zeros((ids.size, a_mat.shape[0]))  # per-client column sums
+    own_anchor = np.zeros_like(own)
+    np.add.at(own, client, a_mat.T)
+    np.add.at(own_anchor, client, a_anchor.T)
+    total, total_anchor = a_mat.sum(axis=1), a_anchor.sum(axis=1)
+    value = float(total @ total_anchor - (own * own_anchor).sum())
+    grad_n = (total_anchor - own_anchor[client]).T + is_anchor * (total - own[client]).T
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
     return RegGrad(value, grad)
 
@@ -184,13 +227,11 @@ def softmax_reg_naive(emb: StackedEmbeddings, shared_groups=None) -> RegGrad:
     w = emb.W
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite entry in stacked embeddings")
-    allowed = _pair_mask(emb, shared_groups)
+    owners = _ownership(emb, shared_groups)
     value = 0.0
     grad = np.zeros_like(w)
-    for a in range(emb.num_columns):
-        if emb.anchor_mask is not None and not emb.anchor_mask[a]:
-            continue
-        negatives = np.flatnonzero(allowed[:, a])
+    for a in _anchor_columns(emb):
+        negatives = np.flatnonzero(~_same_owner(emb, owners, np.array([a]))[0])
         anchor = w[:, a]
         self_term = np.exp(anchor @ anchor)
         cross = np.exp(w[:, negatives].T @ anchor)

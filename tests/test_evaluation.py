@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedgc import nn
+from fedgc import nn, regularizers
 from fedgc.data import SyntheticSpec, generate, partition_balanced
 from fedgc.evaluation import (
     best_threshold_accuracy,
@@ -40,6 +42,23 @@ def test_best_threshold_matches_dense_scan():
         same = rng.random(n) < 0.5
         got = best_threshold_accuracy(sims, same)
         assert abs(got - brute_force_threshold_accuracy(sims, same)) < 1e-12
+
+
+def exhaustive_threshold_accuracy(sims, same):
+    # every distinct cut 'same iff sim >= v' over the values v present, plus
+    # the cut that predicts nothing as same; correct counts divided by N
+    cuts = [sims >= v for v in np.unique(sims)] + [np.zeros(sims.shape, dtype=bool)]
+    return max(int((cut == same).sum()) for cut in cuts) / sims.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.booleans()), min_size=1, max_size=400))
+def test_best_threshold_matches_exhaustive_scan_with_ties(pairs):
+    # similarities on a grid of eighths: many pairs share each value, and
+    # every midpoint between neighbours is exact
+    sims = np.array([v for v, _ in pairs]) / 8.0
+    same = np.array([s for _, s in pairs])
+    assert best_threshold_accuracy(sims, same) == exhaustive_threshold_accuracy(sims, same)
 
 
 def test_best_threshold_edge_cases():
@@ -115,6 +134,52 @@ def test_similarity_stats_excludes_same_identity_pairs():
     assert abs(masked.cross_client_max_cos - 0.0) < 1e-12
     with pytest.raises(ValueError):
         embedding_similarity_stats(StackedEmbeddings(w[:, :1], np.array([0])))
+
+
+def dense_similarity_stats(emb, bins=50, class_of=None):
+    """The full-matrix evaluation the blocked one replaced: one C x C cosine matrix."""
+    norms = np.linalg.norm(emb.W, axis=0)
+    keep = norms > 0.0
+    w = emb.W[:, keep] / norms[keep]
+    clients = emb.client_of[keep]
+    cos = w.T @ w
+    iu, ju = np.triu_indices(w.shape[1], k=1)
+    distinct = np.ones(iu.shape, dtype=bool)
+    if class_of is not None:
+        cls = np.asarray(class_of)[keep]
+        distinct = cls[iu] != cls[ju]
+    is_cross = clients[iu] != clients[ju]
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    out = []
+    for pick in (is_cross & distinct, ~is_cross & distinct):
+        values = cos[iu, ju][pick]
+        hist, _ = np.histogram(np.clip(values, -1, 1), bins=edges)
+        out.append((float(values.max()) if values.size else float("nan"), hist))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 300, None])
+def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
+    # budget 1 gives one-row blocks, 7 * 300 seven-row blocks, None one block
+    if budget is not None:
+        monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=(32, 300))
+    w[:, 17] = 0.0  # a zero-norm column is dropped in both
+    client_of = rng.integers(0, 9, size=300)
+    class_of = rng.integers(0, 250, size=300)  # some identities repeat
+    emb = StackedEmbeddings(w, client_of)
+    for cls in (None, class_of):
+        stats = embedding_similarity_stats(emb, class_of=cls)
+        (cross_max, cross_hist), (within_max, within_hist) = dense_similarity_stats(emb, class_of=cls)
+        # the counts are exact; a maximum is one BLAS dot product, computed by a
+        # different kernel (gemm per block, syrk for the full matrix), so it may
+        # move in the last bit on some shapes
+        np.testing.assert_array_equal(stats.cross_hist, cross_hist)
+        np.testing.assert_array_equal(stats.within_hist, within_hist)
+        assert abs(stats.cross_client_max_cos - cross_max) <= 1e-15
+        assert abs(stats.within_client_max_cos - within_max) <= 1e-15
+        assert stats.excluded_zero_norm == 1
 
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):

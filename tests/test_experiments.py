@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedgc import data as datasets
-from fedgc import experiments, federation
+from fedgc import evaluation, experiments, federation
 from fedgc.experiments import (
     DIVERGED,
     OK,
@@ -352,6 +352,29 @@ def test_run_experiment_generates_each_dataset_once(tmp_path, monkeypatch):
     spec = tiny_spec(tmp_path / "out", modes=["fedpe", "centralized"])
     assert run_experiment(spec) == 0
     assert len(calls) == len(spec.grid())
+
+
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_histograms_come_from_the_last_evaluation(tmp_path, monkeypatch, rounds):
+    # the final state's similarity statistics are computed once: by the last
+    # evaluation, or by write_cell_outputs when no round was evaluated
+    calls = []
+    real = evaluation.embedding_similarity_stats
+    monkeypatch.setattr(
+        evaluation, "embedding_similarity_stats", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    spec = tiny_spec(tmp_path / "out", fed=replace(tiny_spec().fed, rounds=rounds), modes=["fedgc"])
+    cell = spec.grid()[0]
+    dataset = make_dataset(spec, cell_config(spec, cell))
+    result = run_cell(spec, cell, dataset)
+    cell_dir = experiments.write_cell_outputs(spec, result, dataset)
+    assert len(result.metrics) == (2 if rounds else 0)
+    assert len(calls) == max(1, len(result.metrics))
+    fresh = real(result.server.embeddings, class_of=result.server.class_of)
+    for side, counts in (("cross", fresh.cross_hist), ("within", fresh.within_hist)):
+        with open(f"{cell_dir}/similarity_{side}.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(count) for _, count in rows] == counts.tolist()
 
 
 def test_run_experiment_bitwise_reproducible(tmp_path):

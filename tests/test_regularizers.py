@@ -1,14 +1,22 @@
 """Separation penalties on stacked heads: closed forms, stop-gradient, masking.
 
 The oracles here are deliberately independent of the library code: frozen-
-anchor values are recomputed with explicit loops over anchors, and the
-masked variant is checked against a double loop over allowed pairs.
+anchor values are recomputed with explicit loops over anchors, the masked
+variant is checked against a double loop over allowed pairs, and the blocked
+softmax and closed-form cosine penalties are checked against test-local
+copies of the dense C x C evaluation they replaced.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from fedgc.evaluation import finite_diff_check
+from fedgc import regularizers
+from fedgc.evaluation import embedding_similarity_stats, finite_diff_check
 from fedgc.losses import NonFiniteError
 from fedgc.regularizers import (
     StackedEmbeddings,
@@ -250,3 +258,190 @@ def test_non_finite_stack_rejected():
     zero_col[:, 0] = 0.0
     with pytest.raises(NonFiniteError, match="zero-norm"):
         softmax_reg(StackedEmbeddings(zero_col, emb.client_of), normalize_columns=True)
+
+
+# ---------------------------------------------------------------------------
+# dense C x C references: the evaluation the blocked and closed forms replaced
+
+
+def dense_pair_mask(emb, shared_groups):
+    """allowed[w, a]: column w is a negative for anchor a (disjoint owner sets)."""
+    owners = [frozenset((int(k),)) for k in emb.client_of]
+    for col, clients in shared_groups or ():
+        owners[col] = frozenset(int(k) for k in clients)
+    allowed = np.array([[ow.isdisjoint(oa) for oa in owners] for ow in owners])
+    if emb.anchor_mask is not None:
+        allowed = allowed & emb.anchor_mask[None, :]
+    return allowed
+
+
+def dense_chain_normalization(w, grad_n):
+    norms = np.linalg.norm(w, axis=0)
+    w_hat = w / norms
+    return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
+
+
+def dense_softmax_reg(emb, shared_groups=None, normalize=False):
+    a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
+    allowed = dense_pair_mask(emb, shared_groups)
+    gram = a_mat.T @ a_mat
+    shifted = np.where(allowed, gram - np.diag(gram)[None, :], -np.inf)
+    with_self = np.vstack([shifted, np.zeros((1, emb.num_columns))])
+    per_anchor = logsumexp(with_self, axis=0)
+    weights = np.exp(shifted - per_anchor[None, :])
+    weights[~allowed] = 0.0
+    grad_n = a_mat @ weights.T
+    if emb.anchor_mask is not None:
+        per_anchor = per_anchor * emb.anchor_mask
+    grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
+    return float(per_anchor.sum()), grad
+
+
+def dense_cosine_reg(emb, normalize=False):
+    a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
+    allowed = dense_pair_mask(emb, None).astype(np.float64)
+    value = float((a_mat.T @ a_mat * allowed).sum())
+    grad_n = a_mat @ (allowed + allowed.T)
+    grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
+    return value, grad
+
+
+def assert_matches(rg, ref, tol=1e-12):
+    value, grad = ref
+    assert abs(rg.value - value) <= tol * max(1.0, abs(value))
+    np.testing.assert_allclose(rg.grad, grad, rtol=0.0, atol=tol)
+
+
+def shared_stack(seed, clients=6, per_client=7, d=5, shared=2, anchors=False):
+    emb = random_stack(seed, d=d, columns_per_client=(per_client,) * clients, scale=0.7)
+    # identities shared by client pairs (k, k+1): column j of client k and
+    # column j of client k+1, for the first `shared` columns of every even client
+    groups = []
+    for k in range(0, clients - 1, 2):
+        for j in range(shared):
+            group = frozenset({k, k + 1})
+            groups += [(k * per_client + j, group), ((k + 1) * per_client + j, group)]
+    if anchors:
+        mask = np.random.default_rng(seed + 100).random(emb.num_columns) < 0.6
+        emb = StackedEmbeddings(emb.W, emb.client_of, anchor_mask=mask)
+    return emb, groups
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 42, None])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("anchors", [False, True])
+def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize, anchors):
+    # budget 1 gives one-anchor blocks, 5 * C five-anchor blocks, None the default
+    if budget is not None:
+        monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
+    for seed in range(3):
+        emb, groups = shared_stack(seed, anchors=anchors)
+        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, None, normalize))
+        assert_matches(
+            masked_softmax_reg(emb, groups, normalize), dense_softmax_reg(emb, groups, normalize)
+        )
+        assert_matches(cosine_reg(emb, normalize), dense_cosine_reg(emb, normalize))
+
+
+def test_penalties_match_dense_references_across_default_blocks():
+    # 1200 columns span several blocks of the default element budget
+    assert len(regularizers._blocks(1200, 1200)) > 1
+    emb = random_stack(13, d=6, columns_per_client=(100,) * 12, scale=0.5)
+    groups = [(0, frozenset({0, 1})), (100, frozenset({0, 1})), (750, frozenset({7, 3}))]
+    for normalize in (False, True):
+        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, None, normalize))
+        assert_matches(
+            masked_softmax_reg(emb, groups, normalize), dense_softmax_reg(emb, groups, normalize)
+        )
+        assert_matches(cosine_reg(emb, normalize), dense_cosine_reg(emb, normalize))
+
+
+def test_naive_form_uses_the_shared_ownership():
+    emb, groups = shared_stack(5, clients=4, per_client=3)
+    naive = softmax_reg_naive(emb, groups)
+    assert_matches(naive, dense_softmax_reg(emb, groups), tol=1e-10)
+
+
+def test_server_paths_hold_no_dense_pair_matrix():
+    # one dense C x C float64 array at C = 4096 is 128 MiB; the blocked paths
+    # must stay below a quarter of it
+    emb, groups = shared_stack(14, clients=64, per_client=64, d=8, shared=4)
+    budget = 4096 * 4096 * 8 // 4
+    calls = {
+        "softmax_reg": lambda: softmax_reg(emb, normalize_columns=True),
+        "masked_softmax_reg": lambda: masked_softmax_reg(emb, groups, normalize_columns=True),
+        "cosine_reg": lambda: cosine_reg(emb, normalize_columns=True),
+        "embedding_similarity_stats": lambda: embedding_similarity_stats(
+            emb, class_of=np.arange(emb.num_columns)
+        ),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < budget, peaks
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def stacks(draw):
+    """A small random stack plus a column permutation and a client relabelling."""
+    cols = draw(st.integers(2, 10))
+    d = draw(st.integers(1, 4))
+    client_of = np.array(draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols)))
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(d, cols))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=cols, max_size=cols))
+    shared = draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=3))
+    groups = [(c, frozenset({int(client_of[c]), int(client_of[c]) + 1})) for c in shared]
+    perm = np.array(draw(st.permutations(range(cols))))
+    relabel = np.array(draw(st.permutations(range(5))))
+    return StackedEmbeddings(w, client_of, mask), groups, perm, relabel
+
+
+def _penalties(emb, groups, normalize):
+    return [
+        softmax_reg(emb, normalize),
+        masked_softmax_reg(emb, groups, normalize),
+        cosine_reg(emb, normalize),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.booleans())
+def test_penalties_are_permutation_equivariant(case, normalize):
+    emb, groups, perm, _ = case
+    new_index = np.argsort(perm)  # column c moves to new_index[c]
+    mask = None if emb.anchor_mask is None else emb.anchor_mask[perm]
+    permuted = StackedEmbeddings(emb.W[:, perm], emb.client_of[perm], mask)
+    moved = [(int(new_index[c]), g) for c, g in groups]
+    for rg, rp in zip(_penalties(emb, groups, normalize), _penalties(permuted, moved, normalize)):
+        assert abs(rp.value - rg.value) <= 1e-12 * max(1.0, abs(rg.value))
+        np.testing.assert_allclose(rp.grad, rg.grad[:, perm], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.booleans())
+def test_penalties_are_invariant_under_client_relabelling(case, normalize):
+    emb, groups, _, relabel = case
+    renamed = StackedEmbeddings(emb.W, relabel[emb.client_of], emb.anchor_mask)
+    regrouped = [(c, frozenset(int(relabel[k]) for k in g)) for c, g in groups]
+    for rg, rr in zip(_penalties(emb, groups, normalize), _penalties(renamed, regrouped, normalize)):
+        assert abs(rr.value - rg.value) <= 1e-12 * max(1.0, abs(rg.value))
+        np.testing.assert_allclose(rr.grad, rg.grad, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.booleans())
+def test_masked_reg_without_groups_is_bitwise_plain_reg(case, normalize):
+    emb = case[0]
+    masked, plain = masked_softmax_reg(emb, [], normalize), softmax_reg(emb, normalize)
+    assert masked.value == plain.value
+    np.testing.assert_array_equal(masked.grad, plain.grad)

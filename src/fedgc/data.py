@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
+
 
 @dataclass
 class SyntheticSpec:
@@ -24,14 +26,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.samples_per_class < 8:
+        check(self, [
+            ("num_classes", self.num_classes >= 2, f"need >= 2, got {self.num_classes}"),
             # a quarter of the samples go to test and positive pairs need two
             # distinct test samples of the same class
-            raise ValueError(f"samples_per_class must be >= 8, got {self.samples_per_class}")
-        if self.input_dim < 1 or self.cluster_std < 0.0:
-            raise ValueError("bad input_dim or cluster_std")
+            ("samples_per_class", self.samples_per_class >= 8,
+             f"need >= 8, got {self.samples_per_class}"),
+            ("input_dim", self.input_dim >= 1, f"need >= 1, got {self.input_dim}"),
+            ("cluster_std", self.cluster_std >= 0.0, f"need >= 0, got {self.cluster_std}"),
+        ])
 
 
 @dataclass
@@ -167,11 +170,47 @@ def _exclusive_splits(dataset: Dataset, holders: dict[int, tuple[int, ...]]):
     return splits
 
 
+def partition_problems(
+    scheme: str, num_classes: int, num_clients: int, share_fraction, group_size
+) -> list[tuple[str, str]]:
+    """Why `scheme` cannot split num_classes over num_clients, as (argument, reason) pairs.
+
+    The one statement of the partition feasibility rules: the partition
+    functions raise on them, and experiments.ExperimentSpec reports them for
+    a grid before anything runs. share_fraction and group_size are read by
+    the shared scheme only.
+    """
+    if scheme == "balanced":
+        if num_clients >= 1 and num_classes % num_clients == 0:
+            return []
+        return [("num_clients", f"balanced needs num_clients ({num_clients}) "
+                 f"to divide num_classes ({num_classes})")]
+    if scheme == "lognormal":
+        if 2 <= num_clients <= num_classes:
+            return []
+        return [("num_clients", "lognormal needs 2 <= num_clients <= num_classes, "
+                 f"got {num_clients} clients for {num_classes} classes")]
+    if scheme == "shared":
+        problems = []
+        if not 0.0 <= share_fraction < 1.0:
+            problems.append(("share_fraction", f"need in [0, 1), got {share_fraction}"))
+        if not 2 <= group_size <= num_clients:
+            problems.append(
+                ("group_size", f"need in [2, num_clients={num_clients}], got {group_size}")
+            )
+        return problems
+    return [("scheme", f"unknown scheme {scheme!r}")]
+
+
+def _require_feasible(problems: list[tuple[str, str]]) -> None:
+    if problems:
+        raise ValueError("; ".join(f"{name}: {why}" for name, why in problems))
+
+
 def partition_balanced(dataset: Dataset, num_clients: int) -> tuple[PartitionSpec, list[ClientData]]:
     """Contiguous equal-size class blocks; requires num_clients | num_classes."""
     c = dataset.num_classes
-    if num_clients < 1 or c % num_clients:
-        raise ValueError(f"balanced partition needs clients ({num_clients}) to divide classes ({c})")
+    _require_feasible(partition_problems("balanced", c, num_clients, None, None))
     per = c // num_clients
     holders = {cls: (cls // per,) for cls in range(c)}
     clients = _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
@@ -189,10 +228,7 @@ def partition_lognormal(
     seeded shuffled order.
     """
     c = dataset.num_classes
-    if num_clients < 2:
-        raise ValueError("lognormal partition needs >= 2 clients")
-    if num_clients > c:
-        raise ValueError("more clients than classes")
+    _require_feasible(partition_problems("lognormal", c, num_clients, None, None))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x109]))
     weights = np.exp(rng.normal(0.0, 1.0, size=num_clients))
     counts = _largest_remainder(weights / weights.sum() * c, c, minimum=1)
@@ -234,10 +270,7 @@ def partition_shared(
     and dealt round-robin.
     """
     c = dataset.num_classes
-    if not 0.0 <= share_fraction < 1.0:
-        raise ValueError("share_fraction must be in [0, 1)")
-    if not 2 <= group_size <= num_clients:
-        raise ValueError("group_size must be in [2, num_clients]")
+    _require_feasible(partition_problems("shared", c, num_clients, share_fraction, group_size))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5AE]))
     n_shared = int(round(share_fraction * c))
     order = rng.permutation(c)

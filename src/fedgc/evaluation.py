@@ -76,6 +76,7 @@ def verification_accuracy(params: nn.BackboneParams, x: np.ndarray, pairs) -> fl
 class SimilarityStats:
     cross_client_max_cos: float
     within_client_max_cos: float
+    all_pairs_max_cos: float  # over both sides; NaN when a cosine is NaN
     cross_hist: np.ndarray    # 50 counts over [-1, 1]
     within_hist: np.ndarray
     bin_edges: np.ndarray
@@ -118,9 +119,14 @@ def embedding_similarity_stats(
                 maxima[cross].append(values.max())
                 # floating error can push a cosine a hair past +/-1
                 hists[cross] += np.histogram(np.clip(values, -1, 1), bins=edges)[0]
+
+    def overall(values):
+        return float(np.max(values)) if values else float("nan")
+
     return SimilarityStats(
-        cross_client_max_cos=float(np.max(maxima[True])) if maxima[True] else float("nan"),
-        within_client_max_cos=float(np.max(maxima[False])) if maxima[False] else float("nan"),
+        cross_client_max_cos=overall(maxima[True]),
+        within_client_max_cos=overall(maxima[False]),
+        all_pairs_max_cos=overall(maxima[True] + maxima[False]),
         cross_hist=hists[True],
         within_hist=hists[False],
         bin_edges=edges,

@@ -17,20 +17,19 @@ import configparser
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import data as datasets
 from . import evaluation, federation, nn
+from .config import ConfigError
 from .losses import LossSpec, NonFiniteError, batch_loss_and_grad, global_softmax_grad
 from .regularizers import StackedEmbeddings, cosine_reg, softmax_reg, softmax_reg_naive
 
 OK = "ok"
 DIVERGED = "diverged"
-PARTITIONS = ("balanced", "lognormal", "shared")
-LOSSES = ("softmax", "cosface", "arcface")
 
 
 class _Divergence(Exception):
@@ -49,24 +48,76 @@ class Cell:
         return f"{self.mode}_f{self.fraction:g}_l{self.lam:g}_{self.partition}"
 
 
+# the config-file section of each ExperimentSpec field a file sets
+_DATA, _GRID, _RUN = {"section": "data"}, {"section": "grid"}, {"section": "run"}
+# grid axis -> the FederationConfig field each cell takes from it
+_AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
+
+
 @dataclass
 class ExperimentSpec:
+    """A grid of cells over one base config; checks its axes at construction.
+
+    A bad axis value, an empty axis, a zero lambda for a correction mode or
+    a partition the data cannot take raises ConfigError naming every field.
+    """
+
     fed: federation.FederationConfig
     data: datasets.SyntheticSpec
-    modes: list[str]
-    fractions: list[float]
-    lambdas: list[float]
-    partitions: list[str]
-    out_dir: str = "runs/out"
-    eval_every: int = 10
-    pairs_per_class: int = 10
-    share_fraction: float = 0.25
-    group_size: int = 2
+    modes: list[str] = field(metadata=_GRID)
+    fractions: list[float] = field(metadata=_GRID)
+    lambdas: list[float] = field(metadata=_GRID)
+    partitions: list[str] = field(metadata=_GRID)
+    out_dir: str = field(default="runs/out", metadata=_RUN)
+    eval_every: int = field(default=10, metadata=_RUN)
+    pairs_per_class: int = field(default=10, metadata=_DATA)
+    share_fraction: float = field(default=0.25, metadata=_RUN)
+    group_size: int = field(default=2, metadata=_RUN)
     # optional per-mode lambda axes; a mode missing here uses `lambdas`.
     # The two correction modes want very different multipliers (the cosine
     # penalty gradient does not shrink as columns separate), so a shared
     # axis would force a bad value on one of them.
     mode_lambdas: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        axes = [(key, getattr(self, key), name) for key, name in _AXIS_FIELDS.items()]
+        axes += [(f"mode_lambdas[{m!r}]", ls, "lam") for m, ls in sorted(self.mode_lambdas.items())]
+        problems = []
+        for key, axis, name in axes:
+            if not axis:
+                problems.append((key, "empty grid axis"))
+            problems += [(key, why) for v in axis for why in _cell_problems(self.fed, name, v)]
+        if not self.partitions:
+            problems.append(("partitions", "empty grid axis"))
+        for m in self.modes:
+            if m in federation.CORRECTION_MODES and 0.0 in self.lambdas_for(m):
+                key = f"mode_lambdas[{m!r}]" if m in self.mode_lambdas else "lambdas"
+                problems.append((key, f"{m} cells need lambda > 0, got a 0 in the grid"))
+                break
+        for p in self.partitions:
+            # data names the argument at fault; the scheme and num_clients are the axis's
+            problems += [
+                (name if name in ("share_fraction", "group_size") else "partitions", why)
+                for name, why in datasets.partition_problems(
+                    p, self.data.num_classes, self.fed.num_clients,
+                    self.share_fraction, self.group_size,
+                )
+            ]
+        # partition_shared accepts no shared class at all; a grid's shared cells
+        # must have one. |x| <= 0.5 is round(x) == 0, and false for NaN and inf,
+        # which the range rule above reports
+        if "shared" in self.partitions and abs(self.share_fraction * self.data.num_classes) <= 0.5:
+            problems.append((
+                "share_fraction",
+                f"{self.share_fraction} rounds to zero shared classes out of {self.data.num_classes}",
+            ))
+        problems += [
+            (name, f"need >= 1, got {getattr(self, name)}")
+            for name in ("eval_every", "pairs_per_class")
+            if getattr(self, name) < 1
+        ]
+        if problems:  # a value repeated on an axis is reported once
+            raise ConfigError(self, list(dict.fromkeys(problems)))
 
     def lambdas_for(self, mode: str) -> list[float]:
         return self.mode_lambdas.get(mode, self.lambdas)
@@ -79,6 +130,15 @@ class ExperimentSpec:
             for l in self.lambdas_for(m)
             for p in self.partitions
         ]
+
+
+def _cell_problems(fed: federation.FederationConfig, name: str, value) -> list[str]:
+    """FederationConfig's own verdict on `value` for the cell field `name`."""
+    try:
+        replace(fed, **{name: value})
+    except ConfigError as exc:
+        return [why for field_name, why in exc.problems if field_name == name]
+    return []
 
 
 @dataclass
@@ -109,14 +169,6 @@ class CellResult:
 # config files
 
 
-def _as_int(raw: str) -> int:
-    return int(raw)
-
-
-def _as_float(raw: str) -> float:
-    return float(raw)
-
-
 def _as_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -138,34 +190,67 @@ def _as_names(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-_KNOWN_KEYS = {
-    "data": {
-        "num_classes",
-        "samples_per_class",
-        "input_dim",
-        "cluster_std",
-        "class_center_scale",
-        "pairs_per_class",
-    },
-    "federation": {
-        "num_clients",
-        "eta",
-        "rounds",
-        "local_steps",
-        "batch_size",
-        "loss",
-        "loss_margin",
-        "loss_scale",
-        "seed",
-        "momentum",
-        "weight_decay",
-        "hidden_dim",
-        "embedding_dim",
-        "correct_all_heads",
-    },
-    "grid": {"modes", "fractions", "lambdas", "lambdas_fedgc", "lambdas_fedcos", "partitions"},
-    "run": {"out_dir", "eval_every", "share_fraction", "group_size"},
+# how a file value is read, by the annotation of the field it sets
+_CASTS = {
+    "int": int,
+    "float": float,
+    "bool": _as_bool,
+    "str": str.strip,
+    "LossSpec": str.strip,  # a variant name; loss_margin/loss_scale fill in the rest
+    "int | None": _as_steps,
+    "list[float]": _as_floats,
+    "list[str]": _as_names,
 }
+
+# (section, dataclass field) for every key a config file sets by its field
+# name. The [federation] seed also seeds the data, and the cell fields come
+# from the grid axes.
+_FILE_FIELDS = (
+    [("data", f) for f in fields(datasets.SyntheticSpec) if f.name != "seed"]
+    + [
+        ("federation", f)
+        for f in fields(federation.FederationConfig)
+        if f.name not in _AXIS_FIELDS.values()
+    ]
+    + [(f.metadata["section"], f) for f in fields(ExperimentSpec) if "section" in f.metadata]
+)
+_KNOWN_KEYS = {
+    section: {f.name for s, f in _FILE_FIELDS if s == section}
+    for section in ("data", "federation", "grid", "run")
+}
+# file-only keys: the loss family's parameters and the per-mode lambda axes
+_KNOWN_KEYS["federation"] |= {"loss_margin", "loss_scale"}
+_KNOWN_KEYS["grid"] |= {f"lambdas_{m}" for m in federation.CORRECTION_MODES}
+
+# file defaults the dataclass fields do not give, in file syntax: a required
+# field, a different value (rounds), or the loss as a name
+_FILE_DEFAULTS = {
+    "num_clients": "8",
+    "rounds": "200",
+    "loss": "softmax",
+    "modes": "fedpe, fedgc",
+    "fractions": "1",
+    "lambdas": "20",
+    "partitions": "balanced",
+}
+
+# dataclass fields a file sets under another key
+_RENAMED = {
+    "variant": "loss",
+    "margin": "loss_margin",
+    "scale": "loss_scale",
+    **{f"mode_lambdas[{m!r}]": f"lambdas_{m}" for m in federation.CORRECTION_MODES},
+}
+
+
+def _file_problems(exc: ConfigError) -> list[str]:
+    """A dataclass's problems, each prefixed with the [section] key a file sets it with."""
+    out = []
+    for name, why in exc.problems:
+        key = _RENAMED.get(name, name)
+        section = next(s for s, keys in _KNOWN_KEYS.items() if key in keys)
+        out.append(f"[{section}] {key}: {why}")
+    return out
 
 
 class _Reader:
@@ -191,7 +276,8 @@ def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
     """Read and fully validate a config file.
 
     Returns (spec, []) on success or (None, problems) with every violation
-    listed, not just the first.
+    listed, not just the first. The rules are the dataclasses' own; each
+    problem is prefixed with the [section] key it came from.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -212,226 +298,52 @@ def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
                 problems.append(f"[{section}] {key}: unknown key")
 
     r = _Reader(parser)
-    num_classes = r.get("data", "num_classes", _as_int, 32)
-    samples_per_class = r.get("data", "samples_per_class", _as_int, 25)
-    input_dim = r.get("data", "input_dim", _as_int, 16)
-    cluster_std = r.get("data", "cluster_std", _as_float, 1.0)
-    center_scale = r.get("data", "class_center_scale", _as_float, 5.0)
-    pairs_per_class = r.get("data", "pairs_per_class", _as_int, 10)
-
-    num_clients = r.get("federation", "num_clients", _as_int, 8)
-    eta = r.get("federation", "eta", _as_float, 0.1)
-    rounds = r.get("federation", "rounds", _as_int, 200)
-    local_steps = r.get("federation", "local_steps", _as_steps, None)
-    batch_size = r.get("federation", "batch_size", _as_int, 32)
-    loss_name = r.get("federation", "loss", str.strip, "softmax")
-    loss_margin = r.get("federation", "loss_margin", _as_float, None)
-    loss_scale = r.get("federation", "loss_scale", _as_float, None)
-    seed = r.get("federation", "seed", _as_int, 0)
-    momentum = r.get("federation", "momentum", _as_float, 0.9)
-    weight_decay = r.get("federation", "weight_decay", _as_float, 5e-4)
-    hidden_dim = r.get("federation", "hidden_dim", _as_int, 64)
-    embedding_dim = r.get("federation", "embedding_dim", _as_int, 32)
-    correct_all = r.get("federation", "correct_all_heads", _as_bool, True)
-
-    modes = r.get("grid", "modes", _as_names, ["fedpe", "fedgc"])
-    fractions = r.get("grid", "fractions", _as_floats, [1.0])
-    lambdas = r.get("grid", "lambdas", _as_floats, [20.0])
+    values = {}
+    for section, f in _FILE_FIELDS:
+        cast = _CASTS[f.type]
+        default = cast(_FILE_DEFAULTS[f.name]) if f.name in _FILE_DEFAULTS else f.default
+        values[f.name] = r.get(section, f.name, cast, default)
+    margin = r.get("federation", "loss_margin", float, None)
+    scale = r.get("federation", "loss_scale", float, None)
     mode_lambdas = {}
-    for override_mode in ("fedgc", "fedcos"):
-        per_mode = r.get("grid", f"lambdas_{override_mode}", _as_floats, None)
+    for m in federation.CORRECTION_MODES:
+        per_mode = r.get("grid", f"lambdas_{m}", _as_floats, None)
         if per_mode is not None:
-            mode_lambdas[override_mode] = per_mode
-    partitions = r.get("grid", "partitions", _as_names, ["balanced"])
-
-    out_dir = r.get("run", "out_dir", str.strip, "runs/out")
-    eval_every = r.get("run", "eval_every", _as_int, 10)
-    share_fraction = r.get("run", "share_fraction", _as_float, 0.25)
-    group_size = r.get("run", "group_size", _as_int, 2)
+            mode_lambdas[m] = per_mode
     problems.extend(r.problems)
+    if values["loss"] == "softmax":
+        for key, value in (("loss_margin", margin), ("loss_scale", scale)):
+            if value is not None:
+                problems.append(f"[federation] {key}: only applies to cosface/arcface")
 
-    problems.extend(
-        _value_problems(
-            num_classes=num_classes,
-            samples_per_class=samples_per_class,
-            input_dim=input_dim,
-            cluster_std=cluster_std,
-            pairs_per_class=pairs_per_class,
-            num_clients=num_clients,
-            eta=eta,
-            rounds=rounds,
-            local_steps=local_steps,
-            batch_size=batch_size,
-            loss_name=loss_name,
-            loss_margin=loss_margin,
-            loss_scale=loss_scale,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            hidden_dim=hidden_dim,
-            embedding_dim=embedding_dim,
-            eval_every=eval_every,
-        )
-    )
-    problems.extend(grid_problems(modes, fractions, lambdas, partitions, mode_lambdas))
-    problems.extend(
-        partition_problems(
-            partitions, num_clients, num_classes, share_fraction, group_size
-        )
-    )
-    if problems:
-        return None, problems
+    def build(make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ConfigError as exc:
+            problems.extend(_file_problems(exc))
+            return exc.value
 
-    spec = ExperimentSpec(
-        fed=federation.FederationConfig(
-            num_clients=num_clients,
-            eta=eta,
-            rounds=rounds,
-            local_steps=local_steps,
-            batch_size=batch_size,
-            loss=_loss_spec(loss_name, loss_margin, loss_scale),
-            seed=seed,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            hidden_dim=hidden_dim,
-            embedding_dim=embedding_dim,
-            correct_all_heads=correct_all,
-        ),
-        data=datasets.SyntheticSpec(
-            num_classes=num_classes,
-            samples_per_class=samples_per_class,
-            input_dim=input_dim,
-            cluster_std=cluster_std,
-            class_center_scale=center_scale,
-            seed=seed,
-        ),
-        modes=modes,
-        fractions=fractions,
-        lambdas=lambdas,
-        partitions=partitions,
-        out_dir=out_dir,
-        eval_every=eval_every,
-        pairs_per_class=pairs_per_class,
-        share_fraction=share_fraction,
-        group_size=group_size,
-        mode_lambdas=mode_lambdas,
+    def owned_by(cls) -> dict:
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+    # the data takes its seed from [federation], as SyntheticSpec.seed is no file key
+    data = build(datasets.SyntheticSpec, **owned_by(datasets.SyntheticSpec))
+    values["loss"] = build(_loss_spec, values["loss"], margin, scale)
+    fed = build(federation.FederationConfig, **owned_by(federation.FederationConfig))
+    spec = build(
+        ExperimentSpec, fed=fed, data=data, mode_lambdas=mode_lambdas, **owned_by(ExperimentSpec)
     )
-    return spec, []
+    return (None, problems) if problems else (spec, [])
 
 
 def _loss_spec(name: str, margin: float | None, scale: float | None) -> LossSpec:
-    if name == "softmax":
-        return LossSpec.softmax()
-    base = LossSpec.cosface() if name == "cosface" else LossSpec.arcface()
+    """The named loss; an unset margin or scale takes the margin family's default."""
+    base = {"cosface": LossSpec.cosface, "arcface": LossSpec.arcface}.get(name, LossSpec)()
     return LossSpec(
         name,
         base.margin if margin is None else margin,
         base.scale if scale is None else scale,
     )
-
-
-def _value_problems(**v) -> list[str]:
-    problems = []
-    if v["num_classes"] < 2:
-        problems.append(f"[data] num_classes: need >= 2, got {v['num_classes']}")
-    if v["samples_per_class"] < 8:
-        problems.append(f"[data] samples_per_class: need >= 8, got {v['samples_per_class']}")
-    if v["input_dim"] < 1:
-        problems.append(f"[data] input_dim: need >= 1, got {v['input_dim']}")
-    if v["cluster_std"] < 0.0:
-        problems.append(f"[data] cluster_std: need >= 0, got {v['cluster_std']}")
-    if v["pairs_per_class"] < 1:
-        problems.append(f"[data] pairs_per_class: need >= 1, got {v['pairs_per_class']}")
-    if v["num_clients"] < 1:
-        problems.append(f"[federation] num_clients: need >= 1, got {v['num_clients']}")
-    if v["eta"] <= 0.0:
-        problems.append(f"[federation] eta: need > 0, got {v['eta']}")
-    if v["rounds"] < 0:
-        problems.append(f"[federation] rounds: need >= 0, got {v['rounds']}")
-    if v["local_steps"] is not None and v["local_steps"] < 0:
-        problems.append(f"[federation] local_steps: need >= 0 or empty, got {v['local_steps']}")
-    if v["batch_size"] < 1:
-        problems.append(f"[federation] batch_size: need >= 1, got {v['batch_size']}")
-    if v["loss_name"] not in LOSSES:
-        problems.append(f"[federation] loss: unknown variant {v['loss_name']!r}")
-    if v["loss_name"] == "softmax" and (v["loss_margin"] is not None or v["loss_scale"] is not None):
-        problems.append("[federation] loss_margin/loss_scale: only apply to cosface/arcface")
-    if v["loss_margin"] is not None and v["loss_margin"] < 0.0:
-        problems.append(f"[federation] loss_margin: need >= 0, got {v['loss_margin']}")
-    if v["loss_scale"] is not None and v["loss_scale"] <= 0.0:
-        problems.append(f"[federation] loss_scale: need > 0, got {v['loss_scale']}")
-    if not 0.0 <= v["momentum"] < 1.0:
-        problems.append(f"[federation] momentum: need in [0, 1), got {v['momentum']}")
-    if v["weight_decay"] < 0.0:
-        problems.append(f"[federation] weight_decay: need >= 0, got {v['weight_decay']}")
-    if v["hidden_dim"] < 1 or v["embedding_dim"] < 1:
-        problems.append("[federation] hidden_dim/embedding_dim: need >= 1")
-    if v["eval_every"] < 1:
-        problems.append(f"[run] eval_every: need >= 1, got {v['eval_every']}")
-    return problems
-
-
-def grid_problems(modes, fractions, lambdas, partitions, mode_lambdas=None) -> list[str]:
-    mode_lambdas = mode_lambdas or {}
-    problems = []
-    if not modes:
-        problems.append("[grid] modes: empty grid axis")
-    for m in modes:
-        if m not in federation.MODES:
-            problems.append(f"[grid] modes: unknown mode {m!r}")
-    if not fractions:
-        problems.append("[grid] fractions: empty grid axis")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            problems.append(f"[grid] fractions: need in (0, 1], got {f}")
-    axes = [("lambdas", lambdas)]
-    axes += [(f"lambdas_{m}", ls) for m, ls in sorted(mode_lambdas.items())]
-    for key, axis in axes:
-        if not axis:
-            problems.append(f"[grid] {key}: empty grid axis")
-        for l in axis:
-            if l < 0.0:
-                problems.append(f"[grid] {key}: need >= 0, got {l}")
-    for m in modes:
-        if m not in ("fedgc", "fedcos"):
-            continue
-        effective = mode_lambdas.get(m, lambdas)
-        if any(l == 0.0 for l in effective):
-            key = f"lambdas_{m}" if m in mode_lambdas else "lambdas"
-            problems.append(f"[grid] {key}: {m} cells need lambda > 0, got a 0 in the grid")
-            break
-    if not partitions:
-        problems.append("[grid] partitions: empty grid axis")
-    for p in partitions:
-        if p not in PARTITIONS:
-            problems.append(f"[grid] partitions: unknown scheme {p!r}")
-    return problems
-
-
-def partition_problems(partitions, num_clients, num_classes, share_fraction, group_size) -> list[str]:
-    problems = []
-    if "balanced" in partitions and num_clients >= 1 and num_classes % num_clients:
-        problems.append(
-            f"[grid] partitions: balanced needs num_clients ({num_clients}) "
-            f"to divide num_classes ({num_classes})"
-        )
-    if "lognormal" in partitions and not 2 <= num_clients <= num_classes:
-        problems.append(
-            f"[grid] partitions: lognormal needs 2 <= num_clients <= num_classes, "
-            f"got {num_clients} clients for {num_classes} classes"
-        )
-    if "shared" in partitions:
-        if not 0.0 <= share_fraction < 1.0:
-            problems.append(f"[run] share_fraction: need in [0, 1), got {share_fraction}")
-        elif round(share_fraction * num_classes) < 1:
-            problems.append(
-                f"[run] share_fraction: {share_fraction} rounds to zero shared "
-                f"classes out of {num_classes}"
-            )
-        if not 2 <= group_size <= num_clients:
-            problems.append(
-                f"[run] group_size: need in [2, num_clients={num_clients}], got {group_size}"
-            )
-    return problems
 
 
 def validate_config(path) -> list[str]:
@@ -451,34 +363,23 @@ def apply_overrides(
     """Command-line overrides; single values replace whole grid axes.
 
     An explicit lambda wins over any per-mode axes from the config file.
+    The result is a replace() of the spec, so it is checked by the same rules.
     """
-    modes = [mode] if mode is not None else spec.modes
-    lambdas = [lam] if lam is not None else spec.lambdas
-    mode_lambdas = {} if lam is not None else spec.mode_lambdas
-    fractions = [fraction] if fraction is not None else spec.fractions
-    problems = grid_problems(modes, fractions, lambdas, spec.partitions, mode_lambdas)
-    problems.extend(
-        partition_problems(
-            spec.partitions,
-            spec.fed.num_clients,
-            spec.data.num_classes,
-            spec.share_fraction,
-            spec.group_size,
-        )
-    )
-    if problems:
-        return spec, problems
-    new = replace(
-        spec,
-        modes=modes,
-        lambdas=lambdas,
-        mode_lambdas=mode_lambdas,
-        fractions=fractions,
-        out_dir=out if out is not None else spec.out_dir,
-    )
+    changes = {}
+    if mode is not None:
+        changes["modes"] = [mode]
+    if lam is not None:
+        changes.update(lambdas=[lam], mode_lambdas={})
+    if fraction is not None:
+        changes["fractions"] = [fraction]
+    if out is not None:
+        changes["out_dir"] = out
     if seed is not None:
-        new = replace(new, fed=replace(new.fed, seed=seed))
-    return new, []
+        changes["fed"] = replace(spec.fed, seed=seed)
+    try:
+        return replace(spec, **changes), []
+    except ConfigError as exc:
+        return spec, _file_problems(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +441,11 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
     """Full metrics row for the current state; every field finite for healthy runs."""
     accuracy = evaluation.verification_accuracy(server.theta, dataset.test_x, dataset.pairs)
     stats = evaluation.embedding_similarity_stats(server.embeddings, class_of=server.class_of)
-    cross = stats.cross_client_max_cos
-    within = stats.within_client_max_cos
-    if not np.isfinite(cross) or not np.isfinite(within):
-        # a degenerate split (single head, or one column per client) has no
-        # pairs on one side; report the all-pairs maximum there instead
-        all_pairs = evaluation.embedding_similarity_stats(
-            StackedEmbeddings(server.embeddings.W, np.arange(server.embeddings.num_columns)),
-            class_of=server.class_of,
-        ).cross_client_max_cos
-        cross = cross if np.isfinite(cross) else all_pairs
-        within = within if np.isfinite(within) else all_pairs
+    # a degenerate split (single head, or one column per client) has no
+    # pairs on one side; report the all-pairs maximum there instead
+    cross, within = stats.cross_client_max_cos, stats.within_client_max_cos
+    cross = cross if np.isfinite(cross) else stats.all_pairs_max_cos
+    within = within if np.isfinite(within) else stats.all_pairs_max_cos
     return evaluation.RoundMetrics(
         round=server.round,
         mean_local_loss=mean_loss,

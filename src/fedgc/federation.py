@@ -34,11 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
+from .config import check
 from .data import ClientData
 from .losses import LossSpec, batch_loss_and_grad, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, masked_softmax_reg, softmax_reg
 
 MODES = ("fedpe", "fedgc", "fedcos", "fedpe_fixed", "centralized")
+CORRECTION_MODES = ("fedgc", "fedcos")
 
 
 @dataclass
@@ -59,33 +61,26 @@ class FederationConfig:
     embedding_dim: int = 32
     correct_all_heads: bool = True  # correction also moves non-participants' stored heads
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.num_clients < 1:
-            problems.append(f"num_clients must be >= 1, got {self.num_clients}")
-        if not 0.0 < self.participation <= 1.0:
-            problems.append(f"participation must be in (0, 1], got {self.participation}")
-        if self.lam < 0.0:
-            problems.append(f"lambda must be >= 0, got {self.lam}")
-        if self.mode in ("fedgc", "fedcos") and self.lam == 0.0:
-            problems.append(f"mode {self.mode} needs lambda > 0")
-        if self.eta <= 0.0:
-            problems.append(f"eta must be > 0, got {self.eta}")
-        if self.rounds < 0:
-            problems.append(f"rounds must be >= 0, got {self.rounds}")
-        if self.local_steps is not None and self.local_steps < 0:
-            problems.append(f"local_steps must be >= 0, got {self.local_steps}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.mode not in MODES:
-            problems.append(f"unknown mode {self.mode!r}")
-        return problems
-
-    def check(self) -> "FederationConfig":
-        problems = self.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-        return self
+    def __post_init__(self):
+        check(self, [
+            ("num_clients", self.num_clients >= 1, f"need >= 1, got {self.num_clients}"),
+            ("participation", 0.0 < self.participation <= 1.0,
+             f"need in (0, 1], got {self.participation}"),
+            # lam = 0 is allowed in every mode; a grid of fedgc/fedcos cells
+            # rejects it (experiments.ExperimentSpec)
+            ("lam", self.lam >= 0.0, f"need >= 0, got {self.lam}"),
+            ("eta", self.eta > 0.0, f"need > 0, got {self.eta}"),
+            ("rounds", self.rounds >= 0, f"need >= 0, got {self.rounds}"),
+            # zero steps would train nothing and report a NaN mean loss
+            ("local_steps", self.local_steps is None or self.local_steps >= 1,
+             f"need >= 1 or empty, got {self.local_steps}"),
+            ("batch_size", self.batch_size >= 1, f"need >= 1, got {self.batch_size}"),
+            ("mode", self.mode in MODES, f"unknown mode {self.mode!r}"),
+            ("momentum", 0.0 <= self.momentum < 1.0, f"need in [0, 1), got {self.momentum}"),
+            ("weight_decay", self.weight_decay >= 0.0, f"need >= 0, got {self.weight_decay}"),
+            ("hidden_dim", self.hidden_dim >= 1, f"need >= 1, got {self.hidden_dim}"),
+            ("embedding_dim", self.embedding_dim >= 1, f"need >= 1, got {self.embedding_dim}"),
+        ])
 
     @property
     def clients_per_round(self) -> int:
@@ -294,7 +289,7 @@ def correction_step(
     column_mask: np.ndarray | None = None,
 ) -> StackedEmbeddings:
     """One plain gradient step of size lambda * eta on the stacked head matrix."""
-    if cfg.mode not in ("fedgc", "fedcos"):
+    if cfg.mode not in CORRECTION_MODES:
         raise ValueError(f"correction step is only defined for fedgc/fedcos, not {cfg.mode}")
     step = cfg.lam * cfg.eta
     if step == 0.0 or emb.num_clients < 2:
@@ -345,7 +340,7 @@ def run_round(
 
     if server.shared_groups:
         new_server = merge_shared_identities(new_server, server.shared_groups)
-    if cfg.mode in ("fedgc", "fedcos"):
+    if cfg.mode in CORRECTION_MODES:
         mask = None
         if not cfg.correct_all_heads:
             mask = np.zeros(emb.num_columns)
@@ -396,7 +391,7 @@ def combined_objective(server: ServerState, clients: list[ClientData], cfg: Fede
         head = server.embeddings.W[:, server.head_slices[cl.client_id]]
         lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
         total += float(server.weights[cl.client_id]) * lg.loss
-    if cfg.lam > 0.0 and cfg.mode in ("fedgc", "fedcos"):
+    if cfg.lam > 0.0 and cfg.mode in CORRECTION_MODES:
         rg = regularizer_grad(server.embeddings, cfg, server.column_shared_groups())
         total += cfg.lam * rg.value
     return total

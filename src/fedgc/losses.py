@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check
+
 _VARIANTS = ("softmax", "cosface", "arcface")
 
 # keeps arccos differentiable at the boundary
@@ -29,12 +31,11 @@ class LossSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.margin < 0.0:
-            raise ValueError("margin must be >= 0")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be > 0")
+        check(self, [
+            ("variant", self.variant in _VARIANTS, f"unknown variant {self.variant!r}"),
+            ("margin", self.margin >= 0.0, f"need >= 0, got {self.margin}"),
+            ("scale", self.scale > 0.0, f"need > 0, got {self.scale}"),
+        ])
 
     @classmethod
     def softmax(cls) -> "LossSpec":

@@ -191,7 +191,7 @@ def test_criterion_06_zero_multiplier_degeneracy_and_determinism():
         assert status == OK
         return server, metrics
 
-    # the zero-multiplier config is built directly (validate() rejects it for
+    # the zero-multiplier config is built directly (no grid accepts it for
     # real runs) to pin down that the correction path contributes nothing
     plain, m_plain = final_state(replace(base, mode="fedpe"))
     degenerate, m_degen = final_state(replace(base, mode="fedgc", lam=0.0))

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgc.data import (
     Dataset,
     SyntheticSpec,
+    VerificationPairs,
     generate,
     partition_balanced,
     partition_lognormal,
+    partition_problems,
     partition_shared,
 )
 
@@ -163,3 +167,61 @@ def test_shared_partition_validation():
         partition_shared(ds, 4, share_fraction=0.25, seed=0, group_size=5)
     with pytest.raises(ValueError):
         partition_shared(ds, 4, share_fraction=0.25, seed=0, group_size=1)
+
+
+def row_id_dataset(num_classes: int, rows_per_class: int) -> Dataset:
+    """A dataset whose single input feature is the training row's own index."""
+    n = num_classes * rows_per_class
+    train_y = np.repeat(np.arange(num_classes), rows_per_class)
+    none = np.array([], dtype=np.int64)
+    return Dataset(
+        train_x=np.arange(n, dtype=np.float64)[:, None],
+        train_y=train_y,
+        test_x=np.zeros((0, 1)),
+        test_y=none,
+        centers=np.zeros((num_classes, 1)),
+        pairs=VerificationPairs(none, none, np.array([], dtype=bool)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(["balanced", "lognormal", "shared"]),
+    num_clients=st.integers(2, 6),
+    classes_per_client=st.integers(1, 4),
+    rows_per_class=st.integers(1, 9),
+    share_fraction=st.floats(0.0, 0.95),
+    group_size=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_every_partition_holds_each_training_row_exactly_once(
+    scheme, num_clients, classes_per_client, rows_per_class, share_fraction, group_size, seed
+):
+    num_classes = num_clients * classes_per_client
+    group_size = min(group_size, num_clients)
+    ds = row_id_dataset(num_classes, rows_per_class)
+    if scheme == "balanced":
+        part, clients = partition_balanced(ds, num_clients)
+    elif scheme == "lognormal":
+        part, clients = partition_lognormal(ds, num_clients, seed)
+    else:
+        part, clients = partition_shared(ds, num_clients, share_fraction, seed, group_size)
+    rows = np.concatenate([cl.x[:, 0] for cl in clients]).astype(np.int64)
+    # every row once: a shared class's rows are split among its group, not copied
+    np.testing.assert_array_equal(np.sort(rows), np.arange(len(ds.train_y)))
+    labels = np.concatenate([cl.y_global for cl in clients])
+    np.testing.assert_array_equal(ds.train_y[rows], labels)
+    for cl in clients:
+        for cls in cl.classes:
+            assert cl.client_id in part.assignment[cls]
+    np.testing.assert_array_equal(part.counts, [cl.n_samples for cl in clients])
+
+
+def test_partition_problems_name_the_argument():
+    assert partition_problems("balanced", 32, 4, None, None) == []
+    assert [n for n, _ in partition_problems("balanced", 32, 3, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("balanced", 32, 0, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("lognormal", 32, 40, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("shared", 32, 4, 1.0, 5)] == ["share_fraction", "group_size"]
+    assert partition_problems("shared", 32, 4, 0.0, 2) == []
+    assert [n for n, _ in partition_problems("striped", 32, 4, 0.25, 2)] == ["scheme"]

@@ -180,6 +180,23 @@ def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
         assert abs(stats.cross_client_max_cos - cross_max) <= 1e-15
         assert abs(stats.within_client_max_cos - within_max) <= 1e-15
         assert stats.excluded_zero_norm == 1
+        # the all-pairs maximum equals a second pass with one column per client
+        one_per_client = StackedEmbeddings(w, np.arange(300))
+        again = embedding_similarity_stats(one_per_client, class_of=cls)
+        assert stats.all_pairs_max_cos == again.cross_client_max_cos
+        assert stats.all_pairs_max_cos == max(stats.cross_client_max_cos, stats.within_client_max_cos)
+
+
+def test_all_pairs_max_keeps_a_nan_cosine_visible():
+    # an infinite column normalizes to NaN: every maximum that sees it is NaN
+    w = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        stats = embedding_similarity_stats(StackedEmbeddings(w, np.array([0, 0, 1])))
+        solo = embedding_similarity_stats(StackedEmbeddings(w, np.zeros(3, dtype=int)))
+    assert stats.within_client_max_cos == 0.0
+    assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
+    assert np.isnan(solo.cross_client_max_cos)  # no cross pairs at all
+    assert np.isnan(solo.all_pairs_max_cos)
 
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):

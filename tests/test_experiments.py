@@ -10,6 +10,7 @@ import pytest
 
 from fedgc import data as datasets
 from fedgc import evaluation, experiments, federation
+from fedgc.config import ConfigError
 from fedgc.experiments import (
     DIVERGED,
     OK,
@@ -19,11 +20,9 @@ from fedgc.experiments import (
     cell_config,
     compute_round_metrics,
     default_spec,
-    grid_problems,
     make_dataset,
     make_partition,
     parse_config,
-    partition_problems,
     run_cell,
     run_experiment,
     train_centralized,
@@ -58,6 +57,26 @@ def write_cfg(tmp_path, body):
     path = tmp_path / "exp.cfg"
     path.write_text(textwrap.dedent(body))
     return path
+
+
+def spec_problems(**kw) -> list[str]:
+    """The problems tiny_spec(**kw) raises, as 'field: reason' lines; [] if it constructs."""
+    try:
+        tiny_spec(**kw)
+    except ConfigError as exc:
+        return [f"{name}: {why}" for name, why in exc.problems]
+    return []
+
+
+def partition_spec_problems(partitions, num_clients, num_classes, share_fraction, group_size):
+    base = tiny_spec()
+    return spec_problems(
+        fed=replace(base.fed, num_clients=num_clients),
+        data=replace(base.data, num_classes=num_classes),
+        partitions=partitions,
+        share_fraction=share_fraction,
+        group_size=group_size,
+    )
 
 
 # ---------------------------------------------------------------- grid
@@ -191,24 +210,103 @@ def test_shipped_preset_configs_validate():
         assert validate_config(path) == [], path
 
 
-def test_grid_problems_flags_zero_lambda_only_for_correction_modes():
-    assert grid_problems(["fedpe"], [1.0], [0.0], ["balanced"]) == []
-    bad = grid_problems(["fedgc"], [1.0], [0.0], ["balanced"])
+def test_parse_config_pins_file_defaults(tmp_path):
+    # the file format's defaults; num_clients, rounds and the grid axes differ
+    # from (or are required on) the dataclasses and are kept as they are
+    spec, problems = parse_config(write_cfg(tmp_path, "[data]\n[federation]\n[grid]\n[run]\n"))
+    assert problems == []
+    assert spec == ExperimentSpec(
+        fed=federation.FederationConfig(
+            num_clients=8, participation=1.0, lam=20.0, eta=0.1, rounds=200,
+            local_steps=None, batch_size=32, mode="fedpe", loss=LossSpec("softmax", 0.0, 1.0),
+            seed=0, momentum=0.9, weight_decay=5e-4, hidden_dim=64, embedding_dim=32,
+            correct_all_heads=True,
+        ),
+        data=datasets.SyntheticSpec(
+            num_classes=32, samples_per_class=25, input_dim=16, cluster_std=1.0,
+            class_center_scale=5.0, seed=0,
+        ),
+        modes=["fedpe", "fedgc"],
+        fractions=[1.0],
+        lambdas=[20.0],
+        partitions=["balanced"],
+        out_dir="runs/out",
+        eval_every=10,
+        pairs_per_class=10,
+        share_fraction=0.25,
+        group_size=2,
+        mode_lambdas={},
+    )
+
+
+@pytest.mark.parametrize(
+    "make, bad_field",
+    [
+        (lambda: federation.FederationConfig(num_clients=2, mode="bogus"), "mode"),
+        (lambda: federation.FederationConfig(num_clients=2, participation=0.0), "participation"),
+        (lambda: federation.FederationConfig(num_clients=2, batch_size=0), "batch_size"),
+        (lambda: federation.FederationConfig(num_clients=2, local_steps=0), "local_steps"),
+        (lambda: replace(tiny_spec().fed, batch_size=0), "batch_size"),
+        (lambda: tiny_spec(partitions=["striped"]), "partitions"),
+        (lambda: tiny_spec(partitions=["shared"], group_size=3), "group_size"),
+    ],
+)
+def test_config_dataclasses_reject_bad_values_by_field(make, bad_field):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert [name for name, _ in exc.value.problems] == [bad_field]
+    assert str(exc.value).startswith(f"{bad_field}: ")
+
+
+def test_zero_local_steps_rejected_at_parse_time(tmp_path):
+    # zero steps would train nothing: a NaN mean loss and a "diverged" cell
+    problems = validate_config(write_cfg(tmp_path, "[federation]\nlocal_steps = 0\n"))
+    assert problems == ["[federation] local_steps: need >= 1 or empty, got 0"]
+
+
+def test_non_finite_values_are_reported_not_raised(tmp_path):
+    path = write_cfg(
+        tmp_path,
+        """
+        [federation]
+        eta = nan
+
+        [grid]
+        partitions = shared
+        lambdas = nan
+
+        [run]
+        share_fraction = nan
+        """,
+    )
+    problems = validate_config(path)
+    for key in ("[federation] eta: ", "[grid] lambdas: ", "[run] share_fraction: "):
+        assert any(p.startswith(key) for p in problems), (key, problems)
+
+
+def test_grid_problems_flags_zero_lambda_only_for_correction_modes(tmp_path):
+    assert spec_problems(modes=["fedpe"], lambdas=[0.0]) == []
+    bad = spec_problems(modes=["fedgc"], lambdas=[0.0])
+    assert any("lambda > 0" in p for p in bad)
+    bad = spec_problems(modes=["fedcos"], lambdas=[0.0])
     assert any("lambda > 0" in p for p in bad)
     # the per-mode axis is named in the message when it is the culprit
-    bad = grid_problems(["fedcos"], [1.0], [1.0], ["balanced"], {"fedcos": [0.0]})
-    assert any("lambdas_fedcos" in p for p in bad)
+    bad = spec_problems(modes=["fedcos"], lambdas=[1.0], mode_lambdas={"fedcos": [0.0]})
+    assert any(p.startswith("mode_lambdas['fedcos']") and "lambda > 0" in p for p in bad)
+    path = write_cfg(tmp_path, "[grid]\nmodes = fedcos\nlambdas = 1\nlambdas_fedcos = 0\n")
+    assert any(p.startswith("[grid] lambdas_fedcos: ") for p in validate_config(path))
     # a clean per-mode axis rescues a zero in the shared one
-    assert grid_problems(["fedgc"], [1.0], [0.0], ["balanced"], {"fedgc": [5.0]}) == []
+    assert spec_problems(modes=["fedgc"], lambdas=[0.0], mode_lambdas={"fedgc": [5.0]}) == []
 
 
 def test_partition_problems():
-    assert partition_problems(["balanced"], 3, 32, 0.25, 2)
-    assert partition_problems(["balanced"], 4, 32, 0.25, 2) == []
-    assert partition_problems(["lognormal"], 1, 32, 0.25, 2)
-    assert partition_problems(["lognormal"], 40, 32, 0.25, 2)
-    assert any("rounds to zero" in p for p in partition_problems(["shared"], 4, 32, 0.01, 2))
-    assert partition_problems(["shared"], 4, 32, 0.25, 9)
+    assert partition_spec_problems(["balanced"], 3, 32, 0.25, 2)
+    assert partition_spec_problems(["balanced"], 4, 32, 0.25, 2) == []
+    assert partition_spec_problems(["lognormal"], 1, 32, 0.25, 2)
+    assert partition_spec_problems(["lognormal"], 40, 32, 0.25, 2)
+    problems = partition_spec_problems(["shared"], 4, 32, 0.01, 2)
+    assert any("rounds to zero" in p for p in problems)
+    assert partition_spec_problems(["shared"], 4, 32, 0.25, 9)
 
 
 # ---------------------------------------------------------------- overrides
@@ -242,9 +340,9 @@ def test_apply_overrides_rejects_bad_values():
 
 
 def test_default_spec_is_internally_consistent():
-    spec = default_spec()
-    assert spec.fed.validate() == []
-    assert grid_problems(spec.modes, spec.fractions, spec.lambdas, spec.partitions, spec.mode_lambdas) == []
+    spec = default_spec()  # constructing checks the base config and the whole grid
+    for cell in spec.grid():
+        cell_config(spec, cell)  # and every cell's config constructs
     lams = {c.mode: c.lam for c in spec.grid()}
     assert lams["fedgc"] == 50.0 and lams["fedcos"] == 1.0
 
@@ -283,6 +381,23 @@ def test_single_client_metrics_fall_back_to_all_pairs():
     # no cross-client pairs exist; the reported max is the all-pairs one
     assert np.isfinite(row.cross_client_max_cos)
     assert row.cross_client_max_cos == row.within_client_max_cos
+
+
+def test_centralized_evaluation_makes_one_similarity_pass(monkeypatch):
+    real, calls = evaluation.embedding_similarity_stats, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "embedding_similarity_stats", counting)
+    spec = tiny_spec()
+    cfg = cell_config(spec, Cell("centralized", 1.0, 0.0, "balanced"))
+    status, metrics, _, _ = train_centralized(make_dataset(spec, cfg), cfg, eval_every=1)
+    assert status == OK and len(metrics) == 3
+    assert len(calls) == 3
+    for m in metrics:  # one head: no cross-client pairs, so both sides report all pairs
+        assert m.cross_client_max_cos == m.within_client_max_cos == m.similarity.all_pairs_max_cos
 
 
 def test_divergent_cell_is_reported_not_raised():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fedgc import nn
+from fedgc.config import ConfigError
 from fedgc.data import ClientData, SyntheticSpec, generate, partition_balanced, partition_shared
 from fedgc.federation import (
     FederationConfig,
@@ -78,24 +79,26 @@ def centralized_rounds(ds, cfg):
 
 
 def test_config_validate_reports_each_problem():
-    bad = FederationConfig(
-        num_clients=0, participation=0.0, lam=-1.0, eta=0.0, rounds=-1,
-        local_steps=-2, batch_size=0, mode="bogus",
-    )
-    problems = "\n".join(bad.validate())
-    for needle in ["num_clients", "participation", "lambda", "eta", "rounds",
-                   "local_steps", "batch_size", "mode"]:
-        assert needle in problems
-    with pytest.raises(ValueError):
-        bad.check()
+    with pytest.raises(ConfigError) as exc:
+        FederationConfig(
+            num_clients=0, participation=0.0, lam=-1.0, eta=0.0, rounds=-1,
+            local_steps=-2, batch_size=0, mode="bogus",
+        )
+    names = [name for name, _ in exc.value.problems]
+    assert names == ["num_clients", "participation", "lam", "eta", "rounds",
+                     "local_steps", "batch_size", "mode"]
+    for name in names:
+        assert f"{name}: " in str(exc.value)
     good = small_cfg()
-    assert good.validate() == [] and good.check() is good
+    assert replace(good) == good
 
 
-def test_config_rejects_zero_lambda_correction_modes():
-    assert FederationConfig(num_clients=2, mode="fedgc", lam=0.0).validate()
-    assert FederationConfig(num_clients=2, mode="fedcos", lam=0.0).validate()
-    assert FederationConfig(num_clients=2, mode="fedpe", lam=0.0).validate() == []
+def test_zero_lambda_is_a_grid_rule_not_a_config_rule():
+    # a fedgc/fedcos grid with a zero lambda is rejected by experiments.ExperimentSpec
+    # (test_grid_problems_flags_zero_lambda_only_for_correction_modes); the config
+    # itself constructs, which criterion 6 and the bitwise-fedpe test rely on
+    for mode in ("fedgc", "fedcos", "fedpe"):
+        assert FederationConfig(num_clients=2, mode=mode, lam=0.0).lam == 0.0
 
 
 def test_clients_per_round_rounds_up():
@@ -452,8 +455,8 @@ def test_partial_participation_head_movement():
 
 
 def test_zero_lambda_correction_is_bitwise_fedpe():
-    # construct the zero-lambda config directly (validate() would flag it) to
-    # pin down that the correction path contributes nothing at lambda = 0
+    # a zero-lambda fedgc config (which no grid accepts) pins down that the
+    # correction path contributes nothing at lambda = 0
     _, server_a, clients_a = make_federation(small_cfg(mode="fedpe"))
     _, server_b, clients_b = make_federation(small_cfg(mode="fedgc", lam=0.0))
     rng_a, rng_b = round_rng(7), round_rng(7)

@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from fedgc.evaluation import finite_diff_check
+from fedgc.gradcheck import finite_diff_check
 from fedgc.losses import LossSpec, batch_loss_and_grad
 from fedgc.nn import BackboneParams, SgdState, backward, forward, init_backbone, sgd_step
 

@@ -15,7 +15,8 @@ import argparse
 
 import numpy as np
 
-from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg, softmax_reg_naive
+from fedgc.gradcheck import softmax_reg_naive
+from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 
 def collision_stack(rng, d=6, per_client=3):

@@ -20,8 +20,6 @@ from .evaluation import (
     RoundMetrics,
     best_threshold_accuracy,
     embedding_similarity_stats,
-    finite_diff_check,
-    grad_direction_diagnostic,
     mean_anchor_feature_distance,
     verification_accuracy,
 )
@@ -34,7 +32,6 @@ from .experiments import (
     run_cell,
     run_experiment,
     validate_config,
-    verification_suite,
 )
 from .federation import (
     FederationConfig,
@@ -56,7 +53,6 @@ from .losses import (
     LossSpec,
     NonFiniteError,
     batch_loss_and_grad,
-    global_softmax_grad,
 )
 from .nn import (
     BackboneParams,
@@ -74,7 +70,6 @@ from .regularizers import (
     cosine_reg,
     masked_softmax_reg,
     softmax_reg,
-    softmax_reg_naive,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

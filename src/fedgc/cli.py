@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import experiments
+from . import experiments, gradcheck
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +74,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    rows = experiments.verification_suite(args.seed)
+    rows = gradcheck.verification_suite(args.seed)
     width = max(len(r.name) for r in rows)
     failed = 0
     for r in rows:

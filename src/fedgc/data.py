@@ -67,6 +67,12 @@ class Dataset:
         return self.centers.shape[1]
 
 
+def split_rows(samples_per_class: int) -> tuple[int, int]:
+    """Rows per class in the (train, test) split: a quarter, rounded down, is test."""
+    n_test = samples_per_class // 4
+    return samples_per_class - n_test, n_test
+
+
 def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
     """Seeded dataset with a disjoint train/test split and verification pairs.
 
@@ -77,8 +83,7 @@ def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
     c, spc, dim = spec.num_classes, spec.samples_per_class, spec.input_dim
     centers = rng.normal(0.0, spec.class_center_scale, size=(c, dim))
 
-    n_test = spc // 4
-    n_train = spc - n_test
+    n_train, n_test = split_rows(spc)
 
     labels = np.repeat(np.arange(c), spc)
     samples = centers[labels] + rng.normal(0.0, spec.cluster_std, size=(c * spc, dim))
@@ -171,14 +176,14 @@ def _exclusive_splits(dataset: Dataset, holders: dict[int, tuple[int, ...]]):
 
 
 def partition_problems(
-    scheme: str, num_classes: int, num_clients: int, share_fraction, group_size
+    scheme: str, num_classes: int, num_clients: int, share_fraction, group_size, train_rows
 ) -> list[tuple[str, str]]:
     """Why `scheme` cannot split num_classes over num_clients, as (argument, reason) pairs.
 
     The one statement of the partition feasibility rules: the partition
     functions raise on them, and experiments.ExperimentSpec reports them for
-    a grid before anything runs. share_fraction and group_size are read by
-    the shared scheme only.
+    a grid before anything runs. share_fraction, group_size and train_rows
+    (training rows per class) are read by the shared scheme only.
     """
     if scheme == "balanced":
         if num_clients >= 1 and num_classes % num_clients == 0:
@@ -198,6 +203,11 @@ def partition_problems(
             problems.append(
                 ("group_size", f"need in [2, num_clients={num_clients}], got {group_size}")
             )
+        elif group_size > train_rows:
+            # every member of a shared class's group needs a row of that class
+            problems.append(
+                ("group_size", f"need <= {train_rows} training rows per class, got {group_size}")
+            )
         return problems
     return [("scheme", f"unknown scheme {scheme!r}")]
 
@@ -210,7 +220,7 @@ def _require_feasible(problems: list[tuple[str, str]]) -> None:
 def partition_balanced(dataset: Dataset, num_clients: int) -> tuple[PartitionSpec, list[ClientData]]:
     """Contiguous equal-size class blocks; requires num_clients | num_classes."""
     c = dataset.num_classes
-    _require_feasible(partition_problems("balanced", c, num_clients, None, None))
+    _require_feasible(partition_problems("balanced", c, num_clients, None, None, None))
     per = c // num_clients
     holders = {cls: (cls // per,) for cls in range(c)}
     clients = _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
@@ -228,7 +238,7 @@ def partition_lognormal(
     seeded shuffled order.
     """
     c = dataset.num_classes
-    _require_feasible(partition_problems("lognormal", c, num_clients, None, None))
+    _require_feasible(partition_problems("lognormal", c, num_clients, None, None, None))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x109]))
     weights = np.exp(rng.normal(0.0, 1.0, size=num_clients))
     counts = _largest_remainder(weights / weights.sum() * c, c, minimum=1)
@@ -270,7 +280,10 @@ def partition_shared(
     and dealt round-robin.
     """
     c = dataset.num_classes
-    _require_feasible(partition_problems("shared", c, num_clients, share_fraction, group_size))
+    train_rows = int(np.bincount(dataset.train_y, minlength=c).min())
+    _require_feasible(
+        partition_problems("shared", c, num_clients, share_fraction, group_size, train_rows)
+    )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5AE]))
     n_shared = int(round(share_fraction * c))
     order = rng.permutation(c)

@@ -1,14 +1,12 @@
-"""Verification accuracy, embedding-geometry statistics, and gradient diagnostics."""
+"""Verification accuracy and embedding-geometry statistics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
 from . import nn
-from .losses import global_softmax_grad
 from .regularizers import StackedEmbeddings, _blocks
 
 
@@ -96,7 +94,7 @@ def embedding_similarity_stats(
     if emb.num_columns < 2:
         raise ValueError("need at least 2 columns")
     norms = np.linalg.norm(emb.W, axis=0)
-    keep = norms > 0.0
+    keep = norms != 0.0  # a NaN norm stays, so its NaN cosines reach the maxima
     excluded = int((~keep).sum())
     w = emb.W[:, keep] / norms[keep]
     clients = emb.client_of[keep]
@@ -145,125 +143,3 @@ def mean_anchor_feature_distance(server, clients) -> float:
         total += float(np.linalg.norm(cols[:, cl.y_local].T - feats, axis=1).sum())
         count += cl.n_samples
     return total / count if count else float("nan")
-
-
-@dataclass
-class DirectionReport:
-    """Comparison of the correction gradient against its two reference forms.
-
-    For a probe sample whose target embedding is set equal to its feature,
-    the embedding-anchored correction gradient and its feature-anchored form
-    coincide; both are positive multiples of the probe direction, as is the
-    centralized full-softmax gradient on the same column.
-    """
-
-    correction_grads: np.ndarray       # (n_cross, d) embedding-anchored form
-    feature_form_grads: np.ndarray     # (n_cross, d) feature-anchored form
-    global_grads: np.ndarray           # (n_cross, d) centralized softmax gradient
-    cross_columns: np.ndarray
-    max_correction_vs_feature_diff: float
-    feature_vs_global_ratios: np.ndarray
-    direction_cosines: np.ndarray      # correction vs centralized directions
-
-
-def grad_direction_diagnostic(server, clients, cfg, client_id: int = 0, sample: int = 0) -> DirectionReport:
-    """Evaluate the correction geometry on one probe sample.
-
-    The probe replaces the sample's own class embedding with its feature and
-    then compares, per cross-client column: (a) the stop-gradient correction
-    term, (b) the same term with the feature substituted for the anchor, and
-    (c) the centralized softmax gradient over the full class space.
-    """
-    cl = clients[client_id]
-    feature = nn.forward(server.theta, cl.x[sample])
-    label = int(cl.y_local[sample])
-    w = server.embeddings.W.copy()
-    own = server.head_slices[cl.client_id]
-    anchor_col = own.start + label
-    w[:, anchor_col] = feature
-
-    client_of = server.embeddings.client_of
-    cross = np.flatnonzero(client_of != cl.client_id)
-    anchor = w[:, anchor_col]
-
-    # (a) embedding-anchored: exp(w_j . a) a / (exp(a . a) + sum_cross exp(w . a))
-    exps_a = np.exp(w[:, cross].T @ anchor)
-    denom_a = np.exp(anchor @ anchor) + exps_a.sum()
-    correction = (exps_a / denom_a)[:, None] * anchor[None, :]
-
-    # (b) feature-anchored: same expression with the raw feature as the anchor
-    exps_f = np.exp(w[:, cross].T @ feature)
-    denom_f = np.exp(anchor @ feature) + exps_f.sum()
-    feature_form = (exps_f / denom_f)[:, None] * feature[None, :]
-
-    # (c) centralized softmax over the full stacked class space
-    full = global_softmax_grad(w, feature, _global_index(server, cl, label))
-    global_grads = full.grad_embeddings[:, cross].T
-
-    def _mag(g):
-        return np.linalg.norm(g, axis=1)
-
-    ratios = _mag(feature_form) / _mag(global_grads)
-    cosines = np.array(
-        [
-            float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
-            for a, c in zip(correction, global_grads)
-        ]
-    )
-    return DirectionReport(
-        correction_grads=correction,
-        feature_form_grads=feature_form,
-        global_grads=global_grads,
-        cross_columns=cross,
-        max_correction_vs_feature_diff=float(np.abs(correction - feature_form).max()),
-        feature_vs_global_ratios=ratios,
-        direction_cosines=cosines,
-    )
-
-
-def _global_index(server, client, label: int) -> int:
-    return server.head_slices[client.client_id].start + label
-
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    worst_index: tuple
-    passed: bool
-
-
-def finite_diff_check(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    analytic_grad: np.ndarray,
-    h: float = 1e-5,
-    tol: float = 1e-5,
-) -> FiniteDiffReport:
-    """Central differences per coordinate against an analytic gradient.
-
-    Relative error uses max(1, |a| + |b|) as the denominator so tiny
-    gradients are compared absolutely.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
-    x0 = np.asarray(x0, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic_grad.shape != x0.shape:
-        raise ValueError("analytic_grad shape must match x0")
-    worst, worst_idx = 0.0, ()
-    it = np.nditer(x0, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x0.copy()
-        xp[idx] += h
-        fp = f(xp)
-        xp[idx] -= 2 * h
-        fm = f(xp)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite function value near index {idx}")
-        numeric = (fp - fm) / (2 * h)
-        a = analytic_grad[idx]
-        rel = abs(numeric - a) / max(1.0, abs(numeric) + abs(a))
-        if rel > worst:
-            worst, worst_idx = rel, idx
-    return FiniteDiffReport(max_rel_err=float(worst), worst_index=worst_idx, passed=worst < tol)

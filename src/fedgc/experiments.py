@@ -20,20 +20,14 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import data as datasets
 from . import evaluation, federation, nn
 from .config import ConfigError
-from .losses import LossSpec, NonFiniteError, batch_loss_and_grad, global_softmax_grad
-from .regularizers import StackedEmbeddings, cosine_reg, softmax_reg, softmax_reg_naive
+from .losses import LossSpec, NonFiniteError
 
 OK = "ok"
 DIVERGED = "diverged"
-
-
-class _Divergence(Exception):
-    """Internal signal: a training run produced a non-finite quantity."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,8 @@ class ExperimentSpec:
             problems += [
                 (name if name in ("share_fraction", "group_size") else "partitions", why)
                 for name, why in datasets.partition_problems(
-                    p, self.data.num_classes, self.fed.num_clients,
-                    self.share_fraction, self.group_size,
+                    p, self.data.num_classes, self.fed.num_clients, self.share_fraction,
+                    self.group_size, datasets.split_rows(self.data.samples_per_class)[0],
                 )
             ]
         # partition_shared accepts no shared class at all; a grid's shared cells
@@ -479,13 +473,13 @@ def _train_rounds(server, clients, step, cfg, dataset, eval_every: int):
             try:
                 server, mean_loss = step(server)
                 if not np.isfinite(mean_loss):
-                    raise _Divergence
+                    raise NonFiniteError("mean local loss")
                 if _eval_now(r, cfg, eval_every):
                     row = compute_round_metrics(server, clients, cfg, dataset, mean_loss)
                     if not _finite_row(row):
-                        raise _Divergence
+                        raise NonFiniteError("metrics row")
                     metrics.append(row)
-            except (_Divergence, NonFiniteError):
+            except NonFiniteError:
                 return DIVERGED, metrics, server, clients
     return OK, metrics, server, clients
 
@@ -621,233 +615,3 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     if echo is not None:
         echo(f"summary: {summary}")
     return 0 if any(r.status == OK for r in results) else 2
-
-
-# ---------------------------------------------------------------------------
-# gradient verification suite
-
-
-@dataclass
-class CheckRow:
-    name: str
-    max_err: float
-    tol: float
-    passed: bool
-
-
-def _record(rows: list[CheckRow], name: str, err: float, tol: float) -> None:
-    rows.append(CheckRow(name, float(err), tol, bool(err <= tol)))
-
-
-def _fd(f, x0, grad, h=1e-6) -> float:
-    return evaluation.finite_diff_check(f, x0, grad, h=h, tol=np.inf).max_rel_err
-
-
-def _random_stack(rng, d=6, clients=(3, 2, 4)) -> StackedEmbeddings:
-    cols = int(sum(clients))
-    client_of = np.repeat(np.arange(len(clients)), clients)
-    return StackedEmbeddings(rng.normal(0.0, 1.0, size=(d, cols)), client_of)
-
-
-def _frozen_anchor_value(emb0: StackedEmbeddings, w: np.ndarray, normalize: bool) -> float:
-    """Regularizer value with anchor occurrences pinned to emb0's columns.
-
-    Differentiating this in w is the correct oracle for the analytic
-    gradient, whose anchors are treated as constants.
-    """
-
-    def unit(m):
-        return m / np.linalg.norm(m, axis=0, keepdims=True)
-
-    anchors = unit(emb0.W) if normalize else emb0.W
-    negatives = unit(w) if normalize else w
-    total = 0.0
-    for a in range(emb0.num_columns):
-        negs = np.flatnonzero(emb0.client_of != emb0.client_of[a])
-        shifted = negatives[:, negs].T @ anchors[:, a] - anchors[:, a] @ anchors[:, a]
-        total += float(logsumexp(np.concatenate([[0.0], shifted])))
-    return total
-
-
-def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
-    """Analytic-vs-numeric gradient checks plus the correction-geometry identities.
-
-    Every analytic gradient in the package is compared against central
-    finite differences on seeded random instances, then the diagnostic
-    identities (frozen-anchor semantics, closed forms, feature substitution,
-    local-vs-global magnitude agreement) are evaluated. Returns one row per
-    check; all must pass.
-    """
-    rows: list[CheckRow] = []
-    root = np.random.SeedSequence([seed, 0x6C])
-
-    # backbone backward pass
-    err = 0.0
-    for sub in root.spawn(10):
-        rng = np.random.default_rng(sub)
-        theta = nn.init_backbone([4, 6, 3], int(rng.integers(2**31)))
-        x = rng.uniform(-1.0, 1.0, size=(3, 4))
-        g_out = rng.normal(size=(3, 3))
-        grads, grad_x = nn.backward(theta, x, g_out)
-        flat = theta.to_list()
-        flat_grads = [g for pair in grads for g in pair]
-        for i in range(len(flat)):
-            def f_param(t, i=i):
-                arrays = [t if j == i else flat[j] for j in range(len(flat))]
-                p = nn.BackboneParams.from_list(arrays, theta.activation)
-                return float((nn.forward(p, x) * g_out).sum())
-
-            err = max(err, _fd(f_param, flat[i], flat_grads[i]))
-        err = max(err, _fd(lambda t: float((nn.forward(theta, t) * g_out).sum()), x, grad_x))
-    _record(rows, "backbone backward vs finite differences", err, 1e-5)
-
-    # local loss gradients, all variants
-    for spec_name, spec in (
-        ("softmax", LossSpec.softmax()),
-        ("cosface", LossSpec.cosface()),
-        ("arcface", LossSpec.arcface()),
-    ):
-        err = 0.0
-        for sub in root.spawn(instances):
-            rng = np.random.default_rng(sub)
-            d, c, n = 5, 4, 3
-            emb = rng.normal(size=(d, c))
-            feats = rng.normal(size=(n, d))
-            labels = rng.integers(0, c, size=n)
-            lg = batch_loss_and_grad(spec, emb, feats, labels)
-            err = max(
-                err,
-                _fd(lambda w: batch_loss_and_grad(spec, w, feats, labels).loss, emb, lg.grad_embeddings),
-                _fd(lambda t: batch_loss_and_grad(spec, emb, t, labels).loss, feats, lg.grad_feature),
-            )
-        _record(rows, f"{spec_name} loss gradients", err, 1e-5)
-
-    # softmax over the full stacked class space
-    err = 0.0
-    for sub in root.spawn(instances):
-        rng = np.random.default_rng(sub)
-        emb = rng.normal(size=(5, 9))
-        feat = rng.normal(size=5)
-        label = int(rng.integers(9))
-        lg = global_softmax_grad(emb, feat, label)
-        err = max(
-            err,
-            _fd(lambda w: global_softmax_grad(w, feat, label).loss, emb, lg.grad_embeddings),
-            _fd(lambda t: global_softmax_grad(emb, t, label).loss, feat, lg.grad_feature),
-        )
-    _record(rows, "global softmax gradients", err, 1e-5)
-
-    # regularizer gradients against the frozen-anchor oracle
-    for normalize, label in ((False, "raw dot products"), (True, "normalized columns")):
-        err = 0.0
-        for sub in root.spawn(20):
-            rng = np.random.default_rng(sub)
-            emb = _random_stack(rng)
-            rg = softmax_reg(emb, normalize_columns=normalize)
-            err = max(err, _fd(lambda w: _frozen_anchor_value(emb, w, normalize), emb.W, rg.grad))
-        _record(rows, f"softmax regularizer gradient ({label})", err, 1e-5)
-
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng)
-        for normalize in (False, True):
-            rg = cosine_reg(emb, normalize_columns=normalize)
-
-            def f_cos(w, normalize=normalize):
-                return cosine_reg(
-                    StackedEmbeddings(w, emb.client_of), normalize_columns=normalize
-                ).value
-
-            err = max(err, _fd(f_cos, emb.W, rg.grad))
-    _record(rows, "cosine regularizer gradient", err, 1e-5)
-
-    # numerically stable vs direct exponential evaluation
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng, d=8)
-        stable = softmax_reg(emb)
-        naive = softmax_reg_naive(emb)
-        err = max(err, abs(stable.value - naive.value), np.abs(stable.grad - naive.grad).max())
-    _record(rows, "stable vs direct regularizer evaluation", err, 1e-10)
-
-    # an anchor's own term contributes nothing to its gradient
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng)
-        solo = StackedEmbeddings(
-            emb.W, emb.client_of, np.arange(emb.num_columns) == 0
-        )
-        err = max(err, np.abs(softmax_reg(solo).grad[:, 0]).max())
-    _record(rows, "own-anchor gradient contribution", err, 0.0)
-
-    # two-client orthonormal closed form
-    w = np.eye(4)[:, :2]
-    emb = StackedEmbeddings(w, np.array([0, 1]))
-    rg = softmax_reg(emb)
-    closed_value = 2.0 * np.log1p(np.exp(-1.0))
-    closed_col = w[:, 0] / (1.0 + np.e)
-    err = max(abs(rg.value - closed_value), np.abs(rg.grad[:, 1] - closed_col).max())
-    _record(rows, "two-client orthonormal closed form", err, 1e-10)
-
-    # correction geometry: substitution identity, direction, magnitude ratio
-    server, clients, cfg = _probe_federation(seed)
-    report = evaluation.grad_direction_diagnostic(server, clients, cfg)
-    _record(rows, "anchored vs feature-substituted correction", report.max_correction_vs_feature_diff, 1e-12)
-    _record(rows, "correction vs centralized direction", np.abs(report.direction_cosines - 1.0).max(), 1e-12)
-    _record(
-        rows,
-        "local-vs-global gradient magnitude ratio",
-        np.abs(_trained_regime_ratios(seed) - 1.0).max(),
-        1e-6,
-    )
-    return rows
-
-
-def _probe_federation(seed: int):
-    """A minimal random federation for the correction-geometry diagnostic."""
-    spec = ExperimentSpec(
-        fed=federation.FederationConfig(num_clients=3, mode="fedgc", lam=1.0, seed=seed, rounds=1),
-        data=datasets.SyntheticSpec(num_classes=6, samples_per_class=8, input_dim=5, seed=seed),
-        modes=["fedgc"],
-        fractions=[1.0],
-        lambdas=[1.0],
-        partitions=["balanced"],
-    )
-    cfg = spec.fed
-    dataset = make_dataset(spec, cfg)
-    part, client_data = make_partition(dataset, "balanced", spec, cfg)
-    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg, [])
-    return server, clients, cfg
-
-
-def _trained_regime_ratios(seed: int) -> np.ndarray:
-    """Magnitude ratios in the constructed well-trained-locally regime.
-
-    The probe feature doubles as its own class embedding, and the client's
-    other columns are pushed far into the negative-logit region, which is
-    the regime where the feature-substituted correction magnitude matches
-    the centralized softmax gradient magnitude.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4A]))
-    d, per_client, n_clients = 8, 3, 3
-    w = rng.normal(0.0, 0.3, size=(d, per_client * n_clients))
-    client_of = np.repeat(np.arange(n_clients), per_client)
-    feature = rng.normal(size=d)
-    feature *= 3.0 / np.linalg.norm(feature)
-    anchor_col = 0
-    w[:, anchor_col] = feature
-    own = np.flatnonzero(client_of == client_of[anchor_col])
-    for col in own:
-        if col != anchor_col:
-            # within-client non-target logit: w . f = -5 |f|^2 = -45
-            w[:, col] = -5.0 * feature
-    cross = np.flatnonzero(client_of != client_of[anchor_col])
-    exps = np.exp(w[:, cross].T @ feature)
-    denom_sub = np.exp(feature @ feature) + exps.sum()
-    sub_mags = exps / denom_sub * np.linalg.norm(feature)
-    full = global_softmax_grad(w, feature, anchor_col)
-    global_mags = np.linalg.norm(full.grad_embeddings[:, cross], axis=0)
-    return sub_mags / global_mags

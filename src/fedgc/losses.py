@@ -173,13 +173,3 @@ def loss_and_grad(
 
 def _squeeze(grad_feat: np.ndarray, features: np.ndarray) -> np.ndarray:
     return grad_feat[0] if features.shape[0] == 1 and grad_feat.shape[0] == 1 else grad_feat
-
-
-def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int) -> LossGrad:
-    """Standard softmax CE over the full stacked class space.
-
-    This is the centralized oracle the correction step is compared against;
-    it is plain cross entropy on raw logits, identical in form to the local
-    softmax but over every class column.
-    """
-    return batch_loss_and_grad(LossSpec.softmax(), embeddings, feature, label)

@@ -13,8 +13,9 @@ exponentially larger pushes, which is what makes this a hard-example-mining
 variant of the plain cosine (dot-product) regularizer.
 
 Values are computed in the shifted log-sum-exp form above; the naive
-direct-exponential form is kept only as a small-scale cross-check because
-exp(|w|^2) overflows quickly for unnormalized embeddings.
+direct-exponential form (gradcheck.softmax_reg_naive) serves only as a
+small-scale cross-check because exp(|w|^2) overflows quickly for
+unnormalized embeddings.
 
 Nothing here holds a dense C x C array. The softmax penalty streams the
 anchors in blocks: each block's scores against every column, their
@@ -216,27 +217,3 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     grad_n = (total_anchor - own_anchor[client]).T + is_anchor * (total - own[client]).T
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
     return RegGrad(value, grad)
-
-
-def softmax_reg_naive(emb: StackedEmbeddings, shared_groups=None) -> RegGrad:
-    """Direct-exponential evaluation, one anchor at a time.
-
-    Overflows for large column norms; exists only to cross-check the stable
-    form on small stacks.
-    """
-    w = emb.W
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite entry in stacked embeddings")
-    owners = _ownership(emb, shared_groups)
-    value = 0.0
-    grad = np.zeros_like(w)
-    for a in _anchor_columns(emb):
-        negatives = np.flatnonzero(~_same_owner(emb, owners, np.array([a]))[0])
-        anchor = w[:, a]
-        self_term = np.exp(anchor @ anchor)
-        cross = np.exp(w[:, negatives].T @ anchor)
-        denom = self_term + cross.sum()
-        value += -np.log(self_term / denom)
-        for j, col in enumerate(negatives):
-            grad[:, col] += (cross[j] / denom) * anchor
-    return RegGrad(float(value), grad)

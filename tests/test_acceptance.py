@@ -25,8 +25,8 @@ from fedgc.experiments import (
     parse_config,
     run_cell,
     train_federated,
-    verification_suite,
 )
+from fedgc.gradcheck import verification_suite
 from fedgc.losses import batch_loss_and_grad
 from fedgc.regularizers import StackedEmbeddings, masked_softmax_reg, softmax_reg
 

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedgc import cli, experiments
+from fedgc import cli, gradcheck
 
 
 TINY_CFG = """
@@ -51,6 +55,17 @@ def test_validate_reports_problems_with_exit_1(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "warp" in err and "fractions" in err
+
+
+def test_validate_rejects_a_group_larger_than_a_class(tmp_path, capsys):
+    # 8 samples per class leave 6 training rows, too few for groups of 7
+    path = write_tiny(tmp_path)
+    text = path.read_text().replace("num_clients = 2", "num_clients = 8")
+    text = text.replace("modes = fedpe", "modes = fedpe\npartitions = shared")
+    path.write_text(text.replace("num_classes = 4", "num_classes = 16") + "group_size = 7\n")
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "[run] group_size: need <= 6 training rows per class, got 7" in err
 
 
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
@@ -112,11 +127,36 @@ def test_gradcheck_passes_with_exit_0(capsys):
 
 
 def test_gradcheck_exit_3_on_failure(monkeypatch, capsys):
-    rows = [experiments.CheckRow("synthetic failure", 1.0, 1e-6, False)]
-    monkeypatch.setattr(experiments, "verification_suite", lambda seed=0: rows)
+    rows = [gradcheck.CheckRow("synthetic failure", 1.0, 1e-6, False)]
+    monkeypatch.setattr(gradcheck, "verification_suite", lambda seed=0: rows)
     assert cli.main(["gradcheck"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "0/1 checks passed" in out
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import fedgc
+from fedgc import cli, gradcheck
+assert cli.main(["validate", "configs/default.cfg"]) == 0
+rows = gradcheck.verification_suite(seed=1, instances=2)
+assert len(rows) == 14 and all(r.passed for r in rows), rows
+"""
+
+
+def test_runtime_runs_without_scipy():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "configs/default.cfg: ok" in proc.stdout
 
 
 def test_unknown_command_exits_2():

@@ -169,6 +169,17 @@ def test_shared_partition_validation():
         partition_shared(ds, 4, share_fraction=0.25, seed=0, group_size=1)
 
 
+def test_shared_partition_rejects_groups_larger_than_a_class():
+    # 8 samples per class leave 6 training rows: a group of 8 would leave two
+    # members with no row of the shared class
+    ds = generate(SyntheticSpec(16, 8, 3))
+    with pytest.raises(ValueError, match="group_size: need <= 6 training rows per class"):
+        partition_shared(ds, 8, 0.25, 0, group_size=8)
+    part, clients = partition_shared(ds, 8, 0.25, 0, group_size=6)
+    for cls, group in part.shared_groups:
+        assert all((clients[k].y_global == cls).sum() == 1 for k in group)
+
+
 def row_id_dataset(num_classes: int, rows_per_class: int) -> Dataset:
     """A dataset whose single input feature is the training row's own index."""
     n = num_classes * rows_per_class
@@ -204,6 +215,11 @@ def test_every_partition_holds_each_training_row_exactly_once(
         part, clients = partition_balanced(ds, num_clients)
     elif scheme == "lognormal":
         part, clients = partition_lognormal(ds, num_clients, seed)
+    elif group_size > rows_per_class:
+        # a group member would hold no row of a shared class
+        with pytest.raises(ValueError, match="group_size"):
+            partition_shared(ds, num_clients, share_fraction, seed, group_size)
+        return
     else:
         part, clients = partition_shared(ds, num_clients, share_fraction, seed, group_size)
     rows = np.concatenate([cl.x[:, 0] for cl in clients]).astype(np.int64)
@@ -218,10 +234,11 @@ def test_every_partition_holds_each_training_row_exactly_once(
 
 
 def test_partition_problems_name_the_argument():
-    assert partition_problems("balanced", 32, 4, None, None) == []
-    assert [n for n, _ in partition_problems("balanced", 32, 3, None, None)] == ["num_clients"]
-    assert [n for n, _ in partition_problems("balanced", 32, 0, None, None)] == ["num_clients"]
-    assert [n for n, _ in partition_problems("lognormal", 32, 40, None, None)] == ["num_clients"]
-    assert [n for n, _ in partition_problems("shared", 32, 4, 1.0, 5)] == ["share_fraction", "group_size"]
-    assert partition_problems("shared", 32, 4, 0.0, 2) == []
-    assert [n for n, _ in partition_problems("striped", 32, 4, 0.25, 2)] == ["scheme"]
+    assert partition_problems("balanced", 32, 4, None, None, None) == []
+    assert [n for n, _ in partition_problems("balanced", 32, 3, None, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("balanced", 32, 0, None, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("lognormal", 32, 40, None, None, None)] == ["num_clients"]
+    assert [n for n, _ in partition_problems("shared", 32, 4, 1.0, 5, 18)] == ["share_fraction", "group_size"]
+    assert partition_problems("shared", 32, 4, 0.0, 2, 18) == []
+    assert [n for n, _ in partition_problems("shared", 32, 4, 0.25, 4, 3)] == ["group_size"]
+    assert [n for n, _ in partition_problems("striped", 32, 4, 0.25, 2, 18)] == ["scheme"]

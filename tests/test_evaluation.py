@@ -10,13 +10,12 @@ from fedgc.data import SyntheticSpec, generate, partition_balanced
 from fedgc.evaluation import (
     best_threshold_accuracy,
     embedding_similarity_stats,
-    finite_diff_check,
-    grad_direction_diagnostic,
     mean_anchor_feature_distance,
     pair_cosines,
     verification_accuracy,
 )
 from fedgc.federation import FederationConfig, build_federation, run_round
+from fedgc.gradcheck import finite_diff_check, grad_direction_diagnostic
 from fedgc.regularizers import StackedEmbeddings
 
 
@@ -197,6 +196,14 @@ def test_all_pairs_max_keeps_a_nan_cosine_visible():
     assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
     assert np.isnan(solo.cross_client_max_cos)  # no cross pairs at all
     assert np.isnan(solo.all_pairs_max_cos)
+
+
+def test_similarity_stats_keep_a_nan_column_visible():
+    # a NaN norm is not a zero norm: the column stays and its NaN cosines reach the maxima
+    w = np.array([[1.0, 0.0, np.nan, 0.6], [0.0, 1.0, 1.0, 0.8]])
+    stats = embedding_similarity_stats(StackedEmbeddings(w, np.array([0, 0, 1, 1])))
+    assert stats.excluded_zero_norm == 0
+    assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
 
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):

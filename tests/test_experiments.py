@@ -28,8 +28,8 @@ from fedgc.experiments import (
     train_centralized,
     train_federated,
     validate_config,
-    verification_suite,
 )
+from fedgc.gradcheck import verification_suite
 from fedgc.losses import LossSpec
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from fedgc.evaluation import finite_diff_check
+from fedgc.gradcheck import finite_diff_check, global_softmax_grad
 from fedgc.losses import (
     LossSpec,
     NonFiniteError,
     batch_loss_and_grad,
-    global_softmax_grad,
     stable_log_softmax,
 )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedgc.evaluation import finite_diff_check
+from fedgc.gradcheck import finite_diff_check
 from fedgc.nn import (
     BackboneParams,
     SgdState,

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fedgc import regularizers
-from fedgc.evaluation import embedding_similarity_stats, finite_diff_check
+from fedgc.evaluation import embedding_similarity_stats
+from fedgc.gradcheck import finite_diff_check, softmax_reg_naive
 from fedgc.losses import NonFiniteError
 from fedgc.regularizers import (
     StackedEmbeddings,
     cosine_reg,
     masked_softmax_reg,
     softmax_reg,
-    softmax_reg_naive,
 )
 
 

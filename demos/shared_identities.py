@@ -1,12 +1,14 @@
 """Identities living on two clients at once: merge and masked correction.
 
 Some identities are held by more than one client, each training its own
-copy of that column.  The server averages the copies after restacking,
-and the masked penalty treats each merged group as a single identity:
-copies are never pushed away from each other, only away from genuinely
-different identities.  This script trains such a federation, then opens
-up one round to show the copies drifting during local training, agreeing
-again after the merge, and being ignored by each other's anchors.
+copy of that column.  The stacked head matrix tags every column with its
+identity, so the server knows the copies from the stack alone: it averages
+them after restacking, and the softmax penalty treats each merged group as
+a single identity -- copies are never pushed away from each other, only
+away from genuinely different identities.  This script trains such a
+federation, then opens up one round to show the copies drifting during
+local training, agreeing again after the merge, and being ignored by each
+other's anchors.
 """
 
 import argparse
@@ -16,17 +18,16 @@ from dataclasses import replace
 
 from fedgc import federation
 from fedgc.experiments import default_spec, make_dataset, make_partition
-from fedgc.regularizers import StackedEmbeddings, masked_softmax_reg
+from fedgc.regularizers import softmax_reg
 
 
-def copy_cosines(server, groups):
+def copy_cosines(server):
     """Cosine between the copies of every shared identity."""
+    emb = server.embeddings
     out = {}
-    for cls, group in groups:
-        cols = [int(c) for c in np.flatnonzero(server.class_of == cls)
-                if server.embeddings.client_of[c] in group]
-        a, b = server.embeddings.W[:, cols[0]], server.embeddings.W[:, cols[1]]
-        out[cls] = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+    for cols in emb.shared_columns():
+        a, b = emb.W[:, cols[0]], emb.W[:, cols[1]]
+        out[int(emb.class_of[cols[0]])] = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
     return out
 
 
@@ -40,11 +41,12 @@ def main() -> int:
     cfg = replace(spec.fed, mode="fedgc", lam=50.0, rounds=args.rounds)
     dataset = make_dataset(spec, cfg)
     part, client_data = make_partition(dataset, "shared", spec, cfg)
-    print(f"{len(part.shared_groups)} of {dataset.num_classes} identities shared:")
-    for cls, group in part.shared_groups:
+    shared = {cls: group for cls, group in sorted(part.assignment.items()) if len(group) > 1}
+    print(f"{len(shared)} of {dataset.num_classes} identities shared:")
+    for cls, group in shared.items():
         print(f"  identity {cls:2d} held by clients {tuple(group)}")
 
-    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg, part.shared_groups)
+    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
     for _ in range(cfg.rounds):
         server, mean_loss = federation.run_round(server, clients, cfg, rng)
@@ -57,23 +59,22 @@ def main() -> int:
         theta_b, head_b = federation.client_payload(server, k)
         _, head_k, _ = federation.client_update(clients[k], theta_b, head_b, cfg, server.round)
         new_w[:, server.head_slices[k]] = head_k
-    drifted = replace(server, embeddings=StackedEmbeddings(new_w, server.embeddings.client_of.copy()))
-    merged = federation.merge_shared_identities(drifted, server.shared_groups)
+    drifted = replace(server, embeddings=replace(server.embeddings, W=new_w))
+    merged = federation.merge_shared_identities(drifted)
 
-    pre, post = copy_cosines(drifted, server.shared_groups), copy_cosines(merged, server.shared_groups)
+    pre, post = copy_cosines(drifted), copy_cosines(merged)
     print("\nidentity   copy cosine before merge   after merge")
     for cls in sorted(pre):
         print(f"{cls:8d}   {pre[cls]:23.6f}   {post[cls]:11.6f}")
 
     # group-mates are not each other's negatives: anchor one shared column
     # and look at the penalty gradient on its twin
-    groups = merged.column_shared_groups()
-    cls, group = server.shared_groups[0]
-    cols = [int(c) for c in np.flatnonzero(server.class_of == cls)]
+    cols = merged.embeddings.shared_columns()[0]
+    cls = int(merged.embeddings.class_of[cols[0]])
     mask = np.zeros(merged.embeddings.num_columns, dtype=bool)
     mask[cols[0]] = True
-    solo = StackedEmbeddings(merged.embeddings.W, merged.embeddings.client_of, anchor_mask=mask)
-    grad = masked_softmax_reg(solo, groups, normalize_columns=cfg.normalize_reg).grad
+    solo = replace(merged.embeddings, anchor_mask=mask)
+    grad = softmax_reg(solo, normalize_columns=cfg.normalize_reg).grad
     twin, outsider = np.abs(grad[:, cols[1]]).max(), np.abs(grad).max()
     print(f"\npenalty gradient from identity {cls}'s anchor: on its twin copy {twin:.1e}, "
           f"largest on any other column {outsider:.2e}")

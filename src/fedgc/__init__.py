@@ -68,7 +68,6 @@ from .regularizers import (
     RegGrad,
     StackedEmbeddings,
     cosine_reg,
-    masked_softmax_reg,
     softmax_reg,
 )
 

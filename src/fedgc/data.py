@@ -9,7 +9,7 @@ in a plain private-head run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +121,6 @@ class PartitionSpec:
     assignment: dict[int, tuple[int, ...]]  # class -> clients holding it
     counts: np.ndarray                      # per-client sample counts n_k
     scheme: str
-    shared_groups: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
 
 
 @dataclass
@@ -291,11 +290,9 @@ def partition_shared(
 
     holders: dict[int, tuple[int, ...]] = {}
     splits: dict[int, dict[int, np.ndarray]] = {}
-    shared_groups = []
     for cls in shared_classes:
         group = tuple(int(g) for g in np.sort(rng.choice(num_clients, size=group_size, replace=False)))
         holders[cls] = group
-        shared_groups.append((cls, group))
         idx = np.flatnonzero(dataset.train_y == cls)
         chunks = np.array_split(idx, group_size)
         splits[cls] = {k: chunk for k, chunk in zip(group, chunks)}
@@ -308,4 +305,4 @@ def partition_shared(
 
     clients = _build_clients(dataset, holders, splits, num_clients)
     n_k = np.array([cl.n_samples for cl in clients])
-    return PartitionSpec(num_clients, holders, n_k, "shared", shared_groups), clients
+    return PartitionSpec(num_clients, holders, n_k, "shared"), clients

@@ -81,15 +81,12 @@ class SimilarityStats:
     excluded_zero_norm: int
 
 
-def embedding_similarity_stats(
-    emb: StackedEmbeddings, bins: int = 50, class_of: np.ndarray | None = None
-) -> SimilarityStats:
+def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> SimilarityStats:
     """Pairwise column cosines, split into within-client and cross-client.
 
-    When ``class_of`` gives an identity per column, pairs of columns naming
-    the same identity (duplicate columns under shared ownership) are
-    skipped -- after merging those are identical by construction and would
-    pin the cross-client max at 1.
+    Pairs of columns naming the same identity (the stack's class_of; copies
+    of a shared identity) are skipped -- after merging those are identical
+    by construction and would pin the cross-client max at 1.
     """
     if emb.num_columns < 2:
         raise ValueError("need at least 2 columns")
@@ -98,7 +95,7 @@ def embedding_similarity_stats(
     excluded = int((~keep).sum())
     w = emb.W[:, keep] / norms[keep]
     clients = emb.client_of[keep]
-    cls = None if class_of is None else np.asarray(class_of)[keep]
+    cls = emb.class_of[keep]
     n = w.shape[1]
     edges = np.linspace(-1.0, 1.0, bins + 1)
     hists = {True: np.zeros(bins, dtype=np.int64), False: np.zeros(bins, dtype=np.int64)}
@@ -108,8 +105,7 @@ def embedding_similarity_stats(
         rows, cols = np.arange(blk.start, blk.stop), np.arange(blk.start, n)
         cos = w[:, blk].T @ w[:, blk.start:]
         pick = cols[None, :] > rows[:, None]
-        if cls is not None:
-            pick &= cls[rows, None] != cls[None, cols]
+        pick &= cls[rows, None] != cls[None, cols]
         is_cross = clients[rows, None] != clients[None, cols]
         for cross in (True, False):
             values = cos[pick & (is_cross == cross)]

@@ -163,15 +163,6 @@ class CellResult:
 # config files
 
 
-def _as_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _as_steps(raw: str) -> int | None:
     # empty value = one full epoch per round
     return None if raw.strip() == "" else int(raw)
@@ -188,7 +179,6 @@ def _as_names(raw: str) -> list[str]:
 _CASTS = {
     "int": int,
     "float": float,
-    "bool": _as_bool,
     "str": str.strip,
     "LossSpec": str.strip,  # a variant name; loss_margin/loss_scale fill in the rest
     "int | None": _as_steps,
@@ -434,7 +424,7 @@ def make_partition(dataset, partition: str, spec: ExperimentSpec, cfg):
 def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> evaluation.RoundMetrics:
     """Full metrics row for the current state; every field finite for healthy runs."""
     accuracy = evaluation.verification_accuracy(server.theta, dataset.test_x, dataset.pairs)
-    stats = evaluation.embedding_similarity_stats(server.embeddings, class_of=server.class_of)
+    stats = evaluation.embedding_similarity_stats(server.embeddings)
     # a degenerate split (single head, or one column per client) has no
     # pairs on one side; report the all-pairs maximum there instead
     cross, within = stats.cross_client_max_cos, stats.within_client_max_cos
@@ -486,9 +476,7 @@ def _train_rounds(server, clients, step, cfg, dataset, eval_every: int):
 
 def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
     """Train one federated cell; returns (status, metrics, server, clients)."""
-    server, clients = federation.build_federation(
-        client_data, dataset.input_dim, cfg, part.shared_groups
-    )
+    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
 
     def step(s):
@@ -546,9 +534,7 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
         )
         stats = result.similarity
         if stats is None:  # no round was evaluated (rounds = 0)
-            stats = evaluation.embedding_similarity_stats(
-                result.server.embeddings, class_of=result.server.class_of
-            )
+            stats = evaluation.embedding_similarity_stats(result.server.embeddings)
         _write_hist(
             os.path.join(cell_dir, "similarity_cross.csv"), stats.bin_edges, stats.cross_hist
         )

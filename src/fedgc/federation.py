@@ -18,7 +18,10 @@ receives them for aggregation anyway); a client holds just its data shard.
 "Private" means client-to-client isolation: a client is only ever sent the
 backbone and its own columns. The centralized baseline is the same server
 state with a single client that holds every class, advanced by
-centralized_round instead of run_round.
+centralized_round instead of run_round. The stack also records each
+column's identity (StackedEmbeddings.class_of), so an identity that several
+clients hold is known from the stack alone: run_round averages its copies
+and the softmax penalty never pushes them apart.
 
 All randomness is derived from (seed, round, client_id), so a run is
 bit-reproducible and independent of client execution order.
@@ -37,7 +40,7 @@ from . import nn
 from .config import check
 from .data import ClientData
 from .losses import LossSpec, batch_loss_and_grad, check_inputs, loss_and_grad, target_index
-from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, masked_softmax_reg, softmax_reg
+from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 
 MODES = ("fedpe", "fedgc", "fedcos", "fedpe_fixed", "centralized")
 CORRECTION_MODES = ("fedgc", "fedcos")
@@ -59,7 +62,6 @@ class FederationConfig:
     weight_decay: float = 5e-4
     hidden_dim: int = 64
     embedding_dim: int = 32
-    correct_all_heads: bool = True  # correction also moves non-participants' stored heads
 
     def __post_init__(self):
         check(self, [
@@ -99,16 +101,6 @@ class ServerState:
     weights: np.ndarray              # p_k = n_k / N over all clients
     round: int
     head_slices: list[slice]         # column range of each client's head
-    class_of: np.ndarray             # column -> global class id
-    shared_groups: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-
-    def column_shared_groups(self) -> list[tuple[int, frozenset[int]]]:
-        """Per-column sharing sets for the masked regularizer."""
-        out = []
-        for cls, group in self.shared_groups:
-            for col in np.flatnonzero(self.class_of == cls):
-                out.append((int(col), frozenset(group)))
-        return out
 
     def head_of(self, client_id: int) -> np.ndarray:
         return self.embeddings.W[:, self.head_slices[client_id]].copy()
@@ -120,12 +112,13 @@ def init_head(num_classes: int, embedding_dim: int, rng: np.random.Generator) ->
 
 
 def build_federation(
-    client_data: list[ClientData], input_dim: int, cfg: FederationConfig, shared_groups=None
+    client_data: list[ClientData], input_dim: int, cfg: FederationConfig
 ) -> tuple[ServerState, list[ClientData]]:
     """The server state for partitioned data, seeded from cfg.seed, and the shards.
 
-    Every head lives only in the server's stacked matrix; a client receives
-    its own columns through client_payload each round.
+    Every head lives only in the server's stacked matrix, each column tagged
+    with its client and its global class; a client receives its own columns
+    through client_payload each round.
     """
     theta = nn.init_backbone([input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     clients = list(client_data)
@@ -143,12 +136,12 @@ def build_federation(
     weights = counts / total if total else np.full(len(clients), 1.0 / max(len(clients), 1))
     server = ServerState(
         theta=theta,
-        embeddings=StackedEmbeddings(np.concatenate(heads, axis=1), np.array(client_of)),
+        embeddings=StackedEmbeddings(
+            np.concatenate(heads, axis=1), np.array(client_of), class_of=np.array(class_of)
+        ),
         weights=weights,
         round=0,
         head_slices=slices,
-        class_of=np.array(class_of),
-        shared_groups=list(shared_groups or ()),
     )
     return server, clients
 
@@ -271,34 +264,22 @@ def aggregate_theta(updates: list[tuple[nn.BackboneParams, int]]) -> nn.Backbone
     return nn.BackboneParams.from_list(acc, ref.activation)
 
 
-def regularizer_grad(
-    emb: StackedEmbeddings, cfg: FederationConfig, shared_groups=None
-) -> RegGrad:
+def regularizer_grad(emb: StackedEmbeddings, cfg: FederationConfig) -> RegGrad:
     """The configured mode's regularizer over the stacked heads."""
     if cfg.mode == "fedcos":
         return cosine_reg(emb, normalize_columns=cfg.normalize_reg)
-    if shared_groups:
-        return masked_softmax_reg(emb, shared_groups, normalize_columns=cfg.normalize_reg)
     return softmax_reg(emb, normalize_columns=cfg.normalize_reg)
 
 
-def correction_step(
-    emb: StackedEmbeddings,
-    cfg: FederationConfig,
-    shared_groups=None,
-    column_mask: np.ndarray | None = None,
-) -> StackedEmbeddings:
-    """One plain gradient step of size lambda * eta on the stacked head matrix."""
+def correction_step(emb: StackedEmbeddings, cfg: FederationConfig) -> StackedEmbeddings:
+    """One plain gradient step of size lambda * eta on the whole stacked head matrix."""
     if cfg.mode not in CORRECTION_MODES:
         raise ValueError(f"correction step is only defined for fedgc/fedcos, not {cfg.mode}")
     step = cfg.lam * cfg.eta
     if step == 0.0 or emb.num_clients < 2:
         return emb.copy()
-    rg = regularizer_grad(emb, cfg, shared_groups)
-    delta = step * rg.grad
-    if column_mask is not None:
-        delta = delta * column_mask[None, :]
-    return replace(emb.copy(), W=emb.W - delta)
+    rg = regularizer_grad(emb, cfg)
+    return replace(emb.copy(), W=emb.W - step * rg.grad)
 
 
 def sample_clients(cfg: FederationConfig, rng: np.random.Generator) -> np.ndarray:
@@ -316,8 +297,9 @@ def run_round(
     """One communication round; returns the new server state and mean local loss.
 
     Samples clients, broadcasts (backbone, own head), collects updates,
-    averages the backbone, restacks the heads, and applies the correction
-    step in fedgc/fedcos mode. Reduction is in client-index order.
+    averages the backbone, restacks the heads, averages the copies of every
+    shared identity, and applies the correction step to the whole stack in
+    fedgc/fedcos mode. Reduction is in client-index order.
     """
     sampled = sample_clients(cfg, rng)
     new_w = server.embeddings.W.copy()
@@ -335,47 +317,23 @@ def run_round(
             losses.append(float(np.mean(trace)))
 
     theta = aggregate_theta(updates) if updates else server.theta.copy()
-    emb = StackedEmbeddings(new_w, server.embeddings.client_of.copy(), server.embeddings.anchor_mask)
+    emb = replace(server.embeddings, W=new_w)
     new_server = replace(server, theta=theta, embeddings=emb, round=server.round + 1)
 
-    if server.shared_groups:
-        new_server = merge_shared_identities(new_server, server.shared_groups)
+    if emb.shared_columns():
+        new_server = merge_shared_identities(new_server)
     if cfg.mode in CORRECTION_MODES:
-        mask = None
-        if not cfg.correct_all_heads:
-            mask = np.zeros(emb.num_columns)
-            for k in sampled:
-                mask[server.head_slices[k]] = 1.0
-        new_server = replace(
-            new_server,
-            embeddings=correction_step(
-                new_server.embeddings, cfg, new_server.column_shared_groups(), mask
-            ),
-        )
+        new_server = replace(new_server, embeddings=correction_step(new_server.embeddings, cfg))
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     return new_server, mean_loss
 
 
-def merge_shared_identities(server: ServerState, groups) -> ServerState:
-    """Average every shared identity's columns across its client group."""
+def merge_shared_identities(server: ServerState) -> ServerState:
+    """Replace the columns that share a class id by their mean, in ascending column order."""
     w = server.embeddings.W.copy()
-    for cls, group in groups:
-        cols = [
-            int(c)
-            for c in np.flatnonzero(server.class_of == cls)
-            if server.embeddings.client_of[c] in group
-        ]
-        held_by = {int(server.embeddings.client_of[c]) for c in cols}
-        missing = set(group) - held_by
-        if missing:
-            raise ValueError(f"class {cls}: clients {sorted(missing)} hold no column for it")
-        if len(cols) < 2:
-            continue
-        mean = w[:, cols].mean(axis=1)
-        for c in cols:
-            w[:, c] = mean
-    emb = StackedEmbeddings(w, server.embeddings.client_of.copy(), server.embeddings.anchor_mask)
-    return replace(server, embeddings=emb)
+    for cols in server.embeddings.shared_columns():
+        w[:, cols] = w[:, cols].mean(axis=1)[:, None]
+    return replace(server, embeddings=replace(server.embeddings, W=w))
 
 
 def combined_objective(server: ServerState, clients: list[ClientData], cfg: FederationConfig) -> float:
@@ -392,7 +350,7 @@ def combined_objective(server: ServerState, clients: list[ClientData], cfg: Fede
         lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
         total += float(server.weights[cl.client_id]) * lg.loss
     if cfg.lam > 0.0 and cfg.mode in CORRECTION_MODES:
-        rg = regularizer_grad(server.embeddings, cfg, server.column_shared_groups())
+        rg = regularizer_grad(server.embeddings, cfg)
         total += cfg.lam * rg.value
     return total
 
@@ -412,7 +370,6 @@ def build_centralized(
         weights=np.ones(1),
         round=0,
         head_slices=[slice(0, num_classes)],
-        class_of=np.arange(num_classes),
     )
     return server, ClientData(0, list(range(num_classes)), x, y)
 
@@ -439,6 +396,7 @@ def centralized_round(
 def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> None:
     """Checkpoint directory: manifest.json plus one tensor section per parameter set."""
     os.makedirs(path, exist_ok=True)
+    emb = server.embeddings
     manifest = {
         "round": server.round,
         "activation": server.theta.activation,
@@ -451,7 +409,10 @@ def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> Non
             }
             for cl in clients
         ],
-        "shared_groups": [[cls, list(group)] for cls, group in server.shared_groups],
+        "shared_groups": [
+            [int(emb.class_of[cols[0]]), np.unique(emb.client_of[cols]).tolist()]
+            for cols in emb.shared_columns()
+        ],
     }
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -459,7 +420,7 @@ def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> Non
     for cl in clients:
         nn.write_tensors(
             os.path.join(path, f"head_{cl.client_id:03d}.fgc"),
-            [server.embeddings.W[:, server.head_slices[cl.client_id]]],
+            [emb.W[:, server.head_slices[cl.client_id]]],
         )
 
 

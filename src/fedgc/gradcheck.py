@@ -72,7 +72,7 @@ def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int)
     return batch_loss_and_grad(LossSpec.softmax(), embeddings, feature, label)
 
 
-def softmax_reg_naive(emb: StackedEmbeddings, shared_groups=None) -> RegGrad:
+def softmax_reg_naive(emb: StackedEmbeddings) -> RegGrad:
     """Direct-exponential evaluation, one anchor at a time.
 
     Overflows for large column norms; exists only to cross-check the stable
@@ -81,7 +81,7 @@ def softmax_reg_naive(emb: StackedEmbeddings, shared_groups=None) -> RegGrad:
     w = emb.W
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite entry in stacked embeddings")
-    owners = _ownership(emb, shared_groups)
+    owners = _ownership(emb)
     value = 0.0
     grad = np.zeros_like(w)
     for a in _anchor_columns(emb):
@@ -112,7 +112,7 @@ class DirectionReport:
     direction_cosines: np.ndarray      # correction vs centralized directions
 
 
-def grad_direction_diagnostic(server, clients, cfg, client_id: int = 0, sample: int = 0) -> DirectionReport:
+def grad_direction_diagnostic(server, clients, client_id: int = 0, sample: int = 0) -> DirectionReport:
     """Evaluate the correction geometry on one probe sample.
 
     The probe replaces the sample's own class embedding with its feature and
@@ -332,8 +332,7 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     _record(rows, "two-client orthonormal closed form", err, 1e-10)
 
     # correction geometry: substitution identity, direction, magnitude ratio
-    server, clients, cfg = _probe_federation(seed)
-    report = grad_direction_diagnostic(server, clients, cfg)
+    report = grad_direction_diagnostic(*_probe_federation(seed))
     _record(rows, "anchored vs feature-substituted correction", report.max_correction_vs_feature_diff, 1e-12)
     _record(rows, "correction vs centralized direction", np.abs(report.direction_cosines - 1.0).max(), 1e-12)
     _record(
@@ -351,8 +350,7 @@ def _probe_federation(seed: int):
     spec = datasets.SyntheticSpec(num_classes=6, samples_per_class=8, input_dim=5, seed=seed)
     dataset = datasets.generate(spec)
     _, client_data = datasets.partition_balanced(dataset, cfg.num_clients)
-    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
-    return server, clients, cfg
+    return federation.build_federation(client_data, dataset.input_dim, cfg)
 
 
 def _trained_regime_ratios(seed: int) -> np.ndarray:

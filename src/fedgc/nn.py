@@ -7,6 +7,7 @@ cannot hold.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -214,25 +215,30 @@ def write_tensors(path, arrays: list[np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
         for a in arrays:
-            a = np.ascontiguousarray(a, dtype=np.float64)
+            a = np.asarray(a, dtype=np.float64)  # keeps a 0-d array 0-d
             fh.write(struct.pack("<I", a.ndim))
             fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
             fh.write(a.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path, part: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated tensor {part}")
+    return raw
+
+
 def read_tensors(path) -> list[np.ndarray]:
-    """Inverse of write_tensors; round-trips bit-exactly."""
+    """Inverse of write_tensors; round-trips bit-exactly. A short file raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a parameter file")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         out = []
         for _ in range(count):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            if data.size != n:
-                raise ValueError(f"{path}: truncated tensor payload")
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "header"))
+            n = math.prod(shape)
+            data = np.frombuffer(_read_exact(fh, 8 * n, path, "payload"), dtype="<f8")
             out.append(data.astype(np.float64).reshape(shape))
     return out

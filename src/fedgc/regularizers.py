@@ -22,11 +22,12 @@ anchors in blocks: each block's scores against every column, their
 log-sum-exp and their softmax weights live in one (B, C) buffer, with B set
 by a fixed element budget, so memory is O(d C + C B). Each anchor's term is
 independent, so blocking changes only the summation order. Which pairs may
-be separated comes from client ownership: plain stacks compare client_of,
-and stacks with shared-identity columns use a C x K 0/1 ownership matrix M,
-where two columns are separable iff their entry of M M^T is 0. The cosine
-penalty needs no pairs at all: it is evaluated in closed form from
-per-client column sums in O(d C).
+be separated comes from the stack itself: the owners of a column are the
+clients holding a column of the same identity (class_of). A stack with one
+column per identity compares client_of; a stack where an identity repeats
+uses a C x K 0/1 ownership matrix M, and two columns are separable iff
+their entry of M M^T is 0. The cosine penalty needs no pairs at all: it is
+evaluated in closed form from per-client column sums in O(d C).
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ from .losses import NonFiniteError
 class StackedEmbeddings:
     """All client heads side by side: W is (d, C), client_of maps column -> client.
 
-    anchor_mask optionally restricts which columns act as anchors; every
-    column still acts as a negative for other clients' anchors.
+    class_of maps column -> identity and defaults to one identity per column;
+    columns of different clients that name the same identity are copies of
+    one shared class. anchor_mask optionally restricts which columns act as
+    anchors; every column still acts as a negative for other clients' anchors.
     """
 
     W: np.ndarray
     client_of: np.ndarray
     anchor_mask: np.ndarray | None = None
+    class_of: np.ndarray | None = None
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -61,6 +65,11 @@ class StackedEmbeddings:
             self.anchor_mask = np.asarray(self.anchor_mask, dtype=bool)
             if self.anchor_mask.shape != (self.W.shape[1],):
                 raise ValueError("anchor_mask must be one flag per column")
+        if self.class_of is None:
+            self.class_of = np.arange(self.W.shape[1])
+        self.class_of = np.asarray(self.class_of, dtype=np.int64)
+        if self.class_of.shape != (self.W.shape[1],):
+            raise ValueError("class_of must name one identity per column")
 
     @property
     def num_clients(self) -> int:
@@ -70,9 +79,20 @@ class StackedEmbeddings:
     def num_columns(self) -> int:
         return self.W.shape[1]
 
+    def shared_columns(self) -> list[np.ndarray]:
+        """Ascending column indices of every identity held more than once, by identity."""
+        order = np.argsort(self.class_of, kind="stable")
+        ids = self.class_of[order]
+        repeats = ids[1:] == ids[:-1]
+        if not repeats.any():
+            return []
+        held_more = np.r_[repeats, False] | np.r_[False, repeats]  # sorted runs of length > 1
+        order, ids = order[held_more], ids[held_more]
+        return np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+
     def copy(self) -> "StackedEmbeddings":
         mask = None if self.anchor_mask is None else self.anchor_mask.copy()
-        return StackedEmbeddings(self.W.copy(), self.client_of.copy(), mask)
+        return StackedEmbeddings(self.W.copy(), self.client_of.copy(), mask, self.class_of.copy())
 
 
 @dataclass
@@ -92,22 +112,19 @@ def _blocks(count: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _ownership(emb: StackedEmbeddings, shared_groups) -> np.ndarray | None:
-    """C x K 0/1 matrix of the clients owning each column; None without shared groups.
+def _ownership(emb: StackedEmbeddings) -> np.ndarray | None:
+    """C x K 0/1 matrix of the clients owning each column; None when no identity repeats.
 
-    A shared column is owned by its whole group, every other column by its
-    own client. Two columns may be separated iff they share no owner.
+    The owners of a column are the clients holding a column of its identity.
+    Two columns may be separated iff they share no owner.
     """
-    if not shared_groups:
+    ids, identity = np.unique(emb.class_of, return_inverse=True)
+    if ids.size == emb.num_columns:
         return None
-    group_ids = [int(k) for _, clients in shared_groups for k in clients]
-    ids = np.unique(np.concatenate([emb.client_of, np.asarray(group_ids, dtype=np.int64)]))
-    owners = np.zeros((emb.num_columns, ids.size))
-    owners[np.arange(emb.num_columns), np.searchsorted(ids, emb.client_of)] = 1.0
-    for col, clients in shared_groups:
-        owners[col] = 0.0
-        owners[col, np.searchsorted(ids, [int(k) for k in clients])] = 1.0
-    return owners
+    _, client = np.unique(emb.client_of, return_inverse=True)
+    held = np.zeros((ids.size, int(client.max()) + 1))
+    held[identity, client] = 1.0
+    return held[identity]
 
 
 def _same_owner(emb: StackedEmbeddings, owners: np.ndarray | None, anchors: np.ndarray) -> np.ndarray:
@@ -142,9 +159,14 @@ def _anchor_columns(emb: StackedEmbeddings) -> np.ndarray:
     return np.flatnonzero(emb.anchor_mask)
 
 
-def _softmax_reg(emb: StackedEmbeddings, shared_groups, normalize_columns: bool) -> RegGrad:
+def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
+    """Softmax regularizer value and stop-gradient-aware gradient.
+
+    A column is a negative for an anchor only when their owner sets are
+    disjoint, so copies of one shared identity are never pushed apart.
+    """
     a_mat = _columns(emb, normalize_columns)
-    owners = _ownership(emb, shared_groups)
+    owners = _ownership(emb)
     anchors = _anchor_columns(emb)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
@@ -165,31 +187,6 @@ def _softmax_reg(emb: StackedEmbeddings, shared_groups, normalize_columns: bool)
         grad_n += block @ scores  # grad[:, w] = sum_a weight[a, w] * anchor_a
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
     return RegGrad(value, grad)
-
-
-def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
-    """Softmax regularizer value and stop-gradient-aware gradient."""
-    return _softmax_reg(emb, None, normalize_columns)
-
-
-def masked_softmax_reg(
-    emb: StackedEmbeddings,
-    shared_groups: list[tuple[int, frozenset[int]]],
-    normalize_columns: bool = False,
-) -> RegGrad:
-    """Softmax regularizer for stacks containing shared-identity columns.
-
-    shared_groups lists (column, client set) for every column whose identity
-    is held by more than one client. A shared column is anchored only against
-    clients outside its group, and is never a negative for anchors of clients
-    inside its group. With no shared groups this is softmax_reg exactly.
-    """
-    for col, clients in shared_groups:
-        if not 0 <= col < emb.num_columns:
-            raise ValueError(f"shared column {col} out of range")
-        if len(clients) < 1:
-            raise ValueError("shared group must name at least one client")
-    return _softmax_reg(emb, shared_groups, normalize_columns)
 
 
 def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:

@@ -28,7 +28,7 @@ from fedgc.experiments import (
 )
 from fedgc.gradcheck import verification_suite
 from fedgc.losses import batch_loss_and_grad
-from fedgc.regularizers import StackedEmbeddings, masked_softmax_reg, softmax_reg
+from fedgc.regularizers import StackedEmbeddings, softmax_reg
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -261,7 +261,10 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
     assert result.status == OK
     server, clients = result.server, result.clients
     cfg = cell_config(spec, cell)
-    assert len(server.shared_groups) == 8  # quarter of 32 classes, pairs of clients
+    emb = server.embeddings
+    shared = emb.shared_columns()
+    # a quarter of 32 classes, each held by a pair of clients
+    assert len(shared) == 8 and all(len(set(emb.client_of[cols])) == 2 for cols in shared)
 
     # replay the first half of a round to see the copies as the clients
     # return them, before the server averages the duplicates
@@ -272,17 +275,15 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
         new_w[:, server.head_slices[cl.client_id]] = head_k
 
     copy_cosines = []
-    for cls, _ in server.shared_groups:
-        a, b = (new_w[:, int(c)] for c in np.flatnonzero(server.class_of == cls))
+    for cols in shared:
+        a, b = new_w[:, cols[0]], new_w[:, cols[1]]
         copy_cosines.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
     assert min(copy_cosines) > 0.99, copy_cosines
 
-    # masked penalty on the trained stack vs a direct masked double loop
-    groups = server.column_shared_groups()
-    owners = {col: frozenset([int(k)]) for col in range(server.embeddings.num_columns)
-              for k in [server.embeddings.client_of[col]]}
-    owners.update({col: who for col, who in groups})
-    w = server.embeddings.W
+    # the penalty on the trained stack vs a direct double loop over the pairs
+    # whose owners (the clients holding a column of the identity) are disjoint
+    owners = [frozenset(emb.client_of[emb.class_of == cls].tolist()) for cls in emb.class_of]
+    w = emb.W
     expected = 0.0
     for a in range(w.shape[1]):
         negs = [j for j in range(w.shape[1]) if owners[j].isdisjoint(owners[a])]
@@ -290,7 +291,7 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
             np.log(np.exp(w[:, a] @ w[:, a]) + np.exp(w[:, negs].T @ w[:, a]).sum())
             - w[:, a] @ w[:, a]
         )
-    got = masked_softmax_reg(server.embeddings, groups).value
+    got = softmax_reg(emb).value
     assert abs(got - expected) / max(1.0, abs(expected)) < 1e-10
     print(f"\n[PASS] criterion 10: pre-merge duplicate columns at cosine "
           f">= {min(copy_cosines):.4f} after training; masked penalty matches "

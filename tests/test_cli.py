@@ -68,6 +68,16 @@ def test_validate_rejects_a_group_larger_than_a_class(tmp_path, capsys):
     assert "[run] group_size: need <= 6 training rows per class, got 7" in err
 
 
+def test_validate_rejects_the_removed_correct_all_heads_key(tmp_path, capsys):
+    # the server correction always moves the whole stacked matrix; the old
+    # opt-out is no config key any more
+    path = write_tiny(tmp_path)
+    text = path.read_text().replace("seed = 3", "seed = 3\ncorrect_all_heads = no")
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 1
+    assert "[federation] correct_all_heads: unknown key" in capsys.readouterr().err
+
+
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert cli.main(["run", str(path)]) == 0

@@ -136,10 +136,11 @@ def test_shared_partition_duplicates_and_splits_samples():
     ds = generate(small_spec(num_classes=16, samples_per_class=16))
     part, clients = partition_shared(ds, 4, share_fraction=0.25, seed=1, group_size=2)
     assert part.scheme == "shared"
-    assert len(part.shared_groups) == 4  # round(0.25 * 16)
-    shared = {cls for cls, _ in part.shared_groups}
-    for cls, group in part.shared_groups:
-        assert len(group) == 2 and part.assignment[cls] == group
+    groups = {cls: hs for cls, hs in part.assignment.items() if len(hs) > 1}
+    assert len(groups) == 4  # round(0.25 * 16)
+    shared = set(groups)
+    for cls, group in groups.items():
+        assert len(group) == 2 and group == tuple(sorted(group))
         # the class's train samples are split (not copied) among the group
         n_total = (ds.train_y == cls).sum()
         per_holder = [(clients[k].y_global == cls).sum() for k in group]
@@ -154,7 +155,7 @@ def test_shared_partition_duplicates_and_splits_samples():
 def test_shared_partition_zero_fraction_has_no_groups():
     ds = generate(small_spec())
     part, _ = partition_shared(ds, 4, share_fraction=0.0, seed=0)
-    assert part.shared_groups == []
+    assert all(len(hs) == 1 for hs in part.assignment.values())
     held = sorted(cls for cls, hs in part.assignment.items() for _ in hs)
     assert held == list(range(8))
 
@@ -176,7 +177,9 @@ def test_shared_partition_rejects_groups_larger_than_a_class():
     with pytest.raises(ValueError, match="group_size: need <= 6 training rows per class"):
         partition_shared(ds, 8, 0.25, 0, group_size=8)
     part, clients = partition_shared(ds, 8, 0.25, 0, group_size=6)
-    for cls, group in part.shared_groups:
+    groups = [(cls, hs) for cls, hs in part.assignment.items() if len(hs) > 1]
+    assert len(groups) == 4
+    for cls, group in groups:
         assert all((clients[k].y_global == cls).sum() == 1 for k in group)
 
 

@@ -1,5 +1,7 @@
 """Verification metrics, similarity statistics, and the finite-difference harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,18 +126,18 @@ def test_similarity_stats_drops_zero_norm_columns():
 
 def test_similarity_stats_excludes_same_identity_pairs():
     # duplicate identity on both clients with identical columns would pin the
-    # cross max at 1; the class map removes exactly that pair
+    # cross max at 1; the stack's class map removes exactly that pair
     w = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     emb = StackedEmbeddings(w, np.array([0, 0, 1]))
     plain = embedding_similarity_stats(emb)
     assert plain.cross_client_max_cos == 1.0
-    masked = embedding_similarity_stats(emb, class_of=np.array([7, 3, 7]))
+    masked = embedding_similarity_stats(replace(emb, class_of=np.array([7, 3, 7])))
     assert abs(masked.cross_client_max_cos - 0.0) < 1e-12
     with pytest.raises(ValueError):
         embedding_similarity_stats(StackedEmbeddings(w[:, :1], np.array([0])))
 
 
-def dense_similarity_stats(emb, bins=50, class_of=None):
+def dense_similarity_stats(emb, bins=50):
     """The full-matrix evaluation the blocked one replaced: one C x C cosine matrix."""
     norms = np.linalg.norm(emb.W, axis=0)
     keep = norms > 0.0
@@ -143,10 +145,8 @@ def dense_similarity_stats(emb, bins=50, class_of=None):
     clients = emb.client_of[keep]
     cos = w.T @ w
     iu, ju = np.triu_indices(w.shape[1], k=1)
-    distinct = np.ones(iu.shape, dtype=bool)
-    if class_of is not None:
-        cls = np.asarray(class_of)[keep]
-        distinct = cls[iu] != cls[ju]
+    cls = emb.class_of[keep]
+    distinct = cls[iu] != cls[ju]
     is_cross = clients[iu] != clients[ju]
     edges = np.linspace(-1.0, 1.0, bins + 1)
     out = []
@@ -167,10 +167,10 @@ def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
     w[:, 17] = 0.0  # a zero-norm column is dropped in both
     client_of = rng.integers(0, 9, size=300)
     class_of = rng.integers(0, 250, size=300)  # some identities repeat
-    emb = StackedEmbeddings(w, client_of)
     for cls in (None, class_of):
-        stats = embedding_similarity_stats(emb, class_of=cls)
-        (cross_max, cross_hist), (within_max, within_hist) = dense_similarity_stats(emb, class_of=cls)
+        emb = StackedEmbeddings(w, client_of, class_of=cls)
+        stats = embedding_similarity_stats(emb)
+        (cross_max, cross_hist), (within_max, within_hist) = dense_similarity_stats(emb)
         # the counts are exact; a maximum is one BLAS dot product, computed by a
         # different kernel (gemm per block, syrk for the full matrix), so it may
         # move in the last bit on some shapes
@@ -180,8 +180,7 @@ def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
         assert abs(stats.within_client_max_cos - within_max) <= 1e-15
         assert stats.excluded_zero_norm == 1
         # the all-pairs maximum equals a second pass with one column per client
-        one_per_client = StackedEmbeddings(w, np.arange(300))
-        again = embedding_similarity_stats(one_per_client, class_of=cls)
+        again = embedding_similarity_stats(replace(emb, client_of=np.arange(300)))
         assert stats.all_pairs_max_cos == again.cross_client_max_cos
         assert stats.all_pairs_max_cos == max(stats.cross_client_max_cos, stats.within_client_max_cos)
 
@@ -235,8 +234,8 @@ def test_mean_anchor_feature_distance_hand_value():
 
 
 def test_grad_direction_diagnostic_probe_identity():
-    server, clients, cfg = small_federation(rounds=6, mode="fedgc", lam=1.0)
-    report = grad_direction_diagnostic(server, clients, cfg, client_id=0, sample=2)
+    server, clients, _ = small_federation(rounds=6, mode="fedgc", lam=1.0)
+    report = grad_direction_diagnostic(server, clients, client_id=0, sample=2)
     # with the anchor replaced by the feature the two forms are the same expression
     assert report.max_correction_vs_feature_diff <= 1e-12
     assert report.cross_columns.tolist() == list(range(4, 8))

@@ -122,7 +122,6 @@ def test_parse_config_reads_values_and_defaults(tmp_path):
         loss = cosface
         loss_margin = 0.2
         local_steps =
-        correct_all_heads = no
 
         [grid]
         modes = fedpe, fedgc
@@ -139,7 +138,7 @@ def test_parse_config_reads_values_and_defaults(tmp_path):
     assert spec.fed.num_clients == 2 and spec.fed.eta == 0.07 and spec.fed.rounds == 4
     assert spec.fed.loss.variant == "cosface" and spec.fed.loss.margin == 0.2
     assert spec.fed.loss.scale == LossSpec.cosface().scale  # unset -> family default
-    assert spec.fed.local_steps is None and spec.fed.correct_all_heads is False
+    assert spec.fed.local_steps is None
     assert spec.fed.momentum == 0.9  # untouched default
     assert spec.modes == ["fedpe", "fedgc"] and spec.lambdas == [2.0, 4.0]
     assert spec.mode_lambdas == {"fedgc": [8.0]}
@@ -220,7 +219,6 @@ def test_parse_config_pins_file_defaults(tmp_path):
             num_clients=8, participation=1.0, lam=20.0, eta=0.1, rounds=200,
             local_steps=None, batch_size=32, mode="fedpe", loss=LossSpec("softmax", 0.0, 1.0),
             seed=0, momentum=0.9, weight_decay=5e-4, hidden_dim=64, embedding_dim=32,
-            correct_all_heads=True,
         ),
         data=datasets.SyntheticSpec(
             num_classes=32, samples_per_class=25, input_dim=16, cluster_std=1.0,
@@ -485,7 +483,7 @@ def test_histograms_come_from_the_last_evaluation(tmp_path, monkeypatch, rounds)
     cell_dir = experiments.write_cell_outputs(spec, result, dataset)
     assert len(result.metrics) == (2 if rounds else 0)
     assert len(calls) == max(1, len(result.metrics))
-    fresh = real(result.server.embeddings, class_of=result.server.class_of)
+    fresh = real(result.server.embeddings)
     for side, counts in (("cross", fresh.cross_hist), ("within", fresh.within_hist)):
         with open(f"{cell_dir}/similarity_{side}.csv") as fh:
             rows = list(csv.reader(fh))[1:]

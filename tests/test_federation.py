@@ -13,7 +13,14 @@ import pytest
 
 from fedgc import nn
 from fedgc.config import ConfigError
-from fedgc.data import ClientData, SyntheticSpec, generate, partition_balanced, partition_shared
+from fedgc.data import (
+    ClientData,
+    SyntheticSpec,
+    generate,
+    partition_balanced,
+    partition_lognormal,
+    partition_shared,
+)
 from fedgc.federation import (
     FederationConfig,
     _batch_plan,
@@ -34,7 +41,7 @@ from fedgc.federation import (
     save_checkpoint,
 )
 from fedgc.losses import LossSpec, batch_loss_and_grad
-from fedgc.regularizers import StackedEmbeddings, cosine_reg, masked_softmax_reg, softmax_reg
+from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 
 def small_cfg(**kw):
@@ -52,7 +59,7 @@ def make_federation(cfg, num_classes=8, spc=12, seed=1, share_fraction=None):
         part, shards = partition_balanced(ds, cfg.num_clients)
     else:
         part, shards = partition_shared(ds, cfg.num_clients, share_fraction, seed=seed)
-    server, clients = build_federation(shards, ds.input_dim, cfg, part.shared_groups)
+    server, clients = build_federation(shards, ds.input_dim, cfg)
     return ds, server, clients
 
 
@@ -121,10 +128,10 @@ def test_build_federation_layout():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     assert server.head_slices == [slice(0, 4), slice(4, 8)]
-    assert server.class_of.tolist() == list(range(8))
+    assert server.embeddings.class_of.tolist() == list(range(8))
     np.testing.assert_array_equal(server.embeddings.client_of, np.repeat([0, 1], 4))
     np.testing.assert_allclose(server.weights, [0.5, 0.5])
-    assert server.round == 0 and server.shared_groups == []
+    assert server.round == 0 and server.embeddings.shared_columns() == []
     # the clients are the partition's shards; their heads live only on the server
     assert [cl.client_id for cl in clients] == [0, 1]
     assert all(isinstance(cl, ClientData) for cl in clients)
@@ -347,9 +354,10 @@ def test_regularizer_grad_dispatch():
     cfg_cos = small_cfg(mode="fedcos")
     rng = np.random.default_rng(0)
     emb = StackedEmbeddings(rng.normal(size=(4, 6)), np.repeat([0, 1], 3))
-    groups = [(0, frozenset({0, 1})), (3, frozenset({0, 1}))]
+    shared = StackedEmbeddings(emb.W, emb.client_of, class_of=[0, 1, 2, 0, 4, 5])
     assert regularizer_grad(emb, cfg_gc).value == softmax_reg(emb).value
-    assert regularizer_grad(emb, cfg_gc, groups).value == masked_softmax_reg(emb, groups).value
+    assert regularizer_grad(shared, cfg_gc).value == softmax_reg(shared).value
+    assert regularizer_grad(shared, cfg_gc).value != regularizer_grad(emb, cfg_gc).value
     assert regularizer_grad(emb, cfg_cos).value == cosine_reg(emb).value
     # margin losses switch both regularizers to normalized columns
     cfg_m = small_cfg(mode="fedgc", loss=LossSpec.cosface())
@@ -372,16 +380,6 @@ def test_correction_step_hand_value_and_guards():
     np.testing.assert_array_equal(correction_step(solo, cfg).W, solo.W)
 
 
-def test_correction_step_column_mask():
-    rng = np.random.default_rng(2)
-    emb = StackedEmbeddings(rng.normal(size=(4, 6)), np.repeat([0, 1], 3))
-    cfg = small_cfg(mode="fedgc", lam=2.0, eta=0.25)
-    mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    out = correction_step(emb, cfg, column_mask=mask)
-    np.testing.assert_array_equal(out.W[:, 3:], emb.W[:, 3:])
-    assert not np.array_equal(out.W[:, :3], emb.W[:, :3])
-
-
 # ---------------------------------------------------------------- rounds
 
 
@@ -400,9 +398,7 @@ def test_run_round_matches_manual_replay():
         new_w[:, server.head_slices[k]] = head_k
         losses.append(float(np.mean(trace)))
     expect_theta = aggregate_theta(updates)
-    expect_emb = correction_step(
-        StackedEmbeddings(new_w, server.embeddings.client_of), cfg, []
-    )
+    expect_emb = correction_step(replace(server.embeddings, W=new_w), cfg)
 
     got, got_loss = run_round(server, clients, cfg, round_rng(cfg.seed))
     assert got.round == 1
@@ -436,19 +432,16 @@ def test_fixed_heads_stay_at_initialization_across_rounds():
 
 
 def test_partial_participation_head_movement():
-    # default: correction moves every stored head; with correct_all_heads off,
-    # unsampled clients' heads are bitwise frozen for the round
-    for correct_all, expect_frozen in [(True, False), (False, True)]:
-        cfg = small_cfg(
-            mode="fedgc", lam=5.0, participation=0.5, correct_all_heads=correct_all,
-        )
+    # the correction moves the whole stacked matrix, so an unsampled client's
+    # stored head moves too; under fedpe it stays bitwise frozen for the round
+    for mode, idle_moves in [("fedgc", True), ("fedpe", False)]:
+        cfg = small_cfg(mode=mode, lam=5.0, participation=0.5)
         _, server, clients = make_federation(cfg)
         sampled = set(sample_clients(cfg, round_rng(cfg.seed)).tolist())
         assert len(sampled) == 1
         (idle,) = set(range(2)) - sampled
         after, _ = run_round(server, clients, cfg, round_rng(cfg.seed))
-        frozen = np.array_equal(after.head_of(idle), server.head_of(idle))
-        assert frozen == expect_frozen
+        assert (not np.array_equal(after.head_of(idle), server.head_of(idle))) == idle_moves
         # the sampled client's head always moves
         (k,) = sampled
         assert not np.array_equal(after.head_of(k), server.head_of(k))
@@ -489,40 +482,59 @@ def test_repeated_runs_are_bitwise_identical():
 def test_merge_shared_identities_hand_mean():
     cfg = small_cfg()
     _, server, _ = make_federation(cfg, share_fraction=0.25)
-    assert len(server.shared_groups) == 2
-    cls, group = server.shared_groups[0]
-    cols = np.flatnonzero(server.class_of == cls)
-    assert len(cols) == 2
-    mean = server.embeddings.W[:, cols].mean(axis=1)
-    merged = merge_shared_identities(server, server.shared_groups)
-    np.testing.assert_allclose(merged.embeddings.W[:, cols[0]], mean, atol=1e-15)
-    np.testing.assert_allclose(merged.embeddings.W[:, cols[1]], mean, atol=1e-15)
+    emb = server.embeddings
+    shared = emb.shared_columns()
+    assert len(shared) == 2
+    merged = merge_shared_identities(server)
+    for cols in shared:
+        assert len(cols) == 2 and emb.class_of[cols[0]] == emb.class_of[cols[1]]
+        mean = (emb.W[:, cols[0]] + emb.W[:, cols[1]]) / 2.0
+        np.testing.assert_allclose(merged.embeddings.W[:, cols[0]], mean, atol=1e-15)
+        np.testing.assert_allclose(merged.embeddings.W[:, cols[1]], mean, atol=1e-15)
     # exclusive columns untouched
-    shared_cols = np.isin(server.class_of, [c for c, _ in server.shared_groups])
+    shared_cols = np.isin(np.arange(emb.num_columns), np.concatenate(shared))
     np.testing.assert_array_equal(
-        merged.embeddings.W[:, ~shared_cols], server.embeddings.W[:, ~shared_cols]
+        merged.embeddings.W[:, ~shared_cols], emb.W[:, ~shared_cols]
     )
 
 
 def test_merge_shared_identities_errors_and_degenerates():
     cfg = small_cfg()
     _, server, _ = make_federation(cfg)  # balanced: every class exclusive
-    exclusive_cls = int(server.class_of[0])
-    with pytest.raises(ValueError, match="hold no column"):
-        merge_shared_identities(server, [(exclusive_cls, (0, 1))])
-    # a one-client group is a no-op rather than an error
-    out = merge_shared_identities(server, [(exclusive_cls, (0,))])
+    # with one column per identity the merge is a no-op rather than an error
+    out = merge_shared_identities(server)
     np.testing.assert_array_equal(out.embeddings.W, server.embeddings.W)
+    # three copies of one identity, on any clients, average in ascending column order
+    w = np.arange(12.0).reshape(2, 6)
+    emb = StackedEmbeddings(w, [0, 0, 1, 1, 2, 2], class_of=[9, 1, 2, 9, 4, 9])
+    merged = merge_shared_identities(replace(server, embeddings=emb)).embeddings.W
+    for col in (0, 3, 5):
+        np.testing.assert_array_equal(merged[:, col], w[:, [0, 3, 5]].mean(axis=1))
+    np.testing.assert_array_equal(merged[:, [1, 2, 4]], w[:, [1, 2, 4]])
 
 
-def test_column_shared_groups_expansion():
-    cfg = small_cfg()
-    _, server, _ = make_federation(cfg, share_fraction=0.25)
-    expanded = server.column_shared_groups()
-    assert len(expanded) == 4  # 2 shared classes x 2 columns each
-    for col, owners in expanded:
-        assert owners == frozenset(server.shared_groups[0][1])
-        assert int(server.class_of[col]) in {c for c, _ in server.shared_groups}
+@pytest.mark.parametrize("scheme", ["balanced", "lognormal", "shared"])
+def test_stack_owners_are_the_partition_assignment(scheme):
+    # the owners of a column, derived from the stack alone, are exactly the
+    # clients the partition assigned its class to
+    ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=3))
+    if scheme == "balanced":
+        part, shards = partition_balanced(ds, 4)
+    elif scheme == "lognormal":
+        part, shards = partition_lognormal(ds, 4, seed=3)
+    else:
+        part, shards = partition_shared(ds, 4, 0.5, seed=3, group_size=3)
+    server, _ = build_federation(shards, ds.input_dim, small_cfg(num_clients=4))
+    emb = server.embeddings
+    assert sorted(emb.class_of.tolist()) == sorted(
+        cls for cls, holders in part.assignment.items() for _ in holders
+    )
+    for col in range(emb.num_columns):
+        cls = int(emb.class_of[col])
+        owners = set(emb.client_of[emb.class_of == cls].tolist())
+        assert owners == set(part.assignment[cls])
+    shared = {int(emb.class_of[cols[0]]) for cols in emb.shared_columns()}
+    assert shared == {cls for cls, holders in part.assignment.items() if len(holders) > 1}
 
 
 # ---------------------------------------------------------------- objective
@@ -592,17 +604,25 @@ def test_centralized_momentum_persists_across_rounds():
 
 def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg(mode="fedgc", lam=1.0)
-    _, server, clients = make_federation(cfg, share_fraction=0.25)
+    ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
+    part, shards = partition_shared(ds, cfg.num_clients, 0.25, seed=1)
+    server, clients = build_federation(shards, ds.input_dim, cfg)
     server, _ = run_round(server, clients, cfg, round_rng(cfg.seed))
     path = tmp_path / "ckpt"
     save_checkpoint(server, clients, path)
     theta, heads, manifest = load_checkpoint(path)
-    for a, b in zip(theta.to_list(), server.theta.to_list()):
-        np.testing.assert_array_equal(a, b)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    assert all(same_bits(a, b) for a, b in zip(theta.to_list(), server.theta.to_list()))
+    assert theta.activation == server.theta.activation
     for cl in clients:
-        np.testing.assert_array_equal(heads[cl.client_id], server.head_of(cl.client_id))
+        assert same_bits(heads[cl.client_id], server.head_of(cl.client_id))
     assert manifest["round"] == 1
     assert [e["id"] for e in manifest["clients"]] == [0, 1]
-    assert sorted(tuple(g) for _, g in manifest["shared_groups"]) == sorted(
-        tuple(g) for _, g in server.shared_groups
-    )
+    # the shared groups are derived from the stack and name the partition's holders
+    shared = [cls for cls, holders in sorted(part.assignment.items()) if len(holders) > 1]
+    assert len(shared) == 2
+    assert [cls for cls, _ in manifest["shared_groups"]] == shared
+    assert [tuple(g) for _, g in manifest["shared_groups"]] == [part.assignment[c] for c in shared]

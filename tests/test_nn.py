@@ -1,7 +1,13 @@
 """Backbone forward/backward, the SGD step, and the tensor file format."""
 
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgc.gradcheck import finite_diff_check
 from fedgc.nn import (
@@ -218,3 +224,43 @@ def test_tensor_file_rejects_truncation(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_tensors(path)
+
+
+# +0, -0, +inf, -inf, a quiet NaN with a payload, a signaling NaN, the sign-flipped quiet NaN
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000C0FFEE, 0x7FF0000000000001, 0xFFF8000000000123,
+]
+
+
+@st.composite
+def tensors(draw):
+    """A float64 array of any bit patterns, with 0-d and empty shapes included."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    bits = draw(st.lists(
+        st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+        min_size=math.prod(shape), max_size=math.prod(shape),
+    ))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(tensors(), max_size=4))
+@example([np.array(-0.0), np.zeros((0, 3)), np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)])
+def test_tensor_file_roundtrips_bit_exactly_and_rejects_every_truncation(arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.fgc")
+        write_tensors(path, arrays)
+        back = read_tensors(path)
+        assert len(back) == len(arrays)
+        assert all(same_bits(a, b) for a, b in zip(arrays, back))
+        # a file cut short anywhere, header or payload, is a ValueError naming the file
+        size = os.path.getsize(path)
+        for cut in range(size - 1, -1, -1):
+            os.truncate(path, cut)
+            with pytest.raises(ValueError, match="t.fgc"):
+                read_tensors(path)

@@ -1,13 +1,17 @@
 """Separation penalties on stacked heads: closed forms, stop-gradient, masking.
 
 The oracles here are deliberately independent of the library code: frozen-
-anchor values are recomputed with explicit loops over anchors, the masked
-variant is checked against a double loop over allowed pairs, and the blocked
-softmax and closed-form cosine penalties are checked against test-local
-copies of the dense C x C evaluation they replaced.
+anchor values are recomputed with explicit loops over anchors, stacks with
+shared identities are checked against a double loop over allowed pairs, and
+the blocked softmax and closed-form cosine penalties are checked against
+test-local copies of the dense C x C evaluation they replaced. Every
+reference takes a column's owners from the stack: the clients holding a
+column of the same identity (class_of).
 """
 
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,20 +23,23 @@ from fedgc import regularizers
 from fedgc.evaluation import embedding_similarity_stats
 from fedgc.gradcheck import finite_diff_check, softmax_reg_naive
 from fedgc.losses import NonFiniteError
-from fedgc.regularizers import (
-    StackedEmbeddings,
-    cosine_reg,
-    masked_softmax_reg,
-    softmax_reg,
-)
+from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 
-def random_stack(seed, d=8, columns_per_client=(3, 2, 4), scale=0.8):
+def random_stack(seed, d=8, columns_per_client=(3, 2, 4), scale=0.8, class_of=None):
     rng = np.random.default_rng(seed)
     cols = sum(columns_per_client)
     w = rng.normal(0.0, scale, size=(d, cols))
     client_of = np.repeat(np.arange(len(columns_per_client)), columns_per_client)
-    return StackedEmbeddings(w, client_of)
+    return StackedEmbeddings(w, client_of, class_of=class_of)
+
+
+def owner_sets(emb):
+    """Per column: the clients holding a column of the same identity."""
+    return [
+        frozenset(int(k) for k in emb.client_of[emb.class_of == emb.class_of[col]])
+        for col in range(emb.num_columns)
+    ]
 
 
 def frozen_anchor_value(anchors, w, client_of, normalize, allowed=None):
@@ -62,6 +69,10 @@ def test_stacked_embeddings_validation():
         StackedEmbeddings(np.zeros((2, 3)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         StackedEmbeddings(np.zeros((2, 3)), np.zeros(3, dtype=int), anchor_mask=np.ones(2, dtype=bool))
+    # class_of defaults to one identity per column and is copied with the stack
+    emb = StackedEmbeddings(np.zeros((2, 3)), np.zeros(3, dtype=int))
+    assert emb.class_of.tolist() == [0, 1, 2] and emb.shared_columns() == []
+    assert emb.copy().class_of is not emb.class_of
 
 
 def test_two_client_orthonormal_closed_form():
@@ -188,13 +199,9 @@ def test_normalized_gradients_are_orthogonal_to_columns():
         np.testing.assert_allclose(dots, 0.0, atol=1e-10)
 
 
-def brute_force_masked(emb, shared_groups):
-    """Direct-exponential masked evaluation over explicitly allowed pairs."""
-    owners = {}
-    for col in range(emb.num_columns):
-        owners[col] = frozenset([int(emb.client_of[col])])
-    for col, clients in shared_groups:
-        owners[col] = frozenset(int(k) for k in clients)
+def brute_force_masked(emb):
+    """Direct-exponential evaluation over the pairs with disjoint owner sets."""
+    owners = owner_sets(emb)
     value = 0.0
     grad = np.zeros_like(emb.W)
     for a in range(emb.num_columns):
@@ -208,29 +215,32 @@ def brute_force_masked(emb, shared_groups):
 
 
 def test_masked_reg_matches_brute_force():
-    emb = random_stack(9, columns_per_client=(3, 3, 3), scale=0.6)
     # column 1 (client 0) and column 4 (client 1) hold the same identity
-    groups = [(1, frozenset({0, 1})), (4, frozenset({0, 1}))]
-    rg = masked_softmax_reg(emb, groups)
-    value, grad = brute_force_masked(emb, groups)
+    emb = random_stack(
+        9, columns_per_client=(3, 3, 3), scale=0.6, class_of=[0, 1, 2, 3, 1, 5, 6, 7, 8]
+    )
+    rg = softmax_reg(emb)
+    value, grad = brute_force_masked(emb)
     assert abs(rg.value - value) < 1e-10
     np.testing.assert_allclose(rg.grad, grad, atol=1e-10)
 
 
 def test_masked_reg_never_separates_group_mates():
-    emb = random_stack(10, columns_per_client=(2, 2, 2))
-    groups = [(0, frozenset({0, 1})), (2, frozenset({0, 1}))]
+    # columns 0 (client 0) and 2 (client 1) are one identity
+    emb = random_stack(10, columns_per_client=(2, 2, 2), class_of=[0, 1, 0, 3, 4, 5])
     # anchor only the first shared column; its twin must feel nothing
-    solo = StackedEmbeddings(emb.W, emb.client_of, anchor_mask=np.arange(6) == 0)
-    grad = masked_softmax_reg(solo, groups).grad
+    grad = softmax_reg(replace(emb, anchor_mask=np.arange(6) == 0)).grad
     assert np.abs(grad[:, 2]).max() == 0.0
+    # client 1's other column is owned by client 1 alone, so it is no negative either
+    assert np.abs(grad[:, 3]).max() == 0.0
     # client 2's columns are proper negatives and do get pushed
     assert np.abs(grad[:, 4:]).max() > 0.0
 
 
 def test_masked_reg_with_no_groups_is_plain_reg():
+    # distinct identities, whatever their ids, leave the plain client_of penalty
     emb = random_stack(11)
-    a = masked_softmax_reg(emb, [])
+    a = softmax_reg(replace(emb, class_of=np.arange(emb.num_columns)[::-1] * 7 + 3))
     b = softmax_reg(emb)
     assert a.value == b.value
     np.testing.assert_array_equal(a.grad, b.grad)
@@ -238,10 +248,10 @@ def test_masked_reg_with_no_groups_is_plain_reg():
 
 def test_masked_reg_validation():
     emb = random_stack(12)
-    with pytest.raises(ValueError):
-        masked_softmax_reg(emb, [(99, frozenset({0, 1}))])
-    with pytest.raises(ValueError):
-        masked_softmax_reg(emb, [(0, frozenset())])
+    with pytest.raises(ValueError, match="class_of"):
+        replace(emb, class_of=np.arange(emb.num_columns + 1))
+    with pytest.raises(ValueError, match="class_of"):
+        replace(emb, class_of=np.zeros((1, emb.num_columns), dtype=int))
 
 
 def test_non_finite_stack_rejected():
@@ -264,11 +274,9 @@ def test_non_finite_stack_rejected():
 # dense C x C references: the evaluation the blocked and closed forms replaced
 
 
-def dense_pair_mask(emb, shared_groups):
+def dense_pair_mask(emb):
     """allowed[w, a]: column w is a negative for anchor a (disjoint owner sets)."""
-    owners = [frozenset((int(k),)) for k in emb.client_of]
-    for col, clients in shared_groups or ():
-        owners[col] = frozenset(int(k) for k in clients)
+    owners = owner_sets(emb)
     allowed = np.array([[ow.isdisjoint(oa) for oa in owners] for ow in owners])
     if emb.anchor_mask is not None:
         allowed = allowed & emb.anchor_mask[None, :]
@@ -281,9 +289,9 @@ def dense_chain_normalization(w, grad_n):
     return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
 
 
-def dense_softmax_reg(emb, shared_groups=None, normalize=False):
+def dense_softmax_reg(emb, normalize=False):
     a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
-    allowed = dense_pair_mask(emb, shared_groups)
+    allowed = dense_pair_mask(emb)
     gram = a_mat.T @ a_mat
     shifted = np.where(allowed, gram - np.diag(gram)[None, :], -np.inf)
     with_self = np.vstack([shifted, np.zeros((1, emb.num_columns))])
@@ -298,8 +306,9 @@ def dense_softmax_reg(emb, shared_groups=None, normalize=False):
 
 
 def dense_cosine_reg(emb, normalize=False):
+    # the cosine penalty reads client_of only, so shared identities do not matter
     a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
-    allowed = dense_pair_mask(emb, None).astype(np.float64)
+    allowed = dense_pair_mask(replace(emb, class_of=None)).astype(np.float64)
     value = float((a_mat.T @ a_mat * allowed).sum())
     grad_n = a_mat @ (allowed + allowed.T)
     grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
@@ -312,19 +321,22 @@ def assert_matches(rg, ref, tol=1e-12):
     np.testing.assert_allclose(rg.grad, grad, rtol=0.0, atol=tol)
 
 
-def shared_stack(seed, clients=6, per_client=7, d=5, shared=2, anchors=False):
-    emb = random_stack(seed, d=d, columns_per_client=(per_client,) * clients, scale=0.7)
-    # identities shared by client pairs (k, k+1): column j of client k and
-    # column j of client k+1, for the first `shared` columns of every even client
-    groups = []
-    for k in range(0, clients - 1, 2):
-        for j in range(shared):
-            group = frozenset({k, k + 1})
-            groups += [(k * per_client + j, group), ((k + 1) * per_client + j, group)]
+def shared_stack(seed, clients=6, per_client=7, d=5, identities=None, anchors=False):
+    """A random stack whose identities repeat at random, within and across clients.
+
+    identities (default: two thirds of the columns) is the number of ids
+    drawn from, so several columns share each one on average.
+    """
+    cols = clients * per_client
+    rng = np.random.default_rng(seed + 200)
+    class_of = rng.integers(0, identities or 2 * cols // 3, size=cols)
+    emb = random_stack(
+        seed, d=d, columns_per_client=(per_client,) * clients, scale=0.7, class_of=class_of
+    )
+    assert emb.shared_columns()
     if anchors:
-        mask = np.random.default_rng(seed + 100).random(emb.num_columns) < 0.6
-        emb = StackedEmbeddings(emb.W, emb.client_of, anchor_mask=mask)
-    return emb, groups
+        emb = replace(emb, anchor_mask=np.random.default_rng(seed + 100).random(cols) < 0.6)
+    return emb
 
 
 @pytest.mark.parametrize("budget", [1, 5 * 42, None])
@@ -335,11 +347,10 @@ def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize
     if budget is not None:
         monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
     for seed in range(3):
-        emb, groups = shared_stack(seed, anchors=anchors)
-        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, None, normalize))
-        assert_matches(
-            masked_softmax_reg(emb, groups, normalize), dense_softmax_reg(emb, groups, normalize)
-        )
+        emb = shared_stack(seed, anchors=anchors)
+        plain = replace(emb, class_of=None)
+        assert_matches(softmax_reg(plain, normalize), dense_softmax_reg(plain, normalize))
+        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, normalize))
         assert_matches(cosine_reg(emb, normalize), dense_cosine_reg(emb, normalize))
 
 
@@ -347,33 +358,33 @@ def test_penalties_match_dense_references_across_default_blocks():
     # 1200 columns span several blocks of the default element budget
     assert len(regularizers._blocks(1200, 1200)) > 1
     emb = random_stack(13, d=6, columns_per_client=(100,) * 12, scale=0.5)
-    groups = [(0, frozenset({0, 1})), (100, frozenset({0, 1})), (750, frozenset({7, 3}))]
+    # identity 0 on clients 0 and 1, identity 750 on clients 7 and 3
+    class_of = np.arange(emb.num_columns)
+    class_of[100], class_of[350] = 0, 750
+    shared = replace(emb, class_of=class_of)
     for normalize in (False, True):
-        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, None, normalize))
-        assert_matches(
-            masked_softmax_reg(emb, groups, normalize), dense_softmax_reg(emb, groups, normalize)
-        )
+        assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, normalize))
+        assert_matches(softmax_reg(shared, normalize), dense_softmax_reg(shared, normalize))
         assert_matches(cosine_reg(emb, normalize), dense_cosine_reg(emb, normalize))
 
 
 def test_naive_form_uses_the_shared_ownership():
-    emb, groups = shared_stack(5, clients=4, per_client=3)
-    naive = softmax_reg_naive(emb, groups)
-    assert_matches(naive, dense_softmax_reg(emb, groups), tol=1e-10)
+    emb = shared_stack(5, clients=4, per_client=3)
+    naive = softmax_reg_naive(emb)
+    assert_matches(naive, dense_softmax_reg(emb), tol=1e-10)
 
 
 def test_server_paths_hold_no_dense_pair_matrix():
     # one dense C x C float64 array at C = 4096 is 128 MiB; the blocked paths
     # must stay below a quarter of it
-    emb, groups = shared_stack(14, clients=64, per_client=64, d=8, shared=4)
+    shared = shared_stack(14, clients=64, per_client=64, d=8, identities=4000)
+    emb = replace(shared, class_of=None)
     budget = 4096 * 4096 * 8 // 4
     calls = {
         "softmax_reg": lambda: softmax_reg(emb, normalize_columns=True),
-        "masked_softmax_reg": lambda: masked_softmax_reg(emb, groups, normalize_columns=True),
+        "softmax_reg, shared identities": lambda: softmax_reg(shared, normalize_columns=True),
         "cosine_reg": lambda: cosine_reg(emb, normalize_columns=True),
-        "embedding_similarity_stats": lambda: embedding_similarity_stats(
-            emb, class_of=np.arange(emb.num_columns)
-        ),
+        "embedding_similarity_stats": lambda: embedding_similarity_stats(shared),
     }
     peaks = {}
     tracemalloc.start()
@@ -393,36 +404,30 @@ def test_server_paths_hold_no_dense_pair_matrix():
 
 @st.composite
 def stacks(draw):
-    """A small random stack plus a column permutation and a client relabelling."""
+    """A small random stack with repeated identities, a column permutation and relabellings."""
     cols = draw(st.integers(2, 10))
     d = draw(st.integers(1, 4))
     client_of = np.array(draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols)))
+    class_of = np.array(draw(st.lists(st.integers(0, cols - 1), min_size=cols, max_size=cols)))
     w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(d, cols))
     mask = draw(st.none() | st.lists(st.booleans(), min_size=cols, max_size=cols))
-    shared = draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=3))
-    groups = [(c, frozenset({int(client_of[c]), int(client_of[c]) + 1})) for c in shared]
     perm = np.array(draw(st.permutations(range(cols))))
     relabel = np.array(draw(st.permutations(range(5))))
-    return StackedEmbeddings(w, client_of, mask), groups, perm, relabel
+    rename = np.array(draw(st.permutations(range(cols)))) * 3 + 11
+    return StackedEmbeddings(w, client_of, mask, class_of), perm, relabel, rename
 
 
-def _penalties(emb, groups, normalize):
-    return [
-        softmax_reg(emb, normalize),
-        masked_softmax_reg(emb, groups, normalize),
-        cosine_reg(emb, normalize),
-    ]
+def _penalties(emb, normalize):
+    return [softmax_reg(emb, normalize), cosine_reg(emb, normalize)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(stacks(), st.booleans())
 def test_penalties_are_permutation_equivariant(case, normalize):
-    emb, groups, perm, _ = case
-    new_index = np.argsort(perm)  # column c moves to new_index[c]
+    emb, perm, _, _ = case
     mask = None if emb.anchor_mask is None else emb.anchor_mask[perm]
-    permuted = StackedEmbeddings(emb.W[:, perm], emb.client_of[perm], mask)
-    moved = [(int(new_index[c]), g) for c, g in groups]
-    for rg, rp in zip(_penalties(emb, groups, normalize), _penalties(permuted, moved, normalize)):
+    permuted = StackedEmbeddings(emb.W[:, perm], emb.client_of[perm], mask, emb.class_of[perm])
+    for rg, rp in zip(_penalties(emb, normalize), _penalties(permuted, normalize)):
         assert abs(rp.value - rg.value) <= 1e-12 * max(1.0, abs(rg.value))
         np.testing.assert_allclose(rp.grad, rg.grad[:, perm], rtol=0.0, atol=1e-12)
 
@@ -430,18 +435,28 @@ def test_penalties_are_permutation_equivariant(case, normalize):
 @settings(max_examples=60, deadline=None)
 @given(stacks(), st.booleans())
 def test_penalties_are_invariant_under_client_relabelling(case, normalize):
-    emb, groups, _, relabel = case
-    renamed = StackedEmbeddings(emb.W, relabel[emb.client_of], emb.anchor_mask)
-    regrouped = [(c, frozenset(int(relabel[k]) for k in g)) for c, g in groups]
-    for rg, rr in zip(_penalties(emb, groups, normalize), _penalties(renamed, regrouped, normalize)):
+    # renaming clients or identities changes no owner set
+    emb, _, relabel, rename = case
+    renamed = replace(emb, client_of=relabel[emb.client_of], class_of=rename[emb.class_of])
+    for rg, rr in zip(_penalties(emb, normalize), _penalties(renamed, normalize)):
         assert abs(rr.value - rg.value) <= 1e-12 * max(1.0, abs(rg.value))
         np.testing.assert_allclose(rr.grad, rg.grad, rtol=0.0, atol=1e-12)
+
+
+def dense_owner_matrix(emb):
+    """The C x K 0/1 ownership matrix, built even when no identity repeats."""
+    held = np.zeros((emb.class_of.max() + 1, emb.client_of.max() + 1))
+    held[emb.class_of, emb.client_of] = 1.0
+    return held[emb.class_of]
 
 
 @settings(max_examples=60, deadline=None)
 @given(stacks(), st.booleans())
 def test_masked_reg_without_groups_is_bitwise_plain_reg(case, normalize):
-    emb = case[0]
-    masked, plain = masked_softmax_reg(emb, [], normalize), softmax_reg(emb, normalize)
+    # with one column per identity the ownership-matrix path is the client_of path
+    emb = replace(case[0], class_of=None)
+    plain = softmax_reg(emb, normalize)
+    with mock.patch.object(regularizers, "_ownership", dense_owner_matrix):
+        masked = softmax_reg(emb, normalize)
     assert masked.value == plain.value
     np.testing.assert_array_equal(masked.grad, plain.grad)

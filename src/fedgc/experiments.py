@@ -52,8 +52,9 @@ _AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
 class ExperimentSpec:
     """A grid of cells over one base config; checks its axes at construction.
 
-    A bad axis value, an empty axis, a zero lambda for a correction mode or
-    a partition the data cannot take raises ConfigError naming every field.
+    A bad axis value, an empty axis, a zero lambda for a correction mode, a
+    partition the data cannot take or fedcos on a shared partition raises
+    ConfigError naming every field.
     """
 
     fed: federation.FederationConfig
@@ -104,6 +105,12 @@ class ExperimentSpec:
             problems.append((
                 "share_fraction",
                 f"{self.share_fraction} rounds to zero shared classes out of {self.data.num_classes}",
+            ))
+        if "fedcos" in self.modes and "shared" in self.partitions:
+            problems.append((
+                "partitions",
+                "fedcos cannot run on a shared partition: the cosine penalty reads only "
+                "client_of, so it would push apart the merged copies of one identity",
             ))
         problems += [
             (name, f"need >= 1, got {getattr(self, name)}")
@@ -405,8 +412,15 @@ def cell_config(spec: ExperimentSpec, cell: Cell) -> federation.FederationConfig
 
 
 def make_dataset(spec: ExperimentSpec, cfg: federation.FederationConfig) -> datasets.Dataset:
-    # the run seed drives the data too, so different seeds resample everything
-    return datasets.generate(replace(spec.data, seed=cfg.seed), spec.pairs_per_class)
+    """The grid's data, read-only, so that one copy can serve every cell.
+
+    The run seed drives the data too, so different seeds resample everything.
+    """
+    ds = datasets.generate(replace(spec.data, seed=cfg.seed), spec.pairs_per_class)
+    for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y, ds.centers,
+              ds.pairs.idx_a, ds.pairs.idx_b, ds.pairs.same):
+        a.setflags(write=False)
+    return ds
 
 
 def make_partition(dataset, partition: str, spec: ExperimentSpec, cfg):
@@ -585,9 +599,11 @@ def write_summary(spec: ExperimentSpec, results: list[CellResult]) -> str:
 def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     """Run the whole grid; 0 if any cell finished, 2 if every cell diverged."""
     os.makedirs(spec.out_dir, exist_ok=True)
+    # cell_config changes only mode, participation and lambda, so every cell
+    # has the data and seed of spec.fed
+    dataset = make_dataset(spec, spec.fed)
     results = []
     for cell in spec.grid():
-        dataset = make_dataset(spec, cell_config(spec, cell))
         result = run_cell(spec, cell, dataset)
         write_cell_outputs(spec, result, dataset)
         results.append(result)

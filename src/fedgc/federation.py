@@ -177,12 +177,16 @@ def local_sgd(
 
     The one training loop behind client_update and centralized_round; opt
     carries the momentum, so the caller decides whether it persists. Shapes
-    and labels are checked once per call. Each step runs one recorded
-    forward pass for both the loss and the reverse sweep, then a single
-    nn.sgd_step on the flat buffer that every parameter is a view into.
+    and labels are checked once per call. Every parameter is a view into one
+    flat buffer, and every gradient a view into one flat gradient buffer of
+    the same layout. Each step runs one recorded forward pass for both the
+    loss and the reverse sweep, which writes the backbone gradients straight
+    into their views; the head gradient is copied into its own; then one
+    nn.sgd_update moves the flat buffer in place.
 
-    Returns fresh (theta, head, per-step losses); inputs are not mutated.
-    With train_head False the head comes back unchanged.
+    Returns fresh (theta, head, per-step losses) that own the flat buffer;
+    theta, head, x and y are not mutated, opt's velocity is. With train_head
+    False the head comes back unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -190,25 +194,28 @@ def local_sgd(
     check_inputs(head, (len(x), theta.output_dim), y)
     arrays = theta.to_list() + [head]
     flat = np.concatenate([a.ravel() for a in arrays])
-    views, start = [], 0
+    grad = np.empty(flat.size)  # every slot a step reads is written first
+    params, grads, start = [], [], 0
     for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    head = views.pop()
-    theta = nn.BackboneParams.from_list(views, theta.activation)
-    stepped = flat if train_head else flat[: flat.size - head.size]
+        stop = start + a.size
+        params.append(flat[start:stop].reshape(a.shape))
+        grads.append(grad[start:stop].reshape(a.shape))
+        start = stop
+    head, grad_head = params.pop(), grads.pop()
+    theta = nn.BackboneParams.from_list(params, theta.activation)
+    grad_layers = list(zip(grads[::2], grads[1::2]))
+    size = flat.size if train_head else flat.size - head.size
+    stepped, stepped_grad = [flat[:size]], [grad[:size]]
     num_classes = head.shape[1]
     trace = []
     for idx in batches:
-        xb = x[idx]
-        feats, tape = nn.record_forward(theta, xb)
-        lg = loss_and_grad(loss, head, feats, target_index(y[idx], num_classes))
+        # take is x[idx] for an index array, with less dispatch
+        feats, tape = nn.record_forward(theta, x.take(idx, axis=0))
+        lg = loss_and_grad(loss, head, feats, target_index(y.take(idx), num_classes))
         trace.append(lg.loss)
-        grad_layers, _ = nn.reverse_sweep(theta, tape, lg.grad_feature, input_grad=False)
-        grads = [g.ravel() for pair in grad_layers for g in pair]
-        if train_head:
-            grads.append(lg.grad_embeddings.ravel())
-        stepped[...] = nn.sgd_step(opt, [stepped], [np.concatenate(grads)])[0]
+        nn.reverse_sweep(theta, tape, lg.grad_feature, grad_layers, input_grad=False)
+        grad_head[...] = lg.grad_embeddings
+        nn.sgd_update(opt, stepped, stepped_grad)
     return theta, head, trace
 
 

@@ -71,11 +71,23 @@ class LossGrad:
 
 def stable_log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis via max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(logits).all():
+    logits = np.array(logits, dtype=np.float64)
+    _log_softmax_inplace(logits)
+    return logits
+
+
+def _log_softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """stable_log_softmax written over a float64 logits buffer.
+
+    Returns the exp of the shifted logits, a same-shaped array the caller may
+    reuse as scratch.
+    """
+    if np.count_nonzero(np.isfinite(logits)) != logits.size:
         raise NonFiniteError("non-finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits)
+    logits -= np.log(np.add.reduce(e, axis=-1, keepdims=True))
+    return e
 
 
 def check_inputs(embeddings: np.ndarray, feature_shape: tuple, labels: np.ndarray) -> None:
@@ -86,13 +98,13 @@ def check_inputs(embeddings: np.ndarray, feature_shape: tuple, labels: np.ndarra
         raise ValueError(f"feature dim {feature_dim} != embedding dim {d}")
     if labels.shape != (n,):
         raise ValueError(f"labels of shape {labels.shape} for {n} features")
-    if (labels < 0).any() or (labels >= c).any():
+    if np.count_nonzero((labels < 0) | (labels >= c)):
         raise ValueError(f"label out of range for {c} classes")
 
 
 def target_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Flat positions of the (row, label) entries in a C-contiguous (n, C) array."""
-    return np.arange(len(labels)) * num_classes + labels
+    return np.arange(0, len(labels) * num_classes, num_classes) + labels
 
 
 def batch_loss_and_grad(
@@ -122,10 +134,10 @@ def loss_and_grad(
     n = features.shape[0]
 
     if spec.variant == "softmax":
-        logits = features @ embeddings                      # (n, C)
-        logp = stable_log_softmax(logits)
-        loss = float(-(logp.reshape(-1)[target].sum() / n))
-        delta = np.exp(logp)                                # softmax probabilities
+        logp = features @ embeddings                        # (n, C) logits
+        delta = _log_softmax_inplace(logp)
+        loss = float(-(np.add.reduce(logp.reshape(-1)[target]) / n))
+        np.exp(logp, out=delta)                             # softmax probabilities
         delta.reshape(-1)[target] -= 1.0
         delta /= n
         grad_feat = delta @ embeddings.T
@@ -135,28 +147,29 @@ def loss_and_grad(
     # margin variants: normalized feature and columns, scaled logits
     # (sqrt of the summed squares is np.linalg.norm's own path for these axes)
     w_norm = np.sqrt(np.add.reduce(embeddings * embeddings, axis=0))
-    x_norm = np.sqrt(np.add.reduce(features * features, axis=1))
-    if (x_norm == 0.0).any() or (w_norm == 0.0).any():
+    x_norm = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    # count_nonzero is .all() without the method's Python wrapper; NaN counts as nonzero
+    if np.count_nonzero(x_norm) != n or np.count_nonzero(w_norm) != w_norm.size:
         raise NonFiniteError("zero-norm feature or embedding under a normalizing loss variant")
     w_hat = embeddings / w_norm
-    x_hat = features / x_norm[:, None]
+    x_hat = features / x_norm
     cos = x_hat @ w_hat                                     # (n, C)
     cos_t = cos.reshape(-1)[target]
 
-    logits = spec.scale * cos
+    logp = spec.scale * cos                                 # logits, then log-softmax in place
     # d(target logit)/d(cos): cosface shifts (slope 1), arcface warps through arccos
     target_slope = None
     if spec.variant == "cosface":
-        logits.reshape(-1)[target] = spec.scale * (cos_t - spec.margin)
+        logp.reshape(-1)[target] = spec.scale * (cos_t - spec.margin)
     else:
         theta = np.arccos(np.clip(cos_t, -_COS_CLIP, _COS_CLIP))
-        logits.reshape(-1)[target] = spec.scale * np.cos(theta + spec.margin)
+        logp.reshape(-1)[target] = spec.scale * np.cos(theta + spec.margin)
         inside = np.abs(cos_t) < _COS_CLIP
         target_slope = np.where(inside, np.sin(theta + spec.margin) / np.sin(theta), 0.0)
 
-    logp = stable_log_softmax(logits)
-    loss = float(-(logp.reshape(-1)[target].sum() / n))
-    delta = np.exp(logp)
+    delta = _log_softmax_inplace(logp)
+    loss = float(-(np.add.reduce(logp.reshape(-1)[target]) / n))
+    np.exp(logp, out=delta)
     delta.reshape(-1)[target] -= 1.0
     delta *= spec.scale / n                                 # dL/d(cos) before margin slopes
     if target_slope is not None:
@@ -165,9 +178,15 @@ def loss_and_grad(
     # chain through both normalizations:
     #   dcos_j/dw_j = (x_hat - cos_j w_hat_j) / |w_j|
     #   dcos_j/dx   = (w_hat_j - cos_j x_hat) / |x|
-    cos_delta = cos * delta
-    grad_emb = (x_hat.T @ delta - w_hat * cos_delta.sum(axis=0)) / w_norm
-    grad_feat = (delta @ w_hat.T - x_hat * cos_delta.sum(axis=1)[:, None]) / x_norm[:, None]
+    cos *= delta                                            # cos now holds cos * delta
+    grad_emb = x_hat.T @ delta
+    grad_feat = delta @ w_hat.T
+    w_hat *= np.add.reduce(cos, axis=0)
+    grad_emb -= w_hat
+    grad_emb /= w_norm
+    x_hat *= np.add.reduce(cos, axis=1, keepdims=True)
+    grad_feat -= x_hat
+    grad_feat /= x_norm
     return LossGrad(loss, grad_feat, grad_emb)
 
 

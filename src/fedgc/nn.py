@@ -75,19 +75,6 @@ def init_backbone(layer_dims: list[int], seed: int, activation: str = "relu") ->
     return BackboneParams(layers, activation)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
-    # a is the activation output at pre-activation z
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
-
-
 def check_input(params: BackboneParams, h: np.ndarray) -> None:
     """Reject a (n, in_dim) batch whose width is not the backbone's input dim."""
     if h.shape[1] != params.input_dim:
@@ -108,41 +95,53 @@ def record_forward(params: BackboneParams, h: np.ndarray) -> tuple[np.ndarray, l
     """The layer loop on a checked (n, in_dim) float64 batch.
 
     Returns the embeddings and a tape for reverse_sweep: every layer input
-    and every hidden layer's pre- and post-activation.
+    and every hidden layer's pre- and post-activation. h is not mutated.
     """
-    n_layers = len(params.layers)
+    last = len(params.layers) - 1
+    relu = params.activation == "relu"
     inputs, pre, post = [], [], []
     for i, (w, b) in enumerate(params.layers):
         inputs.append(h)
-        z = h @ w + b
-        if i < n_layers - 1:
-            a = _activate(z, params.activation)
+        z = h @ w
+        z += b
+        if i < last:
             pre.append(z)
-            post.append(a)
-            h = a
+            h = np.maximum(z, 0.0) if relu else np.tanh(z)
+            post.append(h)
         else:
             h = z
     return h, [inputs, pre, post]
 
 
 def reverse_sweep(
-    params: BackboneParams, tape: list, g: np.ndarray, input_grad: bool = True
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
+    params: BackboneParams,
+    tape: list,
+    g: np.ndarray,
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Backpropagate a (n, out_dim) grad_out through a record_forward tape.
 
-    Returns (grad_layers, grad_x); grad_x is None when input_grad is False,
-    which skips the last product.
+    Writes each layer's weight and bias gradient into the preallocated
+    float64 (weight, bias) pairs of grad_layers, shaped like params.layers;
+    they may be views into one flat buffer. Returns grad_x, or None when
+    input_grad is False, which skips the last product. g, the tape and
+    params are not mutated.
     """
     inputs, pre, post = tape
-    n_layers = len(params.layers)
-    grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        w, _ = params.layers[i]
-        if i < n_layers - 1:
-            g = g * _activate_grad(pre[i], post[i], params.activation)
-        grad_layers[i] = (inputs[i].T @ g, g.sum(axis=0))
-        g = g @ w.T if i or input_grad else None
-    return grad_layers, g
+    relu = params.activation == "relu"
+    for i in range(len(params.layers) - 1, -1, -1):
+        if i < len(pre):
+            # g is a fresh product here, never the caller's grad_out
+            if relu:
+                g *= pre[i] > 0.0
+            else:
+                g *= 1.0 - post[i] * post[i]
+        gw, gb = grad_layers[i]
+        np.matmul(inputs[i].T, g, out=gw)
+        np.add.reduce(g, axis=0, out=gb)
+        g = g @ params.layers[i][0].T if i or input_grad else None
+    return g
 
 
 def backward(
@@ -164,7 +163,8 @@ def backward(
     if g.shape != (h.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
     _, tape = record_forward(params, h)
-    grad_layers, g = reverse_sweep(params, tape, g)
+    grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
+    g = reverse_sweep(params, tape, g, grad_layers)
     grad_x = g[0] if single else g
     return grad_layers, grad_x
 
@@ -187,11 +187,12 @@ class SgdState:
             raise ValueError("weight_decay must be >= 0")
 
 
-def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One update: v <- momentum*v + grad + wd*param; param <- param - lr*v.
+def sgd_update(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    """One update in place: v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
-    Velocities live in `state` and are created lazily on the first call.
-    Returns new parameter arrays; inputs are not mutated.
+    Mutates each float64 array of params and the velocities in `state`,
+    which are created lazily on the first call; grads are not mutated. Every
+    shape is checked before anything moves.
     """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
@@ -199,13 +200,24 @@ def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray])
         state.velocity = [np.zeros_like(p) for p in params]
     if len(state.velocity) != len(params):
         raise ValueError("velocity/params length mismatch")
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape or p.shape != state.velocity[i].shape:
+    for i, (p, g, v) in enumerate(zip(params, grads, state.velocity)):
+        if p.shape != g.shape or p.shape != v.shape:
             raise ValueError(f"tensor {i}: shape mismatch {p.shape} vs {g.shape}")
-        v = state.momentum * state.velocity[i] + g + state.weight_decay * p
-        state.velocity[i] = v
-        out.append(p - state.learning_rate * v)
+    for p, g, v in zip(params, grads, state.velocity):
+        # the order of (momentum*v + grad) + wd*param, one operation at a time
+        v *= state.momentum
+        v += g
+        v += state.weight_decay * p
+        p -= state.learning_rate * v
+
+
+def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    """sgd_update on copies of params: returns the new parameter arrays.
+
+    Only the velocities in `state` change; params and grads are not mutated.
+    """
+    out = [p.copy() for p in params]
+    sgd_update(state, out, grads)
     return out
 
 

@@ -68,6 +68,17 @@ def test_validate_rejects_a_group_larger_than_a_class(tmp_path, capsys):
     assert "[run] group_size: need <= 6 training rows per class, got 7" in err
 
 
+def test_validate_rejects_fedcos_on_a_shared_partition(tmp_path, capsys):
+    path = write_tiny(tmp_path)
+    text = path.read_text().replace("num_clients = 2", "num_clients = 4")
+    text = text.replace("modes = fedpe", "modes = fedpe, fedcos\npartitions = shared")
+    path.write_text(text.replace("num_classes = 4", "num_classes = 8"))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "[grid] partitions: fedcos cannot run on a shared partition" in capsys.readouterr().err
+    path.write_text(text.replace("num_classes = 4", "num_classes = 8").replace(", fedcos", ""))
+    assert cli.main(["validate", str(path)]) == 0
+
+
 def test_validate_rejects_the_removed_correct_all_heads_key(tmp_path, capsys):
     # the server correction always moves the whole stacked matrix; the old
     # opt-out is no config key any more
@@ -159,6 +170,20 @@ def test_runtime_runs_without_scipy():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "configs/default.cfg: ok" in proc.stdout
+
+
+def test_python_dash_m_fedgc_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedgc", "validate", "configs/default.cfg"],
         cwd=root,
         env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True,

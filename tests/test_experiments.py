@@ -297,6 +297,20 @@ def test_grid_problems_flags_zero_lambda_only_for_correction_modes(tmp_path):
     assert spec_problems(modes=["fedgc"], lambdas=[0.0], mode_lambdas={"fedgc": [5.0]}) == []
 
 
+def test_fedcos_on_a_shared_partition_is_rejected_at_parse_time(tmp_path):
+    # the cosine penalty reads only client_of, so it would separate the merged
+    # copies of a shared identity; fedgc and the plain modes stay allowed
+    for modes in (["fedcos"], ["fedpe", "fedcos"]):
+        bad = spec_problems(modes=modes, partitions=["balanced", "shared"])
+        assert [p for p in bad if p.startswith("partitions: fedcos cannot run on a shared")]
+    assert spec_problems(modes=["fedpe", "fedgc"], partitions=["shared"]) == []
+    assert spec_problems(modes=["fedcos"], partitions=["balanced", "lognormal"]) == []
+    path = write_cfg(tmp_path, "[grid]\nmodes = fedgc, fedcos\npartitions = shared\n")
+    problems = validate_config(path)
+    assert any(p.startswith("[grid] partitions: fedcos cannot run on a shared") for p in problems)
+    assert parse_config(path)[0] is None
+
+
 def test_partition_problems():
     assert partition_spec_problems(["balanced"], 3, 32, 0.25, 2)
     assert partition_spec_problems(["balanced"], 4, 32, 0.25, 2) == []
@@ -459,12 +473,20 @@ def test_run_experiment_outputs_and_exit_code(tmp_path):
 
 
 def test_run_experiment_generates_each_dataset_once(tmp_path, monkeypatch):
-    calls = []
+    # one read-only dataset serves every cell of the grid
+    made = []
     real = experiments.make_dataset
-    monkeypatch.setattr(experiments, "make_dataset", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(experiments, "make_dataset", lambda *a: made.append(real(*a)) or made[-1])
     spec = tiny_spec(tmp_path / "out", modes=["fedpe", "centralized"])
+    assert len(spec.grid()) == 2
     assert run_experiment(spec) == 0
-    assert len(calls) == len(spec.grid())
+    assert len(made) == 1
+    ds = made[0]
+    for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y, ds.centers,
+              ds.pairs.idx_a, ds.pairs.idx_b, ds.pairs.same):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 @pytest.mark.parametrize("rounds", [0, 3])

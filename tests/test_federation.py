@@ -34,13 +34,14 @@ from fedgc.federation import (
     correction_step,
     init_head,
     load_checkpoint,
+    local_sgd,
     merge_shared_identities,
     regularizer_grad,
     run_round,
     sample_clients,
     save_checkpoint,
 )
-from fedgc.losses import LossSpec, batch_loss_and_grad
+from fedgc.losses import LossSpec, NonFiniteError, batch_loss_and_grad
 from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 
@@ -311,6 +312,66 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
         )
         theta_c, head_c, loss_c = got[r]
         assert_same_training((theta_c, head_c, [loss_c]), (theta, head, [np.mean(trace)]))
+
+
+@pytest.mark.parametrize("train_head", [True, False])
+@pytest.mark.parametrize("momentum, weight_decay", [(0.9, 5e-4), (0.0, 0.0), (0.5, 0.0), (0.0, 1e-2)])
+@pytest.mark.parametrize(
+    "dims, activation",
+    [([5, 6], "relu"), ([5, 10, 6], "tanh"), ([5, 9, 7, 6], "relu"), ([5, 9, 7, 6], "tanh")],
+)
+@pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
+def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
+    loss, dims, activation, momentum, weight_decay, train_head
+):
+    # the presets only train two ReLU layers with momentum and decay; the fused
+    # step must also match on one layer, three layers, tanh and a zero
+    # momentum or decay
+    ds = generate(SyntheticSpec(num_classes=5, samples_per_class=12, input_dim=5, seed=2))
+    theta = nn.init_backbone(dims, seed=4, activation=activation)
+    head = init_head(5, dims[-1], np.random.default_rng(9))
+    cfg = small_cfg(batch_size=16, local_steps=6)
+    batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
+    assert len(ds.train_y) % cfg.batch_size
+    args = (ds.train_x, ds.train_y, batches)
+    got = local_sgd(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head)
+    want = reference_local_sgd(
+        theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head
+    )
+    assert_same_training(got, want)
+    assert got[0].activation == activation
+
+
+def test_local_sgd_classifies_divergence_inside_the_step():
+    # a dead head column and a blown-up step are divergence (NonFiniteError),
+    # never a plain ValueError or an IndexError from the buffers
+    ds = generate(SyntheticSpec(num_classes=4, samples_per_class=12, input_dim=5, seed=2))
+    theta = nn.init_backbone([5, 10, 6], seed=4)
+    head = init_head(4, 6, np.random.default_rng(9))
+    cfg = small_cfg(batch_size=8, local_steps=6)
+    batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
+    dead = head.copy()
+    dead[:, 2] = 0.0
+    with pytest.raises(NonFiniteError, match="zero-norm") as exc:
+        local_sgd(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface(), True)
+    assert exc.type is NonFiniteError
+    for loss in (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()):
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NonFiniteError) as exc:
+                # the first step is finite; its update overflows the parameters
+                local_sgd(
+                    theta, head, ds.train_x, ds.train_y, _recording(batches, seen),
+                    nn.SgdState(1e300), loss, True,
+                )
+        assert exc.type is NonFiniteError
+        assert len(seen) >= 2, "diverged mid-call, not on the first step"
+
+
+def _recording(batches, seen):
+    for idx in batches:
+        seen.append(idx)
+        yield idx
 
 
 # ---------------------------------------------------------------- aggregation

@@ -54,10 +54,12 @@ def main() -> int:
 
     # open up one more round: local training makes the copies drift apart,
     # the merge snaps them back together
-    new_w = server.embeddings.W.copy()
+    runs = []
     for k in range(cfg.num_clients):
         theta_b, head_b = federation.client_payload(server, k)
-        _, head_k, _ = federation.client_update(clients[k], theta_b, head_b, cfg, server.round)
+        runs.append(federation.client_update(clients[k], theta_b, head_b, cfg, server.round))
+    new_w = server.embeddings.W.copy()
+    for k, (_, head_k, _) in enumerate(federation.local_sgd(runs)):
         new_w[:, server.head_slices[k]] = head_k
     drifted = replace(server, embeddings=replace(server.embeddings, W=new_w))
     merged = federation.merge_shared_identities(drifted)

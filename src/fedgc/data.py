@@ -97,8 +97,15 @@ def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
     return Dataset(train_x, train_y, test_x, test_y, centers, pairs)
 
 
+def _rows_by_class(labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
+    """np.flatnonzero(labels == cls) for every cls < num_classes, from one stable argsort."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(num_classes + 1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _sample_pairs(labels: np.ndarray, n_each: int, rng: np.random.Generator) -> VerificationPairs:
-    by_class = [np.flatnonzero(labels == cls) for cls in range(labels.max() + 1)]
+    by_class = _rows_by_class(labels, labels.max() + 1)
     classes = len(by_class)
     idx_a, idx_b, same = [], [], []
     for _ in range(n_each):
@@ -155,23 +162,19 @@ def _build_clients(
     clients = []
     for k in range(num_clients):
         classes = sorted(class_lists[k])
-        xs, ys = [], []
-        for local, cls in enumerate(classes):
-            idx = splits[cls][k]
-            xs.append(dataset.train_x[idx])
-            ys.append(np.full(len(idx), local, dtype=np.int64))
-        x = np.concatenate(xs) if xs else np.empty((0, dataset.input_dim))
-        y = np.concatenate(ys) if ys else np.empty(0, dtype=np.int64)
+        if classes:
+            rows = [splits[cls][k] for cls in classes]
+            x = dataset.train_x.take(np.concatenate(rows), axis=0)
+            y = np.repeat(np.arange(len(classes), dtype=np.int64), [len(r) for r in rows])
+        else:
+            x, y = np.empty((0, dataset.input_dim)), np.empty(0, dtype=np.int64)
         clients.append(ClientData(k, classes, x, y))
     return clients
 
 
 def _exclusive_splits(dataset: Dataset, holders: dict[int, tuple[int, ...]]):
-    splits: dict[int, dict[int, np.ndarray]] = {}
-    for cls, hs in holders.items():
-        idx = np.flatnonzero(dataset.train_y == cls)
-        splits[cls] = {hs[0]: idx}
-    return splits
+    by_class = _rows_by_class(dataset.train_y, dataset.num_classes)
+    return {cls: {hs[0]: by_class[cls]} for cls, hs in holders.items()}
 
 
 def partition_problems(
@@ -288,20 +291,21 @@ def partition_shared(
     order = rng.permutation(c)
     shared_classes = sorted(int(x) for x in order[:n_shared])
 
+    by_class = _rows_by_class(dataset.train_y, c)
     holders: dict[int, tuple[int, ...]] = {}
     splits: dict[int, dict[int, np.ndarray]] = {}
     for cls in shared_classes:
         group = tuple(int(g) for g in np.sort(rng.choice(num_clients, size=group_size, replace=False)))
         holders[cls] = group
-        idx = np.flatnonzero(dataset.train_y == cls)
-        chunks = np.array_split(idx, group_size)
+        chunks = np.array_split(by_class[cls], group_size)
         splits[cls] = {k: chunk for k, chunk in zip(group, chunks)}
 
-    exclusive = [cls for cls in range(c) if cls not in set(shared_classes)]
+    shared = set(shared_classes)
+    exclusive = [cls for cls in range(c) if cls not in shared]
     for i, cls in enumerate(exclusive):
         k = i % num_clients
         holders[cls] = (k,)
-        splits[cls] = {k: np.flatnonzero(dataset.train_y == cls)}
+        splits[cls] = {k: by_class[cls]}
 
     clients = _build_clients(dataset, holders, splits, num_clients)
     n_k = np.array([cl.n_samples for cl in clients])

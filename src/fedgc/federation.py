@@ -11,7 +11,9 @@ Modes:
 
 All training runs through one fused loop, local_sgd, which is bitwise equal
 to chaining the public reference pieces the gradient checks exercise:
-nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_step.
+nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_step. It
+trains a round's equal-shape clients in lockstep, stacked on a leading
+client axis, and each client's numbers are bitwise what it gets alone.
 
 Heads live only on the server, as the columns of one stacked matrix (it
 receives them for aggregation anyway); a client holds just its data shard.
@@ -33,6 +35,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +120,9 @@ def build_federation(
     """The server state for partitioned data, seeded from cfg.seed, and the shards.
 
     Every head lives only in the server's stacked matrix, each column tagged
-    with its client and its global class; a client receives its own columns
-    through client_payload each round.
+    with its client and its global class; a client is only ever handed the
+    backbone and its own columns (copies from client_payload, or in
+    run_round the server's own arrays, which local_sgd only reads).
     """
     theta = nn.init_backbone([input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     clients = list(client_data)
@@ -147,76 +151,170 @@ def build_federation(
 
 
 def client_payload(server: ServerState, client_id: int) -> tuple[nn.BackboneParams, np.ndarray]:
-    """What the server broadcasts to one client: the backbone and its own head only."""
+    """What the server broadcasts to one client, as copies: the backbone and its own head only.
+
+    run_round hands client_update the server's own arrays instead; local_sgd
+    copies them into its buffers and never writes to them.
+    """
     return server.theta.copy(), server.head_of(client_id)
 
 
-def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator):
-    """Yield minibatch index arrays: shuffled epochs, last partial batch kept."""
+def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Minibatch index arrays, one per step: shuffled epochs, last partial batch kept."""
     batches_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     steps = batches_per_epoch if cfg.local_steps is None else cfg.local_steps
-    perm = None
+    plan, perm = [], None
     for step in range(steps):
         pos = step % batches_per_epoch
         if pos == 0:
             perm = rng.permutation(n)
-        yield perm[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
+        plan.append(perm[pos * cfg.batch_size : (pos + 1) * cfg.batch_size])
+    return plan
 
 
-def local_sgd(
-    theta: nn.BackboneParams,
-    head: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    batches,
-    opt: nn.SgdState,
-    loss: LossSpec,
-    train_head: bool,
-) -> tuple[nn.BackboneParams, np.ndarray, list[float]]:
-    """Minibatch SGD on (backbone, head) over the index arrays in `batches`.
+class LocalRun(NamedTuple):
+    """One job for local_sgd: SGD on (theta, head) over x[idx], y[idx] for idx in batches.
 
-    The one training loop behind client_update and centralized_round; opt
-    carries the momentum, so the caller decides whether it persists. Shapes
-    and labels are checked once per call. Every parameter is a view into one
-    flat buffer, and every gradient a view into one flat gradient buffer of
-    the same layout. Each step runs one recorded forward pass for both the
-    loss and the reverse sweep, which writes the backbone gradients straight
-    into their views; the head gradient is copied into its own; then one
-    nn.sgd_update moves the flat buffer in place.
-
-    Returns fresh (theta, head, per-step losses) that own the flat buffer;
-    theta, head, x and y are not mutated, opt's velocity is. With train_head
-    False the head comes back unchanged.
+    opt carries the momentum, so the caller decides whether it persists;
+    with train_head False the head stays fixed.
     """
+
+    theta: nn.BackboneParams
+    head: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    batches: list
+    opt: nn.SgdState
+    loss: LossSpec
+    train_head: bool
+
+
+def local_sgd(runs) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
+    """Minibatch SGD for each LocalRun (or 8-tuple of its fields) in `runs`.
+
+    The one training loop behind run_round and centralized_round. Runs whose
+    backbone (shapes and activation), head shape, loss, optimizer settings,
+    train_head flag and batch size at every step agree train in lockstep as
+    one group, stacked on a leading client axis: one (K, P) parameter
+    buffer, one gradient buffer and one velocity buffer. A group of one runs
+    the same loop with that axis dropped. Every product is a batched @ and
+    every reduction runs within one client, so each run's numbers are
+    bitwise what it gets trained alone; one run that goes non-finite raises
+    NonFiniteError for the call.
+
+    Shapes and labels are checked once per run. Each step runs one recorded
+    forward pass for both the loss and the reverse sweep, which writes the
+    backbone gradients straight into views of the gradient buffer; the head
+    gradient is copied into its own view; then one nn.sgd_update moves the
+    buffer in place.
+
+    Returns fresh (theta, head, per-step losses) per run, in input order,
+    each a view into its row of the group's buffer. No run's theta, head, x
+    or y is mutated; each run's opt ends holding its trained velocity, so
+    every run needs its own SgdState.
+    """
+    runs = [_checked_run(*run) for run in runs]
+    if len(runs) == 1:
+        return _train_group(runs)
+    if len({id(run.opt) for run in runs}) != len(runs):
+        raise ValueError("every run needs its own SgdState")
+    groups: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(_group_key(run), []).append(i)
+    out: list = [None] * len(runs)
+    for members in groups.values():
+        for i, result in zip(members, _train_group([runs[i] for i in members])):
+            out[i] = result
+    return out
+
+
+def _checked_run(theta, head, x, y, batches, opt, loss, train_head) -> LocalRun:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     nn.check_input(theta, x)
     check_inputs(head, (len(x), theta.output_dim), y)
-    arrays = theta.to_list() + [head]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    grad = np.empty(flat.size)  # every slot a step reads is written first
+    return LocalRun(theta, head, x, y, list(batches), opt, loss, train_head)
+
+
+def _group_key(run: LocalRun) -> tuple:
+    """What runs must share to train in lockstep."""
+    return (
+        tuple(w.shape for w, _ in run.theta.layers),
+        run.theta.activation,
+        run.head.shape,
+        (run.loss.variant, run.loss.margin, run.loss.scale),
+        (run.opt.learning_rate, run.opt.momentum, run.opt.weight_decay),
+        run.train_head,
+        tuple(len(idx) for idx in run.batches),
+    )
+
+
+def _train_group(group: list[LocalRun]) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
+    """local_sgd on runs that share a _group_key."""
+    first = group[0]
+    lead = (len(group),) if len(group) > 1 else ()
+    flat = np.concatenate(
+        [a.ravel() for run in group for a in run.theta.to_list() + [run.head]]
+    ).reshape(lead + (-1,))
+    grad = np.empty(flat.shape)  # every slot a step reads is written first
     params, grads, start = [], [], 0
-    for a in arrays:
+    for a in first.theta.to_list() + [first.head]:
         stop = start + a.size
-        params.append(flat[start:stop].reshape(a.shape))
-        grads.append(grad[start:stop].reshape(a.shape))
+        # in a group each bias (the only 1-D arrays) gets a row axis, so that
+        # it broadcasts over the rows of its client's batch
+        row_axis = (1,) if lead and a.ndim == 1 else ()
+        params.append(flat[..., start:stop].reshape(lead + row_axis + a.shape))
+        grads.append(grad[..., start:stop].reshape(lead + a.shape))
         start = stop
     head, grad_head = params.pop(), grads.pop()
-    theta = nn.BackboneParams.from_list(params, theta.activation)
+    layers = list(zip(params[::2], params[1::2]))
     grad_layers = list(zip(grads[::2], grads[1::2]))
-    size = flat.size if train_head else flat.size - head.size
-    stepped, stepped_grad = [flat[:size]], [grad[:size]]
-    num_classes = head.shape[1]
+    size = flat.shape[-1] if first.train_head else flat.shape[-1] - first.head.size
+    stepped, stepped_grad = [flat[..., :size]], [grad[..., :size]]
+
+    if lead:
+        opt = nn.SgdState(
+            first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [np.zeros(lead + (size,))]
+        )
+        for row, run in zip(opt.velocity[0], group):
+            if run.opt.velocity:
+                if len(run.opt.velocity) != 1 or run.opt.velocity[0].shape != row.shape:
+                    raise ValueError("velocity/params shape mismatch")
+                row[...] = run.opt.velocity[0]
+        # one gather per step over every run's rows, offset into the joint arrays
+        x = np.concatenate([run.x for run in group])
+        y = np.concatenate([run.y for run in group])
+        n_rows = np.array([[len(run.x)] for run in group])
+        offsets = np.cumsum(n_rows, axis=0) - n_rows
+        rows = []
+        for step in zip(*(run.batches for run in group)):
+            idx = np.stack(step)
+            if np.count_nonzero((idx < -n_rows) | (idx >= n_rows)):
+                raise IndexError("batch index out of range")
+            rows.append(np.where(idx < 0, idx + n_rows, idx) + offsets)
+    else:
+        opt, x, y, rows = first.opt, first.x, first.y, first.batches
+
+    activation, loss, num_classes = first.theta.activation, first.loss, first.head.shape[1]
     trace = []
-    for idx in batches:
+    for idx in rows:
         # take is x[idx] for an index array, with less dispatch
-        feats, tape = nn.record_forward(theta, x.take(idx, axis=0))
+        feats, tape = nn.record_forward(layers, activation, x.take(idx, axis=0))
         lg = loss_and_grad(loss, head, feats, target_index(y.take(idx), num_classes))
         trace.append(lg.loss)
-        nn.reverse_sweep(theta, tape, lg.grad_feature, grad_layers, input_grad=False)
+        nn.reverse_sweep(layers, activation, tape, lg.grad_feature, grad_layers, input_grad=False)
         grad_head[...] = lg.grad_embeddings
         nn.sgd_update(opt, stepped, stepped_grad)
-    return theta, head, trace
+
+    if not lead:
+        return [(nn.BackboneParams(layers, activation), head, [float(v) for v in trace])]
+    traces = np.array(trace, dtype=np.float64).reshape(len(trace), len(group)).T.tolist()
+    results = []
+    for k, run in enumerate(group):
+        run.opt.velocity = [opt.velocity[0][k]]
+        theta_k = nn.BackboneParams([(w[k], b[k, 0]) for w, b in layers], activation)
+        results.append((theta_k, head[k], traces[k]))
+    return results
 
 
 def client_update(
@@ -225,20 +323,20 @@ def client_update(
     head: np.ndarray,
     cfg: FederationConfig,
     round_index: int = 0,
-) -> tuple[nn.BackboneParams, np.ndarray, list[float]] | None:
-    """Local minibatch SGD on (backbone, head) against the client's own classes.
+) -> LocalRun | None:
+    """The client's local-SGD run for this round, or None for a client with no data.
 
-    theta and head are what client_payload sent this client. Runs local_sgd
-    with fresh momentum. Returns updated copies plus the per-step loss
-    trace, or None for a client with no data (skip signal). Deterministic
-    given (seed, round, client_id).
+    theta and head are the backbone and the client's own head columns as the
+    server holds them; local_sgd copies both and writes to neither. The run
+    carries fresh momentum and the batch plan drawn from (seed, round,
+    client_id), so it is deterministic and independent of the other clients.
     """
     if client.n_samples == 0:
         return None
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, round_index, client.client_id, 0xC1])
     )
-    return local_sgd(
+    return LocalRun(
         theta,
         head,
         client.x,
@@ -303,20 +401,25 @@ def run_round(
 ) -> tuple[ServerState, float]:
     """One communication round; returns the new server state and mean local loss.
 
-    Samples clients, broadcasts (backbone, own head), collects updates,
-    averages the backbone, restacks the heads, averages the copies of every
-    shared identity, and applies the correction step to the whole stack in
-    fedgc/fedcos mode. Reduction is in client-index order.
+    Samples clients and asks client_update for each one's run, handing it
+    the server's backbone and a view of the client's own columns (neither
+    is copied or written to). One local_sgd call trains every run, equal
+    shapes in lockstep. Then it averages the backbone, restacks the heads,
+    averages the copies of every shared identity, and applies the
+    correction step to the whole stack in fedgc/fedcos mode. Reduction is
+    in client-index order; server and clients are not mutated.
     """
     sampled = sample_clients(cfg, rng)
+    runs, trained = [], []
+    for k in sampled:
+        head = server.embeddings.W[:, server.head_slices[k]]
+        run = client_update(clients[k], server.theta, head, cfg, server.round)
+        if run is not None:
+            runs.append(run)
+            trained.append(k)
     new_w = server.embeddings.W.copy()
     updates, losses = [], []
-    for k in sampled:
-        theta_b, head_b = client_payload(server, int(k))
-        result = client_update(clients[k], theta_b, head_b, cfg, server.round)
-        if result is None:
-            continue
-        theta_k, head_k, trace = result
+    for k, (theta_k, head_k, trace) in zip(trained, local_sgd(runs)):
         updates.append((theta_k, clients[k].n_samples))
         if cfg.mode != "fedpe_fixed":
             new_w[:, server.head_slices[k]] = head_k
@@ -336,10 +439,19 @@ def run_round(
 
 
 def merge_shared_identities(server: ServerState) -> ServerState:
-    """Replace the columns that share a class id by their mean, in ascending column order."""
+    """Replace the columns that share a class id by their mean, in ascending column order.
+
+    The identities held equally often are merged together: their columns
+    gather into one (d, G, g) array whose means over the last axis are
+    scattered back.
+    """
     w = server.embeddings.W.copy()
+    by_size: dict[int, list[np.ndarray]] = {}
     for cols in server.embeddings.shared_columns():
-        w[:, cols] = w[:, cols].mean(axis=1)[:, None]
+        by_size.setdefault(len(cols), []).append(cols)
+    for groups in by_size.values():
+        cols = np.array(groups)
+        w[:, cols] = w[:, cols].mean(axis=2)[:, :, None]
     return replace(server, embeddings=replace(server.embeddings, W=w))
 
 
@@ -391,8 +503,8 @@ def centralized_round(
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
     batches = _batch_plan(client.n_samples, cfg, rng)
-    theta, head, trace = local_sgd(
-        server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss, True
+    ((theta, head, trace),) = local_sgd(
+        [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss, True)]
     )
     new_server = replace(
         server, theta=theta, embeddings=replace(server.embeddings, W=head), round=server.round + 1

@@ -64,7 +64,7 @@ class NonFiniteError(ValueError):
 
 @dataclass
 class LossGrad:
-    loss: float
+    loss: float                  # (K,) per-client means from a stacked loss_and_grad
     grad_feature: np.ndarray     # (d,) or (n, d) for a batch
     grad_embeddings: np.ndarray  # (d, num_classes)
 
@@ -103,8 +103,11 @@ def check_inputs(embeddings: np.ndarray, feature_shape: tuple, labels: np.ndarra
 
 
 def target_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Flat positions of the (row, label) entries in a C-contiguous (n, C) array."""
-    return np.arange(0, len(labels) * num_classes, num_classes) + labels
+    """Flat positions of the (row, label) entries in a C-contiguous (..., n, C) array.
+
+    labels is (n,), or (K, n) for K clients stacked on a leading axis.
+    """
+    return np.arange(0, labels.size * num_classes, num_classes).reshape(labels.shape) + labels
 
 
 def batch_loss_and_grad(
@@ -119,6 +122,7 @@ def batch_loss_and_grad(
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     check_inputs(embeddings, features.shape, labels)
     lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
+    lg.loss = float(lg.loss)
     lg.grad_feature = _squeeze(lg.grad_feature, features)
     return lg
 
@@ -128,32 +132,39 @@ def loss_and_grad(
 ) -> LossGrad:
     """batch_loss_and_grad on checked float64 inputs, with labels as target_index.
 
-    Skips the per-call conversions and label checks; the finiteness and
-    zero-norm checks on the trained quantities stay. grad_feature is (n, d).
+    One client: embeddings (d, C), features (n, d), target (n,); the loss is
+    a float64 scalar. K clients stacked on a leading axis: embeddings
+    (K, d, C), features (K, n, d), target (K, n); the loss is a (K,) array
+    of per-client means. Products are batched @, reductions run over one
+    client's rows or columns (axis -1 or -2), so each client's numbers are
+    bitwise what it gets alone. Skips the per-call conversions and label
+    checks; the finiteness and zero-norm checks on the trained quantities
+    stay, and one bad client raises for the whole group. grad_feature is
+    shaped like features. No input is mutated.
     """
-    n = features.shape[0]
+    n = features.shape[-2]
 
     if spec.variant == "softmax":
-        logp = features @ embeddings                        # (n, C) logits
+        logp = features @ embeddings                        # (..., n, C) logits
         delta = _log_softmax_inplace(logp)
-        loss = float(-(np.add.reduce(logp.reshape(-1)[target]) / n))
+        loss = -(np.add.reduce(logp.reshape(-1)[target], axis=-1) / n)
         np.exp(logp, out=delta)                             # softmax probabilities
         delta.reshape(-1)[target] -= 1.0
         delta /= n
-        grad_feat = delta @ embeddings.T
-        grad_emb = features.T @ delta
+        grad_feat = delta @ embeddings.swapaxes(-1, -2)
+        grad_emb = features.swapaxes(-1, -2) @ delta
         return LossGrad(loss, grad_feat, grad_emb)
 
     # margin variants: normalized feature and columns, scaled logits
     # (sqrt of the summed squares is np.linalg.norm's own path for these axes)
-    w_norm = np.sqrt(np.add.reduce(embeddings * embeddings, axis=0))
-    x_norm = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
+    w_norm = np.sqrt(np.add.reduce(embeddings * embeddings, axis=-2, keepdims=True))
+    x_norm = np.sqrt(np.add.reduce(features * features, axis=-1, keepdims=True))
     # count_nonzero is .all() without the method's Python wrapper; NaN counts as nonzero
-    if np.count_nonzero(x_norm) != n or np.count_nonzero(w_norm) != w_norm.size:
+    if np.count_nonzero(x_norm) != x_norm.size or np.count_nonzero(w_norm) != w_norm.size:
         raise NonFiniteError("zero-norm feature or embedding under a normalizing loss variant")
     w_hat = embeddings / w_norm
     x_hat = features / x_norm
-    cos = x_hat @ w_hat                                     # (n, C)
+    cos = x_hat @ w_hat                                     # (..., n, C)
     cos_t = cos.reshape(-1)[target]
 
     logp = spec.scale * cos                                 # logits, then log-softmax in place
@@ -168,7 +179,7 @@ def loss_and_grad(
         target_slope = np.where(inside, np.sin(theta + spec.margin) / np.sin(theta), 0.0)
 
     delta = _log_softmax_inplace(logp)
-    loss = float(-(np.add.reduce(logp.reshape(-1)[target]) / n))
+    loss = -(np.add.reduce(logp.reshape(-1)[target], axis=-1) / n)
     np.exp(logp, out=delta)
     delta.reshape(-1)[target] -= 1.0
     delta *= spec.scale / n                                 # dL/d(cos) before margin slopes
@@ -179,12 +190,12 @@ def loss_and_grad(
     #   dcos_j/dw_j = (x_hat - cos_j w_hat_j) / |w_j|
     #   dcos_j/dx   = (w_hat_j - cos_j x_hat) / |x|
     cos *= delta                                            # cos now holds cos * delta
-    grad_emb = x_hat.T @ delta
-    grad_feat = delta @ w_hat.T
-    w_hat *= np.add.reduce(cos, axis=0)
+    grad_emb = x_hat.swapaxes(-1, -2) @ delta
+    grad_feat = delta @ w_hat.swapaxes(-1, -2)
+    w_hat *= np.add.reduce(cos, axis=-2, keepdims=True)
     grad_emb -= w_hat
     grad_emb /= w_norm
-    x_hat *= np.add.reduce(cos, axis=1, keepdims=True)
+    x_hat *= np.add.reduce(cos, axis=-1, keepdims=True)
     grad_feat -= x_hat
     grad_feat /= x_norm
     return LossGrad(loss, grad_feat, grad_emb)

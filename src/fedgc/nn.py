@@ -87,20 +87,27 @@ def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     h = x[None, :] if single else x
     check_input(params, h)
-    h, _ = record_forward(params, h)
+    h, _ = record_forward(params.layers, params.activation, h)
     return h[0] if single else h
 
 
-def record_forward(params: BackboneParams, h: np.ndarray) -> tuple[np.ndarray, list]:
-    """The layer loop on a checked (n, in_dim) float64 batch.
+def record_forward(layers: list, activation: str, h: np.ndarray) -> tuple[np.ndarray, list]:
+    """The layer loop on a checked float64 batch, with or without a client axis.
+
+    h is (n, in_dim) and each layer (w, b) a (in, out) weight with a bias
+    that broadcasts over the rows of h @ w; or, for K clients stacked on a
+    leading axis, h is (K, n, in_dim), w is (K, in, out) and b is (K, 1, out).
+    Batched @ runs each client's slice through the same product as the 2-D
+    call, so every client's numbers are bitwise what it gets alone.
 
     Returns the embeddings and a tape for reverse_sweep: every layer input
-    and every hidden layer's pre- and post-activation. h is not mutated.
+    and every hidden layer's pre- and post-activation. h and the layers are
+    not mutated.
     """
-    last = len(params.layers) - 1
-    relu = params.activation == "relu"
+    last = len(layers) - 1
+    relu = activation == "relu"
     inputs, pre, post = [], [], []
-    for i, (w, b) in enumerate(params.layers):
+    for i, (w, b) in enumerate(layers):
         inputs.append(h)
         z = h @ w
         z += b
@@ -114,23 +121,26 @@ def record_forward(params: BackboneParams, h: np.ndarray) -> tuple[np.ndarray, l
 
 
 def reverse_sweep(
-    params: BackboneParams,
+    layers: list,
+    activation: str,
     tape: list,
     g: np.ndarray,
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Backpropagate a (n, out_dim) grad_out through a record_forward tape.
+    """Backpropagate grad_out g through a record_forward tape of the same layers.
 
-    Writes each layer's weight and bias gradient into the preallocated
-    float64 (weight, bias) pairs of grad_layers, shaped like params.layers;
-    they may be views into one flat buffer. Returns grad_x, or None when
-    input_grad is False, which skips the last product. g, the tape and
-    params are not mutated.
+    g is (n, out_dim), or (K, n, out_dim) with a leading client axis. Writes
+    each layer's weight and bias gradient into the preallocated float64
+    (weight, bias) pairs of grad_layers, shaped (in, out) and (out,), or
+    (K, in, out) and (K, out) with the client axis; they may be views into
+    one flat buffer. Reductions run over the rows (axis -2) of each client
+    alone. Returns grad_x, or None when input_grad is False, which skips the
+    last product. g, the tape and the layers are not mutated.
     """
     inputs, pre, post = tape
-    relu = params.activation == "relu"
-    for i in range(len(params.layers) - 1, -1, -1):
+    relu = activation == "relu"
+    for i in range(len(layers) - 1, -1, -1):
         if i < len(pre):
             # g is a fresh product here, never the caller's grad_out
             if relu:
@@ -138,9 +148,9 @@ def reverse_sweep(
             else:
                 g *= 1.0 - post[i] * post[i]
         gw, gb = grad_layers[i]
-        np.matmul(inputs[i].T, g, out=gw)
-        np.add.reduce(g, axis=0, out=gb)
-        g = g @ params.layers[i][0].T if i or input_grad else None
+        np.matmul(inputs[i].swapaxes(-1, -2), g, out=gw)
+        np.add.reduce(g, axis=-2, out=gb)
+        g = g @ layers[i][0].swapaxes(-1, -2) if i or input_grad else None
     return g
 
 
@@ -162,9 +172,9 @@ def backward(
     check_input(params, h)
     if g.shape != (h.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
-    _, tape = record_forward(params, h)
+    _, tape = record_forward(params.layers, params.activation, h)
     grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
-    g = reverse_sweep(params, tape, g, grad_layers)
+    g = reverse_sweep(params.layers, params.activation, tape, g, grad_layers)
     grad_x = g[0] if single else g
     return grad_layers, grad_x
 
@@ -204,11 +214,14 @@ def sgd_update(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray
         if p.shape != g.shape or p.shape != v.shape:
             raise ValueError(f"tensor {i}: shape mismatch {p.shape} vs {g.shape}")
     for p, g, v in zip(params, grads, state.velocity):
-        # the order of (momentum*v + grad) + wd*param, one operation at a time
+        # the order of (momentum*v + grad) + wd*param, one operation at a time;
+        # both scaled terms share one temporary
         v *= state.momentum
         v += g
-        v += state.weight_decay * p
-        p -= state.learning_rate * v
+        scaled = state.weight_decay * p
+        v += scaled
+        np.multiply(state.learning_rate, v, out=scaled)
+        p -= scaled
 
 
 def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:

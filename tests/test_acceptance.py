@@ -268,10 +268,12 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
 
     # replay the first half of a round to see the copies as the clients
     # return them, before the server averages the duplicates
-    new_w = server.embeddings.W.copy()
+    runs = []
     for cl in clients:
         theta_b, head_b = federation.client_payload(server, cl.client_id)
-        _, head_k, _ = federation.client_update(cl, theta_b, head_b, cfg, server.round)
+        runs.append(federation.client_update(cl, theta_b, head_b, cfg, server.round))
+    new_w = server.embeddings.W.copy()
+    for cl, (_, head_k, _) in zip(clients, federation.local_sgd(runs)):
         new_w[:, server.head_slices[cl.client_id]] = head_k
 
     copy_cosines = []

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgc.data import (
+    ClientData,
     Dataset,
+    PartitionSpec,
     SyntheticSpec,
     VerificationPairs,
+    _largest_remainder,
+    _sample_pairs,
     generate,
     partition_balanced,
     partition_lognormal,
@@ -245,3 +249,157 @@ def test_partition_problems_name_the_argument():
     assert partition_problems("shared", 32, 4, 0.0, 2, 18) == []
     assert [n for n, _ in partition_problems("shared", 32, 4, 0.25, 4, 3)] == ["group_size"]
     assert [n for n, _ in partition_problems("striped", 32, 4, 0.25, 2, 18)] == ["scheme"]
+
+
+# ---------------------------------------------------------------- per-class scans as oracles
+# The loops the data layer used before it grouped rows by class with one
+# stable argsort: one flatnonzero scan of the labels per class, one gather
+# per (client, class). They fix the bytes the faster code must reproduce.
+
+
+def scan_sample_pairs(labels, n_each, rng):
+    by_class = [np.flatnonzero(labels == cls) for cls in range(labels.max() + 1)]
+    classes = len(by_class)
+    idx_a, idx_b, same = [], [], []
+    for _ in range(n_each):
+        cls = rng.integers(classes)
+        a, b = rng.choice(by_class[cls], size=2, replace=False)
+        idx_a.append(a)
+        idx_b.append(b)
+        same.append(True)
+    for _ in range(n_each):
+        ca, cb = rng.choice(classes, size=2, replace=False)
+        idx_a.append(rng.choice(by_class[ca]))
+        idx_b.append(rng.choice(by_class[cb]))
+        same.append(False)
+    return VerificationPairs(np.array(idx_a), np.array(idx_b), np.array(same))
+
+
+def scan_build_clients(dataset, holders, splits, num_clients):
+    class_lists = [[] for _ in range(num_clients)]
+    for cls, hs in holders.items():
+        for k in hs:
+            class_lists[k].append(cls)
+    clients = []
+    for k in range(num_clients):
+        classes = sorted(class_lists[k])
+        xs, ys = [], []
+        for local, cls in enumerate(classes):
+            idx = splits[cls][k]
+            xs.append(dataset.train_x[idx])
+            ys.append(np.full(len(idx), local, dtype=np.int64))
+        x = np.concatenate(xs) if xs else np.empty((0, dataset.input_dim))
+        y = np.concatenate(ys) if ys else np.empty(0, dtype=np.int64)
+        clients.append(ClientData(k, classes, x, y))
+    return clients
+
+
+def scan_partition(dataset, scheme, num_clients, seed, share_fraction=0.0, group_size=2):
+    c = dataset.num_classes
+    holders, splits = {}, {}
+    if scheme == "balanced":
+        per = c // num_clients
+        holders = {cls: (cls // per,) for cls in range(c)}
+    elif scheme == "lognormal":
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x109]))
+        weights = np.exp(rng.normal(0.0, 1.0, size=num_clients))
+        counts = _largest_remainder(weights / weights.sum() * c, c, minimum=1)
+        order = rng.permutation(c)
+        start = 0
+        for k, cnt in enumerate(counts):
+            for cls in order[start : start + cnt]:
+                holders[int(cls)] = (k,)
+            start += cnt
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5AE]))
+        n_shared = int(round(share_fraction * c))
+        order = rng.permutation(c)
+        shared_classes = sorted(int(x) for x in order[:n_shared])
+        for cls in shared_classes:
+            group = tuple(int(g) for g in np.sort(rng.choice(num_clients, size=group_size, replace=False)))
+            holders[cls] = group
+            idx = np.flatnonzero(dataset.train_y == cls)
+            splits[cls] = dict(zip(group, np.array_split(idx, group_size)))
+        exclusive = [cls for cls in range(c) if cls not in set(shared_classes)]
+        for i, cls in enumerate(exclusive):
+            holders[cls] = (i % num_clients,)
+    for cls, hs in holders.items():
+        if len(hs) == 1:
+            splits[cls] = {hs[0]: np.flatnonzero(dataset.train_y == cls)}
+    clients = scan_build_clients(dataset, holders, splits, num_clients)
+    counts = np.array([cl.n_samples for cl in clients])
+    return PartitionSpec(num_clients, holders, counts, scheme), clients
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(["balanced", "lognormal", "shared"]),
+    num_clients=st.integers(2, 7),
+    classes_per_client=st.integers(1, 4),
+    rows_per_class=st.integers(2, 9),
+    share_fraction=st.floats(0.0, 0.95),
+    group_size=st.integers(2, 7),
+    shuffled=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_partitions_are_bytewise_the_per_class_scans(
+    scheme, num_clients, classes_per_client, rows_per_class, share_fraction, group_size,
+    shuffled, seed,
+):
+    # a hand-built dataset, its training rows optionally shuffled so that
+    # train_y is not sorted by class
+    num_classes = num_clients * classes_per_client
+    group_size = min(group_size, num_clients, rows_per_class)
+    rng = np.random.default_rng(seed)
+    n = num_classes * rows_per_class
+    order = rng.permutation(n) if shuffled else np.arange(n)
+    none = np.array([], dtype=np.int64)
+    ds = Dataset(
+        train_x=rng.normal(size=(n, 3))[order],
+        train_y=np.repeat(np.arange(num_classes), rows_per_class)[order],
+        test_x=np.zeros((0, 3)),
+        test_y=none,
+        centers=np.zeros((num_classes, 3)),
+        pairs=VerificationPairs(none, none, np.array([], dtype=bool)),
+    )
+    if scheme == "balanced":
+        got = partition_balanced(ds, num_clients)
+    elif scheme == "lognormal":
+        got = partition_lognormal(ds, num_clients, seed)
+    else:
+        got = partition_shared(ds, num_clients, share_fraction, seed, group_size)
+    want = scan_partition(ds, scheme, num_clients, seed, share_fraction, group_size)
+    (part, clients), (part_w, clients_w) = got, want
+    assert (part.num_clients, part.scheme, part.assignment) == (
+        part_w.num_clients, part_w.scheme, part_w.assignment
+    )
+    assert_same_array(part.counts, part_w.counts)
+    assert len(clients) == len(clients_w)
+    for a, b in zip(clients, clients_w):
+        assert (a.client_id, a.classes) == (b.client_id, b.classes)
+        assert_same_array(a.x, b.x)
+        assert_same_array(a.y_local, b.y_local)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_classes=st.integers(2, 12),
+    rows_per_class=st.integers(2, 6),
+    n_each=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_pairs_is_bytewise_the_per_class_scan(num_classes, rows_per_class, n_each, seed):
+    # unsorted labels: the pairs index rows, so row order within a class matters
+    labels = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(num_classes), rows_per_class)
+    )
+    got = _sample_pairs(labels, n_each, np.random.default_rng(seed + 1))
+    want = scan_sample_pairs(labels, n_each, np.random.default_rng(seed + 1))
+    for a, b in [(got.idx_a, want.idx_a), (got.idx_b, want.idx_b), (got.same, want.same)]:
+        assert_same_array(a, b)
+

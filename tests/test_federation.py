@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgc import nn
 from fedgc.config import ConfigError
@@ -23,6 +25,7 @@ from fedgc.data import (
 )
 from fedgc.federation import (
     FederationConfig,
+    LocalRun,
     _batch_plan,
     aggregate_theta,
     build_centralized,
@@ -62,6 +65,12 @@ def make_federation(cfg, num_classes=8, spc=12, seed=1, share_fraction=None):
         part, shards = partition_shared(ds, cfg.num_clients, share_fraction, seed=seed)
     server, clients = build_federation(shards, ds.input_dim, cfg)
     return ds, server, clients
+
+
+def train_client(client, theta, head, cfg, round_index=0):
+    """client_update's run for one client, trained alone."""
+    ((theta_k, head_k, trace),) = local_sgd([client_update(client, theta, head, cfg, round_index)])
+    return theta_k, head_k, trace
 
 
 def round_rng(seed):
@@ -170,9 +179,12 @@ def test_client_update_deterministic_and_round_dependent():
     _, server, clients = make_federation(cfg)
     theta = server.theta
     head = server.head_of(0)
-    a = client_update(clients[0], theta, head, cfg, round_index=3)
-    b = client_update(clients[0], theta, head, cfg, round_index=3)
-    c = client_update(clients[0], theta, head, cfg, round_index=4)
+    run = client_update(clients[0], theta, head, cfg, round_index=3)
+    assert isinstance(run, LocalRun) and run.opt.velocity == []
+    assert run.theta is theta and run.head is head  # nothing is copied before training
+    a = train_client(clients[0], theta, head, cfg, round_index=3)
+    b = train_client(clients[0], theta, head, cfg, round_index=3)
+    c = train_client(clients[0], theta, head, cfg, round_index=4)
     for x, y in zip(a[0].to_list(), b[0].to_list()):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(a[1], b[1])
@@ -193,7 +205,7 @@ def test_client_update_does_not_mutate_inputs():
     head = server.head_of(0)
     head_before = head.copy()
     theta_before = [a.copy() for a in server.theta.to_list()]
-    client_update(clients[0], server.theta, head, cfg)
+    train_client(clients[0], server.theta, head, cfg)
     np.testing.assert_array_equal(head, head_before)
     for a, b in zip(server.theta.to_list(), theta_before):
         np.testing.assert_array_equal(a, b)
@@ -208,7 +220,7 @@ def test_client_update_single_step_matches_hand_gradient():
     cl = clients[0]
     assert cl.n_samples <= cfg.batch_size
     head = server.head_of(0)
-    theta_k, head_k, trace = client_update(cl, server.theta, head, cfg)
+    theta_k, head_k, trace = train_client(cl, server.theta, head, cfg)
 
     feats = nn.forward(server.theta, cl.x)
     lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
@@ -223,7 +235,7 @@ def test_client_update_single_step_matches_hand_gradient():
 def test_fixed_head_mode_trains_backbone_only():
     cfg = small_cfg(mode="fedpe_fixed")
     _, server, clients = make_federation(cfg)
-    theta_k, head_k, _ = client_update(clients[0], server.theta, server.head_of(0), cfg)
+    theta_k, head_k, _ = train_client(clients[0], server.theta, server.head_of(0), cfg)
     np.testing.assert_array_equal(head_k, server.head_of(0))
     assert not np.array_equal(theta_k.layers[0][0], server.theta.layers[0][0])
 
@@ -231,7 +243,7 @@ def test_fixed_head_mode_trains_backbone_only():
 def test_local_training_reduces_loss():
     cfg = small_cfg(local_steps=30)
     _, server, clients = make_federation(cfg)
-    _, _, trace = client_update(clients[0], server.theta, server.head_of(0), cfg)
+    _, _, trace = train_client(clients[0], server.theta, server.head_of(0), cfg)
     assert np.mean(trace[-3:]) < np.mean(trace[:3])
 
 
@@ -283,7 +295,7 @@ def test_client_update_bitwise_matches_reference_loop(loss, mode):
     assert cl.n_samples % cfg.batch_size
     assert cfg.local_steps > 2 * math.ceil(cl.n_samples / cfg.batch_size)
     head = server.head_of(0)
-    got = client_update(cl, server.theta, head, cfg, round_index=2)
+    got = train_client(cl, server.theta, head, cfg, round_index=2)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
     want = reference_local_sgd(
         server.theta, head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
@@ -334,7 +346,7 @@ def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
     batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
     assert len(ds.train_y) % cfg.batch_size
     args = (ds.train_x, ds.train_y, batches)
-    got = local_sgd(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head)
+    (got,) = local_sgd([(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head)])
     want = reference_local_sgd(
         theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head
     )
@@ -349,29 +361,159 @@ def test_local_sgd_classifies_divergence_inside_the_step():
     theta = nn.init_backbone([5, 10, 6], seed=4)
     head = init_head(4, 6, np.random.default_rng(9))
     cfg = small_cfg(batch_size=8, local_steps=6)
-    batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
+    batches = _batch_plan(len(ds.train_y), cfg, np.random.default_rng(5))
     dead = head.copy()
     dead[:, 2] = 0.0
     with pytest.raises(NonFiniteError, match="zero-norm") as exc:
-        local_sgd(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface(), True)
+        local_sgd([(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface(), True)])
     assert exc.type is NonFiniteError
     for loss in (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()):
-        seen = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the first step is finite; its update overflows the parameters
+            (one_step,) = local_sgd(
+                [(theta, head, ds.train_x, ds.train_y, batches[:1], nn.SgdState(1e300), loss, True)]
+            )
+            assert np.isfinite(one_step[2]).all()
             with pytest.raises(NonFiniteError) as exc:
-                # the first step is finite; its update overflows the parameters
-                local_sgd(
-                    theta, head, ds.train_x, ds.train_y, _recording(batches, seen),
-                    nn.SgdState(1e300), loss, True,
-                )
+                local_sgd([(theta, head, ds.train_x, ds.train_y, batches, nn.SgdState(1e300), loss, True)])
         assert exc.type is NonFiniteError
-        assert len(seen) >= 2, "diverged mid-call, not on the first step"
 
 
-def _recording(batches, seen):
-    for idx in batches:
-        seen.append(idx)
-        yield idx
+# ---------------------------------------------------------------- lockstep groups
+
+
+def random_run(rng, dims, activation, classes, rows, batch_size, steps, loss, opt, train_head):
+    """A LocalRun on random data whose batch plan has the given shape."""
+    theta = nn.init_backbone(dims, seed=int(rng.integers(2**31)), activation=activation)
+    for _, b in theta.layers:
+        b[:] = rng.normal(0.0, 0.1, size=b.shape)
+    head = rng.normal(0.0, 1.0, size=(dims[-1], classes))
+    x = rng.normal(0.0, 2.0, size=(rows, dims[0]))
+    y = rng.integers(0, classes, size=rows)
+    cfg = small_cfg(batch_size=batch_size, local_steps=steps)
+    return LocalRun(theta, head, x, y, _batch_plan(rows, cfg, rng), opt, loss, train_head)
+
+
+def assert_same_training_and_velocity(got, want, opt_got, opt_want):
+    assert_same_training(got, want)
+    for a, b in zip(opt_got.velocity, opt_want.velocity, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    activation=st.sampled_from(["relu", "tanh"]),
+    loss=st.sampled_from([LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()]),
+    rows=st.integers(1, 40),
+    batch_size=st.integers(1, 39),
+    steps=st.integers(1, 5),
+    classes=st.integers(1, 5),
+    momentum=st.sampled_from([0.0, 0.9]),
+    decay=st.sampled_from([0.0, 5e-3]),
+    train_head=st.booleans(),
+    others=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# sixteen runs whose third step is a 1-row partial batch; three 1-row runs
+@example(k=16, hidden=[9, 9, 9], activation="relu", loss=LossSpec.cosface(), rows=33,
+         batch_size=16, steps=5, classes=5, momentum=0.9, decay=5e-3, train_head=True,
+         others=3, seed=1)
+@example(k=3, hidden=[2], activation="tanh", loss=LossSpec.arcface(), rows=1, batch_size=1,
+         steps=2, classes=2, momentum=0.0, decay=0.0, train_head=False, others=0, seed=2)
+def test_lockstep_local_sgd_is_bitwise_per_run(
+    k, hidden, activation, loss, rows, batch_size, steps, classes, momentum, decay,
+    train_head, others, seed,
+):
+    # k runs of one shape train as one stacked group; `others` runs with a
+    # different head width or row count join the call at random positions
+    # and form groups of their own. Every run must come back bitwise as it
+    # trains alone and as the unfused reference loop trains it, in input
+    # order, with the same velocity; a second call resumes every run from
+    # its stored velocity, as centralized rounds do.
+    rng = np.random.default_rng(seed)
+    dims = [4, *hidden, 3]
+
+    def make(classes_k, rows_k):
+        # one run twice, each copy with its own optimizer
+        run = random_run(rng, dims, activation, classes_k, rows_k, batch_size, steps, loss,
+                         nn.SgdState(0.05, momentum, decay), train_head)
+        return run, run._replace(opt=nn.SgdState(0.05, momentum, decay))
+
+    pairs = [make(classes, rows) for _ in range(k)]
+    pairs += [make(classes + 1 + i % 2, rows + i // 2) for i in range(others)]
+    order = rng.permutation(len(pairs))
+    pairs = [pairs[i] for i in order]
+    grouped, alone = [p[0] for p in pairs], [p[1] for p in pairs]
+    ref_opts = [nn.SgdState(0.05, momentum, decay) for _ in pairs]
+    for lap in range(2):
+        try:
+            want = [local_sgd([run])[0] for run in alone]
+        except NonFiniteError:
+            # a dead ReLU net gives a zero feature; the group must diverge too
+            with pytest.raises(NonFiniteError):
+                local_sgd(grouped)
+            return
+        got = local_sgd(grouped)
+        for run_g, run_a, ref_opt, g, w in zip(grouped, alone, ref_opts, got, want, strict=True):
+            assert_same_training_and_velocity(g, w, run_g.opt, run_a.opt)
+            assert_same_training(g, reference_local_sgd(*run_a._replace(opt=ref_opt)))
+            if not train_head:
+                np.testing.assert_array_equal(g[1], run_g.head)
+        grouped = [run._replace(theta=g[0], head=g[1]) for run, g in zip(grouped, got)]
+        alone = [run._replace(theta=w[0], head=w[1]) for run, w in zip(alone, want)]
+
+
+def test_lockstep_group_diverges_with_one_dead_client():
+    # one zero-norm head column in one client of a CosFace group diverges the call
+    rng = np.random.default_rng(3)
+    runs = [
+        random_run(rng, [4, 8, 3], "relu", 3, 20, 8, 3, LossSpec.cosface(), nn.SgdState(0.05), True)
+        for _ in range(5)
+    ]
+    runs[2].head[:, 1] = 0.0
+    for run in runs[:2] + runs[3:]:
+        local_sgd([run])  # the others train
+    with pytest.raises(NonFiniteError, match="zero-norm") as exc:
+        local_sgd(runs)
+    assert exc.type is NonFiniteError
+
+
+def test_lockstep_batches_index_each_client_alone():
+    # a negative index counts from the end of the run's own rows, as x[idx]
+    # does; an index past either end raises instead of reading a neighbour's
+    rng = np.random.default_rng(5)
+    runs = [
+        random_run(rng, [4, 6, 3], "relu", 2, 7, 4, 2, LossSpec.softmax(), nn.SgdState(0.05), True)
+        for _ in range(3)
+    ]
+    runs = [run._replace(batches=[np.array([-1, 0, -7, 3]), np.array([6, -2, 1, 2])]) for run in runs]
+    want = [local_sgd([run._replace(opt=nn.SgdState(0.05))])[0] for run in runs]
+    for got, expect in zip(local_sgd(runs), want, strict=True):
+        assert_same_training(got, expect)
+    for bad in (7, -8):
+        broken = [run._replace(batches=[np.array([0, 1, bad, 2])], opt=nn.SgdState(0.05)) for run in runs]
+        for call in (broken[:1], broken):
+            with pytest.raises(IndexError):
+                local_sgd(call)
+
+
+def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
+    rng = np.random.default_rng(4)
+    opt = nn.SgdState(0.05, 0.9)
+    a, b = (random_run(rng, [4, 5, 3], "relu", 2, 9, 4, 2, LossSpec.softmax(), opt, True) for _ in range(2))
+    with pytest.raises(ValueError, match="own SgdState"):
+        local_sgd([a, b])
+    # a velocity that does not fit the trained parameters (here: the frozen
+    # head) is refused, alone or in a group
+    (trained,) = local_sgd([a])
+    assert len(trained[2]) == 2
+    b = b._replace(opt=nn.SgdState(0.05, 0.9))
+    for runs in ([a._replace(train_head=False)], [a._replace(train_head=False), b._replace(train_head=False)]):
+        with pytest.raises(ValueError, match="mismatch"):
+            local_sgd(runs)
+    assert local_sgd([]) == []
 
 
 # ---------------------------------------------------------------- aggregation
@@ -444,29 +586,71 @@ def test_correction_step_hand_value_and_guards():
 # ---------------------------------------------------------------- rounds
 
 
-def test_run_round_matches_manual_replay():
-    cfg = small_cfg(mode="fedgc", lam=1.0)
-    _, server, clients = make_federation(cfg)
+def replay_round(server, clients, cfg, rng):
+    """run_round out of the public pieces, one client trained at a time.
 
-    sampled = sample_clients(cfg, round_rng(cfg.seed))
+    Returns the new state, the mean loss, the number of sampled empty
+    clients and the number of distinct (head width, batch sizes) shapes.
+    """
+    sampled = sample_clients(cfg, rng)
     new_w = server.embeddings.W.copy()
-    updates, losses = [], []
+    updates, losses, skipped, shapes = [], [], 0, set()
     for k in sampled:
         theta_b, head_b = client_payload(server, int(k))
-        result = client_update(clients[k], theta_b, head_b, cfg, server.round)
-        theta_k, head_k, trace = result
+        run = client_update(clients[k], theta_b, head_b, cfg, server.round)
+        if run is None:
+            skipped += 1
+            continue
+        shapes.add((run.head.shape, tuple(len(idx) for idx in run.batches)))
+        ((theta_k, head_k, trace),) = local_sgd([run])
         updates.append((theta_k, clients[k].n_samples))
-        new_w[:, server.head_slices[k]] = head_k
+        if cfg.mode != "fedpe_fixed":
+            new_w[:, server.head_slices[k]] = head_k
         losses.append(float(np.mean(trace)))
-    expect_theta = aggregate_theta(updates)
-    expect_emb = correction_step(replace(server.embeddings, W=new_w), cfg)
+    emb = replace(server.embeddings, W=new_w)
+    expect = replace(server, theta=aggregate_theta(updates), embeddings=emb, round=server.round + 1)
+    if emb.shared_columns():
+        expect = merge_shared_identities(expect)
+    expect = replace(expect, embeddings=correction_step(expect.embeddings, cfg))
+    return expect, float(np.mean(losses)), skipped, len(shapes)
 
-    got, got_loss = run_round(server, clients, cfg, round_rng(cfg.seed))
-    assert got.round == 1
-    assert got_loss == float(np.mean(losses))
-    np.testing.assert_array_equal(got.embeddings.W, expect_emb.W)
-    for a, b in zip(got.theta.to_list(), expect_theta.to_list()):
-        np.testing.assert_array_equal(a, b)
+
+@pytest.mark.parametrize(
+    "scheme, participation", [("balanced", 1.0), ("lognormal", 0.5), ("shared", 0.5)]
+)
+def test_run_round_matches_manual_replay(scheme, participation):
+    # lognormal and shared shards differ in head width and batch plan, so a
+    # round trains several lockstep groups; the shared partition of 16
+    # classes over 12 clients leaves two clients without data
+    cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=2, participation=participation)
+    ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1))
+    if scheme == "balanced":
+        _, shards = partition_balanced(ds, cfg.num_clients)
+    else:
+        cfg = replace(cfg, num_clients=12)
+        if scheme == "lognormal":
+            _, shards = partition_lognormal(ds, cfg.num_clients, seed=2)
+        else:
+            _, shards = partition_shared(ds, cfg.num_clients, 0.5, seed=5, group_size=2)
+            assert [cl.client_id for cl in shards if cl.n_samples == 0] == [9, 10]
+    server, clients = build_federation(shards, ds.input_dim, cfg)
+    rng_got, rng_want = round_rng(cfg.seed), round_rng(cfg.seed)
+    skipped, groups = 0, 0
+    for r in range(4):
+        expect, expect_loss, skipped_r, groups_r = replay_round(server, clients, cfg, rng_want)
+        got, got_loss = run_round(server, clients, cfg, rng_got)
+        assert got.round == r + 1
+        assert got_loss == expect_loss
+        np.testing.assert_array_equal(got.embeddings.W, expect.embeddings.W)
+        for a, b in zip(got.theta.to_list(), expect.theta.to_list(), strict=True):
+            np.testing.assert_array_equal(a, b)
+        skipped, groups = skipped + skipped_r, max(groups, groups_r)
+        server = got
+    if scheme == "balanced":
+        assert groups == 1
+    else:
+        assert groups > 1
+    assert (skipped > 0) == (scheme == "shared")
 
 
 def test_run_round_leaves_inputs_untouched():
@@ -572,6 +756,33 @@ def test_merge_shared_identities_errors_and_degenerates():
     for col in (0, 3, 5):
         np.testing.assert_array_equal(merged[:, col], w[:, [0, 3, 5]].mean(axis=1))
     np.testing.assert_array_equal(merged[:, [1, 2, 4]], w[:, [1, 2, 4]])
+
+
+def merge_one_identity_at_a_time(w, emb):
+    """The per-identity loop merge_shared_identities replaced, as its bitwise oracle."""
+    w = w.copy()
+    for cols in emb.shared_columns():
+        w[:, cols] = w[:, cols].mean(axis=1)[:, None]
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_by_group_size_is_bitwise_the_per_identity_loop(sizes, d, seed):
+    # identity i is held `sizes[i]` times (sizes 2 to 4 are shared); the
+    # columns come in shuffled order and on arbitrary clients
+    rng = np.random.default_rng(seed)
+    class_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    client_of = rng.integers(0, 3, size=len(class_of))
+    w = rng.normal(size=(d, len(class_of))) * 10.0 ** rng.integers(-3, 4, size=len(class_of))
+    emb = StackedEmbeddings(w, client_of, class_of=class_of)
+    server = replace(make_federation(small_cfg())[1], embeddings=emb)
+    merged = merge_shared_identities(server).embeddings.W
+    assert merged.tobytes() == merge_one_identity_at_a_time(w, emb).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["balanced", "lognormal", "shared"])

@@ -11,7 +11,7 @@ import numpy as np
 
 from fedgc.gradcheck import finite_diff_check
 from fedgc.losses import LossSpec, batch_loss_and_grad
-from fedgc.nn import BackboneParams, SgdState, backward, forward, init_backbone, sgd_step
+from fedgc.nn import BackboneParams, SgdState, backward, forward, init_backbone, sgd_update
 
 
 def check_first_layer(params: BackboneParams, x: np.ndarray, probe: np.ndarray) -> float:
@@ -65,7 +65,8 @@ def main() -> int:
         grad_layers, _ = backward(params, x, lg.grad_feature)
         flat = params.to_list() + [head]
         gflat = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
-        new = sgd_step(state, flat, gflat)
+        new = [a.copy() for a in flat]
+        sgd_update(state, new, gflat)
         params = BackboneParams.from_list(new[:-1], params.activation)
         head = new[-1]
         print(f"{step:4d}  {lg.loss:.4f}")

@@ -56,8 +56,8 @@ def main() -> int:
     # the merge snaps them back together
     runs = []
     for k in range(cfg.num_clients):
-        theta_b, head_b = federation.client_payload(server, k)
-        runs.append(federation.client_update(clients[k], theta_b, head_b, cfg, server.round))
+        head = server.embeddings.W[:, server.head_slices[k]]
+        runs.append(federation.client_update(clients[k], server.theta, head, cfg, server.round))
     new_w = server.embeddings.W.copy()
     for k, (_, head_k, _) in enumerate(federation.local_sgd(runs)):
         new_w[:, server.head_slices[k]] = head_k

@@ -61,7 +61,6 @@ from .nn import (
     forward,
     init_backbone,
     read_tensors,
-    sgd_step,
     write_tensors,
 )
 from .regularizers import (

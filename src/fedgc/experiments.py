@@ -17,6 +17,7 @@ import configparser
 import csv
 import json
 import os
+import shutil
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -52,9 +53,10 @@ _AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
 class ExperimentSpec:
     """A grid of cells over one base config; checks its axes at construction.
 
-    A bad axis value, an empty axis, a zero lambda for a correction mode, a
-    partition the data cannot take or fedcos on a shared partition raises
-    ConfigError naming every field.
+    A bad axis value, an empty axis, a zero lambda for a correction mode or
+    a partition the data cannot take raises ConfigError naming every field.
+    Both correction modes run on every partition, shared ones included: the
+    two penalties take cross-client pairs from one ownership rule.
     """
 
     fed: federation.FederationConfig
@@ -105,12 +107,6 @@ class ExperimentSpec:
             problems.append((
                 "share_fraction",
                 f"{self.share_fraction} rounds to zero shared classes out of {self.data.num_classes}",
-            ))
-        if "fedcos" in self.modes and "shared" in self.partitions:
-            problems.append((
-                "partitions",
-                "fedcos cannot run on a shared partition: the cosine penalty reads only "
-                "client_of, so it would push apart the merged copies of one identity",
             ))
         problems += [
             (name, f"need >= 1, got {getattr(self, name)}")
@@ -537,6 +533,7 @@ def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
 
 
 def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -> str:
+    """Write one cell's files; a diverged cell removes any an earlier ok run left."""
     cell_dir = os.path.join(spec.out_dir, result.cell.name)
     os.makedirs(cell_dir, exist_ok=True)
     with open(os.path.join(cell_dir, "metrics.jsonl"), "w") as fh:
@@ -561,6 +558,14 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
                 os.path.join(cell_dir, "test_features.fgc"),
                 [result.test_features, dataset.test_y.astype(np.float64)],
             )
+    else:
+        for name in ("checkpoint", "similarity_cross.csv", "similarity_within.csv",
+                     "test_features.fgc"):
+            path = os.path.join(cell_dir, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.exists(path):
+                os.remove(path)
     return cell_dir
 
 

@@ -11,7 +11,7 @@ Modes:
 
 All training runs through one fused loop, local_sgd, which is bitwise equal
 to chaining the public reference pieces the gradient checks exercise:
-nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_step. It
+nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_update. It
 trains a round's equal-shape clients in lockstep, stacked on a leading
 client axis, and each client's numbers are bitwise what it gets alone.
 
@@ -23,7 +23,7 @@ state with a single client that holds every class, advanced by
 centralized_round instead of run_round. The stack also records each
 column's identity (StackedEmbeddings.class_of), so an identity that several
 clients hold is known from the stack alone: run_round averages its copies
-and the softmax penalty never pushes them apart.
+and neither penalty pushes them apart.
 
 All randomness is derived from (seed, round, client_id), so a run is
 bit-reproducible and independent of client execution order.
@@ -105,9 +105,6 @@ class ServerState:
     round: int
     head_slices: list[slice]         # column range of each client's head
 
-    def head_of(self, client_id: int) -> np.ndarray:
-        return self.embeddings.W[:, self.head_slices[client_id]].copy()
-
 
 def init_head(num_classes: int, embedding_dim: int, rng: np.random.Generator) -> np.ndarray:
     # columns ~ N(0, 1/d): near-unit norms, near-orthogonal in high dimension
@@ -121,8 +118,8 @@ def build_federation(
 
     Every head lives only in the server's stacked matrix, each column tagged
     with its client and its global class; a client is only ever handed the
-    backbone and its own columns (copies from client_payload, or in
-    run_round the server's own arrays, which local_sgd only reads).
+    backbone and its own columns: run_round hands client_update the server's
+    own arrays, which local_sgd copies into its buffers and never writes to.
     """
     theta = nn.init_backbone([input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     clients = list(client_data)
@@ -148,15 +145,6 @@ def build_federation(
         head_slices=slices,
     )
     return server, clients
-
-
-def client_payload(server: ServerState, client_id: int) -> tuple[nn.BackboneParams, np.ndarray]:
-    """What the server broadcasts to one client, as copies: the backbone and its own head only.
-
-    run_round hands client_update the server's own arrays instead; local_sgd
-    copies them into its buffers and never writes to them.
-    """
-    return server.theta.copy(), server.head_of(client_id)
 
 
 def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator) -> list[np.ndarray]:

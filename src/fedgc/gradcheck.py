@@ -15,7 +15,7 @@ from . import data as datasets
 from . import federation, nn
 from .losses import LossGrad, LossSpec, batch_loss_and_grad
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
-from .regularizers import _anchor_columns, _ownership, _same_owner
+from .regularizers import _anchor_columns, _ownership
 
 
 @dataclass
@@ -81,11 +81,11 @@ def softmax_reg_naive(emb: StackedEmbeddings) -> RegGrad:
     w = emb.W
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite entry in stacked embeddings")
-    owners = _ownership(emb)
+    set_of, table = _ownership(emb)
     value = 0.0
     grad = np.zeros_like(w)
     for a in _anchor_columns(emb):
-        negatives = np.flatnonzero(~_same_owner(emb, owners, np.array([a]))[0])
+        negatives = np.flatnonzero(~table[set_of[a], set_of])
         anchor = w[:, a]
         self_term = np.exp(anchor @ anchor)
         cross = np.exp(w[:, negatives].T @ anchor)

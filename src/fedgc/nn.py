@@ -224,16 +224,6 @@ def sgd_update(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray
         p -= scaled
 
 
-def sgd_step(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """sgd_update on copies of params: returns the new parameter arrays.
-
-    Only the velocities in `state` change; params and grads are not mutated.
-    """
-    out = [p.copy() for p in params]
-    sgd_update(state, out, grads)
-    return out
-
-
 def write_tensors(path, arrays: list[np.ndarray]) -> None:
     """Serialize float64 arrays: magic 'FGC1', then per-array dims (u32 LE) and data (f64 LE)."""
     with open(path, "wb") as fh:

@@ -21,13 +21,13 @@ Nothing here holds a dense C x C array. The softmax penalty streams the
 anchors in blocks: each block's scores against every column, their
 log-sum-exp and their softmax weights live in one (B, C) buffer, with B set
 by a fixed element budget, so memory is O(d C + C B). Each anchor's term is
-independent, so blocking changes only the summation order. Which pairs may
-be separated comes from the stack itself: the owners of a column are the
-clients holding a column of the same identity (class_of). A stack with one
-column per identity compares client_of; a stack where an identity repeats
-uses a C x K 0/1 ownership matrix M, and two columns are separable iff
-their entry of M M^T is 0. The cosine penalty needs no pairs at all: it is
-evaluated in closed form from per-client column sums in O(d C).
+independent, so blocking changes only the summation order. Both penalties
+separate two columns iff their owner sets, the clients holding a column of
+their identity (class_of), are disjoint. _ownership numbers the owner sets,
+the clients first and then one per identity several clients hold, and
+tabulates which sets meet: the softmax penalty masks each block by a gather
+from that table, and the cosine penalty is a closed form over per-set
+column sums in O(d (C + S^2)).
 """
 
 from __future__ import annotations
@@ -112,26 +112,32 @@ def _blocks(count: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _ownership(emb: StackedEmbeddings) -> np.ndarray | None:
-    """C x K 0/1 matrix of the clients owning each column; None when no identity repeats.
+def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray]:
+    """Owner-set id of every column, and the S x S table of which owner sets intersect.
 
-    The owners of a column are the clients holding a column of its identity.
-    Two columns may be separated iff they share no owner.
+    Sets 0..K-1 are the single clients in client order; every identity that
+    more than one client holds adds one set, the clients holding it. Columns
+    u and v may be separated iff table[set_of[u], set_of[v]] is False.
     """
-    ids, identity = np.unique(emb.class_of, return_inverse=True)
-    if ids.size == emb.num_columns:
-        return None
-    _, client = np.unique(emb.client_of, return_inverse=True)
-    held = np.zeros((ids.size, int(client.max()) + 1))
-    held[identity, client] = 1.0
-    return held[identity]
-
-
-def _same_owner(emb: StackedEmbeddings, owners: np.ndarray | None, anchors: np.ndarray) -> np.ndarray:
-    """same[i, w]: column w may not act as a negative for anchor column anchors[i]."""
-    if owners is None:
-        return emb.client_of[anchors, None] == emb.client_of[None, :]
-    return owners[anchors] @ owners.T != 0.0
+    clients = np.unique(emb.client_of)
+    client = np.searchsorted(clients, emb.client_of)
+    k = clients.size
+    ids = np.sort(emb.class_of)
+    if not (ids[1:] == ids[:-1]).any():
+        return client, np.eye(k, dtype=bool)
+    ids, ident = np.unique(emb.class_of, return_inverse=True)
+    # an identity is held by several clients iff it has several (identity, client) pairs
+    held = np.bincount(np.unique(ident * k + client) // k, minlength=ids.size) > 1
+    shared = held[ident]
+    set_of = np.where(shared, k - 1 + np.cumsum(held)[ident], client)
+    # (set, client) memberships; the sets that contain one client all meet
+    sets = np.r_[np.arange(k), set_of[shared]]
+    member = np.r_[np.arange(k), client[shared]]
+    table = np.zeros((k + int(held.sum()),) * 2, dtype=bool)
+    for c in range(k):
+        meeting = sets[member == c]
+        table[np.ix_(meeting, meeting)] = True
+    return set_of, table
 
 
 def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> np.ndarray:
@@ -166,7 +172,7 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
     disjoint, so copies of one shared identity are never pushed apart.
     """
     a_mat = _columns(emb, normalize_columns)
-    owners = _ownership(emb)
+    set_of, table = _ownership(emb)
     anchors = _anchor_columns(emb)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
@@ -176,7 +182,9 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
         # exponent of every negative w against each anchor a, shifted by the self term
         scores = block.T @ a_mat
         scores -= scores[np.arange(cols.size), cols][:, None]
-        np.putmask(scores, _same_owner(emb, owners, cols), -np.inf)
+        # pairs whose owner sets meet, gathered as (C, B) from the block's rows
+        # of the symmetric table: rows of B flags copy faster than a take along C
+        np.copyto(scores, -np.inf, where=table[set_of[cols]].T.take(set_of, axis=0).T)
         # log(1 + sum exp(...)) with the self term's exp(0) folded in; 0 if no negatives
         top = np.maximum(scores.max(axis=1), 0.0)
         scores -= top[:, None]
@@ -193,24 +201,31 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     """Sum of cross-client pairwise dot products (each pair counted twice).
 
     No stop-gradient here: the gradient on a column is twice the sum of all
-    other clients' columns, so every column is pushed away from the bulk of
-    the rest with equal weight.
+    columns whose owner set is disjoint from its own, each with equal
+    weight, so copies of one shared identity are never pushed apart.
 
     Evaluated in closed form from column sums: with S the sum of all columns,
-    S_A the sum of the anchor columns and S_k, S_{A,k} the same sums over
-    client k, value = S.S_A - sum_k S_k.S_{A,k}, and column v of client k
-    gets (S_A - S_{A,k}) + [v is an anchor] (S - S_k).
+    S_A the sum of the anchor columns, P_t, P_{A,t} the same sums over owner
+    set t and N_t, N_{A,t} the sums of P and P_A over every set meeting t,
+    value = S.S_A - sum_t P_{A,t}.N_t, and column v of set t gets
+    (S_A - N_{A,t}) + [v is an anchor] (S - N_t).
     """
     a_mat = _columns(emb, normalize_columns)
     is_anchor = np.ones(emb.num_columns) if emb.anchor_mask is None else emb.anchor_mask * 1.0
     a_anchor = a_mat * is_anchor
-    ids, client = np.unique(emb.client_of, return_inverse=True)
-    own = np.zeros((ids.size, a_mat.shape[0]))  # per-client column sums
-    own_anchor = np.zeros_like(own)
-    np.add.at(own, client, a_mat.T)
-    np.add.at(own_anchor, client, a_anchor.T)
+    set_of, table = _ownership(emb)
+    d, s = a_mat.shape[0], table.shape[0]
+    # per-set column sums, accumulated in column order
+    bins = (set_of[:, None] * d + np.arange(d)).ravel()
+    own = np.bincount(bins, a_mat.T.ravel(), s * d).reshape(s, d)
+    own_anchor = np.bincount(bins, a_anchor.T.ravel(), s * d).reshape(s, d)
+    # sums over the sets meeting each set; with nothing shared, each set alone
+    meets, met = np.nonzero(table)
+    pair_bins = (meets[:, None] * d + np.arange(d)).ravel()
+    near = np.bincount(pair_bins, own[met].ravel(), s * d).reshape(s, d)
+    near_anchor = np.bincount(pair_bins, own_anchor[met].ravel(), s * d).reshape(s, d)
     total, total_anchor = a_mat.sum(axis=1), a_anchor.sum(axis=1)
-    value = float(total @ total_anchor - (own * own_anchor).sum())
-    grad_n = (total_anchor - own_anchor[client]).T + is_anchor * (total - own[client]).T
+    value = float(total @ total_anchor - (near * own_anchor).sum())
+    grad_n = (total_anchor - near_anchor[set_of]).T + is_anchor * (total - near[set_of]).T
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
     return RegGrad(value, grad)

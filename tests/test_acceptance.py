@@ -150,7 +150,7 @@ def test_criterion_04_combined_objective_equals_per_sample_evaluation():
     # a direct exponential double loop
     total, n = 0.0, 0
     for cl in clients:
-        head = server.head_of(cl.client_id)
+        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
         feats = nn.forward(server.theta, cl.x)
         for i in range(cl.n_samples):
             total += batch_loss_and_grad(cfg.loss, head, feats[i : i + 1], cl.y_local[i : i + 1]).loss
@@ -270,8 +270,8 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
     # return them, before the server averages the duplicates
     runs = []
     for cl in clients:
-        theta_b, head_b = federation.client_payload(server, cl.client_id)
-        runs.append(federation.client_update(cl, theta_b, head_b, cfg, server.round))
+        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
+        runs.append(federation.client_update(cl, server.theta, head, cfg, server.round))
     new_w = server.embeddings.W.copy()
     for cl, (_, head_k, _) in zip(clients, federation.local_sgd(runs)):
         new_w[:, server.head_slices[cl.client_id]] = head_k

@@ -68,15 +68,16 @@ def test_validate_rejects_a_group_larger_than_a_class(tmp_path, capsys):
     assert "[run] group_size: need <= 6 training rows per class, got 7" in err
 
 
-def test_validate_rejects_fedcos_on_a_shared_partition(tmp_path, capsys):
+def test_validate_accepts_fedcos_on_a_shared_partition(tmp_path, capsys):
+    # both penalties take their pairs from one ownership rule, so the cosine
+    # penalty leaves the copies of a shared identity together too
     path = write_tiny(tmp_path)
     text = path.read_text().replace("num_clients = 2", "num_clients = 4")
     text = text.replace("modes = fedpe", "modes = fedpe, fedcos\npartitions = shared")
     path.write_text(text.replace("num_classes = 4", "num_classes = 8"))
-    assert cli.main(["validate", str(path)]) == 1
-    assert "[grid] partitions: fedcos cannot run on a shared partition" in capsys.readouterr().err
-    path.write_text(text.replace("num_classes = 4", "num_classes = 8").replace(", fedcos", ""))
     assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--mode", "fedcos"]) == 0
+    assert "fedcos_f1_l1_shared: ok" in capsys.readouterr().out
 
 
 def test_validate_rejects_the_removed_correct_all_heads_key(tmp_path, capsys):
@@ -138,6 +139,22 @@ def test_run_exit_2_when_all_cells_diverge(tmp_path, capsys):
     )
     assert cli.main(["run", str(path)]) == 2
     assert "diverged" in capsys.readouterr().out
+
+
+def test_a_diverged_rerun_removes_the_stale_ok_outputs(tmp_path, capsys):
+    path = write_tiny(tmp_path)
+    cell = tmp_path / "out" / "fedpe_f1_l1_balanced"
+    assert cli.main(["run", str(path)]) == 0
+    stale = ["checkpoint", "similarity_cross.csv", "similarity_within.csv", "test_features.fgc"]
+    assert all((cell / name).exists() for name in stale)
+    # the same cell into the same directory, now diverging
+    path.write_text(
+        path.read_text().replace("eta = 0.05", "eta = 1e6").replace("rounds = 2", "rounds = 6")
+    )
+    assert cli.main(["run", str(path)]) == 2
+    assert "fedpe_f1_l1_balanced: diverged" in capsys.readouterr().out
+    assert [p.name for p in cell.iterdir()] == ["metrics.jsonl"]
+    assert "diverged" in (tmp_path / "out" / "summary.csv").read_text()
 
 
 def test_gradcheck_passes_with_exit_0(capsys):

@@ -297,20 +297,6 @@ def test_grid_problems_flags_zero_lambda_only_for_correction_modes(tmp_path):
     assert spec_problems(modes=["fedgc"], lambdas=[0.0], mode_lambdas={"fedgc": [5.0]}) == []
 
 
-def test_fedcos_on_a_shared_partition_is_rejected_at_parse_time(tmp_path):
-    # the cosine penalty reads only client_of, so it would separate the merged
-    # copies of a shared identity; fedgc and the plain modes stay allowed
-    for modes in (["fedcos"], ["fedpe", "fedcos"]):
-        bad = spec_problems(modes=modes, partitions=["balanced", "shared"])
-        assert [p for p in bad if p.startswith("partitions: fedcos cannot run on a shared")]
-    assert spec_problems(modes=["fedpe", "fedgc"], partitions=["shared"]) == []
-    assert spec_problems(modes=["fedcos"], partitions=["balanced", "lognormal"]) == []
-    path = write_cfg(tmp_path, "[grid]\nmodes = fedgc, fedcos\npartitions = shared\n")
-    problems = validate_config(path)
-    assert any(p.startswith("[grid] partitions: fedcos cannot run on a shared") for p in problems)
-    assert parse_config(path)[0] is None
-
-
 def test_partition_problems():
     assert partition_spec_problems(["balanced"], 3, 32, 0.25, 2)
     assert partition_spec_problems(["balanced"], 4, 32, 0.25, 2) == []

@@ -31,7 +31,6 @@ from fedgc.federation import (
     build_centralized,
     build_federation,
     centralized_round,
-    client_payload,
     client_update,
     combined_objective,
     correction_step,
@@ -46,6 +45,11 @@ from fedgc.federation import (
 )
 from fedgc.losses import LossSpec, NonFiniteError, batch_loss_and_grad
 from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
+
+
+def head_of(server, client_id):
+    """A copy of one client's columns of the stacked head matrix."""
+    return server.embeddings.W[:, server.head_slices[client_id]].copy()
 
 
 def small_cfg(**kw):
@@ -88,7 +92,7 @@ def centralized_rounds(ds, cfg):
     for r in range(cfg.rounds):
         server, loss = centralized_round(server, client, cfg, opt)
         assert server.round == r + 1
-        states.append((server.theta, server.head_of(0), loss))
+        states.append((server.theta, head_of(server, 0), loss))
     return states
 
 
@@ -146,7 +150,7 @@ def test_build_federation_layout():
     assert [cl.client_id for cl in clients] == [0, 1]
     assert all(isinstance(cl, ClientData) for cl in clients)
     # per-client head seeds differ, and rebuilding reproduces everything
-    assert not np.array_equal(server.head_of(0), server.head_of(1))
+    assert not np.array_equal(head_of(server, 0), head_of(server, 1))
     _, server2, _ = make_federation(cfg)
     np.testing.assert_array_equal(server.embeddings.W, server2.embeddings.W)
 
@@ -159,18 +163,6 @@ def test_init_head_scale():
     assert abs(norms.mean() - 1.0) < 0.05  # columns near unit norm by design
 
 
-def test_client_payload_is_isolated():
-    cfg = small_cfg()
-    _, server, _ = make_federation(cfg)
-    theta, head = client_payload(server, 0)
-    assert head.shape == (cfg.embedding_dim, 4)
-    head += 100.0
-    theta.layers[0][0][:] += 100.0
-    np.testing.assert_array_equal(server.head_of(0), server.embeddings.W[:, 0:4])
-    assert server.embeddings.W.max() < 50.0
-    assert server.theta.layers[0][0].max() < 50.0
-
-
 # ---------------------------------------------------------------- local updates
 
 
@@ -178,7 +170,7 @@ def test_client_update_deterministic_and_round_dependent():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     theta = server.theta
-    head = server.head_of(0)
+    head = head_of(server, 0)
     run = client_update(clients[0], theta, head, cfg, round_index=3)
     assert isinstance(run, LocalRun) and run.opt.velocity == []
     assert run.theta is theta and run.head is head  # nothing is copied before training
@@ -196,13 +188,13 @@ def test_client_update_empty_client_skips():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
     empty = replace(clients[0], x=clients[0].x[:0], y_local=clients[0].y_local[:0])
-    assert client_update(empty, server.theta, server.head_of(0), cfg) is None
+    assert client_update(empty, server.theta, head_of(server, 0), cfg) is None
 
 
 def test_client_update_does_not_mutate_inputs():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
-    head = server.head_of(0)
+    head = head_of(server, 0)
     head_before = head.copy()
     theta_before = [a.copy() for a in server.theta.to_list()]
     train_client(clients[0], server.theta, head, cfg)
@@ -219,7 +211,7 @@ def test_client_update_single_step_matches_hand_gradient():
     _, server, clients = make_federation(cfg)
     cl = clients[0]
     assert cl.n_samples <= cfg.batch_size
-    head = server.head_of(0)
+    head = head_of(server, 0)
     theta_k, head_k, trace = train_client(cl, server.theta, head, cfg)
 
     feats = nn.forward(server.theta, cl.x)
@@ -235,15 +227,15 @@ def test_client_update_single_step_matches_hand_gradient():
 def test_fixed_head_mode_trains_backbone_only():
     cfg = small_cfg(mode="fedpe_fixed")
     _, server, clients = make_federation(cfg)
-    theta_k, head_k, _ = train_client(clients[0], server.theta, server.head_of(0), cfg)
-    np.testing.assert_array_equal(head_k, server.head_of(0))
+    theta_k, head_k, _ = train_client(clients[0], server.theta, head_of(server, 0), cfg)
+    np.testing.assert_array_equal(head_k, head_of(server, 0))
     assert not np.array_equal(theta_k.layers[0][0], server.theta.layers[0][0])
 
 
 def test_local_training_reduces_loss():
     cfg = small_cfg(local_steps=30)
     _, server, clients = make_federation(cfg)
-    _, _, trace = train_client(clients[0], server.theta, server.head_of(0), cfg)
+    _, _, trace = train_client(clients[0], server.theta, head_of(server, 0), cfg)
     assert np.mean(trace[-3:]) < np.mean(trace[:3])
 
 
@@ -254,7 +246,8 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
     """The unfused loop local_sgd replaced, kept here as its bitwise oracle.
 
     Each step runs nn.forward, batch_loss_and_grad, nn.backward (which runs
-    the forward pass again) and one nn.sgd_step over the separate tensors.
+    the forward pass again) and one nn.sgd_update on copies of the separate
+    tensors.
     """
     head = head.copy()
     trace = []
@@ -269,7 +262,8 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
         if train_head:
             params.append(head)
             grads.append(lg.grad_embeddings)
-        new = nn.sgd_step(opt, params, grads)
+        new = [p.copy() for p in params]
+        nn.sgd_update(opt, new, grads)
         if train_head:
             head = new.pop()
         theta = nn.BackboneParams.from_list(new, theta.activation)
@@ -294,7 +288,7 @@ def test_client_update_bitwise_matches_reference_loop(loss, mode):
     cl = clients[0]
     assert cl.n_samples % cfg.batch_size
     assert cfg.local_steps > 2 * math.ceil(cl.n_samples / cfg.batch_size)
-    head = server.head_of(0)
+    head = head_of(server, 0)
     got = train_client(cl, server.theta, head, cfg, round_index=2)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
     want = reference_local_sgd(
@@ -596,8 +590,7 @@ def replay_round(server, clients, cfg, rng):
     new_w = server.embeddings.W.copy()
     updates, losses, skipped, shapes = [], [], 0, set()
     for k in sampled:
-        theta_b, head_b = client_payload(server, int(k))
-        run = client_update(clients[k], theta_b, head_b, cfg, server.round)
+        run = client_update(clients[k], server.theta, head_of(server, k), cfg, server.round)
         if run is None:
             skipped += 1
             continue
@@ -686,10 +679,10 @@ def test_partial_participation_head_movement():
         assert len(sampled) == 1
         (idle,) = set(range(2)) - sampled
         after, _ = run_round(server, clients, cfg, round_rng(cfg.seed))
-        assert (not np.array_equal(after.head_of(idle), server.head_of(idle))) == idle_moves
+        assert (not np.array_equal(head_of(after, idle), head_of(server, idle))) == idle_moves
         # the sampled client's head always moves
         (k,) = sampled
-        assert not np.array_equal(after.head_of(k), server.head_of(k))
+        assert not np.array_equal(head_of(after, k), head_of(server, k))
 
 
 def test_zero_lambda_correction_is_bitwise_fedpe():
@@ -818,7 +811,7 @@ def test_combined_objective_hand_value():
     expected = 0.0
     for cl in clients:
         feats = nn.forward(server.theta, cl.x)
-        lg = batch_loss_and_grad(cfg.loss, server.head_of(cl.client_id), feats, cl.y_local)
+        lg = batch_loss_and_grad(cfg.loss, head_of(server, cl.client_id), feats, cl.y_local)
         expected += float(server.weights[cl.client_id]) * lg.loss
     plain = expected
     expected += 3.0 * softmax_reg(server.embeddings).value
@@ -890,7 +883,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert all(same_bits(a, b) for a, b in zip(theta.to_list(), server.theta.to_list()))
     assert theta.activation == server.theta.activation
     for cl in clients:
-        assert same_bits(heads[cl.client_id], server.head_of(cl.client_id))
+        assert same_bits(heads[cl.client_id], head_of(server, cl.client_id))
     assert manifest["round"] == 1
     assert [e["id"] for e in manifest["clients"]] == [0, 1]
     # the shared groups are derived from the stack and name the partition's holders

@@ -17,7 +17,7 @@ from fedgc.nn import (
     forward,
     init_backbone,
     read_tensors,
-    sgd_step,
+    sgd_update,
     write_tensors,
 )
 
@@ -149,39 +149,46 @@ def test_backward_rejects_mismatched_grad_out():
         backward(params, np.zeros((4, 3)), np.zeros((4, 3)))
 
 
-def test_sgd_step_hand_unroll_plain():
+def stepped(state, params, grads):
+    """sgd_update on copies of params: the new parameter arrays."""
+    out = [p.copy() for p in params]
+    sgd_update(state, out, grads)
+    return out
+
+
+def test_sgd_update_hand_unroll_plain():
     # lr 0.1, momentum 0.9, no decay, constant gradient 0.5 on p0 = 1:
     #   v1 = 0.5          p1 = 1 - 0.05  = 0.95
     #   v2 = 0.45 + 0.5   p2 = 0.95 - 0.095 = 0.855
     state = SgdState(0.1, momentum=0.9)
     p = [np.array([1.0])]
     g = [np.array([0.5])]
-    p = sgd_step(state, p, g)
+    p = stepped(state, p, g)
     np.testing.assert_allclose(p[0], [0.95])
-    p = sgd_step(state, p, g)
+    p = stepped(state, p, g)
     np.testing.assert_allclose(p[0], [0.855])
 
 
-def test_sgd_step_hand_unroll_weight_decay():
+def test_sgd_update_hand_unroll_weight_decay():
     # lr 0.1, momentum 0.9, decay 0.1, gradient 0.5 on p0 = 1:
     #   v1 = 0.5 + 0.1*1.0    = 0.6     p1 = 1 - 0.06      = 0.94
     #   v2 = 0.54 + 0.5 + 0.094 = 1.134 p2 = 0.94 - 0.1134 = 0.8266
     state = SgdState(0.1, momentum=0.9, weight_decay=0.1)
     p = [np.array([1.0])]
     g = [np.array([0.5])]
-    p = sgd_step(state, p, g)
+    p = stepped(state, p, g)
     np.testing.assert_allclose(p[0], [0.94])
-    p = sgd_step(state, p, g)
+    p = stepped(state, p, g)
     np.testing.assert_allclose(p[0], [0.8266])
 
 
-def test_sgd_step_does_not_mutate_inputs():
+def test_sgd_update_moves_params_in_place_and_keeps_grads():
     state = SgdState(0.5)
     p = [np.ones(3)]
     g = [np.full(3, 2.0)]
-    out = sgd_step(state, p, g)
-    np.testing.assert_array_equal(p[0], np.ones(3))
-    np.testing.assert_array_equal(out[0], np.zeros(3))
+    sgd_update(state, p, g)
+    np.testing.assert_array_equal(p[0], np.zeros(3))
+    np.testing.assert_array_equal(g[0], np.full(3, 2.0))
 
 
 def test_sgd_state_validation():
@@ -193,9 +200,12 @@ def test_sgd_state_validation():
         SgdState(0.1, weight_decay=-1e-9)
     state = SgdState(0.1)
     with pytest.raises(ValueError):
-        sgd_step(state, [np.zeros(2)], [np.zeros(2), np.zeros(2)])
+        sgd_update(state, [np.zeros(2)], [np.zeros(2), np.zeros(2)])
+    # every shape is checked before anything moves
+    p = [np.ones(2), np.ones(2)]
     with pytest.raises(ValueError):
-        sgd_step(SgdState(0.1), [np.zeros(2)], [np.zeros(3)])
+        sgd_update(SgdState(0.1), p, [np.ones(2), np.zeros(3)])
+    np.testing.assert_array_equal(p[0], np.ones(2))
 
 
 def test_tensor_file_roundtrip(tmp_path):

@@ -11,7 +11,6 @@ column of the same identity (class_of).
 
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,6 +236,16 @@ def test_masked_reg_never_separates_group_mates():
     assert np.abs(grad[:, 4:]).max() > 0.0
 
 
+def test_cosine_reg_never_separates_group_mates():
+    # columns 0 (client 0) and 2 (client 1) are one identity; anchor only column 0
+    emb = random_stack(10, columns_per_client=(2, 2, 2), class_of=[0, 1, 0, 3, 4, 5])
+    grad = cosine_reg(replace(emb, anchor_mask=np.arange(6) == 0)).grad
+    # its twin and every other column of the two owners feel exactly nothing
+    assert not grad[:, 1:4].any()
+    # client 2's columns are pushed by the anchor itself
+    np.testing.assert_array_equal(grad[:, 4:], np.repeat(emb.W[:, :1], 2, axis=1))
+
+
 def test_masked_reg_with_no_groups_is_plain_reg():
     # distinct identities, whatever their ids, leave the plain client_of penalty
     emb = random_stack(11)
@@ -306,9 +315,8 @@ def dense_softmax_reg(emb, normalize=False):
 
 
 def dense_cosine_reg(emb, normalize=False):
-    # the cosine penalty reads client_of only, so shared identities do not matter
     a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
-    allowed = dense_pair_mask(replace(emb, class_of=None)).astype(np.float64)
+    allowed = dense_pair_mask(emb).astype(np.float64)
     value = float((a_mat.T @ a_mat * allowed).sum())
     grad_n = a_mat @ (allowed + allowed.T)
     grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
@@ -384,6 +392,7 @@ def test_server_paths_hold_no_dense_pair_matrix():
         "softmax_reg": lambda: softmax_reg(emb, normalize_columns=True),
         "softmax_reg, shared identities": lambda: softmax_reg(shared, normalize_columns=True),
         "cosine_reg": lambda: cosine_reg(emb, normalize_columns=True),
+        "cosine_reg, shared identities": lambda: cosine_reg(shared, normalize_columns=True),
         "embedding_similarity_stats": lambda: embedding_similarity_stats(shared),
     }
     peaks = {}
@@ -443,20 +452,25 @@ def test_penalties_are_invariant_under_client_relabelling(case, normalize):
         np.testing.assert_allclose(rr.grad, rg.grad, rtol=0.0, atol=1e-12)
 
 
-def dense_owner_matrix(emb):
-    """The C x K 0/1 ownership matrix, built even when no identity repeats."""
-    held = np.zeros((emb.class_of.max() + 1, emb.client_of.max() + 1))
-    held[emb.class_of, emb.client_of] = 1.0
-    return held[emb.class_of]
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+def test_owner_set_table_is_the_owner_intersection(case):
+    emb = case[0]
+    owners = owner_sets(emb)
+    set_of, table = regularizers._ownership(emb)
+    # one set per client and one per identity that more than one client holds
+    held_by_many = {int(c) for c, own in zip(emb.class_of, owners) if len(own) > 1}
+    assert table.shape == (np.unique(emb.client_of).size + len(held_by_many),) * 2
+    same = table[set_of][:, set_of]
+    assert same.tolist() == [[not ou.isdisjoint(ov) for ov in owners] for ou in owners]
 
 
 @settings(max_examples=60, deadline=None)
-@given(stacks(), st.booleans())
-def test_masked_reg_without_groups_is_bitwise_plain_reg(case, normalize):
-    # with one column per identity the ownership-matrix path is the client_of path
+@given(stacks())
+def test_owner_sets_without_groups_are_the_clients(case):
+    # with one column per identity the softmax mask is client_of equality
     emb = replace(case[0], class_of=None)
-    plain = softmax_reg(emb, normalize)
-    with mock.patch.object(regularizers, "_ownership", dense_owner_matrix):
-        masked = softmax_reg(emb, normalize)
-    assert masked.value == plain.value
-    np.testing.assert_array_equal(masked.grad, plain.grad)
+    set_of, table = regularizers._ownership(emb)
+    np.testing.assert_array_equal(set_of, np.unique(emb.client_of, return_inverse=True)[1])
+    np.testing.assert_array_equal(table, np.eye(table.shape[0], dtype=bool))
+    np.testing.assert_array_equal(table[set_of][:, set_of], emb.client_of[:, None] == emb.client_of)

@@ -488,9 +488,11 @@ def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
     """Train one federated cell; returns (status, metrics, server, clients)."""
     server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
+    # the cell's training buffers, reused every round and freed with the cell
+    workspace = federation.Workspace()
 
     def step(s):
-        return federation.run_round(s, clients, cfg, rng)
+        return federation.run_round(s, clients, cfg, rng, workspace)
 
     return _train_rounds(server, clients, step, cfg, dataset, eval_every)
 

@@ -14,6 +14,11 @@ to chaining the public reference pieces the gradient checks exercise:
 nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_update. It
 trains a round's equal-shape clients in lockstep, stacked on a leading
 client axis, and each client's numbers are bitwise what it gets alone.
+Every buffer it writes comes from a Workspace that a federated cell creates
+once and passes to run_round each round, so steady-state rounds reuse their
+training buffers instead of allocating them. Its results are views into the
+workspace, valid until its next use; run_round copies out what it keeps. A
+call without a workspace gets fresh buffers.
 
 Heads live only on the server, as the columns of one stacked matrix (it
 receives them for aggregation anyway); a client holds just its data shard.
@@ -31,6 +36,7 @@ bit-reproducible and independent of client execution order.
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
@@ -177,7 +183,46 @@ class LocalRun(NamedTuple):
     train_head: bool
 
 
-def local_sgd(runs) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
+class Workspace:
+    """The training buffers of one federated cell, reused round after round.
+
+    Two flat float64 arenas that only grow, each to exactly the length one
+    local_sgd call needs. `held` carries the parameter rows and velocity
+    rows of every run in the call, one group after another; the results
+    and each run's stored velocity are views into it. `scratch` carries
+    the buffers of one group at a time: the gradient rows (also the
+    update's scratch) and the tape, each step's input rows and layer
+    outputs, which the backward pass overwrites with its products. Every buffer is a contiguous stretch of an arena
+    reshaped to its shape, so each product sees the strides a fresh array
+    has.
+    """
+
+    def __init__(self):
+        self.held = np.empty(0)
+        self.scratch = np.empty(0)
+
+    def reserve(self, held: int, scratch: int) -> None:
+        """Replace each arena shorter than the given length by one of exactly that length."""
+        if self.held.size < held:
+            self.held = np.empty(held)
+        if self.scratch.size < scratch:
+            self.scratch = np.empty(scratch)
+
+
+class _Cursor:
+    """Consecutive views into a flat arena, from its start."""
+
+    def __init__(self, arena: np.ndarray):
+        self.arena, self.at = arena, 0
+
+    def take(self, shape: tuple) -> np.ndarray:
+        n = math.prod(shape)
+        view = self.arena[self.at : self.at + n].reshape(shape)
+        self.at += n
+        return view
+
+
+def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
     """Minibatch SGD for each LocalRun (or 8-tuple of its fields) in `runs`.
 
     The one training loop behind run_round and centralized_round. Runs whose
@@ -190,28 +235,39 @@ def local_sgd(runs) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
     bitwise what it gets trained alone; one run that goes non-finite raises
     NonFiniteError for the call.
 
-    Shapes and labels are checked once per run. Each step runs one recorded
-    forward pass for both the loss and the reverse sweep, which writes the
-    backbone gradients straight into views of the gradient buffer; the head
-    gradient is copied into its own view; then one nn.sgd_update moves the
-    buffer in place.
+    Shapes and labels are checked once per run, and a batch index out of
+    range raises IndexError as x[idx] would. Each step
+    runs one recorded forward pass for both the loss and the reverse sweep,
+    which writes the backbone gradients straight into views of the gradient
+    buffer; the head gradient is copied into its own view; then one
+    nn.sgd_update moves the buffer in place. Every buffer a step writes
+    comes from `workspace`.
 
-    Returns fresh (theta, head, per-step losses) per run, in input order,
-    each a view into its row of the group's buffer. No run's theta, head, x
-    or y is mutated; each run's opt ends holding its trained velocity, so
-    every run needs its own SgdState.
+    Returns (backbone, head, per-step losses) per run, in input order: the
+    trained backbone as one flat row in BackboneParams.to_list order (see
+    BackboneParams.unflatten) and the trained head. Each run's opt ends
+    holding its trained velocity, so every run needs its own SgdState. The
+    rows, heads and velocities are views into the workspace, valid until
+    its next use; a call without a workspace gets fresh buffers, which
+    nothing else writes to. No run's theta, head, x or y is mutated.
     """
     runs = [_checked_run(*run) for run in runs]
-    if len(runs) == 1:
-        return _train_group(runs)
     if len({id(run.opt) for run in runs}) != len(runs):
         raise ValueError("every run needs its own SgdState")
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
         groups.setdefault(_group_key(run), []).append(i)
+    members = [[runs[i] for i in group] for group in groups.values()]
+    layouts = [_layout(group[0]) for group in members]
+    sizes = [layout.lengths(len(group)) for layout, group in zip(layouts, members)]
+    workspace = Workspace() if workspace is None else workspace
+    workspace.reserve(sum(h for h, _ in sizes), max((s for _, s in sizes), default=0))
+    held = _Cursor(workspace.held)
     out: list = [None] * len(runs)
-    for members in groups.values():
-        for i, result in zip(members, _train_group([runs[i] for i in members])):
+    for indices, group, layout in zip(groups.values(), members, layouts):
+        # each group trains in the scratch arena from its start
+        scratch = _Cursor(workspace.scratch)
+        for i, result in zip(indices, _train_group(group, layout, held, scratch)):
             out[i] = result
     return out
 
@@ -237,14 +293,42 @@ def _group_key(run: LocalRun) -> tuple:
     )
 
 
-def _train_group(group: list[LocalRun]) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
-    """local_sgd on runs that share a _group_key."""
-    first = group[0]
-    lead = (len(group),) if len(group) > 1 else ()
-    flat = np.concatenate(
-        [a.ravel() for run in group for a in run.theta.to_list() + [run.head]]
-    ).reshape(lead + (-1,))
-    grad = np.empty(flat.shape)  # every slot a step reads is written first
+class _Layout(NamedTuple):
+    """A run's buffer lengths in a group, worked out once for sizing and for taking views."""
+
+    theta: int  # the backbone, flat
+    size: int  # the backbone, then the head
+    stepped: int  # what SGD moves: size, or the backbone alone with the head fixed
+    widths: list  # the input, then every layer's output
+    most: int  # the rows of the largest step
+
+    def lengths(self, k: int) -> tuple[int, int]:
+        """The held and scratch lengths _train_group takes for k runs."""
+        return k * (self.size + self.stepped), k * (self.size + self.most * sum(self.widths))
+
+
+def _layout(run: LocalRun) -> _Layout:
+    size = run.theta.size + run.head.size
+    return _Layout(
+        run.theta.size,
+        size,
+        size if run.train_head else run.theta.size,
+        [run.x.shape[1]] + [w.shape[-1] for w, _ in run.theta.layers],
+        max(map(len, run.batches), default=0),
+    )
+
+
+def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch: _Cursor) -> list:
+    """local_sgd on runs that share a _group_key, in buffers taken from the two cursors."""
+    first, k = group[0], len(group)
+    lead = (k,) if k > 1 else ()
+
+    def per_run(a):  # a buffer's run axis, also in a group of one
+        return a if lead else a[None]
+
+    flat = held.take(lead + (layout.size,))
+    velocity = held.take(lead + (layout.stepped,))
+    grad = scratch.take(lead + (layout.size,))  # every slot a step reads is written first
     params, grads, start = [], [], 0
     for a in first.theta.to_list() + [first.head]:
         stop = start + a.size
@@ -255,53 +339,79 @@ def _train_group(group: list[LocalRun]) -> list[tuple[nn.BackboneParams, np.ndar
         grads.append(grad[..., start:stop].reshape(lead + a.shape))
         start = stop
     head, grad_head = params.pop(), grads.pop()
+    for i, run in enumerate(group):
+        for dst, src in zip(params, run.theta.to_list()):
+            per_run(dst)[i] = src
+    for row, run in zip(per_run(head), group):
+        row[...] = run.head
     layers = list(zip(params[::2], params[1::2]))
     grad_layers = list(zip(grads[::2], grads[1::2]))
-    size = flat.shape[-1] if first.train_head else flat.shape[-1] - first.head.size
-    stepped, stepped_grad = [flat[..., :size]], [grad[..., :size]]
+    stepped, stepped_grad = [flat[..., : layout.stepped]], [grad[..., : layout.stepped]]
 
+    for row, run in zip(per_run(velocity), group):
+        if not run.opt.velocity:
+            row[...] = 0.0
+        elif len(run.opt.velocity) != 1 or run.opt.velocity[0].shape != row.shape:
+            raise ValueError("velocity/params shape mismatch")
+        else:
+            row[...] = run.opt.velocity[0]
+    # the gradient buffer doubles as the update's scratch
+    opt = nn.SgdState(
+        first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [velocity], stepped_grad
+    )
+
+    # every step's row indices and targets, up front: an index out of range
+    # raises here, as x[idx] would, so the gathers below may use take's
+    # "wrap" mode, which skips the copy "raise" makes of its output
+    num_classes = first.head.shape[1]
     if lead:
-        opt = nn.SgdState(
-            first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [np.zeros(lead + (size,))]
-        )
-        for row, run in zip(opt.velocity[0], group):
-            if run.opt.velocity:
-                if len(run.opt.velocity) != 1 or run.opt.velocity[0].shape != row.shape:
-                    raise ValueError("velocity/params shape mismatch")
-                row[...] = run.opt.velocity[0]
-        # one gather per step over every run's rows, offset into the joint arrays
-        x = np.concatenate([run.x for run in group])
-        y = np.concatenate([run.y for run in group])
         n_rows = np.array([[len(run.x)] for run in group])
         offsets = np.cumsum(n_rows, axis=0) - n_rows
-        rows = []
+        y = np.concatenate([run.y for run in group])
+        rows, labels = [], []
         for step in zip(*(run.batches for run in group)):
             idx = np.stack(step)
             if np.count_nonzero((idx < -n_rows) | (idx >= n_rows)):
                 raise IndexError("batch index out of range")
-            rows.append(np.where(idx < 0, idx + n_rows, idx) + offsets)
+            rows.append(np.where(idx < 0, idx + n_rows, idx))
+            labels.append(y.take(rows[-1] + offsets))
     else:
-        opt, x, y, rows = first.opt, first.x, first.y, first.batches
+        rows = [np.asarray(idx) for idx in first.batches]
+        labels = [first.y.take(idx) for idx in rows]
+    targets = [target_index(step, num_classes) for step in labels]
 
-    activation, loss, num_classes = first.theta.activation, first.loss, first.head.shape[1]
+    # a step of b rows takes the first rows of buffers sized for the
+    # largest step: its input, then its tape of every layer's output
+    sizes = [len(idx) for idx in first.batches]
+    buffers = [scratch.take((k * layout.most, width)) for width in layout.widths]
+    steps = {}
+    for b in set(sizes):
+        h, *tape = (buf[: k * b].reshape(lead + (b, buf.shape[1])) for buf in buffers)
+        steps[b] = h, tape
+
+    activation, loss = first.theta.activation, first.loss
     trace = []
-    for idx in rows:
-        # take is x[idx] for an index array, with less dispatch
-        feats, tape = nn.record_forward(layers, activation, x.take(idx, axis=0))
-        lg = loss_and_grad(loss, head, feats, target_index(y.take(idx), num_classes))
+    for idx, target, b in zip(rows, targets, sizes):
+        h, tape = steps[b]
+        if lead:
+            for run, h_k, idx_k in zip(group, h, idx):
+                run.x.take(idx_k, axis=0, out=h_k, mode="wrap")
+        else:
+            first.x.take(idx, axis=0, out=h, mode="wrap")
+        feats = nn.record_forward(layers, activation, h, tape)
+        lg = loss_and_grad(loss, head, feats, target)
         trace.append(lg.loss)
-        nn.reverse_sweep(layers, activation, tape, lg.grad_feature, grad_layers, input_grad=False)
+        nn.reverse_sweep(layers, activation, h, tape, lg.grad_feature, grad_layers)
         grad_head[...] = lg.grad_embeddings
         nn.sgd_update(opt, stepped, stepped_grad)
 
-    if not lead:
-        return [(nn.BackboneParams(layers, activation), head, [float(v) for v in trace])]
-    traces = np.array(trace, dtype=np.float64).reshape(len(trace), len(group)).T.tolist()
+    traces = np.array(trace, dtype=np.float64).reshape(len(trace), k).T.tolist()
     results = []
-    for k, run in enumerate(group):
-        run.opt.velocity = [opt.velocity[0][k]]
-        theta_k = nn.BackboneParams([(w[k], b[k, 0]) for w, b in layers], activation)
-        results.append((theta_k, head[k], traces[k]))
+    for run, row, head_k, velocity_k, trace_k in zip(
+        group, per_run(flat), per_run(head), per_run(velocity), traces
+    ):
+        run.opt.velocity = [velocity_k]
+        results.append((row[: layout.theta], head_k, trace_k))
     return results
 
 
@@ -336,25 +446,23 @@ def client_update(
     )
 
 
-def aggregate_theta(updates: list[tuple[nn.BackboneParams, int]]) -> nn.BackboneParams:
-    """Sample-count-weighted average of backbones, renormalized over participants."""
-    if not updates:
+def aggregate_theta(rows: list[np.ndarray], counts: list[int], like: nn.BackboneParams) -> nn.BackboneParams:
+    """Sample-count-weighted average of flat backbone rows, renormalized over participants.
+
+    Each row is a backbone shaped like `like`, flattened in to_list order.
+    The sum runs over the rows in the given order, one acc += w * row each.
+    """
+    if not rows:
         raise ValueError("nothing to aggregate")
-    total = float(sum(n for _, n in updates))
+    total = float(sum(counts))
     if total == 0.0:
         raise ValueError("aggregate weights sum to zero")
-    ref = updates[0][0]
-    acc = [np.zeros_like(a) for a in ref.to_list()]
-    for theta_k, n_k in updates:
-        arrays = theta_k.to_list()
-        if len(arrays) != len(acc):
-            raise ValueError("backbone structure mismatch")
-        w = n_k / total
-        for a, arr in zip(acc, arrays):
-            if a.shape != arr.shape:
-                raise ValueError(f"backbone shape mismatch {a.shape} vs {arr.shape}")
-            a += w * arr
-    return nn.BackboneParams.from_list(acc, ref.activation)
+    acc = np.zeros(like.size)
+    for row, n_k in zip(rows, counts, strict=True):
+        if row.shape != acc.shape:
+            raise ValueError(f"backbone shape mismatch {row.shape} vs {acc.shape}")
+        acc += (n_k / total) * row
+    return like.unflatten(acc)
 
 
 def regularizer_grad(emb: StackedEmbeddings, cfg: FederationConfig) -> RegGrad:
@@ -386,16 +494,19 @@ def run_round(
     clients: list[ClientData],
     cfg: FederationConfig,
     rng: np.random.Generator,
+    workspace: Workspace | None = None,
 ) -> tuple[ServerState, float]:
     """One communication round; returns the new server state and mean local loss.
 
     Samples clients and asks client_update for each one's run, handing it
     the server's backbone and a view of the client's own columns (neither
     is copied or written to). One local_sgd call trains every run, equal
-    shapes in lockstep. Then it averages the backbone, restacks the heads,
-    averages the copies of every shared identity, and applies the
-    correction step to the whole stack in fedgc/fedcos mode. Reduction is
-    in client-index order; server and clients are not mutated.
+    shapes in lockstep, in `workspace` (fresh buffers without one). Then it
+    averages the trained backbone rows, restacks the heads, averages the
+    copies of every shared identity, and applies the correction step to the
+    whole stack in fedgc/fedcos mode. Reduction is in client-index order;
+    server and clients are not mutated, and the new state shares no memory
+    with the workspace, so the next round may reuse it.
     """
     sampled = sample_clients(cfg, rng)
     runs, trained = [], []
@@ -406,15 +517,16 @@ def run_round(
             runs.append(run)
             trained.append(k)
     new_w = server.embeddings.W.copy()
-    updates, losses = [], []
-    for k, (theta_k, head_k, trace) in zip(trained, local_sgd(runs)):
-        updates.append((theta_k, clients[k].n_samples))
+    rows, counts, losses = [], [], []
+    for k, (backbone, head_k, trace) in zip(trained, local_sgd(runs, workspace)):
+        rows.append(backbone)
+        counts.append(clients[k].n_samples)
         if cfg.mode != "fedpe_fixed":
             new_w[:, server.head_slices[k]] = head_k
         if trace:
             losses.append(float(np.mean(trace)))
 
-    theta = aggregate_theta(updates) if updates else server.theta.copy()
+    theta = aggregate_theta(rows, counts, server.theta) if rows else server.theta.copy()
     emb = replace(server.embeddings, W=new_w)
     new_server = replace(server, theta=theta, embeddings=emb, round=server.round + 1)
 
@@ -491,18 +603,28 @@ def centralized_round(
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
     batches = _batch_plan(client.n_samples, cfg, rng)
-    ((theta, head, trace),) = local_sgd(
+    ((backbone, head, trace),) = local_sgd(
         [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss, True)]
     )
     new_server = replace(
-        server, theta=theta, embeddings=replace(server.embeddings, W=head), round=server.round + 1
+        server,
+        theta=server.theta.unflatten(backbone),
+        embeddings=replace(server.embeddings, W=head),
+        round=server.round + 1,
     )
     return new_server, float(np.mean(trace)) if trace else float("nan")
 
 
 def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> None:
-    """Checkpoint directory: manifest.json plus one tensor section per parameter set."""
+    """Checkpoint directory: manifest.json plus one tensor section per parameter set.
+
+    The head files of an earlier checkpoint in the same directory are
+    removed first, so none of a client the new one lacks survives; other
+    files are left alone.
+    """
     os.makedirs(path, exist_ok=True)
+    for stale in glob.glob(os.path.join(glob.escape(os.fspath(path)), "head_*.fgc")):
+        os.remove(stale)
     emb = server.embeddings
     manifest = {
         "round": server.round,

@@ -47,8 +47,24 @@ class BackboneParams:
     def output_dim(self) -> int:
         return self.layers[-1][0].shape[1]
 
+    @property
+    def size(self) -> int:
+        """The number of parameters: the length of the backbone as one flat row."""
+        return sum(w.size + b.size for w, b in self.layers)
+
     def copy(self) -> "BackboneParams":
         return BackboneParams([(w.copy(), b.copy()) for w, b in self.layers], self.activation)
+
+    def unflatten(self, flat: np.ndarray) -> "BackboneParams":
+        """A backbone shaped like this one whose arrays are views into the
+        1-D float64 row `flat`, laid out in to_list order."""
+        if flat.shape != (self.size,):
+            raise ValueError(f"backbone shape mismatch {flat.shape} vs ({self.size},)")
+        arrays, start = [], 0
+        for a in self.to_list():
+            arrays.append(flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        return BackboneParams.from_list(arrays, self.activation)
 
     def to_list(self) -> list[np.ndarray]:
         """Flatten to [W1, b1, W2, b2, ...] for the optimizer."""
@@ -87,11 +103,17 @@ def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     h = x[None, :] if single else x
     check_input(params, h)
-    h, _ = record_forward(params.layers, params.activation, h)
+    h = record_forward(params.layers, params.activation, h, new_tape(params.layers, h.shape[:-1]))
     return h[0] if single else h
 
 
-def record_forward(layers: list, activation: str, h: np.ndarray) -> tuple[np.ndarray, list]:
+def new_tape(layers: list, rows: tuple) -> list[np.ndarray]:
+    """Fresh buffers for one record_forward over `rows`, (n,) or (K, n):
+    one per layer, shaped rows + (out,)."""
+    return [np.empty(rows + w.shape[-1:]) for w, _ in layers]
+
+
+def record_forward(layers: list, activation: str, h: np.ndarray, tape: list) -> np.ndarray:
     """The layer loop on a checked float64 batch, with or without a client axis.
 
     h is (n, in_dim) and each layer (w, b) a (in, out) weight with a bias
@@ -100,58 +122,57 @@ def record_forward(layers: list, activation: str, h: np.ndarray) -> tuple[np.nda
     Batched @ runs each client's slice through the same product as the 2-D
     call, so every client's numbers are bitwise what it gets alone.
 
-    Returns the embeddings and a tape for reverse_sweep: every layer input
-    and every hidden layer's pre- and post-activation. h and the layers are
-    not mutated.
+    Writes every layer's output into the C-contiguous float64 buffers of a
+    new_tape-shaped tape, for reverse_sweep: each hidden layer's after its
+    activation, which is all the sweep needs of it, and the last layer's
+    raw. Returns that last buffer, the embeddings. h and the layers are not
+    mutated.
     """
-    last = len(layers) - 1
     relu = activation == "relu"
-    inputs, pre, post = [], [], []
     for i, (w, b) in enumerate(layers):
-        inputs.append(h)
-        z = h @ w
+        z = np.matmul(h, w, out=tape[i])
         z += b
-        if i < last:
-            pre.append(z)
-            h = np.maximum(z, 0.0) if relu else np.tanh(z)
-            post.append(h)
-        else:
-            h = z
-    return h, [inputs, pre, post]
+        if i < len(layers) - 1:
+            h = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+    return z
 
 
 def reverse_sweep(
     layers: list,
     activation: str,
+    h: np.ndarray,
     tape: list,
     g: np.ndarray,
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
-    input_grad: bool = True,
-) -> np.ndarray | None:
-    """Backpropagate grad_out g through a record_forward tape of the same layers.
+    grad_x: np.ndarray | None = None,
+) -> None:
+    """Backpropagate grad_out g through the record_forward tape of input h.
 
     g is (n, out_dim), or (K, n, out_dim) with a leading client axis. Writes
     each layer's weight and bias gradient into the preallocated float64
     (weight, bias) pairs of grad_layers, shaped (in, out) and (out,), or
     (K, in, out) and (K, out) with the client axis; they may be views into
     one flat buffer. Reductions run over the rows (axis -2) of each client
-    alone. Returns grad_x, or None when input_grad is False, which skips the
-    last product. g, the tape and the layers are not mutated.
+    alone. The sweep reuses the tape: each hidden layer's output is read
+    for the last time just before the gradient w.r.t. it overwrites it.
+    grad_x, a C-contiguous float64 array shaped like h, receives the
+    gradient w.r.t. h; without it the last product is skipped. h, g and the
+    layers are not mutated.
     """
-    inputs, pre, post = tape
     relu = activation == "relu"
     for i in range(len(layers) - 1, -1, -1):
-        if i < len(pre):
-            # g is a fresh product here, never the caller's grad_out
-            if relu:
-                g *= pre[i] > 0.0
-            else:
-                g *= 1.0 - post[i] * post[i]
         gw, gb = grad_layers[i]
-        np.matmul(inputs[i].swapaxes(-1, -2), g, out=gw)
+        np.matmul((tape[i - 1] if i else h).swapaxes(-1, -2), g, out=gw)
         np.add.reduce(g, axis=-2, out=gb)
-        g = g @ layers[i][0].swapaxes(-1, -2) if i or input_grad else None
-    return g
+        if i:
+            out = tape[i - 1]
+            # the activation's slope at its output; a ReLU output is > 0
+            # exactly where its input is, NaN included
+            slope = out > 0.0 if relu else 1.0 - out * out
+            g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=out)
+            g *= slope
+        elif grad_x is not None:
+            np.matmul(g, layers[0][0].swapaxes(-1, -2), out=grad_x)
 
 
 def backward(
@@ -172,21 +193,28 @@ def backward(
     check_input(params, h)
     if g.shape != (h.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
-    _, tape = record_forward(params.layers, params.activation, h)
+    tape = new_tape(params.layers, h.shape[:-1])
+    record_forward(params.layers, params.activation, h, tape)
     grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
-    g = reverse_sweep(params.layers, params.activation, tape, g, grad_layers)
-    grad_x = g[0] if single else g
-    return grad_layers, grad_x
+    grad_x = np.empty(h.shape)
+    reverse_sweep(params.layers, params.activation, h, tape, g, grad_layers, grad_x)
+    return grad_layers, grad_x[0] if single else grad_x
 
 
 @dataclass
 class SgdState:
-    """SGD with classic momentum; weight decay folded into the velocity."""
+    """SGD with classic momentum; weight decay folded into the velocity.
+
+    scratch holds one buffer per parameter for the update's scaled terms; it
+    may be the grads themselves, as each gradient is read before its
+    scratch is written.
+    """
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocity: list[np.ndarray] = field(default_factory=list)
+    scratch: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -200,25 +228,28 @@ class SgdState:
 def sgd_update(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """One update in place: v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
-    Mutates each float64 array of params and the velocities in `state`,
-    which are created lazily on the first call; grads are not mutated. Every
-    shape is checked before anything moves.
+    Mutates each float64 array of params and the velocities in `state`;
+    the velocities and the scratch buffers are created on the first call
+    that finds none. grads are not mutated unless they are the scratch.
+    Every shape is checked before anything moves.
     """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     if not state.velocity:
         state.velocity = [np.zeros_like(p) for p in params]
-    if len(state.velocity) != len(params):
+    if not state.scratch:
+        state.scratch = [np.empty_like(p) for p in params]
+    if len(state.velocity) != len(params) or len(state.scratch) != len(params):
         raise ValueError("velocity/params length mismatch")
-    for i, (p, g, v) in enumerate(zip(params, grads, state.velocity)):
-        if p.shape != g.shape or p.shape != v.shape:
+    for i, (p, g, v, s) in enumerate(zip(params, grads, state.velocity, state.scratch)):
+        if not p.shape == g.shape == v.shape == s.shape:
             raise ValueError(f"tensor {i}: shape mismatch {p.shape} vs {g.shape}")
-    for p, g, v in zip(params, grads, state.velocity):
+    for p, g, v, scaled in zip(params, grads, state.velocity, state.scratch):
         # the order of (momentum*v + grad) + wd*param, one operation at a time;
-        # both scaled terms share one temporary
+        # both scaled terms share the scratch buffer
         v *= state.momentum
         v += g
-        scaled = state.weight_decay * p
+        np.multiply(state.weight_decay, p, out=scaled)
         v += scaled
         np.multiply(state.learning_rate, v, out=scaled)
         p -= scaled

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -128,6 +129,17 @@ def test_run_reruns_byte_identical(tmp_path):
         cell = tmp_path / name / "fedpe_f1_l1_balanced"
         blobs.append((cell / "metrics.jsonl").read_bytes() + (tmp_path / name / "summary.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_a_rerun_with_fewer_clients_leaves_no_stale_heads(tmp_path):
+    path = write_tiny(tmp_path)
+    checkpoint = tmp_path / "out" / "fedpe_f1_l1_balanced" / "checkpoint"
+    for clients, heads in ((4, 4), (2, 2)):
+        path.write_text(re.sub(r"num_clients = \d+", f"num_clients = {clients}", path.read_text()))
+        assert cli.main(["run", str(path)]) == 0
+        assert sorted(p.name for p in checkpoint.glob("head_*.fgc")) == [
+            f"head_{k:03d}.fgc" for k in range(heads)
+        ]
 
 
 def test_run_exit_2_when_all_cells_diverge(tmp_path, capsys):

@@ -5,6 +5,7 @@ the documented order (local updates -> restack -> aggregate -> merge ->
 correct) and demands bitwise agreement with run_round.
 """
 
+import copy
 import math
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from fedgc.data import (
 from fedgc.federation import (
     FederationConfig,
     LocalRun,
+    Workspace,
     _batch_plan,
     aggregate_theta,
     build_centralized,
@@ -72,9 +74,14 @@ def make_federation(cfg, num_classes=8, spc=12, seed=1, share_fraction=None):
 
 
 def train_client(client, theta, head, cfg, round_index=0):
-    """client_update's run for one client, trained alone."""
-    ((theta_k, head_k, trace),) = local_sgd([client_update(client, theta, head, cfg, round_index)])
-    return theta_k, head_k, trace
+    """client_update's run for one client, trained alone, with its backbone unflattened."""
+    ((backbone, head_k, trace),) = local_sgd([client_update(client, theta, head, cfg, round_index)])
+    return theta.unflatten(backbone), head_k, trace
+
+
+def flat(theta):
+    """A backbone as local_sgd returns it: one row in to_list order."""
+    return np.concatenate([a.ravel() for a in theta.to_list()])
 
 
 def round_rng(seed):
@@ -271,9 +278,11 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
 
 
 def assert_same_training(got, want):
+    # either backbone may be a BackboneParams or local_sgd's flat row
     (theta_a, head_a, trace_a), (theta_b, head_b, trace_b) = got, want
-    for a, b in zip(theta_a.to_list(), theta_b.to_list(), strict=True):
-        np.testing.assert_array_equal(a, b)
+    rows = [t if isinstance(t, np.ndarray) else flat(t) for t in (theta_a, theta_b)]
+    assert rows[0].shape == rows[1].shape
+    np.testing.assert_array_equal(*rows)
     np.testing.assert_array_equal(head_a, head_b)
     np.testing.assert_array_equal(trace_a, trace_b)
 
@@ -345,7 +354,7 @@ def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
         theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head
     )
     assert_same_training(got, want)
-    assert got[0].activation == activation
+    assert got[0].shape == (theta.size,)
 
 
 def test_local_sgd_classifies_divergence_inside_the_step():
@@ -455,8 +464,8 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
             assert_same_training(g, reference_local_sgd(*run_a._replace(opt=ref_opt)))
             if not train_head:
                 np.testing.assert_array_equal(g[1], run_g.head)
-        grouped = [run._replace(theta=g[0], head=g[1]) for run, g in zip(grouped, got)]
-        alone = [run._replace(theta=w[0], head=w[1]) for run, w in zip(alone, want)]
+        grouped = [run._replace(theta=run.theta.unflatten(g[0]), head=g[1]) for run, g in zip(grouped, got)]
+        alone = [run._replace(theta=run.theta.unflatten(w[0]), head=w[1]) for run, w in zip(alone, want)]
 
 
 def test_lockstep_group_diverges_with_one_dead_client():
@@ -516,7 +525,7 @@ def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
 def test_aggregate_theta_weighted_mean():
     a = nn.init_backbone([3, 4, 2], seed=0)
     b = nn.init_backbone([3, 4, 2], seed=1)
-    merged = aggregate_theta([(a, 1), (b, 3)])
+    merged = aggregate_theta([flat(a), flat(b)], [1, 3], a)
     for m, x, y in zip(merged.to_list(), a.to_list(), b.to_list()):
         np.testing.assert_allclose(m, 0.25 * x + 0.75 * y, atol=1e-15)
 
@@ -524,11 +533,11 @@ def test_aggregate_theta_weighted_mean():
 def test_aggregate_theta_errors():
     a = nn.init_backbone([3, 4, 2], seed=0)
     with pytest.raises(ValueError):
-        aggregate_theta([])
+        aggregate_theta([], [], a)
     with pytest.raises(ValueError):
-        aggregate_theta([(a, 0)])
+        aggregate_theta([flat(a)], [0], a)
     with pytest.raises(ValueError):
-        aggregate_theta([(a, 1), (nn.init_backbone([3, 5, 2], seed=0), 1)])
+        aggregate_theta([flat(a), flat(nn.init_backbone([3, 5, 2], seed=0))], [1, 1], a)
 
 
 def test_sample_clients_properties():
@@ -588,20 +597,22 @@ def replay_round(server, clients, cfg, rng):
     """
     sampled = sample_clients(cfg, rng)
     new_w = server.embeddings.W.copy()
-    updates, losses, skipped, shapes = [], [], 0, set()
+    rows, counts, losses, skipped, shapes = [], [], [], 0, set()
     for k in sampled:
         run = client_update(clients[k], server.theta, head_of(server, k), cfg, server.round)
         if run is None:
             skipped += 1
             continue
         shapes.add((run.head.shape, tuple(len(idx) for idx in run.batches)))
-        ((theta_k, head_k, trace),) = local_sgd([run])
-        updates.append((theta_k, clients[k].n_samples))
+        ((backbone, head_k, trace),) = local_sgd([run])
+        rows.append(backbone)
+        counts.append(clients[k].n_samples)
         if cfg.mode != "fedpe_fixed":
             new_w[:, server.head_slices[k]] = head_k
         losses.append(float(np.mean(trace)))
     emb = replace(server.embeddings, W=new_w)
-    expect = replace(server, theta=aggregate_theta(updates), embeddings=emb, round=server.round + 1)
+    theta = aggregate_theta(rows, counts, server.theta)
+    expect = replace(server, theta=theta, embeddings=emb, round=server.round + 1)
     if emb.shared_columns():
         expect = merge_shared_identities(expect)
     expect = replace(expect, embeddings=correction_step(expect.embeddings, cfg))
@@ -609,13 +620,16 @@ def replay_round(server, clients, cfg, rng):
 
 
 @pytest.mark.parametrize(
-    "scheme, participation", [("balanced", 1.0), ("lognormal", 0.5), ("shared", 0.5)]
+    "scheme, participation",
+    [("balanced", 1.0), ("balanced", 0.5), ("lognormal", 0.5), ("shared", 0.5)],
 )
 def test_run_round_matches_manual_replay(scheme, participation):
     # lognormal and shared shards differ in head width and batch plan, so a
     # round trains several lockstep groups; the shared partition of 16
-    # classes over 12 clients leaves two clients without data
-    cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=2, participation=participation)
+    # classes over 12 clients leaves two clients without data. Every round
+    # trains in one workspace, whose buffers the earlier rounds left behind;
+    # the replay trains each client alone in fresh buffers.
+    cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=4, participation=participation)
     ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1))
     if scheme == "balanced":
         _, shards = partition_balanced(ds, cfg.num_clients)
@@ -628,10 +642,11 @@ def test_run_round_matches_manual_replay(scheme, participation):
             assert [cl.client_id for cl in shards if cl.n_samples == 0] == [9, 10]
     server, clients = build_federation(shards, ds.input_dim, cfg)
     rng_got, rng_want = round_rng(cfg.seed), round_rng(cfg.seed)
+    workspace = Workspace()
     skipped, groups = 0, 0
-    for r in range(4):
+    for r in range(6):
         expect, expect_loss, skipped_r, groups_r = replay_round(server, clients, cfg, rng_want)
-        got, got_loss = run_round(server, clients, cfg, rng_got)
+        got, got_loss = run_round(server, clients, cfg, rng_got, workspace)
         assert got.round == r + 1
         assert got_loss == expect_loss
         np.testing.assert_array_equal(got.embeddings.W, expect.embeddings.W)
@@ -647,15 +662,44 @@ def test_run_round_matches_manual_replay(scheme, participation):
 
 
 def test_run_round_leaves_inputs_untouched():
+    # neither the server state a round starts from nor the one it returns
+    # changes when the next round trains in the same workspace
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
-    w_before = server.embeddings.W.copy()
     data_before = [(cl.x.copy(), cl.y_local.copy()) for cl in clients]
-    run_round(server, clients, cfg, round_rng(cfg.seed))
-    np.testing.assert_array_equal(server.embeddings.W, w_before)
+    rng, workspace = round_rng(cfg.seed), Workspace()
+    for _ in range(3):
+        w_before, theta_before = server.embeddings.W.copy(), flat(server.theta)
+        after, _ = run_round(server, clients, cfg, rng, workspace)
+        np.testing.assert_array_equal(server.embeddings.W, w_before)
+        np.testing.assert_array_equal(flat(server.theta), theta_before)
+        server = after
     for cl, (x, y) in zip(clients, data_before):
         np.testing.assert_array_equal(cl.x, x)
         np.testing.assert_array_equal(cl.y_local, y)
+
+
+def test_workspace_stops_growing():
+    # with half of a lognormal partition sampled, the groups and their shapes
+    # change from round to round; once the arenas have met the largest call,
+    # further rounds replace neither of them
+    cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=6, participation=0.5)
+    ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1))
+    _, shards = partition_lognormal(ds, cfg.num_clients, seed=2)
+    server, clients = build_federation(shards, ds.input_dim, cfg)
+    rng, workspace = round_rng(cfg.seed), Workspace()
+    for _ in range(40):
+        server, _ = run_round(server, clients, cfg, rng, workspace)
+    arenas = [(id(a), a.nbytes) for a in (workspace.held, workspace.scratch)]
+    assert arenas[0][1] > 0 and arenas[1][1] > 0
+    head_widths = set()
+    for _ in range(20):
+        # run_round draws nothing from rng but its sample
+        sampled = sample_clients(cfg, copy.deepcopy(rng))
+        head_widths.add(sum(len(clients[k].classes) for k in sampled))
+        server, _ = run_round(server, clients, cfg, rng, workspace)
+        assert [(id(a), a.nbytes) for a in (workspace.held, workspace.scratch)] == arenas
+    assert len(head_widths) > 1
 
 
 def test_fixed_heads_stay_at_initialization_across_rounds():

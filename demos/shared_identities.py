@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from fedgc import federation
 from fedgc.experiments import default_spec, make_dataset, make_partition
-from fedgc.regularizers import softmax_reg
+from fedgc.gradcheck import anchor_term
 
 
 def copy_cosines(server):
@@ -69,14 +69,14 @@ def main() -> int:
     for cls in sorted(pre):
         print(f"{cls:8d}   {pre[cls]:23.6f}   {post[cls]:11.6f}")
 
-    # group-mates are not each other's negatives: anchor one shared column
-    # and look at the penalty gradient on its twin
-    cols = merged.embeddings.shared_columns()[0]
-    cls = int(merged.embeddings.class_of[cols[0]])
-    mask = np.zeros(merged.embeddings.num_columns, dtype=bool)
-    mask[cols[0]] = True
-    solo = replace(merged.embeddings, anchor_mask=mask)
-    grad = softmax_reg(solo, normalize_columns=cfg.normalize_reg).grad
+    # group-mates are not each other's negatives: take one shared column's
+    # anchor term, on the unit columns the cosface penalty sees, and look at
+    # the gradient on its twin
+    emb = merged.embeddings
+    cols = emb.shared_columns()[0]
+    cls = int(emb.class_of[cols[0]])
+    unit = replace(emb, W=emb.W / np.linalg.norm(emb.W, axis=0))
+    grad = anchor_term(unit, cols[0]).grad
     twin, outsider = np.abs(grad[:, cols[1]]).max(), np.abs(grad).max()
     print(f"\npenalty gradient from identity {cls}'s anchor: on its twin copy {twin:.1e}, "
           f"largest on any other column {outsider:.2e}")

@@ -484,7 +484,7 @@ def _train_rounds(server, clients, step, cfg, dataset, eval_every: int):
     return OK, metrics, server, clients
 
 
-def train_federated(dataset, part, client_data, cfg, eval_every: int = 10):
+def train_federated(dataset, client_data, cfg, eval_every: int = 10):
     """Train one federated cell; returns (status, metrics, server, clients)."""
     server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
@@ -518,10 +518,8 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
     if cfg.mode == "centralized":
         status, metrics, server, clients = train_centralized(dataset, cfg, spec.eval_every)
     else:
-        part, client_data = make_partition(dataset, cell.partition, spec, cfg)
-        status, metrics, server, clients = train_federated(
-            dataset, part, client_data, cfg, spec.eval_every
-        )
+        _, client_data = make_partition(dataset, cell.partition, spec, cfg)
+        status, metrics, server, clients = train_federated(dataset, client_data, cfg, spec.eval_every)
     feats = nn.forward(server.theta, dataset.test_x) if status == OK else None
     return CellResult(cell, status, server.round, metrics, server, clients, feats)
 

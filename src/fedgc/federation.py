@@ -192,9 +192,9 @@ class Workspace:
     and each run's stored velocity are views into it. `scratch` carries
     the buffers of one group at a time: the gradient rows (also the
     update's scratch) and the tape, each step's input rows and layer
-    outputs, which the backward pass overwrites with its products. Every buffer is a contiguous stretch of an arena
-    reshaped to its shape, so each product sees the strides a fresh array
-    has.
+    outputs, which the backward pass overwrites with its products. Every
+    buffer is a contiguous stretch of an arena reshaped to its shape, so
+    each product sees the strides a fresh array has.
     """
 
     def __init__(self):

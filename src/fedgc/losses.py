@@ -65,8 +65,8 @@ class NonFiniteError(ValueError):
 @dataclass
 class LossGrad:
     loss: float                  # (K,) per-client means from a stacked loss_and_grad
-    grad_feature: np.ndarray     # (d,) or (n, d) for a batch
-    grad_embeddings: np.ndarray  # (d, num_classes)
+    grad_feature: np.ndarray     # (d,), (n, d) for a batch or (K, n, d) stacked
+    grad_embeddings: np.ndarray  # (d, num_classes), or (K, d, num_classes) stacked
 
 
 def stable_log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -45,13 +45,11 @@ class StackedEmbeddings:
 
     class_of maps column -> identity and defaults to one identity per column;
     columns of different clients that name the same identity are copies of
-    one shared class. anchor_mask optionally restricts which columns act as
-    anchors; every column still acts as a negative for other clients' anchors.
+    one shared class.
     """
 
     W: np.ndarray
     client_of: np.ndarray
-    anchor_mask: np.ndarray | None = None
     class_of: np.ndarray | None = None
 
     def __post_init__(self):
@@ -61,10 +59,6 @@ class StackedEmbeddings:
             raise ValueError("W must be 2-D (d, C)")
         if self.client_of.shape != (self.W.shape[1],):
             raise ValueError("client_of must assign every column to one client")
-        if self.anchor_mask is not None:
-            self.anchor_mask = np.asarray(self.anchor_mask, dtype=bool)
-            if self.anchor_mask.shape != (self.W.shape[1],):
-                raise ValueError("anchor_mask must be one flag per column")
         if self.class_of is None:
             self.class_of = np.arange(self.W.shape[1])
         self.class_of = np.asarray(self.class_of, dtype=np.int64)
@@ -91,8 +85,7 @@ class StackedEmbeddings:
         return np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
 
     def copy(self) -> "StackedEmbeddings":
-        mask = None if self.anchor_mask is None else self.anchor_mask.copy()
-        return StackedEmbeddings(self.W.copy(), self.client_of.copy(), mask, self.class_of.copy())
+        return StackedEmbeddings(self.W.copy(), self.client_of.copy(), self.class_of.copy())
 
 
 @dataclass
@@ -159,12 +152,6 @@ def _chain_normalization(emb: StackedEmbeddings, grad_n: np.ndarray) -> np.ndarr
     return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
 
 
-def _anchor_columns(emb: StackedEmbeddings) -> np.ndarray:
-    if emb.anchor_mask is None:
-        return np.arange(emb.num_columns)
-    return np.flatnonzero(emb.anchor_mask)
-
-
 def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
     """Softmax regularizer value and stop-gradient-aware gradient.
 
@@ -173,11 +160,10 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
     """
     a_mat = _columns(emb, normalize_columns)
     set_of, table = _ownership(emb)
-    anchors = _anchor_columns(emb)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
-    for blk in _blocks(anchors.size, emb.num_columns):
-        cols = anchors[blk]
+    for blk in _blocks(emb.num_columns, emb.num_columns):
+        cols = np.arange(blk.start, blk.stop)
         block = a_mat[:, cols]
         # exponent of every negative w against each anchor a, shifted by the self term
         scores = block.T @ a_mat
@@ -205,27 +191,22 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     weight, so copies of one shared identity are never pushed apart.
 
     Evaluated in closed form from column sums: with S the sum of all columns,
-    S_A the sum of the anchor columns, P_t, P_{A,t} the same sums over owner
-    set t and N_t, N_{A,t} the sums of P and P_A over every set meeting t,
-    value = S.S_A - sum_t P_{A,t}.N_t, and column v of set t gets
-    (S_A - N_{A,t}) + [v is an anchor] (S - N_t).
+    P_t the sum over owner set t and N_t the sum of P over every set meeting
+    t, value = S.S - sum_t P_t.N_t, and column v of set t gets 2 (S - N_t).
     """
     a_mat = _columns(emb, normalize_columns)
-    is_anchor = np.ones(emb.num_columns) if emb.anchor_mask is None else emb.anchor_mask * 1.0
-    a_anchor = a_mat * is_anchor
     set_of, table = _ownership(emb)
     d, s = a_mat.shape[0], table.shape[0]
     # per-set column sums, accumulated in column order
     bins = (set_of[:, None] * d + np.arange(d)).ravel()
     own = np.bincount(bins, a_mat.T.ravel(), s * d).reshape(s, d)
-    own_anchor = np.bincount(bins, a_anchor.T.ravel(), s * d).reshape(s, d)
     # sums over the sets meeting each set; with nothing shared, each set alone
     meets, met = np.nonzero(table)
     pair_bins = (meets[:, None] * d + np.arange(d)).ravel()
     near = np.bincount(pair_bins, own[met].ravel(), s * d).reshape(s, d)
-    near_anchor = np.bincount(pair_bins, own_anchor[met].ravel(), s * d).reshape(s, d)
-    total, total_anchor = a_mat.sum(axis=1), a_anchor.sum(axis=1)
-    value = float(total @ total_anchor - (near * own_anchor).sum())
-    grad_n = (total_anchor - near_anchor[set_of]).T + is_anchor * (total - near[set_of]).T
+    total = a_mat.sum(axis=1)
+    value = float(total @ total - (near * own).sum())
+    far = (total - near[set_of]).T
+    grad_n = far + far
     grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
     return RegGrad(value, grad)

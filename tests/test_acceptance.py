@@ -184,10 +184,10 @@ def test_criterion_06_zero_multiplier_degeneracy_and_determinism():
     spec = load_preset("default")
     base = replace(spec.fed, rounds=50)
     ds = make_dataset(spec, base)
-    part, shards = make_partition(ds, "balanced", spec, base)
+    _, shards = make_partition(ds, "balanced", spec, base)
 
     def final_state(cfg):
-        status, metrics, server, _ = train_federated(ds, part, shards, cfg, eval_every=50)
+        status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=50)
         assert status == OK
         return server, metrics
 

@@ -361,8 +361,8 @@ def test_train_federated_metrics_cadence():
     spec = tiny_spec()
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    part, shards = make_partition(ds, "balanced", spec, cfg)
-    status, metrics, server, _ = train_federated(ds, part, shards, cfg, eval_every=2)
+    _, shards = make_partition(ds, "balanced", spec, cfg)
+    status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=2)
     assert status == OK and server.round == 3
     assert [m.round for m in metrics] == [2, 3]
     for m in metrics:
@@ -402,8 +402,8 @@ def test_divergent_cell_is_reported_not_raised():
     spec = tiny_spec(fed=replace(tiny_spec().fed, eta=1e6, rounds=6))
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    part, shards = make_partition(ds, "balanced", spec, cfg)
-    status, metrics, _, _ = train_federated(ds, part, shards, cfg, eval_every=1)
+    _, shards = make_partition(ds, "balanced", spec, cfg)
+    status, metrics, _, _ = train_federated(ds, shards, cfg, eval_every=1)
     assert status == DIVERGED
     for m in metrics:  # rows recorded before the blow-up stay finite
         assert all(np.isfinite(v) for v in m.to_dict().values())
@@ -414,14 +414,14 @@ def test_program_error_propagates_instead_of_diverging(monkeypatch):
     spec = tiny_spec()
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    part, shards = make_partition(ds, "balanced", spec, cfg)
+    _, shards = make_partition(ds, "balanced", spec, cfg)
 
     def broken(*args, **kwargs):
         raise ValueError("backbone structure mismatch")
 
     monkeypatch.setattr(federation, "aggregate_theta", broken)
     with pytest.raises(ValueError, match="structure mismatch"):
-        train_federated(ds, part, shards, cfg)
+        train_federated(ds, shards, cfg)
     monkeypatch.setattr(federation, "local_sgd", broken)
     with pytest.raises(ValueError, match="structure mismatch"):
         train_centralized(ds, replace(cfg, mode="centralized"))

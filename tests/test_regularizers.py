@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 from fedgc import regularizers
 from fedgc.evaluation import embedding_similarity_stats
-from fedgc.gradcheck import finite_diff_check, softmax_reg_naive
+from fedgc.gradcheck import anchor_term, finite_diff_check, softmax_reg_naive
 from fedgc.losses import NonFiniteError
 from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
@@ -66,8 +66,6 @@ def test_stacked_embeddings_validation():
         StackedEmbeddings(np.zeros(3), np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
         StackedEmbeddings(np.zeros((2, 3)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError):
-        StackedEmbeddings(np.zeros((2, 3)), np.zeros(3, dtype=int), anchor_mask=np.ones(2, dtype=bool))
     # class_of defaults to one identity per column and is copied with the stack
     emb = StackedEmbeddings(np.zeros((2, 3)), np.zeros(3, dtype=int))
     assert emb.class_of.tolist() == [0, 1, 2] and emb.shared_columns() == []
@@ -113,9 +111,7 @@ def test_softmax_reg_gradient_is_frozen_anchor_gradient(normalize):
 def test_softmax_reg_own_anchor_contribution_is_exactly_zero():
     emb = random_stack(2)
     for col in range(emb.num_columns):
-        mask = np.arange(emb.num_columns) == col
-        solo = StackedEmbeddings(emb.W, emb.client_of, anchor_mask=mask)
-        grad = softmax_reg(solo).grad
+        grad = anchor_term(emb, col).grad
         assert np.abs(grad[:, col]).max() == 0.0
         # same-client columns are also untouched by this anchor
         same = emb.client_of == emb.client_of[col]
@@ -128,8 +124,7 @@ def test_per_anchor_terms_sum_to_total():
     value = 0.0
     grad = np.zeros_like(emb.W)
     for col in range(emb.num_columns):
-        mask = np.arange(emb.num_columns) == col
-        part = softmax_reg(StackedEmbeddings(emb.W, emb.client_of, anchor_mask=mask))
+        part = anchor_term(emb, col)
         value += part.value
         grad += part.grad
     assert abs(total.value - value) < 1e-10
@@ -225,25 +220,41 @@ def test_masked_reg_matches_brute_force():
 
 
 def test_masked_reg_never_separates_group_mates():
-    # columns 0 (client 0) and 2 (client 1) are one identity
+    # columns 0 (client 0) and 2 (client 1) are one identity, owned by {0, 1}
     emb = random_stack(10, columns_per_client=(2, 2, 2), class_of=[0, 1, 0, 3, 4, 5])
-    # anchor only the first shared column; its twin must feel nothing
-    grad = softmax_reg(replace(emb, anchor_mask=np.arange(6) == 0)).grad
-    assert np.abs(grad[:, 2]).max() == 0.0
-    # client 1's other column is owned by client 1 alone, so it is no negative either
-    assert np.abs(grad[:, 3]).max() == 0.0
-    # client 2's columns are proper negatives and do get pushed
-    assert np.abs(grad[:, 4:]).max() > 0.0
+    w = emb.W
+    # the first shared column's own term leaves its twin, and client 1's other
+    # column, untouched; client 2's columns are proper negatives and get pushed
+    own = anchor_term(emb, 0).grad
+    assert not own[:, 1:4].any()
+    assert np.abs(own[:, 4:]).max() > 0.0
+    # on the full stack each copy is pushed only by the anchors of disjoint
+    # owners, client 2's columns 4 and 5, whose negatives are columns 0-3
+    grad = softmax_reg(emb).grad
+    for copy in (0, 2):
+        hand = np.zeros(w.shape[0])
+        for a in (4, 5):
+            anchor = w[:, a]
+            denom = np.exp(anchor @ anchor) + np.exp(w[:, :4].T @ anchor).sum()
+            hand += np.exp(w[:, copy] @ anchor) / denom * anchor
+        np.testing.assert_allclose(grad[:, copy], hand, rtol=0.0, atol=1e-12)
+    # as distinct identities, each copy's term would visibly push the other
+    plain = replace(emb, class_of=None)
+    assert np.abs(anchor_term(plain, 0).grad[:, 2]).max() > 1e-3
+    assert np.abs(anchor_term(plain, 2).grad[:, 0]).max() > 1e-3
 
 
 def test_cosine_reg_never_separates_group_mates():
-    # columns 0 (client 0) and 2 (client 1) are one identity; anchor only column 0
+    # columns 0 (client 0) and 2 (client 1) are one identity, owned by {0, 1}
     emb = random_stack(10, columns_per_client=(2, 2, 2), class_of=[0, 1, 0, 3, 4, 5])
-    grad = cosine_reg(replace(emb, anchor_mask=np.arange(6) == 0)).grad
-    # its twin and every other column of the two owners feel exactly nothing
-    assert not grad[:, 1:4].any()
-    # client 2's columns are pushed by the anchor itself
-    np.testing.assert_array_equal(grad[:, 4:], np.repeat(emb.W[:, :1], 2, axis=1))
+    w = emb.W
+    grad = cosine_reg(emb).grad
+    # each copy is pulled twice by exactly the disjoint-owner columns: client 2's
+    np.testing.assert_allclose(grad[:, 0], 2.0 * (w[:, 4] + w[:, 5]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grad[:, 2], 2.0 * (w[:, 4] + w[:, 5]), rtol=0.0, atol=1e-12)
+    # each owner's unshared column also skips both copies
+    np.testing.assert_allclose(grad[:, 1], 2.0 * (w[:, 3] + w[:, 4] + w[:, 5]), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grad[:, 3], 2.0 * (w[:, 1] + w[:, 4] + w[:, 5]), rtol=0.0, atol=1e-12)
 
 
 def test_masked_reg_with_no_groups_is_plain_reg():
@@ -286,10 +297,7 @@ def test_non_finite_stack_rejected():
 def dense_pair_mask(emb):
     """allowed[w, a]: column w is a negative for anchor a (disjoint owner sets)."""
     owners = owner_sets(emb)
-    allowed = np.array([[ow.isdisjoint(oa) for oa in owners] for ow in owners])
-    if emb.anchor_mask is not None:
-        allowed = allowed & emb.anchor_mask[None, :]
-    return allowed
+    return np.array([[ow.isdisjoint(oa) for oa in owners] for ow in owners])
 
 
 def dense_chain_normalization(w, grad_n):
@@ -308,8 +316,6 @@ def dense_softmax_reg(emb, normalize=False):
     weights = np.exp(shifted - per_anchor[None, :])
     weights[~allowed] = 0.0
     grad_n = a_mat @ weights.T
-    if emb.anchor_mask is not None:
-        per_anchor = per_anchor * emb.anchor_mask
     grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
     return float(per_anchor.sum()), grad
 
@@ -329,7 +335,7 @@ def assert_matches(rg, ref, tol=1e-12):
     np.testing.assert_allclose(rg.grad, grad, rtol=0.0, atol=tol)
 
 
-def shared_stack(seed, clients=6, per_client=7, d=5, identities=None, anchors=False):
+def shared_stack(seed, clients=6, per_client=7, d=5, identities=None):
     """A random stack whose identities repeat at random, within and across clients.
 
     identities (default: two thirds of the columns) is the number of ids
@@ -342,20 +348,17 @@ def shared_stack(seed, clients=6, per_client=7, d=5, identities=None, anchors=Fa
         seed, d=d, columns_per_client=(per_client,) * clients, scale=0.7, class_of=class_of
     )
     assert emb.shared_columns()
-    if anchors:
-        emb = replace(emb, anchor_mask=np.random.default_rng(seed + 100).random(cols) < 0.6)
     return emb
 
 
 @pytest.mark.parametrize("budget", [1, 5 * 42, None])
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("anchors", [False, True])
-def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize, anchors):
+def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize):
     # budget 1 gives one-anchor blocks, 5 * C five-anchor blocks, None the default
     if budget is not None:
         monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
     for seed in range(3):
-        emb = shared_stack(seed, anchors=anchors)
+        emb = shared_stack(seed)
         plain = replace(emb, class_of=None)
         assert_matches(softmax_reg(plain, normalize), dense_softmax_reg(plain, normalize))
         assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, normalize))
@@ -419,11 +422,10 @@ def stacks(draw):
     client_of = np.array(draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols)))
     class_of = np.array(draw(st.lists(st.integers(0, cols - 1), min_size=cols, max_size=cols)))
     w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(d, cols))
-    mask = draw(st.none() | st.lists(st.booleans(), min_size=cols, max_size=cols))
     perm = np.array(draw(st.permutations(range(cols))))
     relabel = np.array(draw(st.permutations(range(5))))
     rename = np.array(draw(st.permutations(range(cols)))) * 3 + 11
-    return StackedEmbeddings(w, client_of, mask, class_of), perm, relabel, rename
+    return StackedEmbeddings(w, client_of, class_of), perm, relabel, rename
 
 
 def _penalties(emb, normalize):
@@ -434,8 +436,7 @@ def _penalties(emb, normalize):
 @given(stacks(), st.booleans())
 def test_penalties_are_permutation_equivariant(case, normalize):
     emb, perm, _, _ = case
-    mask = None if emb.anchor_mask is None else emb.anchor_mask[perm]
-    permuted = StackedEmbeddings(emb.W[:, perm], emb.client_of[perm], mask, emb.class_of[perm])
+    permuted = StackedEmbeddings(emb.W[:, perm], emb.client_of[perm], emb.class_of[perm])
     for rg, rp in zip(_penalties(emb, normalize), _penalties(permuted, normalize)):
         assert abs(rp.value - rg.value) <= 1e-12 * max(1.0, abs(rg.value))
         np.testing.assert_allclose(rp.grad, rg.grad[:, perm], rtol=0.0, atol=1e-12)

@@ -353,12 +353,15 @@ def shared_stack(seed, clients=6, per_client=7, d=5, identities=None):
 
 @pytest.mark.parametrize("budget", [1, 5 * 42, None])
 @pytest.mark.parametrize("normalize", [False, True])
-def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize):
-    # budget 1 gives one-anchor blocks, 5 * C five-anchor blocks, None the default
+@pytest.mark.parametrize("identities", [None, 8], ids=["spread", "crowded"])
+def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize, identities):
+    # budget 1 gives one-anchor blocks, 5 * C five-anchor blocks, None the default.
+    # "spread" draws 28 ids for 42 columns; "crowded" draws 8, so most owner
+    # sets span several clients and some anchors have few or no negatives
     if budget is not None:
         monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
     for seed in range(3):
-        emb = shared_stack(seed)
+        emb = shared_stack(seed, identities=identities)
         plain = replace(emb, class_of=None)
         assert_matches(softmax_reg(plain, normalize), dense_softmax_reg(plain, normalize))
         assert_matches(softmax_reg(emb, normalize), dense_softmax_reg(emb, normalize))

@@ -98,6 +98,9 @@ def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> Simila
     cls = emb.class_of[keep]
     n = w.shape[1]
     edges = np.linspace(-1.0, 1.0, bins + 1)
+    # floating error can push a cosine a hair past +/-1; open outer edges count
+    # it in the first or last bin, as clipping to [-1, 1] would, and NaN in none
+    open_edges = np.r_[-np.inf, edges[1:-1], np.inf]
     hists = {True: np.zeros(bins, dtype=np.int64), False: np.zeros(bins, dtype=np.int64)}
     maxima = {True: [], False: []}
     # row blocks of the upper triangle: rows i in blk against columns j > i
@@ -106,13 +109,14 @@ def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> Simila
         cos = w[:, blk].T @ w[:, blk.start:]
         pick = cols[None, :] > rows[:, None]
         pick &= cls[rows, None] != cls[None, cols]
-        is_cross = clients[rows, None] != clients[None, cols]
-        for cross in (True, False):
-            values = cos[pick & (is_cross == cross)]
+        cross = clients[rows, None] != clients[None, cols]
+        cross &= pick
+        pick ^= cross  # now the within-client pairs
+        for is_cross, mask in ((True, cross), (False, pick)):
+            values = cos[mask]
             if values.size:
-                maxima[cross].append(values.max())
-                # floating error can push a cosine a hair past +/-1
-                hists[cross] += np.histogram(np.clip(values, -1, 1), bins=edges)[0]
+                maxima[is_cross].append(values.max())
+                hists[is_cross] += np.histogram(values, bins=open_edges)[0]
 
     def overall(values):
         return float(np.max(values)) if values else float("nan")

@@ -81,8 +81,8 @@ def anchor_term(emb: StackedEmbeddings, a: int) -> RegGrad:
     w = emb.W
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite entry in stacked embeddings")
-    set_of, table = _ownership(emb)
-    negatives = np.flatnonzero(~table[set_of[a], set_of])
+    set_of, meets, met = _ownership(emb)
+    negatives = np.flatnonzero(~np.isin(set_of, met[meets == set_of[a]]))
     anchor = w[:, a]
     self_term = np.exp(anchor @ anchor)
     cross = np.exp(w[:, negatives].T @ anchor)

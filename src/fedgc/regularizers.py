@@ -24,10 +24,12 @@ by a fixed element budget, so memory is O(d C + C B). Each anchor's term is
 independent, so blocking changes only the summation order. Both penalties
 separate two columns iff their owner sets, the clients holding a column of
 their identity (class_of), are disjoint. _ownership numbers the owner sets,
-the clients first and then one per identity several clients hold, and
-tabulates which sets meet: the softmax penalty masks each block by a gather
-from that table, and the cosine penalty is a closed form over per-set
-column sums in O(d (C + S^2)).
+the clients first and then one per identity several clients hold, and lists
+the pairs of sets that meet by a join on clients. The softmax penalty writes
+-inf into each block by flat index, at the columns of the sets meeting each
+anchor's set (a stack with nothing shared and few clients compares set ids
+instead), and the cosine penalty is a closed form over per-set column sums
+in O(d C + meet pairs).
 """
 
 from __future__ import annotations
@@ -105,32 +107,77 @@ def _blocks(count: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray]:
-    """Owner-set id of every column, and the S x S table of which owner sets intersect.
+def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner-set id of every column, and the pairs of owner sets that meet.
 
     Sets 0..K-1 are the single clients in client order; every identity that
-    more than one client holds adds one set, the clients holding it. Columns
-    u and v may be separated iff table[set_of[u], set_of[v]] is False.
+    more than one client holds adds one set, the clients holding it. Two sets
+    meet when some client belongs to both, so every set meets itself. The
+    pairs (meets[i], met[i]) list each meeting pair once, in row-major order.
+    Columns u and v may be separated iff their sets do not meet.
     """
-    clients = np.unique(emb.client_of)
+    clients = _distinct(emb.client_of)
     client = np.searchsorted(clients, emb.client_of)
     k = clients.size
     ids = np.sort(emb.class_of)
     if not (ids[1:] == ids[:-1]).any():
-        return client, np.eye(k, dtype=bool)
+        return client, np.arange(k), np.arange(k)
     ids, ident = np.unique(emb.class_of, return_inverse=True)
     # an identity is held by several clients iff it has several (identity, client) pairs
-    held = np.bincount(np.unique(ident * k + client) // k, minlength=ids.size) > 1
+    held = np.bincount(_distinct(ident * k + client) // k, minlength=ids.size) > 1
     shared = held[ident]
     set_of = np.where(shared, k - 1 + np.cumsum(held)[ident], client)
-    # (set, client) memberships; the sets that contain one client all meet
-    sets = np.r_[np.arange(k), set_of[shared]]
-    member = np.r_[np.arange(k), client[shared]]
-    table = np.zeros((k + int(held.sum()),) * 2, dtype=bool)
-    for c in range(k):
-        meeting = sets[member == c]
-        table[np.ix_(meeting, meeting)] = True
-    return set_of, table
+    s = k + int(held.sum())
+    # distinct (client, set) memberships, sorted by client
+    member, sets = np.divmod(
+        _distinct(np.r_[np.arange(k), client[shared]] * s + np.r_[np.arange(k), set_of[shared]]), s
+    )
+    # join the memberships on the client: the sets one client belongs to all meet
+    size = np.bincount(member, minlength=k)
+    first = size.cumsum() - size
+    left = sets.repeat(size[member])
+    right = sets[_ranges(first[member], size[member])]
+    meets, met = np.divmod(_distinct(left * s + right), s)
+    return set_of, meets, met
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for an integer array, by a sort.
+
+    numpy >= 2.3 finds integer uniques with a hash table, which is 3-15x
+    slower than this at 2k to 300k elements.
+    """
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _num_sets(meets: np.ndarray) -> int:
+    # every set meets itself, so the last pair in row-major order is (S - 1, S - 1)
+    return int(meets[-1]) + 1 if meets.size else 0
+
+
+def _meeting_columns(
+    set_of: np.ndarray, size: np.ndarray, meets: np.ndarray, met: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every owner set t, the columns of the sets meeting it, as one flat list.
+
+    size[t] is the number of columns in set t. Set t's list is
+    masked[start[t] : start[t] + count[t]]: the columns of its meeting sets
+    in set order, each set's columns ascending.
+    """
+    first = size.cumsum() - size
+    by_set = set_of.argsort(kind="stable")
+    count = np.bincount(meets, size[met], minlength=size.size).astype(np.intp)
+    return by_set[_ranges(first[met], size[met])], count.cumsum() - count, count
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i] + arange(lengths[i]) for every i, concatenated in order."""
+    out = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    out += np.arange(out.size)
+    return out
 
 
 def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> np.ndarray:
@@ -159,21 +206,36 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
     disjoint, so copies of one shared identity are never pushed apart.
     """
     a_mat = _columns(emb, normalize_columns)
-    set_of, table = _ownership(emb)
+    c = emb.num_columns
+    set_of, meets, met = _ownership(emb)
+    size = np.bincount(set_of, minlength=_num_sets(meets))
+    # with nothing shared and a masked share of at least 1/8, comparing set ids
+    # moves fewer bytes than an 8-byte index per masked pair (few clients, small C)
+    compare = meets.size == size.size and 8 * (size @ size) >= c * c
+    if not compare:
+        masked, start, count = _meeting_columns(set_of, size, meets, met)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
-    for blk in _blocks(emb.num_columns, emb.num_columns):
+    blocks = _blocks(c, c)
+    buffer = np.empty(blocks[0].stop * c if blocks else 0)  # the scores of every block
+    for blk in blocks:
         cols = np.arange(blk.start, blk.stop)
         block = a_mat[:, cols]
         # exponent of every negative w against each anchor a, shifted by the self term
-        scores = block.T @ a_mat
+        scores = np.matmul(block.T, a_mat, out=buffer[: cols.size * c].reshape(cols.size, c))
         scores -= scores[np.arange(cols.size), cols][:, None]
-        # pairs whose owner sets meet, gathered as (C, B) from the block's rows
-        # of the symmetric table: rows of B flags copy faster than a take along C
-        np.copyto(scores, -np.inf, where=table[set_of[cols]].T.take(set_of, axis=0).T)
+        # pairs whose owner sets meet, by a set-id compare or by flat index
+        sets = set_of[blk]
+        if compare:
+            np.copyto(scores, -np.inf, where=sets[:, None] == set_of)
+        else:
+            flat = masked[_ranges(start[sets], count[sets])]
+            flat += np.arange(0, cols.size * c, c).repeat(count[sets])
+            buffer[flat] = -np.inf
         # log(1 + sum exp(...)) with the self term's exp(0) folded in; 0 if no negatives
         top = np.maximum(scores.max(axis=1), 0.0)
-        scores -= top[:, None]
+        if top.any():  # normalized columns nearly always give top == 0.0, and x - 0.0 == x
+            scores -= top[:, None]
         np.exp(scores, out=scores)
         denom = scores.sum(axis=1) + np.exp(-top)
         value += float((top + np.log(denom)).sum())
@@ -195,13 +257,12 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     t, value = S.S - sum_t P_t.N_t, and column v of set t gets 2 (S - N_t).
     """
     a_mat = _columns(emb, normalize_columns)
-    set_of, table = _ownership(emb)
-    d, s = a_mat.shape[0], table.shape[0]
+    set_of, meets, met = _ownership(emb)
+    d, s = a_mat.shape[0], _num_sets(meets)
     # per-set column sums, accumulated in column order
     bins = (set_of[:, None] * d + np.arange(d)).ravel()
     own = np.bincount(bins, a_mat.T.ravel(), s * d).reshape(s, d)
     # sums over the sets meeting each set; with nothing shared, each set alone
-    meets, met = np.nonzero(table)
     pair_bins = (meets[:, None] * d + np.arange(d)).ravel()
     near = np.bincount(pair_bins, own[met].ravel(), s * d).reshape(s, d)
     total = a_mat.sum(axis=1)

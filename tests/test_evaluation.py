@@ -205,6 +205,30 @@ def test_similarity_stats_keep_a_nan_column_visible():
     assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
 
 
+def test_similarity_hist_counts_cosines_past_one_in_the_outer_bins():
+    # two clients hold one direction and a third its opposite, each under its
+    # own id: their unit columns can dot to a hair past +1 and -1, and those
+    # count in the last and first bins exactly as clipping to [-1, 1] would;
+    # the NaN column's pairs count in no bin
+    for seed in range(100):
+        v = np.random.default_rng(seed).normal(size=4)
+        w = np.stack([v, v, -v, np.full(4, np.nan)], axis=1)
+        unit = w / np.linalg.norm(w, axis=0)
+        cos = unit.T @ unit  # the product the statistics take in one block
+        if cos[0, 1] > 1.0 and cos[0, 2] < -1.0:
+            break
+    else:
+        pytest.fail("no direction whose unit cosines pass +/-1")
+    stats = embedding_similarity_stats(StackedEmbeddings(w, np.arange(4)))
+    iu, ju = np.triu_indices(4, k=1)
+    np.testing.assert_array_equal(
+        stats.cross_hist, np.histogram(np.clip(cos[iu, ju], -1, 1), bins=stats.bin_edges)[0]
+    )
+    assert stats.cross_hist[-1] == 1 and stats.cross_hist[0] == 2 and stats.cross_hist.sum() == 3
+    assert not stats.within_hist.any()
+    assert np.isnan(stats.cross_client_max_cos)
+
+
 def small_federation(rounds=0, mode="fedpe", lam=0.0):
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=6, seed=1))
     _, shards = partition_balanced(ds, 2)

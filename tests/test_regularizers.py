@@ -368,6 +368,58 @@ def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize
         assert_matches(cosine_reg(emb, normalize), dense_cosine_reg(emb, normalize))
 
 
+def prior_blocked_softmax_reg(emb, normalize=False):
+    """The blocked softmax penalty with a dense pair mask, as it was before the meet list.
+
+    Each block gets a fresh score array, masked by a full-block np.copyto and
+    always shifted by its rows' top. Also returns every anchor's top.
+    """
+    a_mat = emb.W / np.linalg.norm(emb.W, axis=0) if normalize else emb.W
+    meet = ~dense_pair_mask(emb)
+    value = 0.0
+    grad_n = np.zeros_like(a_mat)
+    tops = []
+    for blk in regularizers._blocks(emb.num_columns, emb.num_columns):
+        cols = np.arange(blk.start, blk.stop)
+        block = a_mat[:, cols]
+        scores = block.T @ a_mat
+        scores -= scores[np.arange(cols.size), cols][:, None]
+        np.copyto(scores, -np.inf, where=meet[cols])
+        top = np.maximum(scores.max(axis=1), 0.0)
+        scores -= top[:, None]
+        np.exp(scores, out=scores)
+        denom = scores.sum(axis=1) + np.exp(-top)
+        value += float((top + np.log(denom)).sum())
+        scores /= denom[:, None]
+        grad_n += block @ scores
+        tops.append(top)
+    grad = dense_chain_normalization(emb.W, grad_n) if normalize else grad_n
+    return value, grad, np.concatenate(tops)
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 42, 17 * 42])
+@pytest.mark.parametrize("long_column", [False, True], ids=["normalized", "one-long-column"])
+def test_softmax_reg_bytes_match_the_dense_mask_algorithm(monkeypatch, budget, long_column):
+    # bitwise, no tolerance: masking by the meet list, reusing one score buffer
+    # and skipping an all-zero top shift must not move a single bit. The plain
+    # stack (6 clients) masks by a set-id compare; one column per client and
+    # shared identities mask by flat index
+    monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
+    assert len(regularizers._blocks(42, 42)) > 1
+    for seed in range(3):
+        shared = shared_stack(seed)
+        plain = replace(shared, class_of=None)
+        for emb in (plain, replace(plain, client_of=np.arange(42)), shared):
+            if long_column:
+                emb = replace(emb, W=emb.W * np.where(np.arange(42) == 2 * seed, 9.0, 1.0))
+            value, grad, top = prior_blocked_softmax_reg(emb, normalize=not long_column)
+            # normalized columns take the all-zero top path, a long column the shifted one
+            assert top.any() == long_column
+            rg = softmax_reg(emb, normalize_columns=not long_column)
+            assert rg.value == value
+            assert np.array_equal(rg.grad, grad)
+
+
 def test_penalties_match_dense_references_across_default_blocks():
     # 1200 columns span several blocks of the default element budget
     assert len(regularizers._blocks(1200, 1200)) > 1
@@ -393,13 +445,18 @@ def test_server_paths_hold_no_dense_pair_matrix():
     # must stay below a quarter of it
     shared = shared_stack(14, clients=64, per_client=64, d=8, identities=4000)
     emb = replace(shared, class_of=None)
-    budget = 4096 * 4096 * 8 // 4
+    # one column per client: a dense owner-set table would be S x S = 4096 x 4096
+    # (16 MiB of bool); the penalties must stay below three 4 MiB score blocks
+    solo = replace(emb, client_of=np.arange(4096))
+    budget, solo_budget = 4096 * 4096 * 8 // 4, 3 * regularizers._BLOCK_ELEMENTS * 8
     calls = {
         "softmax_reg": lambda: softmax_reg(emb, normalize_columns=True),
         "softmax_reg, shared identities": lambda: softmax_reg(shared, normalize_columns=True),
         "cosine_reg": lambda: cosine_reg(emb, normalize_columns=True),
         "cosine_reg, shared identities": lambda: cosine_reg(shared, normalize_columns=True),
         "embedding_similarity_stats": lambda: embedding_similarity_stats(shared),
+        "softmax_reg, one column per client": lambda: softmax_reg(solo, normalize_columns=True),
+        "cosine_reg, one column per client": lambda: cosine_reg(solo, normalize_columns=True),
     }
     peaks = {}
     tracemalloc.start()
@@ -411,6 +468,8 @@ def test_server_paths_hold_no_dense_pair_matrix():
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < budget, peaks
+    solo_peaks = {name: peak for name, peak in peaks.items() if "one column per client" in name}
+    assert max(solo_peaks.values()) < solo_budget, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +515,31 @@ def test_penalties_are_invariant_under_client_relabelling(case, normalize):
         np.testing.assert_allclose(rr.grad, rg.grad, rtol=0.0, atol=1e-12)
 
 
+def set_members(emb, set_of):
+    """Per owner-set id: the clients of its columns (ids 0..K-1 are the clients by rank)."""
+    clients = np.unique(emb.client_of)
+    members = {t: frozenset([int(k)]) for t, k in enumerate(clients)}
+    for col, owners in enumerate(owner_sets(emb)):
+        assert members.setdefault(int(set_of[col]), owners) == owners
+    return [members[t] for t in range(len(members))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(stacks())
-def test_owner_set_table_is_the_owner_intersection(case):
+def test_owner_set_meet_pairs_are_the_owner_intersection(case):
     emb = case[0]
     owners = owner_sets(emb)
-    set_of, table = regularizers._ownership(emb)
+    set_of, meets, met = regularizers._ownership(emb)
     # one set per client and one per identity that more than one client holds
+    members = set_members(emb, set_of)
     held_by_many = {int(c) for c, own in zip(emb.class_of, owners) if len(own) > 1}
-    assert table.shape == (np.unique(emb.client_of).size + len(held_by_many),) * 2
-    same = table[set_of][:, set_of]
-    assert same.tolist() == [[not ou.isdisjoint(ov) for ov in owners] for ou in owners]
+    assert len(members) == np.unique(emb.client_of).size + len(held_by_many)
+    # every intersecting pair of sets, once, in row-major order
+    brute = [(t, u) for t, mt in enumerate(members) for u, mu in enumerate(members) if mt & mu]
+    assert list(zip(meets.tolist(), met.tolist())) == brute
+    meeting = set(brute)
+    same = [[(int(su), int(sv)) in meeting for sv in set_of] for su in set_of]
+    assert same == [[not ou.isdisjoint(ov) for ov in owners] for ou in owners]
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,7 +547,8 @@ def test_owner_set_table_is_the_owner_intersection(case):
 def test_owner_sets_without_groups_are_the_clients(case):
     # with one column per identity the softmax mask is client_of equality
     emb = replace(case[0], class_of=None)
-    set_of, table = regularizers._ownership(emb)
-    np.testing.assert_array_equal(set_of, np.unique(emb.client_of, return_inverse=True)[1])
-    np.testing.assert_array_equal(table, np.eye(table.shape[0], dtype=bool))
-    np.testing.assert_array_equal(table[set_of][:, set_of], emb.client_of[:, None] == emb.client_of)
+    set_of, meets, met = regularizers._ownership(emb)
+    ranks = np.unique(emb.client_of, return_inverse=True)[1]
+    np.testing.assert_array_equal(set_of, ranks)
+    np.testing.assert_array_equal(meets, np.arange(ranks.max() + 1))
+    np.testing.assert_array_equal(met, meets)

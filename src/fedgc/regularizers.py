@@ -20,20 +20,24 @@ unnormalized embeddings.
 Nothing here holds a dense C x C array. The softmax penalty streams the
 anchors in blocks: each block's scores against every column, their
 log-sum-exp and their softmax weights live in one (B, C) buffer, with B set
-by a fixed element budget, so memory is O(d C + C B). Each anchor's term is
-independent, so blocking changes only the summation order. Both penalties
-separate two columns iff their owner sets, the clients holding a column of
-their identity (class_of), are disjoint. _ownership numbers the owner sets,
-the clients first and then one per identity several clients hold, and lists
-the pairs of sets that meet by a join on clients. The softmax penalty writes
--inf into each block by flat index, at the columns of the sets meeting each
-anchor's set (a stack with nothing shared and few clients compares set ids
-instead), and the cosine penalty is a closed form over per-set column sums
-in O(d C + meet pairs).
+by a fixed element budget. Each anchor's term is independent, so blocking
+changes only the summation order. Both penalties separate two columns iff
+their owner sets, the clients holding a column of their identity
+(class_of), are disjoint. _ownership numbers the owner sets, the clients
+first and then one per identity several clients hold, and lists the pairs
+of sets that meet by a join on clients. The softmax penalty writes -inf
+into each block by flat index, at the columns of the sets meeting each
+anchor's set, built block by block (a stack with nothing shared and at
+least 1/8 of each block masked compares set ids instead). The cosine
+penalty is a closed form over per-set column sums. Both take
+O(d C + C B + meet pairs) memory. With nothing shared the meet list is one
+pair per client; when a few clients hold most identities jointly, nearly
+every pair of owner sets meets and the list approaches S^2 pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +118,8 @@ def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray, np.ndarr
     more than one client holds adds one set, the clients holding it. Two sets
     meet when some client belongs to both, so every set meets itself. The
     pairs (meets[i], met[i]) list each meeting pair once, in row-major order.
-    Columns u and v may be separated iff their sets do not meet.
+    Columns u and v may be separated iff their sets do not meet. The last set
+    always holds a column, so there are set_of.max() + 1 sets.
     """
     clients = _distinct(emb.client_of)
     client = np.searchsorted(clients, emb.client_of)
@@ -132,12 +137,14 @@ def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray, np.ndarr
     member, sets = np.divmod(
         _distinct(np.r_[np.arange(k), client[shared]] * s + np.r_[np.arange(k), set_of[shared]]), s
     )
-    # join the memberships on the client: the sets one client belongs to all meet
+    # join the memberships on the client: the sets one client belongs to all
+    # meet. A pair comes up once per client its two sets share, so the join
+    # holds at most (most clients holding one identity) x (meet pairs) keys
     size = np.bincount(member, minlength=k)
     first = size.cumsum() - size
-    left = sets.repeat(size[member])
-    right = sets[_ranges(first[member], size[member])]
-    meets, met = np.divmod(_distinct(left * s + right), s)
+    pairs = sets.repeat(size[member]) * s
+    pairs += sets[_ranges(first[member], size[member])]
+    meets, met = np.divmod(_distinct(pairs), s)
     return set_of, meets, met
 
 
@@ -153,24 +160,32 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _num_sets(meets: np.ndarray) -> int:
-    # every set meets itself, so the last pair in row-major order is (S - 1, S - 1)
-    return int(meets[-1]) + 1 if meets.size else 0
-
-
-def _meeting_columns(
+def _meeting_index(
     set_of: np.ndarray, size: np.ndarray, meets: np.ndarray, met: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every owner set t, the columns of the sets meeting it, as one flat list.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The flat indices of the meeting pairs in a block of (anchor, column) scores.
 
-    size[t] is the number of columns in set t. Set t's list is
-    masked[start[t] : start[t] + count[t]]: the columns of its meeting sets
-    in set order, each set's columns ascending.
+    size[t] is the number of columns in owner set t. The function returned
+    takes the owner sets of a block's B anchors and gives, row by row, the
+    indices into the row-major (B, C) block of every column whose set meets
+    the anchor's set: the sets in set order, each set's columns ascending.
+    It builds them per block, so they take O(C B) memory, never O(S C).
     """
+    c = set_of.size
+    by_set = set_of.argsort(kind="stable")  # the columns of every set, one set after another
     first = size.cumsum() - size
-    by_set = set_of.argsort(kind="stable")
+    # the sets meeting set t are met[start[t] : start[t] + degree[t]], holding count[t] columns
+    degree = np.bincount(meets, minlength=size.size)
+    start = degree.cumsum() - degree
     count = np.bincount(meets, size[met], minlength=size.size).astype(np.intp)
-    return by_set[_ranges(first[met], size[met])], count.cumsum() - count, count
+
+    def index(sets: np.ndarray) -> np.ndarray:
+        meeting = met[_ranges(start[sets], degree[sets])]
+        flat = by_set[_ranges(first[meeting], size[meeting])]
+        flat += np.arange(0, sets.size * c, c).repeat(count[sets])
+        return flat
+
+    return index
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -208,12 +223,12 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
     a_mat = _columns(emb, normalize_columns)
     c = emb.num_columns
     set_of, meets, met = _ownership(emb)
-    size = np.bincount(set_of, minlength=_num_sets(meets))
-    # with nothing shared and a masked share of at least 1/8, comparing set ids
-    # moves fewer bytes than an 8-byte index per masked pair (few clients, small C)
+    size = np.bincount(set_of)
+    # with nothing shared and at least 1/8 of every block masked, comparing set
+    # ids is faster than the flat index (the measured crossover at C >= 256; at
+    # C <= 128 the compare is faster at any share)
     compare = meets.size == size.size and 8 * (size @ size) >= c * c
-    if not compare:
-        masked, start, count = _meeting_columns(set_of, size, meets, met)
+    meeting = None if compare else _meeting_index(set_of, size, meets, met)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
     blocks = _blocks(c, c)
@@ -224,14 +239,12 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
         # exponent of every negative w against each anchor a, shifted by the self term
         scores = np.matmul(block.T, a_mat, out=buffer[: cols.size * c].reshape(cols.size, c))
         scores -= scores[np.arange(cols.size), cols][:, None]
-        # pairs whose owner sets meet, by a set-id compare or by flat index
+        # -inf at the pairs whose owner sets meet
         sets = set_of[blk]
         if compare:
             np.copyto(scores, -np.inf, where=sets[:, None] == set_of)
         else:
-            flat = masked[_ranges(start[sets], count[sets])]
-            flat += np.arange(0, cols.size * c, c).repeat(count[sets])
-            buffer[flat] = -np.inf
+            buffer[meeting(sets)] = -np.inf
         # log(1 + sum exp(...)) with the self term's exp(0) folded in; 0 if no negatives
         top = np.maximum(scores.max(axis=1), 0.0)
         if top.any():  # normalized columns nearly always give top == 0.0, and x - 0.0 == x
@@ -258,7 +271,7 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     """
     a_mat = _columns(emb, normalize_columns)
     set_of, meets, met = _ownership(emb)
-    d, s = a_mat.shape[0], _num_sets(meets)
+    d, s = a_mat.shape[0], int(set_of.max(initial=-1)) + 1
     # per-set column sums, accumulated in column order
     bins = (set_of[:, None] * d + np.arange(d)).ravel()
     own = np.bincount(bins, a_mat.T.ravel(), s * d).reshape(s, d)

@@ -544,6 +544,21 @@ def test_owner_set_meet_pairs_are_the_owner_intersection(case):
 
 @settings(max_examples=60, deadline=None)
 @given(stacks())
+def test_meeting_index_lists_every_meeting_pair_of_a_block_once(case):
+    # the flat index softmax_reg masks a block of scores by, built per block
+    emb = case[0]
+    set_of, meets, met = regularizers._ownership(emb)
+    index = regularizers._meeting_index(set_of, np.bincount(set_of), meets, met)
+    meet = ~dense_pair_mask(emb)
+    c = emb.num_columns
+    for blk in (slice(0, c), slice(c // 3, c // 2 + 1), slice(c - 1, c)):
+        flat = index(set_of[blk])
+        assert np.array_equal(np.sort(flat), np.flatnonzero(meet[blk]))
+        assert np.unique(flat).size == flat.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
 def test_owner_sets_without_groups_are_the_clients(case):
     # with one column per identity the softmax mask is client_of equality
     emb = replace(case[0], class_of=None)

@@ -85,9 +85,10 @@ def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
 
     n_train, n_test = split_rows(spc)
 
-    labels = np.repeat(np.arange(c), spc)
-    samples = centers[labels] + rng.normal(0.0, spec.cluster_std, size=(c * spc, dim))
-    per_class = samples.reshape(c, spc, dim)
+    # each class's centre added in place to its noise rows: the same sums as
+    # centre + noise, without two more arrays of every sample
+    per_class = rng.normal(0.0, spec.cluster_std, size=(c, spc, dim))
+    per_class += centers[:, None, :]
     train_x = per_class[:, :n_train, :].reshape(c * n_train, dim)
     train_y = np.repeat(np.arange(c), n_train)
     test_x = per_class[:, n_train:, :].reshape(c * n_test, dim)

@@ -7,7 +7,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import nn
-from .regularizers import StackedEmbeddings, _blocks
+from .regularizers import StackedEmbeddings
+
+# Elements in one block of the similarity pass: 1 MiB of float64 per
+# temporary. Histogram counts are integer sums and maxima are exact over the
+# cosines, so the blocking sets only the pass's memory (BLAS may round a
+# cosine differently in a block of only a few rows), unlike the penalties'
+# score blocks, whose size fixes a summation order.
+_SIMILARITY_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -103,10 +110,15 @@ def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> Simila
     open_edges = np.r_[-np.inf, edges[1:-1], np.inf]
     hists = {True: np.zeros(bins, dtype=np.int64), False: np.zeros(bins, dtype=np.int64)}
     maxima = {True: [], False: []}
-    # row blocks of the upper triangle: rows i in blk against columns j > i
-    for blk in _blocks(n, n):
-        rows, cols = np.arange(blk.start, blk.stop), np.arange(blk.start, n)
-        cos = w[:, blk].T @ w[:, blk.start:]
+    # row blocks of the upper triangle: rows i in a block against columns j > i,
+    # their cosines written into one reused buffer
+    step = max(1, _SIMILARITY_BLOCK_ELEMENTS // max(n, 1))
+    buffer = np.empty(min(step, n) * n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows, cols = np.arange(start, stop), np.arange(start, n)
+        cos = buffer[: rows.size * cols.size].reshape(rows.size, cols.size)
+        np.matmul(w[:, start:stop].T, w[:, start:], out=cos)
         pick = cols[None, :] > rows[:, None]
         pick &= cls[rows, None] != cls[None, cols]
         cross = clients[rows, None] != clients[None, cols]

@@ -161,6 +161,22 @@ class CellResult:
         """Similarity statistics of the last evaluated round; the final state's for ok cells."""
         return self.metrics[-1].similarity if self.metrics else None
 
+    def summary(self) -> CellSummary:
+        return CellSummary(
+            self.cell, self.status, self.rounds_completed, self.final_accuracy, self.final_cross_cos
+        )
+
+
+@dataclass(frozen=True)
+class CellSummary:
+    """What a grid keeps of a finished cell: its summary.csv row."""
+
+    cell: Cell
+    status: str
+    rounds_completed: int
+    final_accuracy: float
+    final_cross_cos: float
+
 
 # ---------------------------------------------------------------------------
 # config files
@@ -569,7 +585,7 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
     return cell_dir
 
 
-def write_summary(spec: ExperimentSpec, results: list[CellResult]) -> str:
+def write_summary(spec: ExperimentSpec, results: list[CellSummary]) -> str:
     path = os.path.join(spec.out_dir, "summary.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -609,8 +625,7 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     dataset = make_dataset(spec, spec.fed)
     results = []
     for cell in spec.grid():
-        result = run_cell(spec, cell, dataset)
-        write_cell_outputs(spec, result, dataset)
+        result = _run_and_write_cell(spec, cell, dataset)
         results.append(result)
         if echo is not None:
             echo(
@@ -622,3 +637,14 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     if echo is not None:
         echo(f"summary: {summary}")
     return 0 if any(r.status == OK for r in results) else 2
+
+
+def _run_and_write_cell(spec: ExperimentSpec, cell: Cell, dataset) -> CellSummary:
+    """Train and write one cell, and return only its summary row.
+
+    The cell's server, shards and test features are freed when this returns,
+    so a grid holds one cell's working set at a time.
+    """
+    result = run_cell(spec, cell, dataset)
+    write_cell_outputs(spec, result, dataset)
+    return result.summary()

@@ -223,6 +223,30 @@ def test_python_dash_m_fedgc_runs_the_cli():
     assert "configs/default.cfg: ok" in proc.stdout
 
 
+LAZY_GRADCHECK = """
+import sys
+import fedgc.cli
+assert "fedgc.gradcheck" not in sys.modules, "importing the cli loaded the gradcheck suite"
+assert fedgc.cli.main(["run", sys.argv[1]]) == 0
+assert "fedgc.gradcheck" not in sys.modules, "fedgc run loaded the gradcheck suite"
+sys.exit(fedgc.cli.main(["gradcheck"]))
+"""
+
+
+def test_only_gradcheck_loads_the_gradcheck_suite(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_GRADCHECK, str(write_tiny(tmp_path))],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "14/14 checks passed" in proc.stdout
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

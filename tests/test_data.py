@@ -18,6 +18,7 @@ from fedgc.data import (
     partition_lognormal,
     partition_problems,
     partition_shared,
+    split_rows,
 )
 
 
@@ -51,6 +52,33 @@ def test_generate_is_deterministic_in_seed():
     np.testing.assert_array_equal(a.pairs.idx_a, b.pairs.idx_a)
     c = generate(small_spec(seed=4))
     assert not np.array_equal(a.train_x, c.train_x)
+
+
+def old_generate_samples(spec):
+    """The rows generate drew before it added the centres in place: centres[labels] + noise."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
+    c, spc, dim = spec.num_classes, spec.samples_per_class, spec.input_dim
+    centers = rng.normal(0.0, spec.class_center_scale, size=(c, dim))
+    labels = np.repeat(np.arange(c), spc)
+    samples = centers[labels] + rng.normal(0.0, spec.cluster_std, size=(c * spc, dim))
+    n_train, n_test = split_rows(spc)
+    per_class = samples.reshape(c, spc, dim)
+    train_x = per_class[:, :n_train, :].reshape(c * n_train, dim)
+    test_x = per_class[:, n_train:, :].reshape(c * n_test, dim)
+    return centers, train_x, test_x, rng
+
+
+@pytest.mark.parametrize("spec", [small_spec(), SyntheticSpec(37, 11, 7, cluster_std=0.3, seed=9)])
+def test_generate_keeps_the_bits_of_centre_plus_noise(spec):
+    # noise + centre is the same IEEE sum as centre + noise, and the rng draws
+    # the noise in the same order, so the pairs that follow are the same too
+    ds = generate(spec, pairs_per_class=3)
+    centers, train_x, test_x, rng = old_generate_samples(spec)
+    for got, want in ((ds.centers, centers), (ds.train_x, train_x), (ds.test_x, test_x)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    pairs = _sample_pairs(ds.test_y, 3 * spec.num_classes, rng)
+    for f in ("idx_a", "idx_b", "same"):
+        np.testing.assert_array_equal(getattr(ds.pairs, f), getattr(pairs, f))
 
 
 def test_split_shapes_and_labels():

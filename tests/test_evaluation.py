@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgc import nn, regularizers
+from fedgc import evaluation, nn
 from fedgc.data import SyntheticSpec, generate, partition_balanced
 from fedgc.evaluation import (
     best_threshold_accuracy,
@@ -161,7 +161,7 @@ def dense_similarity_stats(emb, bins=50):
 def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
     # budget 1 gives one-row blocks, 7 * 300 seven-row blocks, None one block
     if budget is not None:
-        monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(evaluation, "_SIMILARITY_BLOCK_ELEMENTS", budget)
     rng = np.random.default_rng(2)
     w = rng.normal(size=(32, 300))
     w[:, 17] = 0.0  # a zero-norm column is dropped in both
@@ -227,6 +227,76 @@ def test_similarity_hist_counts_cosines_past_one_in_the_outer_bins():
     assert stats.cross_hist[-1] == 1 and stats.cross_hist[0] == 2 and stats.cross_hist.sum() == 3
     assert not stats.within_hist.any()
     assert np.isnan(stats.cross_client_max_cos)
+
+
+def past_one_columns(d=16):
+    """Columns v, v, -v whose unit cosines come out a hair past +1 and -1."""
+    for seed in range(100):
+        v = np.random.default_rng(seed).normal(size=d)
+        w = np.stack([v, v, -v], axis=1)
+        unit = w / np.linalg.norm(w, axis=0)
+        cos = unit.T @ unit
+        if cos[0, 1] > 1.0 and cos[0, 2] < -1.0:
+            return w
+    pytest.fail("no direction whose unit cosines pass +/-1")
+
+
+def similarity_cases():
+    """Stacks with every case the statistics treat specially, keyed by name.
+
+    The base columns are +/-1 in 16 dimensions, so every unit cosine is a
+    multiple of 1/8 and comes out exact under any summation order.
+    """
+    rng = np.random.default_rng(5)
+    cols = 150
+    w = rng.choice([-1.0, 1.0], size=(16, cols))
+    client_of = rng.integers(0, 6, size=cols)
+    class_of = rng.integers(0, 100, size=cols)  # identities repeat, across clients too
+    for cls in np.unique(class_of):  # copies of a shared identity are one column
+        copies = np.flatnonzero(class_of == cls)
+        w[:, copies] = w[:, copies[:1]]
+    w[:, 5] = 0.0
+    base = StackedEmbeddings(w, client_of, class_of)
+    with_nan = w.copy()
+    with_nan[:, 9] = np.nan
+    return {
+        "shared-copies": base,
+        "nan-column": replace(base, W=with_nan),
+        "single-client": replace(base, client_of=np.zeros(cols, dtype=int)),
+        "past-one": StackedEmbeddings(
+            np.hstack([w, past_one_columns()]),
+            np.r_[client_of, 6, 7, 8],
+            np.r_[class_of, 100, 101, 102],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["shared-copies", "nan-column", "single-client", "past-one"])
+def test_similarity_stats_do_not_depend_on_the_block_budget(monkeypatch, name):
+    # one-row, seven-row and three blocks against the default (one block here):
+    # counts are integer sums and a maximum is exact over the same cosines
+    emb = similarity_cases()[name]
+    n = emb.num_columns
+    reference = embedding_similarity_stats(emb)
+    assert reference.excluded_zero_norm == 1
+    for budget in (1, 7 * n, n * n // 3):
+        monkeypatch.setattr(evaluation, "_SIMILARITY_BLOCK_ELEMENTS", budget)
+        stats = embedding_similarity_stats(emb)
+        for f in ("cross_hist", "within_hist", "bin_edges", "excluded_zero_norm"):
+            np.testing.assert_array_equal(getattr(stats, f), getattr(reference, f), err_msg=f)
+        for f in ("cross_client_max_cos", "within_client_max_cos", "all_pairs_max_cos"):
+            got, want = getattr(stats, f), getattr(reference, f)
+            if name == "past-one":
+                # BLAS rounds v . v by the kernel a block's shape picks (gemv
+                # for one row, small-matrix kernels for a few), so this one
+                # cosine may move by an ulp; its bin cannot
+                assert abs(got - want) <= np.spacing(1.0), f
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=f)
+    if name == "nan-column":
+        assert np.isnan(reference.all_pairs_max_cos)
+    if name == "single-client":
+        assert np.isnan(reference.cross_client_max_cos) and not reference.cross_hist.any()
 
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):

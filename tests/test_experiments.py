@@ -1,8 +1,10 @@
 """Config parsing, grid expansion, cell training, outputs, and the check suite."""
 
 import csv
+import gc
 import json
 import textwrap
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -496,6 +498,33 @@ def test_histograms_come_from_the_last_evaluation(tmp_path, monkeypatch, rounds)
         with open(f"{cell_dir}/similarity_{side}.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [int(count) for _, count in rows] == counts.tolist()
+
+
+def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):
+    # a finished cell keeps only its summary row: its server, clients, test
+    # features and metrics rows are gone before the next cell trains and after the run
+    refs, starts = [], []
+    real_write, real_run = experiments.write_cell_outputs, experiments.run_cell
+
+    def write(spec, result, dataset=None):
+        objects = [result.server, result.test_features, *result.clients, *result.metrics]
+        refs.append([weakref.ref(o) for o in objects])
+        return real_write(spec, result, dataset)
+
+    def run(*args):
+        gc.collect()
+        starts.append([r() is not None for cell_refs in refs for r in cell_refs])
+        return real_run(*args)
+
+    monkeypatch.setattr(experiments, "write_cell_outputs", write)
+    monkeypatch.setattr(experiments, "run_cell", run)
+    spec = tiny_spec(tmp_path / "out", modes=["fedgc", "fedpe"])
+    assert run_experiment(spec) == 0
+    gc.collect()
+    # server, features, two clients and the rows of rounds 2 and 3
+    assert len(refs) == 2 and len(refs[0]) == 6
+    assert starts == [[], [False] * 6]
+    assert all(r() is None for cell_refs in refs for r in cell_refs)
 
 
 def test_run_experiment_bitwise_reproducible(tmp_path):

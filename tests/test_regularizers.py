@@ -472,6 +472,19 @@ def test_server_paths_hold_no_dense_pair_matrix():
     assert max(solo_peaks.values()) < solo_budget, peaks
 
 
+def test_similarity_pass_holds_less_than_one_score_block():
+    # the statistics' blocks set only memory, so at C = 4096 the whole pass
+    # (cosines, pair masks, picked values) stays under one 4 MiB score block
+    shared = shared_stack(14, clients=64, per_client=64, d=8, identities=4000)
+    tracemalloc.start()
+    try:
+        embedding_similarity_stats(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < regularizers._BLOCK_ELEMENTS * 8, peak
+
+
 # ---------------------------------------------------------------------------
 # properties
 

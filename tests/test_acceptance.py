@@ -15,6 +15,8 @@ from statistics import median
 import numpy as np
 import pytest
 
+import golden
+
 from fedgc import federation, nn
 from fedgc.data import generate, partition_balanced
 from fedgc.experiments import (
@@ -298,3 +300,17 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
     print(f"\n[PASS] criterion 10: pre-merge duplicate columns at cosine "
           f">= {min(copy_cosines):.4f} after training; masked penalty matches "
           f"the direct evaluation to 1e-10")
+
+
+def test_golden_digests_of_the_preset_runs_and_the_suite(
+    default_runs, participation_runs, sweep_runs, checks
+):
+    """Every cell's metrics rows, final backbone and head, and the verification
+    rows, byte for byte as recorded in golden.json."""
+    cells = {}
+    for preset, (rows, _) in zip(golden.PRESETS, (default_runs, participation_runs, sweep_runs)):
+        cells.update(golden.cell_digests(preset, rows))
+    moved = golden.moved(golden.recorded("cells"), cells)
+    assert not moved, f"{len(moved)} of {len(cells)} cells moved, first: {moved[:5]}"
+    rows, _ = checks
+    assert golden.suite_digest(rows.values()) == golden.recorded("verification_suite")

@@ -9,9 +9,9 @@ import argparse
 
 import numpy as np
 
-from fedgc.gradcheck import finite_diff_check
-from fedgc.losses import LossSpec, batch_loss_and_grad
-from fedgc.nn import BackboneParams, SgdState, backward, forward, init_backbone, sgd_update
+from fedgc.gradcheck import backward, batch_loss_and_grad, finite_diff_check
+from fedgc.losses import LossSpec
+from fedgc.nn import BackboneParams, SgdState, forward, init_backbone, sgd_update
 
 
 def check_first_layer(params: BackboneParams, x: np.ndarray, probe: np.ndarray) -> float:

@@ -9,8 +9,12 @@ shapes the features.
 """
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
-from fedgc.experiments import cell_config, default_spec, make_dataset, run_cell
+from fedgc.experiments import cell_config, make_dataset, parse_config, run_cell
+
+PRESET = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 TAGLINE = {
     "fedpe": "private heads, no correction",
@@ -27,8 +31,10 @@ def main() -> int:
     ap.add_argument("--out", default="runs/demo_comparison")
     args = ap.parse_args()
 
-    spec = default_spec(out_dir=args.out, seed=args.seed)
-    spec.fed.rounds = args.rounds
+    spec, problems = parse_config(PRESET)
+    if problems:
+        raise SystemExit("\n".join(problems))
+    spec = replace(spec, out_dir=args.out, fed=replace(spec.fed, seed=args.seed, rounds=args.rounds))
     cells = spec.grid()
     dataset = make_dataset(spec, cell_config(spec, cells[0]))
     print(f"{dataset.num_classes} identities, {dataset.train_x.shape[0]} train samples, "

@@ -11,7 +11,8 @@ import argparse
 
 import numpy as np
 
-from fedgc.losses import LossSpec, batch_loss_and_grad
+from fedgc.gradcheck import batch_loss_and_grad
+from fedgc.losses import LossSpec
 
 
 def make_problem(rng, d=8, classes=4, n=40, spread=0.8):

@@ -12,13 +12,16 @@ other's anchors.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 from dataclasses import replace
 
 from fedgc import federation
-from fedgc.experiments import default_spec, make_dataset, make_partition
+from fedgc.experiments import make_dataset, make_partition, parse_config
 from fedgc.gradcheck import anchor_term
+
+PRESET = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 
 def copy_cosines(server):
@@ -37,11 +40,17 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=60)
     args = ap.parse_args()
 
-    spec = default_spec(seed=args.seed)
-    cfg = replace(spec.fed, mode="fedgc", lam=50.0, rounds=args.rounds)
+    spec, problems = parse_config(PRESET)
+    if problems:
+        raise SystemExit("\n".join(problems))
+    cfg = replace(spec.fed, mode="fedgc", lam=50.0, rounds=args.rounds, seed=args.seed)
     dataset = make_dataset(spec, cfg)
-    part, client_data = make_partition(dataset, "shared", spec, cfg)
-    shared = {cls: group for cls, group in sorted(part.assignment.items()) if len(group) > 1}
+    client_data = make_partition(dataset, "shared", spec, cfg)
+    holders = {}
+    for cl in client_data:
+        for cls in cl.classes:
+            holders.setdefault(cls, []).append(cl.client_id)
+    shared = {cls: group for cls, group in sorted(holders.items()) if len(group) > 1}
     print(f"{len(shared)} of {dataset.num_classes} identities shared:")
     for cls, group in shared.items():
         print(f"  identity {cls:2d} held by clients {tuple(group)}")

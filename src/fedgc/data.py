@@ -124,14 +124,6 @@ def _sample_pairs(labels: np.ndarray, n_each: int, rng: np.random.Generator) -> 
 
 
 @dataclass
-class PartitionSpec:
-    num_clients: int
-    assignment: dict[int, tuple[int, ...]]  # class -> clients holding it
-    counts: np.ndarray                      # per-client sample counts n_k
-    scheme: str
-
-
-@dataclass
 class ClientData:
     """One client's shard; local label j means global class `classes[j]`."""
 
@@ -143,10 +135,6 @@ class ClientData:
     @property
     def n_samples(self) -> int:
         return len(self.y_local)
-
-    @property
-    def y_global(self) -> np.ndarray:
-        return np.asarray(self.classes)[self.y_local]
 
 
 def _build_clients(
@@ -220,20 +208,18 @@ def _require_feasible(problems: list[tuple[str, str]]) -> None:
         raise ValueError("; ".join(f"{name}: {why}" for name, why in problems))
 
 
-def partition_balanced(dataset: Dataset, num_clients: int) -> tuple[PartitionSpec, list[ClientData]]:
+def partition_balanced(dataset: Dataset, num_clients: int) -> list[ClientData]:
     """Contiguous equal-size class blocks; requires num_clients | num_classes."""
     c = dataset.num_classes
     _require_feasible(partition_problems("balanced", c, num_clients, None, None, None))
     per = c // num_clients
     holders = {cls: (cls // per,) for cls in range(c)}
-    clients = _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
-    counts = np.array([cl.n_samples for cl in clients])
-    return PartitionSpec(num_clients, holders, counts, "balanced"), clients
+    return _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
 
 
 def partition_lognormal(
     dataset: Dataset, num_clients: int, seed: int
-) -> tuple[PartitionSpec, list[ClientData]]:
+) -> list[ClientData]:
     """Unbalanced class counts per client, drawn so that ln(weight) ~ N(0, 1).
 
     Weights are converted to class counts by largest-remainder rounding with
@@ -252,9 +238,7 @@ def partition_lognormal(
         for cls in order[start : start + cnt]:
             holders[int(cls)] = (k,)
         start += cnt
-    clients = _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
-    n_k = np.array([cl.n_samples for cl in clients])
-    return PartitionSpec(num_clients, holders, n_k, "lognormal"), clients
+    return _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
 
 
 def _largest_remainder(target: np.ndarray, total: int, minimum: int) -> np.ndarray:
@@ -275,7 +259,7 @@ def partition_shared(
     share_fraction: float,
     seed: int,
     group_size: int = 2,
-) -> tuple[PartitionSpec, list[ClientData]]:
+) -> list[ClientData]:
     """Duplicate a fraction of classes across small client groups.
 
     Each shared class is held by a random group of `group_size` clients, its
@@ -308,6 +292,4 @@ def partition_shared(
         holders[cls] = (k,)
         splits[cls] = {k: by_class[cls]}
 
-    clients = _build_clients(dataset, holders, splits, num_clients)
-    n_k = np.array([cl.n_samples for cl in clients])
-    return PartitionSpec(num_clients, holders, n_k, "shared"), clients
+    return _build_clients(dataset, holders, splits, num_clients)

@@ -389,36 +389,6 @@ def apply_overrides(
 # running
 
 
-def default_spec(out_dir: str = "runs/default", seed: int = 0) -> ExperimentSpec:
-    """The standard desk-scale setup every preset file is a variation of:
-
-    8 clients x 4 classes each, 32-dim embeddings, 200 rounds, margin loss.
-    The step size and the correction multipliers were fixed once by a tuning
-    sweep (eta=0.03 keeps the centralized reference stable under persistent
-    momentum; lambda=50 for the softmax penalty and 1.0 for the cosine one,
-    which matches the per-step correction magnitude -- the cosine gradient
-    sums every cross-client column with no softmax down-weighting, so it is
-    roughly 50x larger per unit lambda) and are mirrored in configs/.
-    """
-    return ExperimentSpec(
-        fed=federation.FederationConfig(
-            num_clients=8, eta=0.03, lam=50.0, rounds=200,
-            loss=LossSpec.cosface(), seed=seed,
-        ),
-        data=datasets.SyntheticSpec(
-            num_classes=32, samples_per_class=25, input_dim=16,
-            class_center_scale=2.0, seed=seed,
-        ),
-        modes=["fedpe", "fedcos", "fedgc", "centralized"],
-        fractions=[1.0],
-        lambdas=[50.0],
-        partitions=["balanced"],
-        out_dir=out_dir,
-        eval_every=10,
-        mode_lambdas={"fedcos": [1.0]},
-    )
-
-
 def cell_config(spec: ExperimentSpec, cell: Cell) -> federation.FederationConfig:
     return replace(spec.fed, mode=cell.mode, participation=cell.fraction, lam=cell.lam)
 
@@ -435,7 +405,7 @@ def make_dataset(spec: ExperimentSpec, cfg: federation.FederationConfig) -> data
     return ds
 
 
-def make_partition(dataset, partition: str, spec: ExperimentSpec, cfg):
+def make_partition(dataset, partition: str, spec: ExperimentSpec, cfg) -> list[datasets.ClientData]:
     if partition == "balanced":
         return datasets.partition_balanced(dataset, cfg.num_clients)
     if partition == "lognormal":
@@ -534,7 +504,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
     if cfg.mode == "centralized":
         status, metrics, server, clients = train_centralized(dataset, cfg, spec.eval_every)
     else:
-        _, client_data = make_partition(dataset, cell.partition, spec, cfg)
+        client_data = make_partition(dataset, cell.partition, spec, cfg)
         status, metrics, server, clients = train_federated(dataset, client_data, cfg, spec.eval_every)
     feats = nn.forward(server.theta, dataset.test_x) if status == OK else None
     return CellResult(cell, status, server.round, metrics, server, clients, feats)

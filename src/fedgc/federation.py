@@ -10,8 +10,8 @@ Modes:
   centralized - pooled single-head SGD, the upper-bound baseline
 
 All training runs through one fused loop, local_sgd, which is bitwise equal
-to chaining the public reference pieces the gradient checks exercise:
-nn.forward, losses.batch_loss_and_grad, nn.backward and nn.sgd_update. It
+to chaining the reference pieces the gradient checks exercise: nn.forward,
+gradcheck.batch_loss_and_grad, gradcheck.backward and nn.sgd_update. It
 trains a round's equal-shape clients in lockstep, stacked on a leading
 client axis, and each client's numbers are bitwise what it gets alone.
 Every buffer it writes comes from a Workspace that a federated cell creates
@@ -48,7 +48,7 @@ import numpy as np
 from . import nn
 from .config import check
 from .data import ClientData
-from .losses import LossSpec, batch_loss_and_grad, check_inputs, loss_and_grad, target_index
+from .losses import LossSpec, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 
 MODES = ("fedpe", "fedgc", "fedcos", "fedpe_fixed", "centralized")
@@ -566,8 +566,9 @@ def combined_objective(server: ServerState, clients: list[ClientData], cfg: Fede
             continue
         feats = nn.forward(server.theta, cl.x)
         head = server.embeddings.W[:, server.head_slices[cl.client_id]]
-        lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
-        total += float(server.weights[cl.client_id]) * lg.loss
+        check_inputs(head, feats.shape, cl.y_local)
+        lg = loss_and_grad(cfg.loss, head, feats, target_index(cl.y_local, head.shape[1]))
+        total += float(server.weights[cl.client_id]) * float(lg.loss)
     if cfg.lam > 0.0 and cfg.mode in CORRECTION_MODES:
         rg = regularizer_grad(server.embeddings, cfg)
         total += cfg.lam * rg.value

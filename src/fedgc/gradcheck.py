@@ -13,7 +13,7 @@ import numpy as np
 
 from . import data as datasets
 from . import federation, nn
-from .losses import LossGrad, LossSpec, batch_loss_and_grad
+from .losses import LossGrad, LossSpec, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 from .regularizers import _ownership
 
@@ -60,6 +60,52 @@ def finite_diff_check(
         if rel > worst:
             worst, worst_idx = rel, idx
     return FiniteDiffReport(max_rel_err=float(worst), worst_index=worst_idx, passed=worst < tol)
+
+
+def backward(
+    params: nn.BackboneParams, x: np.ndarray, grad_out: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Gradients of <grad_out, forward(x)> w.r.t. parameters and x.
+
+    For a batch, grad_out rows pair with x rows and contributions are summed
+    over the batch (put any 1/n factor into grad_out).
+
+    Returns (grad_layers, grad_x) with grad_layers matching params.layers.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    single = x.ndim == 1
+    h = x[None, :] if single else x
+    g = grad_out[None, :] if single else grad_out
+    nn.check_input(params, h)
+    if g.shape != (h.shape[0], params.output_dim):
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
+    tape = nn.new_tape(params.layers, h.shape[:-1])
+    nn.record_forward(params.layers, params.activation, h, tape)
+    grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
+    grad_x = np.empty(h.shape)
+    nn.reverse_sweep(params.layers, params.activation, h, tape, g, grad_layers, grad_x)
+    return grad_layers, grad_x[0] if single else grad_x
+
+
+def batch_loss_and_grad(
+    spec: LossSpec, embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> LossGrad:
+    """losses.loss_and_grad on unchecked inputs: one (d,) feature or an (n, d) batch.
+
+    embeddings: (d, C) head columns; labels: one int or (n,) ints. Converts
+    to float64, applies check_inputs and returns a float loss; a one-row
+    batch gets a (d,) grad_feature.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    check_inputs(embeddings, features.shape, labels)
+    lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
+    lg.loss = float(lg.loss)
+    if features.shape[0] == 1:
+        lg.grad_feature = lg.grad_feature[0]
+    return lg
 
 
 def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int) -> LossGrad:
@@ -238,7 +284,7 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
         theta = nn.init_backbone([4, 6, 3], int(rng.integers(2**31)))
         x = rng.uniform(-1.0, 1.0, size=(3, 4))
         g_out = rng.normal(size=(3, 3))
-        grads, grad_x = nn.backward(theta, x, g_out)
+        grads, grad_x = backward(theta, x, g_out)
         flat = theta.to_list()
         flat_grads = [g for pair in grads for g in pair]
         for i in range(len(flat)):
@@ -357,7 +403,7 @@ def _probe_federation(seed: int):
     cfg = federation.FederationConfig(num_clients=3, mode="fedgc", lam=1.0, seed=seed, rounds=1)
     spec = datasets.SyntheticSpec(num_classes=6, samples_per_class=8, input_dim=5, seed=seed)
     dataset = datasets.generate(spec)
-    _, client_data = datasets.partition_balanced(dataset, cfg.num_clients)
+    client_data = datasets.partition_balanced(dataset, cfg.num_clients)
     return federation.build_federation(client_data, dataset.input_dim, cfg)
 
 

@@ -69,15 +69,9 @@ class LossGrad:
     grad_embeddings: np.ndarray  # (d, num_classes), or (K, d, num_classes) stacked
 
 
-def stable_log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis via max subtraction."""
-    logits = np.array(logits, dtype=np.float64)
-    _log_softmax_inplace(logits)
-    return logits
-
-
 def _log_softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    """stable_log_softmax written over a float64 logits buffer.
+    """Log-softmax along the last axis via max subtraction, written over a
+    float64 logits buffer.
 
     Returns the exp of the shifted logits, a same-shaped array the caller may
     reuse as scratch.
@@ -110,37 +104,21 @@ def target_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.arange(0, labels.size * num_classes, num_classes).reshape(labels.shape) + labels
 
 
-def batch_loss_and_grad(
-    spec: LossSpec, embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> LossGrad:
-    """Mean loss over a batch plus gradients w.r.t. features and embeddings.
-
-    embeddings: (d, C) head columns; features: (n, d); labels: (n,) ints.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    check_inputs(embeddings, features.shape, labels)
-    lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
-    lg.loss = float(lg.loss)
-    lg.grad_feature = _squeeze(lg.grad_feature, features)
-    return lg
-
-
 def loss_and_grad(
     spec: LossSpec, embeddings: np.ndarray, features: np.ndarray, target: np.ndarray
 ) -> LossGrad:
-    """batch_loss_and_grad on checked float64 inputs, with labels as target_index.
+    """Mean loss over a batch plus gradients w.r.t. features and embeddings.
 
     One client: embeddings (d, C), features (n, d), target (n,); the loss is
     a float64 scalar. K clients stacked on a leading axis: embeddings
     (K, d, C), features (K, n, d), target (K, n); the loss is a (K,) array
     of per-client means. Products are batched @, reductions run over one
     client's rows or columns (axis -1 or -2), so each client's numbers are
-    bitwise what it gets alone. Skips the per-call conversions and label
-    checks; the finiteness and zero-norm checks on the trained quantities
-    stay, and one bad client raises for the whole group. grad_feature is
-    shaped like features. No input is mutated.
+    bitwise what it gets alone. Takes float64 inputs, with labels as
+    target_index, and leaves the label rule to the caller's check_inputs;
+    the finiteness and zero-norm checks on the trained quantities stay, and
+    one bad client raises for the whole group. grad_feature is shaped like
+    features. No input is mutated.
     """
     n = features.shape[-2]
 
@@ -200,6 +178,3 @@ def loss_and_grad(
     grad_feat /= x_norm
     return LossGrad(loss, grad_feat, grad_emb)
 
-
-def _squeeze(grad_feat: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return grad_feat[0] if features.shape[0] == 1 and grad_feat.shape[0] == 1 else grad_feat

@@ -175,32 +175,6 @@ def reverse_sweep(
             np.matmul(g, layers[0][0].swapaxes(-1, -2), out=grad_x)
 
 
-def backward(
-    params: BackboneParams, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients of <grad_out, forward(x)> w.r.t. parameters and x.
-
-    For a batch, grad_out rows pair with x rows and contributions are summed
-    over the batch (put any 1/n factor into grad_out).
-
-    Returns (grad_layers, grad_x) with grad_layers matching params.layers.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    g = grad_out[None, :] if single else grad_out
-    check_input(params, h)
-    if g.shape != (h.shape[0], params.output_dim):
-        raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
-    tape = new_tape(params.layers, h.shape[:-1])
-    record_forward(params.layers, params.activation, h, tape)
-    grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
-    grad_x = np.empty(h.shape)
-    reverse_sweep(params.layers, params.activation, h, tape, g, grad_layers, grad_x)
-    return grad_layers, grad_x[0] if single else grad_x
-
-
 @dataclass
 class SgdState:
     """SGD with classic momentum; weight decay folded into the velocity.

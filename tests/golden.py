@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -86,7 +85,6 @@ def moved(want: dict, got: dict) -> list[str]:
 
 def record() -> None:
     """Run everything the digests cover and write golden.json."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
     import test_acceptance
     import test_demos
     from fedgc.gradcheck import verification_suite

@@ -28,8 +28,7 @@ from fedgc.experiments import (
     run_cell,
     train_federated,
 )
-from fedgc.gradcheck import verification_suite
-from fedgc.losses import batch_loss_and_grad
+from fedgc.gradcheck import batch_loss_and_grad, verification_suite
 from fedgc.regularizers import StackedEmbeddings, softmax_reg
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -142,7 +141,7 @@ def test_criterion_04_combined_objective_equals_per_sample_evaluation():
         loss=federation.LossSpec.softmax(), hidden_dim=16, embedding_dim=8, seed=5,
     )
     ds = generate(data)
-    part, shards = partition_balanced(ds, 4)
+    shards = partition_balanced(ds, 4)
     server, clients = federation.build_federation(shards, ds.input_dim, cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
     for _ in range(3):
@@ -186,7 +185,7 @@ def test_criterion_06_zero_multiplier_degeneracy_and_determinism():
     spec = load_preset("default")
     base = replace(spec.fed, rounds=50)
     ds = make_dataset(spec, base)
-    _, shards = make_partition(ds, "balanced", spec, base)
+    shards = make_partition(ds, "balanced", spec, base)
 
     def final_state(cfg):
         status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=50)

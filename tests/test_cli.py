@@ -247,6 +247,33 @@ def test_only_gradcheck_loads_the_gradcheck_suite(tmp_path):
     assert "14/14 checks passed" in proc.stdout
 
 
+BARE_IMPORT = """
+import os
+import sys
+import fedgc
+loaded = sorted(name for name in sys.modules if name.startswith("fedgc."))
+assert not loaded, f"import fedgc loaded {loaded}"
+print(os.path.realpath(fedgc.__file__))
+"""
+
+
+def test_package_root_imports_no_submodule():
+    # perfbench/workload.py times a bare `import fedgc` and checks that
+    # fedgc.__file__ lies under src/, so the root stays a regular package
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", BARE_IMPORT],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    path = Path(proc.stdout.strip())
+    assert path.is_file() and path == (root / "src" / "fedgc" / "__init__.py").resolve()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

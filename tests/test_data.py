@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fedgc.data import (
     ClientData,
     Dataset,
-    PartitionSpec,
     SyntheticSpec,
     VerificationPairs,
     _largest_remainder,
@@ -26,6 +25,20 @@ def small_spec(**kw):
     base = dict(num_classes=8, samples_per_class=12, input_dim=5, seed=3)
     base.update(kw)
     return SyntheticSpec(**base)
+
+
+def holders_of(clients) -> dict[int, tuple[int, ...]]:
+    """class -> the ids of the clients that hold it, ascending."""
+    out: dict[int, list[int]] = {}
+    for cl in clients:
+        for cls in cl.classes:
+            out.setdefault(cls, []).append(cl.client_id)
+    return {cls: tuple(ks) for cls, ks in out.items()}
+
+
+def global_labels(cl) -> np.ndarray:
+    """A shard's labels as global class ids."""
+    return np.asarray(cl.classes)[cl.y_local]
 
 
 def test_spec_validation():
@@ -115,14 +128,13 @@ def test_pair_properties():
 
 def test_balanced_partition_contiguous_blocks():
     ds = generate(small_spec())
-    part, clients = partition_balanced(ds, 4)
-    assert part.scheme == "balanced"
+    clients = partition_balanced(ds, 4)
     assert [cl.classes for cl in clients] == [[0, 1], [2, 3], [4, 5], [6, 7]]
-    np.testing.assert_array_equal(part.counts, np.full(4, 2 * 9))
+    np.testing.assert_array_equal([cl.n_samples for cl in clients], np.full(4, 2 * 9))
     for cl in clients:
         # local labels index into cl.classes, and shard rows are real train rows
         assert set(np.unique(cl.y_local)) <= set(range(len(cl.classes)))
-        for row, g in zip(cl.x, cl.y_global):
+        for row, g in zip(cl.x, global_labels(cl)):
             assert g in cl.classes
     with pytest.raises(ValueError):
         partition_balanced(ds, 3)
@@ -130,11 +142,11 @@ def test_balanced_partition_contiguous_blocks():
 
 def test_local_to_global_label_mapping_preserves_rows():
     ds = generate(small_spec())
-    _, clients = partition_balanced(ds, 2)
+    clients = partition_balanced(ds, 2)
     # every (row, global label) in the shards appears in the training set
     seen = 0
     for cl in clients:
-        for row, g in zip(cl.x, cl.y_global):
+        for row, g in zip(cl.x, global_labels(cl)):
             matches = np.flatnonzero((ds.train_y == g) & (ds.train_x == row).all(axis=1))
             assert len(matches) == 1
             seen += 1
@@ -143,15 +155,13 @@ def test_local_to_global_label_mapping_preserves_rows():
 
 def test_lognormal_partition_covers_all_classes_exactly_once():
     ds = generate(small_spec(num_classes=12))
-    part, clients = partition_lognormal(ds, 4, seed=0)
-    assert part.scheme == "lognormal"
+    clients = partition_lognormal(ds, 4, seed=0)
     held = sorted(cls for cl in clients for cls in cl.classes)
     assert held == list(range(12))  # exclusive and exhaustive
     assert all(len(cl.classes) >= 1 for cl in clients)
-    assert part.counts.sum() == len(ds.train_y)
+    assert sum(cl.n_samples for cl in clients) == len(ds.train_y)
     # deterministic in seed, and genuinely unbalanced for this seed
-    part2, _ = partition_lognormal(ds, 4, seed=0)
-    assert part.assignment == part2.assignment
+    assert holders_of(partition_lognormal(ds, 4, seed=0)) == holders_of(clients)
     sizes = sorted(len(cl.classes) for cl in clients)
     assert sizes[0] < sizes[-1]
 
@@ -166,29 +176,29 @@ def test_lognormal_partition_validation():
 
 def test_shared_partition_duplicates_and_splits_samples():
     ds = generate(small_spec(num_classes=16, samples_per_class=16))
-    part, clients = partition_shared(ds, 4, share_fraction=0.25, seed=1, group_size=2)
-    assert part.scheme == "shared"
-    groups = {cls: hs for cls, hs in part.assignment.items() if len(hs) > 1}
+    clients = partition_shared(ds, 4, share_fraction=0.25, seed=1, group_size=2)
+    holders = holders_of(clients)
+    groups = {cls: hs for cls, hs in holders.items() if len(hs) > 1}
     assert len(groups) == 4  # round(0.25 * 16)
     shared = set(groups)
     for cls, group in groups.items():
         assert len(group) == 2 and group == tuple(sorted(group))
         # the class's train samples are split (not copied) among the group
         n_total = (ds.train_y == cls).sum()
-        per_holder = [(clients[k].y_global == cls).sum() for k in group]
+        per_holder = [(global_labels(clients[k]) == cls).sum() for k in group]
         assert sum(per_holder) == n_total
         assert all(n > 0 for n in per_holder)
     for cls in set(range(16)) - shared:
-        assert len(part.assignment[cls]) == 1
+        assert len(holders[cls]) == 1
     # nothing lost: per-client counts sum to the train set size
-    assert part.counts.sum() == len(ds.train_y)
+    assert sum(cl.n_samples for cl in clients) == len(ds.train_y)
 
 
 def test_shared_partition_zero_fraction_has_no_groups():
     ds = generate(small_spec())
-    part, _ = partition_shared(ds, 4, share_fraction=0.0, seed=0)
-    assert all(len(hs) == 1 for hs in part.assignment.values())
-    held = sorted(cls for cls, hs in part.assignment.items() for _ in hs)
+    holders = holders_of(partition_shared(ds, 4, share_fraction=0.0, seed=0))
+    assert all(len(hs) == 1 for hs in holders.values())
+    held = sorted(cls for cls, hs in holders.items() for _ in hs)
     assert held == list(range(8))
 
 
@@ -208,11 +218,11 @@ def test_shared_partition_rejects_groups_larger_than_a_class():
     ds = generate(SyntheticSpec(16, 8, 3))
     with pytest.raises(ValueError, match="group_size: need <= 6 training rows per class"):
         partition_shared(ds, 8, 0.25, 0, group_size=8)
-    part, clients = partition_shared(ds, 8, 0.25, 0, group_size=6)
-    groups = [(cls, hs) for cls, hs in part.assignment.items() if len(hs) > 1]
+    clients = partition_shared(ds, 8, 0.25, 0, group_size=6)
+    groups = [(cls, hs) for cls, hs in holders_of(clients).items() if len(hs) > 1]
     assert len(groups) == 4
     for cls, group in groups:
-        assert all((clients[k].y_global == cls).sum() == 1 for k in group)
+        assert all((global_labels(clients[k]) == cls).sum() == 1 for k in group)
 
 
 def row_id_dataset(num_classes: int, rows_per_class: int) -> Dataset:
@@ -247,25 +257,22 @@ def test_every_partition_holds_each_training_row_exactly_once(
     group_size = min(group_size, num_clients)
     ds = row_id_dataset(num_classes, rows_per_class)
     if scheme == "balanced":
-        part, clients = partition_balanced(ds, num_clients)
+        clients = partition_balanced(ds, num_clients)
     elif scheme == "lognormal":
-        part, clients = partition_lognormal(ds, num_clients, seed)
+        clients = partition_lognormal(ds, num_clients, seed)
     elif group_size > rows_per_class:
         # a group member would hold no row of a shared class
         with pytest.raises(ValueError, match="group_size"):
             partition_shared(ds, num_clients, share_fraction, seed, group_size)
         return
     else:
-        part, clients = partition_shared(ds, num_clients, share_fraction, seed, group_size)
+        clients = partition_shared(ds, num_clients, share_fraction, seed, group_size)
     rows = np.concatenate([cl.x[:, 0] for cl in clients]).astype(np.int64)
     # every row once: a shared class's rows are split among its group, not copied
     np.testing.assert_array_equal(np.sort(rows), np.arange(len(ds.train_y)))
-    labels = np.concatenate([cl.y_global for cl in clients])
+    labels = np.concatenate([global_labels(cl) for cl in clients])
     np.testing.assert_array_equal(ds.train_y[rows], labels)
-    for cl in clients:
-        for cls in cl.classes:
-            assert cl.client_id in part.assignment[cls]
-    np.testing.assert_array_equal(part.counts, [cl.n_samples for cl in clients])
+    assert [cl.client_id for cl in clients] == list(range(num_clients))
 
 
 def test_partition_problems_name_the_argument():
@@ -354,9 +361,7 @@ def scan_partition(dataset, scheme, num_clients, seed, share_fraction=0.0, group
     for cls, hs in holders.items():
         if len(hs) == 1:
             splits[cls] = {hs[0]: np.flatnonzero(dataset.train_y == cls)}
-    clients = scan_build_clients(dataset, holders, splits, num_clients)
-    counts = np.array([cl.n_samples for cl in clients])
-    return PartitionSpec(num_clients, holders, counts, scheme), clients
+    return holders, scan_build_clients(dataset, holders, splits, num_clients)
 
 
 def assert_same_array(a, b):
@@ -401,14 +406,10 @@ def test_partitions_are_bytewise_the_per_class_scans(
         got = partition_lognormal(ds, num_clients, seed)
     else:
         got = partition_shared(ds, num_clients, share_fraction, seed, group_size)
-    want = scan_partition(ds, scheme, num_clients, seed, share_fraction, group_size)
-    (part, clients), (part_w, clients_w) = got, want
-    assert (part.num_clients, part.scheme, part.assignment) == (
-        part_w.num_clients, part_w.scheme, part_w.assignment
-    )
-    assert_same_array(part.counts, part_w.counts)
-    assert len(clients) == len(clients_w)
-    for a, b in zip(clients, clients_w):
+    holders, want = scan_partition(ds, scheme, num_clients, seed, share_fraction, group_size)
+    assert holders_of(got) == holders
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert (a.client_id, a.classes) == (b.client_id, b.classes)
         assert_same_array(a.x, b.x)
         assert_same_array(a.y_local, b.y_local)

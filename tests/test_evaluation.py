@@ -301,7 +301,7 @@ def test_similarity_stats_do_not_depend_on_the_block_budget(monkeypatch, name):
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=6, seed=1))
-    _, shards = partition_balanced(ds, 2)
+    shards = partition_balanced(ds, 2)
     cfg = FederationConfig(
         num_clients=2, mode=mode, lam=lam, eta=0.05, rounds=max(rounds, 1),
         hidden_dim=12, embedding_dim=6, batch_size=16, local_steps=4, seed=1,

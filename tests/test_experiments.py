@@ -21,7 +21,6 @@ from fedgc.experiments import (
     apply_overrides,
     cell_config,
     compute_round_metrics,
-    default_spec,
     make_dataset,
     make_partition,
     parse_config,
@@ -339,14 +338,6 @@ def test_apply_overrides_rejects_bad_values():
     assert any("lambda > 0" in p for p in problems)
 
 
-def test_default_spec_is_internally_consistent():
-    spec = default_spec()  # constructing checks the base config and the whole grid
-    for cell in spec.grid():
-        cell_config(spec, cell)  # and every cell's config constructs
-    lams = {c.mode: c.lam for c in spec.grid()}
-    assert lams["fedgc"] == 50.0 and lams["fedcos"] == 1.0
-
-
 def test_cell_config_and_dataset_follow_the_cell():
     spec = tiny_spec()
     cfg = cell_config(spec, Cell("fedgc", 0.5, 9.0, "balanced"))
@@ -363,7 +354,7 @@ def test_train_federated_metrics_cadence():
     spec = tiny_spec()
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    _, shards = make_partition(ds, "balanced", spec, cfg)
+    shards = make_partition(ds, "balanced", spec, cfg)
     status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=2)
     assert status == OK and server.round == 3
     assert [m.round for m in metrics] == [2, 3]
@@ -375,7 +366,7 @@ def test_single_client_metrics_fall_back_to_all_pairs():
     spec = tiny_spec(fed=replace(tiny_spec().fed, num_clients=1))
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    part, shards = make_partition(ds, "balanced", spec, cfg)
+    shards = make_partition(ds, "balanced", spec, cfg)
     server, clients = federation.build_federation(shards, ds.input_dim, cfg)
     row = compute_round_metrics(server, clients, cfg, ds, 0.0)
     # no cross-client pairs exist; the reported max is the all-pairs one
@@ -404,7 +395,7 @@ def test_divergent_cell_is_reported_not_raised():
     spec = tiny_spec(fed=replace(tiny_spec().fed, eta=1e6, rounds=6))
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    _, shards = make_partition(ds, "balanced", spec, cfg)
+    shards = make_partition(ds, "balanced", spec, cfg)
     status, metrics, _, _ = train_federated(ds, shards, cfg, eval_every=1)
     assert status == DIVERGED
     for m in metrics:  # rows recorded before the blow-up stay finite
@@ -416,7 +407,7 @@ def test_program_error_propagates_instead_of_diverging(monkeypatch):
     spec = tiny_spec()
     cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
     ds = make_dataset(spec, cfg)
-    _, shards = make_partition(ds, "balanced", spec, cfg)
+    shards = make_partition(ds, "balanced", spec, cfg)
 
     def broken(*args, **kwargs):
         raise ValueError("backbone structure mismatch")

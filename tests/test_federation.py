@@ -45,7 +45,8 @@ from fedgc.federation import (
     sample_clients,
     save_checkpoint,
 )
-from fedgc.losses import LossSpec, NonFiniteError, batch_loss_and_grad
+from fedgc.gradcheck import backward, batch_loss_and_grad
+from fedgc.losses import LossSpec, NonFiniteError
 from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 
@@ -66,11 +67,20 @@ def small_cfg(**kw):
 def make_federation(cfg, num_classes=8, spc=12, seed=1, share_fraction=None):
     ds = generate(SyntheticSpec(num_classes=num_classes, samples_per_class=spc, input_dim=5, seed=seed))
     if share_fraction is None:
-        part, shards = partition_balanced(ds, cfg.num_clients)
+        shards = partition_balanced(ds, cfg.num_clients)
     else:
-        part, shards = partition_shared(ds, cfg.num_clients, share_fraction, seed=seed)
+        shards = partition_shared(ds, cfg.num_clients, share_fraction, seed=seed)
     server, clients = build_federation(shards, ds.input_dim, cfg)
     return ds, server, clients
+
+
+def holders_of(shards) -> dict[int, tuple[int, ...]]:
+    """class -> the ids of the clients whose shards hold it, ascending."""
+    out: dict[int, list[int]] = {}
+    for cl in shards:
+        for cls in cl.classes:
+            out.setdefault(cls, []).append(cl.client_id)
+    return {cls: tuple(ks) for cls, ks in out.items()}
 
 
 def train_client(client, theta, head, cfg, round_index=0):
@@ -223,7 +233,7 @@ def test_client_update_single_step_matches_hand_gradient():
 
     feats = nn.forward(server.theta, cl.x)
     lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
-    grad_layers, _ = nn.backward(server.theta, cl.x, lg.grad_feature)
+    grad_layers, _ = backward(server.theta, cl.x, lg.grad_feature)
     assert abs(trace[0] - lg.loss) < 1e-12
     np.testing.assert_allclose(head_k, head - cfg.eta * lg.grad_embeddings, atol=1e-12)
     for (w, b), (gw, gb), (w0, b0) in zip(theta_k.layers, grad_layers, server.theta.layers):
@@ -252,9 +262,9 @@ def test_local_training_reduces_loss():
 def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
     """The unfused loop local_sgd replaced, kept here as its bitwise oracle.
 
-    Each step runs nn.forward, batch_loss_and_grad, nn.backward (which runs
-    the forward pass again) and one nn.sgd_update on copies of the separate
-    tensors.
+    Each step runs nn.forward, gradcheck.batch_loss_and_grad,
+    gradcheck.backward (which runs the forward pass again) and one
+    nn.sgd_update on copies of the separate tensors.
     """
     head = head.copy()
     trace = []
@@ -263,7 +273,7 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
         feats = nn.forward(theta, xb)
         lg = batch_loss_and_grad(loss, head, feats, yb)
         trace.append(lg.loss)
-        grad_layers, _ = nn.backward(theta, xb, np.atleast_2d(lg.grad_feature))
+        grad_layers, _ = backward(theta, xb, np.atleast_2d(lg.grad_feature))
         params = theta.to_list()
         grads = [g for pair in grad_layers for g in pair]
         if train_head:
@@ -632,13 +642,13 @@ def test_run_round_matches_manual_replay(scheme, participation):
     cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=4, participation=participation)
     ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1))
     if scheme == "balanced":
-        _, shards = partition_balanced(ds, cfg.num_clients)
+        shards = partition_balanced(ds, cfg.num_clients)
     else:
         cfg = replace(cfg, num_clients=12)
         if scheme == "lognormal":
-            _, shards = partition_lognormal(ds, cfg.num_clients, seed=2)
+            shards = partition_lognormal(ds, cfg.num_clients, seed=2)
         else:
-            _, shards = partition_shared(ds, cfg.num_clients, 0.5, seed=5, group_size=2)
+            shards = partition_shared(ds, cfg.num_clients, 0.5, seed=5, group_size=2)
             assert [cl.client_id for cl in shards if cl.n_samples == 0] == [9, 10]
     server, clients = build_federation(shards, ds.input_dim, cfg)
     rng_got, rng_want = round_rng(cfg.seed), round_rng(cfg.seed)
@@ -685,7 +695,7 @@ def test_workspace_stops_growing():
     # further rounds replace neither of them
     cfg = small_cfg(mode="fedgc", lam=1.0, num_clients=6, participation=0.5)
     ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1))
-    _, shards = partition_lognormal(ds, cfg.num_clients, seed=2)
+    shards = partition_lognormal(ds, cfg.num_clients, seed=2)
     server, clients = build_federation(shards, ds.input_dim, cfg)
     rng, workspace = round_rng(cfg.seed), Workspace()
     for _ in range(40):
@@ -828,22 +838,23 @@ def test_stack_owners_are_the_partition_assignment(scheme):
     # clients the partition assigned its class to
     ds = generate(SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=3))
     if scheme == "balanced":
-        part, shards = partition_balanced(ds, 4)
+        shards = partition_balanced(ds, 4)
     elif scheme == "lognormal":
-        part, shards = partition_lognormal(ds, 4, seed=3)
+        shards = partition_lognormal(ds, 4, seed=3)
     else:
-        part, shards = partition_shared(ds, 4, 0.5, seed=3, group_size=3)
+        shards = partition_shared(ds, 4, 0.5, seed=3, group_size=3)
+    assignment = holders_of(shards)
     server, _ = build_federation(shards, ds.input_dim, small_cfg(num_clients=4))
     emb = server.embeddings
     assert sorted(emb.class_of.tolist()) == sorted(
-        cls for cls, holders in part.assignment.items() for _ in holders
+        cls for cls, holders in assignment.items() for _ in holders
     )
     for col in range(emb.num_columns):
         cls = int(emb.class_of[col])
         owners = set(emb.client_of[emb.class_of == cls].tolist())
-        assert owners == set(part.assignment[cls])
+        assert owners == set(assignment[cls])
     shared = {int(emb.class_of[cols[0]]) for cols in emb.shared_columns()}
-    assert shared == {cls for cls, holders in part.assignment.items() if len(holders) > 1}
+    assert shared == {cls for cls, holders in assignment.items() if len(holders) > 1}
 
 
 # ---------------------------------------------------------------- objective
@@ -862,6 +873,18 @@ def test_combined_objective_hand_value():
     assert abs(combined_objective(server, clients, cfg) - expected) < 1e-12
     # fedpe never pays the penalty term even with lambda set
     assert abs(combined_objective(server, clients, small_cfg(mode="fedpe", lam=3.0)) - plain) < 1e-12
+
+
+def test_combined_objective_rejects_out_of_range_labels():
+    # unchecked, label C would pick the next row's first logit as its target
+    # and return a plausible number
+    cfg = small_cfg(mode="fedgc", lam=3.0)
+    _, server, clients = make_federation(cfg)
+    y = clients[0].y_local.copy()
+    y[0] = len(clients[0].classes)
+    shards = [replace(clients[0], y_local=y), *clients[1:]]
+    with pytest.raises(ValueError, match="label out of range"):
+        combined_objective(server, shards, cfg)
 
 
 # ---------------------------------------------------------------- centralized
@@ -894,7 +917,7 @@ def test_centralized_momentum_persists_across_rounds():
     def full_grads(theta, head):
         feats = nn.forward(theta, ds.train_x)
         lg = batch_loss_and_grad(cfg.loss, head, feats, ds.train_y)
-        layers, _ = nn.backward(theta, ds.train_x, lg.grad_feature)
+        layers, _ = backward(theta, ds.train_x, lg.grad_feature)
         return [g for pair in layers for g in pair] + [lg.grad_embeddings]
 
     # round 1: v1 = g1, p1 = p0 - eta g1 (full batch, so shuffling is irrelevant)
@@ -914,7 +937,7 @@ def test_centralized_momentum_persists_across_rounds():
 def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg(mode="fedgc", lam=1.0)
     ds = generate(SyntheticSpec(num_classes=8, samples_per_class=12, input_dim=5, seed=1))
-    part, shards = partition_shared(ds, cfg.num_clients, 0.25, seed=1)
+    shards = partition_shared(ds, cfg.num_clients, 0.25, seed=1)
     server, clients = build_federation(shards, ds.input_dim, cfg)
     server, _ = run_round(server, clients, cfg, round_rng(cfg.seed))
     path = tmp_path / "ckpt"
@@ -931,7 +954,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert manifest["round"] == 1
     assert [e["id"] for e in manifest["clients"]] == [0, 1]
     # the shared groups are derived from the stack and name the partition's holders
-    shared = [cls for cls, holders in sorted(part.assignment.items()) if len(holders) > 1]
+    assignment = holders_of(shards)
+    shared = [cls for cls, holders in sorted(assignment.items()) if len(holders) > 1]
     assert len(shared) == 2
     assert [cls for cls, _ in manifest["shared_groups"]] == shared
-    assert [tuple(g) for _, g in manifest["shared_groups"]] == [part.assignment[c] for c in shared]
+    assert [tuple(g) for _, g in manifest["shared_groups"]] == [assignment[c] for c in shared]

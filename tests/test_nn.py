@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedgc.gradcheck import finite_diff_check
+from fedgc.gradcheck import backward, finite_diff_check
 from fedgc.nn import (
     BackboneParams,
     SgdState,
-    backward,
     forward,
     init_backbone,
     read_tensors,

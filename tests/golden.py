@@ -2,8 +2,9 @@
 
 The tests hash the runs the acceptance fixtures already make (every cell of
 the default, participation and lambda_sweep presets over five seeds), the
-`verification_suite` rows and each demo's stdout, and compare the sha256
-digests with the recorded ones. A change that moves one bit of any of them
+`verification_suite` rows, each demo's stdout and every file `fedgc run`
+writes for the partition and shared presets at seed 0, and compare the
+sha256 digests with the recorded ones. A change that moves one bit of any of them
 fails here, so a change meant to keep the outputs has to prove it; a change
 that moves them on purpose records the file again and names what moved.
 
@@ -26,6 +27,9 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
 PRESETS = ("default", "participation", "lambda_sweep")
+# presets whose whole `fedgc run` output tree is digested, at seed 0
+OUTPUT_PRESETS = ("partition", "shared")
+CONFIG_DIR = GOLDEN.parent.parent / "configs"
 
 
 def platform_key() -> dict:
@@ -69,6 +73,23 @@ def suite_digest(rows) -> str:
     return sha(text.encode())
 
 
+def run_preset(preset: str, out_dir) -> int:
+    """`fedgc run configs/<preset>.cfg --seed 0 --out out_dir`; returns its exit code."""
+    from fedgc import cli
+
+    return cli.main(["run", str(CONFIG_DIR / f"{preset}.cfg"), "--seed", "0", "--out", str(out_dir)])
+
+
+def output_digests(out_dir) -> dict:
+    """The sha256 of every file under out_dir, keyed by its relative path."""
+    root = Path(out_dir)
+    return {
+        path.relative_to(root).as_posix(): sha(path.read_bytes())
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 def recorded(section: str):
     """A section of golden.json; skips the test when it was recorded under another key."""
     golden = json.loads(GOLDEN.read_text())
@@ -97,11 +118,17 @@ def record() -> None:
     for demo in test_demos.DEMOS:
         with tempfile.TemporaryDirectory() as tmp:
             demos[demo.name] = sha(test_demos.run_demo(demo, tmp).stdout.encode())
+    outputs = {}
+    for preset in OUTPUT_PRESETS:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_preset(preset, tmp) == 0, preset
+            outputs[preset] = output_digests(tmp)
     golden = {
         "key": platform_key(),
         "cells": cells,
         "verification_suite": suite_digest(verification_suite(seed=0, instances=100)),
         "demos": demos,
+        "outputs": outputs,
     }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
+
 from fedgc import cli, gradcheck
 
 
@@ -129,6 +131,16 @@ def test_run_reruns_byte_identical(tmp_path):
         cell = tmp_path / name / "fedpe_f1_l1_balanced"
         blobs.append((cell / "metrics.jsonl").read_bytes() + (tmp_path / name / "summary.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("preset", golden.OUTPUT_PRESETS)
+def test_golden_digests_of_every_file_a_preset_run_writes(preset, tmp_path):
+    """summary.csv, and per cell metrics.jsonl, the checkpoint, the histograms
+    and the test features, byte for byte as recorded in golden.json."""
+    want = golden.recorded("outputs")[preset]
+    assert golden.run_preset(preset, tmp_path) == 0
+    moved = golden.moved(want, golden.output_digests(tmp_path))
+    assert not moved, f"{len(moved)} of {len(want)} files moved, first: {moved[:5]}"
 
 
 def test_a_rerun_with_fewer_clients_leaves_no_stale_heads(tmp_path):

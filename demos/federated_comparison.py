@@ -28,13 +28,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=200)
-    ap.add_argument("--out", default="runs/demo_comparison")
     args = ap.parse_args()
 
     spec, problems = parse_config(PRESET)
     if problems:
         raise SystemExit("\n".join(problems))
-    spec = replace(spec, out_dir=args.out, fed=replace(spec.fed, seed=args.seed, rounds=args.rounds))
+    spec = replace(spec, fed=replace(spec.fed, seed=args.seed, rounds=args.rounds))
     cells = spec.grid()
     dataset = make_dataset(spec, cell_config(spec, cells[0]))
     print(f"{dataset.num_classes} identities, {dataset.train_x.shape[0]} train samples, "
@@ -42,7 +41,7 @@ def main() -> int:
     print()
     print(f"{'protocol':<13} {'':<30} {'accuracy':>9} {'cross-client max cos':>22}")
     for cell in cells:
-        result = run_cell(spec, cell)
+        result = run_cell(spec, cell, dataset)
         acc = f"{result.final_accuracy:.4f}" if result.status == "ok" else result.status
         cos = f"{result.final_cross_cos:+.3f}" if result.status == "ok" else "-"
         print(f"{cell.mode:<13} {TAGLINE[cell.mode]:<30} {acc:>9} {cos:>22}")

@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problems = experiments.validate_config(args.config)
+    _, problems = experiments.parse_config(args.config)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)

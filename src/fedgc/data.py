@@ -23,6 +23,7 @@ class SyntheticSpec:
     input_dim: int = 16
     cluster_std: float = 1.0
     class_center_scale: float = 5.0
+    pairs_per_class: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -34,6 +35,7 @@ class SyntheticSpec:
              f"need >= 8, got {self.samples_per_class}"),
             ("input_dim", self.input_dim >= 1, f"need >= 1, got {self.input_dim}"),
             ("cluster_std", self.cluster_std >= 0.0, f"need >= 0, got {self.cluster_std}"),
+            ("pairs_per_class", self.pairs_per_class >= 1, f"need >= 1, got {self.pairs_per_class}"),
         ])
 
 
@@ -73,11 +75,11 @@ def split_rows(samples_per_class: int) -> tuple[int, int]:
     return samples_per_class - n_test, n_test
 
 
-def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
+def generate(spec: SyntheticSpec) -> Dataset:
     """Seeded dataset with a disjoint train/test split and verification pairs.
 
-    Pairs come from the test block only: pairs_per_class * C positive pairs
-    (same class, distinct samples) and as many negative pairs.
+    Pairs come from the test block only: spec.pairs_per_class * C positive
+    pairs (same class, distinct samples) and as many negative pairs.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     c, spc, dim = spec.num_classes, spec.samples_per_class, spec.input_dim
@@ -94,19 +96,19 @@ def generate(spec: SyntheticSpec, pairs_per_class: int = 10) -> Dataset:
     test_x = per_class[:, n_train:, :].reshape(c * n_test, dim)
     test_y = np.repeat(np.arange(c), n_test)
 
-    pairs = _sample_pairs(test_y, pairs_per_class * c, rng)
+    pairs = _sample_pairs(test_y, spec.pairs_per_class * c, rng)
     return Dataset(train_x, train_y, test_x, test_y, centers, pairs)
 
 
-def _rows_by_class(labels: np.ndarray, num_classes: int) -> list[np.ndarray]:
-    """np.flatnonzero(labels == cls) for every cls < num_classes, from one stable argsort."""
+def _class_order(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, list[int]]:
+    """One stable argsort: order[starts[c]:starts[c + 1]] is np.flatnonzero(labels == c)."""
     order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(num_classes + 1))
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return order, np.searchsorted(labels[order], np.arange(num_classes + 1)).tolist()
 
 
 def _sample_pairs(labels: np.ndarray, n_each: int, rng: np.random.Generator) -> VerificationPairs:
-    by_class = _rows_by_class(labels, labels.max() + 1)
+    order, starts = _class_order(labels, labels.max() + 1)
+    by_class = [order[a:b] for a, b in zip(starts[:-1], starts[1:])]
     classes = len(by_class)
     idx_a, idx_b, same = [], [], []
     for _ in range(n_each):
@@ -138,32 +140,33 @@ class ClientData:
 
 
 def _build_clients(
-    dataset: Dataset,
-    holders: dict[int, tuple[int, ...]],
-    splits: dict[int, dict[int, np.ndarray]],
-    num_clients: int,
+    dataset: Dataset, holders: dict[int, tuple[int, ...]], num_clients: int
 ) -> list[ClientData]:
-    """Assemble per-client shards from class->clients and per-class index splits."""
-    class_lists: list[list[int]] = [[] for _ in range(num_clients)]
+    """Per-client shards from class -> the ids of its holders, ascending.
+
+    A class's rows are split among its g holders as np.array_split does:
+    the first len % g shares are one row longer.
+    """
+    order, starts = _class_order(dataset.train_y, dataset.num_classes)
+    shards: list[dict[int, np.ndarray]] = [{} for _ in range(num_clients)]
     for cls, hs in holders.items():
-        for k in hs:
-            class_lists[k].append(cls)
+        start = starts[cls]
+        share, longer = divmod(starts[cls + 1] - start, len(hs))
+        for i, k in enumerate(hs):
+            stop = start + share + (i < longer)
+            shards[k][cls] = order[start:stop]
+            start = stop
     clients = []
-    for k in range(num_clients):
-        classes = sorted(class_lists[k])
+    for k, shard in enumerate(shards):
+        classes = sorted(shard)
         if classes:
-            rows = [splits[cls][k] for cls in classes]
+            rows = [shard[cls] for cls in classes]
             x = dataset.train_x.take(np.concatenate(rows), axis=0)
             y = np.repeat(np.arange(len(classes), dtype=np.int64), [len(r) for r in rows])
         else:
             x, y = np.empty((0, dataset.input_dim)), np.empty(0, dtype=np.int64)
         clients.append(ClientData(k, classes, x, y))
     return clients
-
-
-def _exclusive_splits(dataset: Dataset, holders: dict[int, tuple[int, ...]]):
-    by_class = _rows_by_class(dataset.train_y, dataset.num_classes)
-    return {cls: {hs[0]: by_class[cls]} for cls, hs in holders.items()}
 
 
 def partition_problems(
@@ -214,7 +217,7 @@ def partition_balanced(dataset: Dataset, num_clients: int) -> list[ClientData]:
     _require_feasible(partition_problems("balanced", c, num_clients, None, None, None))
     per = c // num_clients
     holders = {cls: (cls // per,) for cls in range(c)}
-    return _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
+    return _build_clients(dataset, holders, num_clients)
 
 
 def partition_lognormal(
@@ -238,7 +241,7 @@ def partition_lognormal(
         for cls in order[start : start + cnt]:
             holders[int(cls)] = (k,)
         start += cnt
-    return _build_clients(dataset, holders, _exclusive_splits(dataset, holders), num_clients)
+    return _build_clients(dataset, holders, num_clients)
 
 
 def _largest_remainder(target: np.ndarray, total: int, minimum: int) -> np.ndarray:
@@ -276,20 +279,14 @@ def partition_shared(
     order = rng.permutation(c)
     shared_classes = sorted(int(x) for x in order[:n_shared])
 
-    by_class = _rows_by_class(dataset.train_y, c)
     holders: dict[int, tuple[int, ...]] = {}
-    splits: dict[int, dict[int, np.ndarray]] = {}
     for cls in shared_classes:
-        group = tuple(int(g) for g in np.sort(rng.choice(num_clients, size=group_size, replace=False)))
-        holders[cls] = group
-        chunks = np.array_split(by_class[cls], group_size)
-        splits[cls] = {k: chunk for k, chunk in zip(group, chunks)}
+        group = np.sort(rng.choice(num_clients, size=group_size, replace=False))
+        holders[cls] = tuple(int(g) for g in group)
 
     shared = set(shared_classes)
     exclusive = [cls for cls in range(c) if cls not in shared]
     for i, cls in enumerate(exclusive):
-        k = i % num_clients
-        holders[cls] = (k,)
-        splits[cls] = {k: by_class[cls]}
+        holders[cls] = (i % num_clients,)
 
-    return _build_clients(dataset, holders, splits, num_clients)
+    return _build_clients(dataset, holders, num_clients)

@@ -44,7 +44,7 @@ class Cell:
 
 
 # the config-file section of each ExperimentSpec field a file sets
-_DATA, _GRID, _RUN = {"section": "data"}, {"section": "grid"}, {"section": "run"}
+_GRID, _RUN = {"section": "grid"}, {"section": "run"}
 # grid axis -> the FederationConfig field each cell takes from it
 _AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
 
@@ -67,7 +67,6 @@ class ExperimentSpec:
     partitions: list[str] = field(metadata=_GRID)
     out_dir: str = field(default="runs/out", metadata=_RUN)
     eval_every: int = field(default=10, metadata=_RUN)
-    pairs_per_class: int = field(default=10, metadata=_DATA)
     share_fraction: float = field(default=0.25, metadata=_RUN)
     group_size: int = field(default=2, metadata=_RUN)
     # optional per-mode lambda axes; a mode missing here uses `lambdas`.
@@ -108,11 +107,8 @@ class ExperimentSpec:
                 "share_fraction",
                 f"{self.share_fraction} rounds to zero shared classes out of {self.data.num_classes}",
             ))
-        problems += [
-            (name, f"need >= 1, got {getattr(self, name)}")
-            for name in ("eval_every", "pairs_per_class")
-            if getattr(self, name) < 1
-        ]
+        if self.eval_every < 1:
+            problems.append(("eval_every", f"need >= 1, got {self.eval_every}"))
         if problems:  # a value repeated on an axis is reported once
             raise ConfigError(self, list(dict.fromkeys(problems)))
 
@@ -146,7 +142,6 @@ class CellResult:
     metrics: list[evaluation.RoundMetrics]
     server: federation.ServerState
     clients: list[datasets.ClientData]
-    test_features: np.ndarray | None = None
 
     @property
     def final_accuracy(self) -> float:
@@ -349,12 +344,6 @@ def _loss_spec(name: str, margin: float | None, scale: float | None) -> LossSpec
     )
 
 
-def validate_config(path) -> list[str]:
-    """All config violations at once; empty list means the file is usable."""
-    _, problems = parse_config(path)
-    return problems
-
-
 def apply_overrides(
     spec: ExperimentSpec,
     seed: int | None = None,
@@ -398,7 +387,7 @@ def make_dataset(spec: ExperimentSpec, cfg: federation.FederationConfig) -> data
 
     The run seed drives the data too, so different seeds resample everything.
     """
-    ds = datasets.generate(replace(spec.data, seed=cfg.seed), spec.pairs_per_class)
+    ds = datasets.generate(replace(spec.data, seed=cfg.seed))
     for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y, ds.centers,
               ds.pairs.idx_a, ds.pairs.idx_b, ds.pairs.same):
         a.setflags(write=False)
@@ -506,8 +495,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
     else:
         client_data = make_partition(dataset, cell.partition, spec, cfg)
         status, metrics, server, clients = train_federated(dataset, client_data, cfg, spec.eval_every)
-    feats = nn.forward(server.theta, dataset.test_x) if status == OK else None
-    return CellResult(cell, status, server.round, metrics, server, clients, feats)
+    return CellResult(cell, status, server.round, metrics, server, clients)
 
 
 def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
@@ -519,9 +507,11 @@ def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
 
 
 def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -> str:
-    """Write one cell's files; a diverged cell removes any an earlier ok run left."""
+    """Write one cell's directory whole: remove what an earlier run left there, then write."""
     cell_dir = os.path.join(spec.out_dir, result.cell.name)
-    os.makedirs(cell_dir, exist_ok=True)
+    if os.path.exists(cell_dir):
+        shutil.rmtree(cell_dir)
+    os.makedirs(cell_dir)
     with open(os.path.join(cell_dir, "metrics.jsonl"), "w") as fh:
         for m in result.metrics:
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
@@ -538,20 +528,13 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
         _write_hist(
             os.path.join(cell_dir, "similarity_within.csv"), stats.bin_edges, stats.within_hist
         )
-        if result.test_features is not None and dataset is not None:
+        if dataset is not None:
             # raw feature matrix + labels, for external projection/plotting
+            feats = nn.forward(result.server.theta, dataset.test_x)
             nn.write_tensors(
                 os.path.join(cell_dir, "test_features.fgc"),
-                [result.test_features, dataset.test_y.astype(np.float64)],
+                [feats, dataset.test_y.astype(np.float64)],
             )
-    else:
-        for name in ("checkpoint", "similarity_cross.csv", "similarity_within.csv",
-                     "test_features.fgc"):
-            path = os.path.join(cell_dir, name)
-            if os.path.isdir(path):
-                shutil.rmtree(path)
-            elif os.path.exists(path):
-                os.remove(path)
     return cell_dir
 
 
@@ -612,7 +595,7 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> int:
 def _run_and_write_cell(spec: ExperimentSpec, cell: Cell, dataset) -> CellSummary:
     """Train and write one cell, and return only its summary row.
 
-    The cell's server, shards and test features are freed when this returns,
+    The cell's server, shards and metrics rows are freed when this returns,
     so a grid holds one cell's working set at a time.
     """
     result = run_cell(spec, cell, dataset)

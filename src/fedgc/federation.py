@@ -36,7 +36,6 @@ bit-reproducible and independent of client execution order.
 
 from __future__ import annotations
 
-import glob
 import json
 import math
 import os
@@ -97,17 +96,11 @@ class FederationConfig:
     def clients_per_round(self) -> int:
         return max(1, math.ceil(self.participation * self.num_clients))
 
-    @property
-    def normalize_reg(self) -> bool:
-        # raw dot products under the softmax loss, normalized columns under margin losses
-        return self.loss.normalizes
-
 
 @dataclass
 class ServerState:
     theta: nn.BackboneParams
     embeddings: StackedEmbeddings
-    weights: np.ndarray              # p_k = n_k / N over all clients
     round: int
     head_slices: list[slice]         # column range of each client's head
 
@@ -138,15 +131,11 @@ def build_federation(
         class_of.extend(cd.classes)
         slices.append(slice(start, start + len(cd.classes)))
         start += len(cd.classes)
-    counts = np.array([c.n_samples for c in clients], dtype=np.float64)
-    total = counts.sum()
-    weights = counts / total if total else np.full(len(clients), 1.0 / max(len(clients), 1))
     server = ServerState(
         theta=theta,
         embeddings=StackedEmbeddings(
             np.concatenate(heads, axis=1), np.array(client_of), class_of=np.array(class_of)
         ),
-        weights=weights,
         round=0,
         head_slices=slices,
     )
@@ -466,10 +455,13 @@ def aggregate_theta(rows: list[np.ndarray], counts: list[int], like: nn.Backbone
 
 
 def regularizer_grad(emb: StackedEmbeddings, cfg: FederationConfig) -> RegGrad:
-    """The configured mode's regularizer over the stacked heads."""
+    """The configured mode's regularizer over the stacked heads.
+
+    Raw dot products under the softmax loss, normalized columns under margin losses.
+    """
     if cfg.mode == "fedcos":
-        return cosine_reg(emb, normalize_columns=cfg.normalize_reg)
-    return softmax_reg(emb, normalize_columns=cfg.normalize_reg)
+        return cosine_reg(emb, normalize_columns=cfg.loss.normalizes)
+    return softmax_reg(emb, normalize_columns=cfg.loss.normalizes)
 
 
 def correction_step(emb: StackedEmbeddings, cfg: FederationConfig) -> StackedEmbeddings:
@@ -558,8 +550,10 @@ def merge_shared_identities(server: ServerState) -> ServerState:
 def combined_objective(server: ServerState, clients: list[ClientData], cfg: FederationConfig) -> float:
     """Weighted mean of client empirical losses plus lambda times the regularizer.
 
+    Client k weighs n_k / N, N the samples of all the given clients.
     Evaluation only; the training loop never differentiates this directly.
     """
+    n_all = sum(cl.n_samples for cl in clients)
     total = 0.0
     for cl in clients:
         if cl.n_samples == 0:
@@ -568,7 +562,7 @@ def combined_objective(server: ServerState, clients: list[ClientData], cfg: Fede
         head = server.embeddings.W[:, server.head_slices[cl.client_id]]
         check_inputs(head, feats.shape, cl.y_local)
         lg = loss_and_grad(cfg.loss, head, feats, target_index(cl.y_local, head.shape[1]))
-        total += float(server.weights[cl.client_id]) * float(lg.loss)
+        total += cl.n_samples / n_all * float(lg.loss)
     if cfg.lam > 0.0 and cfg.mode in CORRECTION_MODES:
         rg = regularizer_grad(server.embeddings, cfg)
         total += cfg.lam * rg.value
@@ -587,7 +581,6 @@ def build_centralized(
     server = ServerState(
         theta=theta,
         embeddings=StackedEmbeddings(head, np.zeros(num_classes, dtype=np.int64)),
-        weights=np.ones(1),
         round=0,
         head_slices=[slice(0, num_classes)],
     )
@@ -619,13 +612,10 @@ def centralized_round(
 def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> None:
     """Checkpoint directory: manifest.json plus one tensor section per parameter set.
 
-    The head files of an earlier checkpoint in the same directory are
-    removed first, so none of a client the new one lacks survives; other
-    files are left alone.
+    `path` must not exist yet, so no file of an earlier checkpoint, such
+    as the head of a client the new one lacks, can survive into it.
     """
-    os.makedirs(path, exist_ok=True)
-    for stale in glob.glob(os.path.join(glob.escape(os.fspath(path)), "head_*.fgc")):
-        os.remove(stale)
+    os.makedirs(path)
     emb = server.embeddings
     manifest = {
         "round": server.round,

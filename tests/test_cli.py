@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
+import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -124,13 +127,56 @@ def test_run_missing_config_exits_1(tmp_path, capsys):
 
 
 def test_run_reruns_byte_identical(tmp_path):
-    blobs = []
+    # every file by relative path and bytes: a timestamp or a timing side file
+    # in a cell directory would differ between the two runs
+    trees = []
     for name in ("r1", "r2"):
         path = write_tiny(tmp_path, out=str(tmp_path / name))
         assert cli.main(["run", str(path)]) == 0
-        cell = tmp_path / name / "fedpe_f1_l1_balanced"
-        blobs.append((cell / "metrics.jsonl").read_bytes() + (tmp_path / name / "summary.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+        trees.append(golden.output_digests(tmp_path / name))
+    assert "fedpe_f1_l1_balanced/checkpoint/head_001.fgc" in trees[0]
+    assert "fedpe_f1_l1_balanced/test_features.fgc" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_traced_functions_are_called_as_the_grid_implies(tmp_path, monkeypatch):
+    # an outside tracer wraps these by name in every fedgc module that holds
+    # them and checks each one's call count against what the config implies
+    traced = {"federation": ("client_update", "correction_step"),
+              "experiments": ("compute_round_metrics",)}
+    calls = Counter()
+
+    def counting(name, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            calls[name, signature.bind(*args, **kwargs).arguments["cfg"].mode] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {}
+    for module, names in traced.items():
+        for name in names:
+            fn = getattr(importlib.import_module(f"fedgc.{module}"), name)
+            wrappers[id(fn)] = fn, counting(name, fn)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "fedgc" or mod_name.startswith("fedgc."):
+            for attr, value in list(vars(module).items()):
+                hit = wrappers.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, hit[1])
+
+    path = write_tiny(tmp_path)
+    text = path.read_text().replace("num_clients = 2", "num_clients = 4")
+    text = text.replace("num_classes = 4", "num_classes = 8").replace("rounds = 2", "rounds = 5")
+    path.write_text(text.replace("modes = fedpe", "modes = fedpe, fedgc, fedcos, centralized\nfractions = 0.5"))
+    assert cli.main(["run", str(path)]) == 0
+    # 5 rounds of ceil(0.5 * 4) = 2 clients; eval_every = 2 evaluates rounds 2, 4 and 5
+    for mode in ("fedpe", "fedgc", "fedcos", "centralized"):
+        assert calls["client_update", mode] == (0 if mode == "centralized" else 5 * 2), mode
+        assert calls["correction_step", mode] == (5 if mode in ("fedgc", "fedcos") else 0), mode
+        assert calls["compute_round_metrics", mode] == 3, mode
 
 
 @pytest.mark.parametrize("preset", golden.OUTPUT_PRESETS)

@@ -1,5 +1,7 @@
 """Synthetic datasets: seeding, splits, pairs, and the three partition schemes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,8 @@ def test_spec_validation():
         SyntheticSpec(input_dim=0)
     with pytest.raises(ValueError):
         SyntheticSpec(cluster_std=-0.1)
+    with pytest.raises(ValueError):
+        SyntheticSpec(pairs_per_class=0)
 
 
 def test_generate_rejects_too_few_samples_per_class():
@@ -85,7 +89,7 @@ def old_generate_samples(spec):
 def test_generate_keeps_the_bits_of_centre_plus_noise(spec):
     # noise + centre is the same IEEE sum as centre + noise, and the rng draws
     # the noise in the same order, so the pairs that follow are the same too
-    ds = generate(spec, pairs_per_class=3)
+    ds = generate(replace(spec, pairs_per_class=3))
     centers, train_x, test_x, rng = old_generate_samples(spec)
     for got, want in ((ds.centers, centers), (ds.train_x, train_x), (ds.test_x, test_x)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -114,7 +118,7 @@ def test_samples_cluster_around_their_centers():
 
 
 def test_pair_properties():
-    ds = generate(small_spec(), pairs_per_class=6)
+    ds = generate(small_spec(pairs_per_class=6))
     p = ds.pairs
     assert len(p) == 2 * 6 * 8
     assert p.same[: len(p) // 2].all() and not p.same[len(p) // 2 :].any()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedgc import data as datasets
-from fedgc import evaluation, experiments, federation
+from fedgc import evaluation, experiments, federation, nn
 from fedgc.config import ConfigError
 from fedgc.experiments import (
     DIVERGED,
@@ -28,7 +28,6 @@ from fedgc.experiments import (
     run_experiment,
     train_centralized,
     train_federated,
-    validate_config,
 )
 from fedgc.gradcheck import verification_suite
 from fedgc.losses import LossSpec
@@ -41,14 +40,15 @@ def tiny_spec(out_dir="runs/test", **kw):
     )
     base = dict(
         fed=fed,
-        data=datasets.SyntheticSpec(num_classes=4, samples_per_class=8, input_dim=4, seed=3),
+        data=datasets.SyntheticSpec(
+            num_classes=4, samples_per_class=8, input_dim=4, pairs_per_class=2, seed=3
+        ),
         modes=["fedpe"],
         fractions=[1.0],
         lambdas=[1.0],
         partitions=["balanced"],
         out_dir=str(out_dir),
         eval_every=2,
-        pairs_per_class=2,
     )
     base.update(kw)
     return ExperimentSpec(**base)
@@ -198,7 +198,7 @@ def test_margin_keys_rejected_for_softmax_loss(tmp_path):
         loss_margin = 0.2
         """,
     )
-    assert any("loss_margin" in p for p in validate_config(path))
+    assert any("loss_margin" in p for p in parse_config(path)[1])
 
 
 def test_shipped_preset_configs_validate():
@@ -207,7 +207,7 @@ def test_shipped_preset_configs_validate():
     paths = sorted(glob.glob("configs/*.cfg"))
     assert len(paths) == 5
     for path in paths:
-        assert validate_config(path) == [], path
+        assert parse_config(path)[1] == [], path
 
 
 def test_parse_config_pins_file_defaults(tmp_path):
@@ -223,7 +223,7 @@ def test_parse_config_pins_file_defaults(tmp_path):
         ),
         data=datasets.SyntheticSpec(
             num_classes=32, samples_per_class=25, input_dim=16, cluster_std=1.0,
-            class_center_scale=5.0, seed=0,
+            class_center_scale=5.0, pairs_per_class=10, seed=0,
         ),
         modes=["fedpe", "fedgc"],
         fractions=[1.0],
@@ -231,7 +231,6 @@ def test_parse_config_pins_file_defaults(tmp_path):
         partitions=["balanced"],
         out_dir="runs/out",
         eval_every=10,
-        pairs_per_class=10,
         share_fraction=0.25,
         group_size=2,
         mode_lambdas={},
@@ -259,8 +258,13 @@ def test_config_dataclasses_reject_bad_values_by_field(make, bad_field):
 
 def test_zero_local_steps_rejected_at_parse_time(tmp_path):
     # zero steps would train nothing: a NaN mean loss and a "diverged" cell
-    problems = validate_config(write_cfg(tmp_path, "[federation]\nlocal_steps = 0\n"))
+    problems = parse_config(write_cfg(tmp_path, "[federation]\nlocal_steps = 0\n"))[1]
     assert problems == ["[federation] local_steps: need >= 1 or empty, got 0"]
+
+
+def test_zero_pairs_per_class_rejected_at_parse_time(tmp_path):
+    problems = parse_config(write_cfg(tmp_path, "[data]\npairs_per_class = 0\n"))[1]
+    assert problems == ["[data] pairs_per_class: need >= 1, got 0"]
 
 
 def test_non_finite_values_are_reported_not_raised(tmp_path):
@@ -278,7 +282,7 @@ def test_non_finite_values_are_reported_not_raised(tmp_path):
         share_fraction = nan
         """,
     )
-    problems = validate_config(path)
+    problems = parse_config(path)[1]
     for key in ("[federation] eta: ", "[grid] lambdas: ", "[run] share_fraction: "):
         assert any(p.startswith(key) for p in problems), (key, problems)
 
@@ -293,7 +297,7 @@ def test_grid_problems_flags_zero_lambda_only_for_correction_modes(tmp_path):
     bad = spec_problems(modes=["fedcos"], lambdas=[1.0], mode_lambdas={"fedcos": [0.0]})
     assert any(p.startswith("mode_lambdas['fedcos']") and "lambda > 0" in p for p in bad)
     path = write_cfg(tmp_path, "[grid]\nmodes = fedcos\nlambdas = 1\nlambdas_fedcos = 0\n")
-    assert any(p.startswith("[grid] lambdas_fedcos: ") for p in validate_config(path))
+    assert any(p.startswith("[grid] lambdas_fedcos: ") for p in parse_config(path)[1])
     # a clean per-mode axis rescues a zero in the shared one
     assert spec_problems(modes=["fedgc"], lambdas=[0.0], mode_lambdas={"fedgc": [5.0]}) == []
 
@@ -420,13 +424,18 @@ def test_program_error_propagates_instead_of_diverging(monkeypatch):
         train_centralized(ds, replace(cfg, mode="centralized"))
 
 
-def test_run_cell_centralized():
-    spec = tiny_spec(modes=["centralized"])
-    result = run_cell(spec, Cell("centralized", 1.0, 0.0, "balanced"))
+def test_run_cell_centralized(tmp_path):
+    spec = tiny_spec(tmp_path, modes=["centralized"])
+    cell = Cell("centralized", 1.0, 0.0, "balanced")
+    dataset = make_dataset(spec, cell_config(spec, cell))
+    result = run_cell(spec, cell, dataset)
     assert result.status == OK
     assert result.server.head_slices == [slice(0, 4)]
     assert result.rounds_completed == 3
-    assert result.test_features.shape == (4 * 2, spec.fed.embedding_dim)
+    cell_dir = experiments.write_cell_outputs(spec, result, dataset)
+    features, labels = nn.read_tensors(f"{cell_dir}/test_features.fgc")
+    assert features.shape == (4 * 2, spec.fed.embedding_dim)
+    np.testing.assert_array_equal(labels, dataset.test_y)
     assert np.isfinite(result.final_accuracy)
 
 
@@ -492,13 +501,13 @@ def test_histograms_come_from_the_last_evaluation(tmp_path, monkeypatch, rounds)
 
 
 def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):
-    # a finished cell keeps only its summary row: its server, clients, test
-    # features and metrics rows are gone before the next cell trains and after the run
+    # a finished cell keeps only its summary row: its server, clients and
+    # metrics rows are gone before the next cell trains and after the run
     refs, starts = [], []
     real_write, real_run = experiments.write_cell_outputs, experiments.run_cell
 
     def write(spec, result, dataset=None):
-        objects = [result.server, result.test_features, *result.clients, *result.metrics]
+        objects = [result.server, *result.clients, *result.metrics]
         refs.append([weakref.ref(o) for o in objects])
         return real_write(spec, result, dataset)
 
@@ -512,9 +521,9 @@ def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):
     spec = tiny_spec(tmp_path / "out", modes=["fedgc", "fedpe"])
     assert run_experiment(spec) == 0
     gc.collect()
-    # server, features, two clients and the rows of rounds 2 and 3
-    assert len(refs) == 2 and len(refs[0]) == 6
-    assert starts == [[], [False] * 6]
+    # server, two clients and the rows of rounds 2 and 3
+    assert len(refs) == 2 and len(refs[0]) == 5
+    assert starts == [[], [False] * 5]
     assert all(r() is None for cell_refs in refs for r in cell_refs)
 
 

@@ -147,9 +147,14 @@ def test_clients_per_round_rounds_up():
 
 
 def test_normalize_reg_follows_loss_family():
-    assert not small_cfg(loss=LossSpec.softmax()).normalize_reg
-    assert small_cfg(loss=LossSpec.cosface()).normalize_reg
-    assert small_cfg(loss=LossSpec.arcface()).normalize_reg
+    # both penalties take raw dot products under softmax, normalized columns under margin losses
+    emb = StackedEmbeddings(np.random.default_rng(2).normal(size=(4, 6)), np.repeat([0, 1], 3))
+    for loss, normalize in ((LossSpec.softmax(), False), (LossSpec.cosface(), True),
+                            (LossSpec.arcface(), True)):
+        for mode, reg in (("fedgc", softmax_reg), ("fedcos", cosine_reg)):
+            got = regularizer_grad(emb, small_cfg(mode=mode, loss=loss)).value
+            assert got == reg(emb, normalize_columns=normalize).value
+            assert got != reg(emb, normalize_columns=not normalize).value
 
 
 # ---------------------------------------------------------------- build
@@ -161,7 +166,8 @@ def test_build_federation_layout():
     assert server.head_slices == [slice(0, 4), slice(4, 8)]
     assert server.embeddings.class_of.tolist() == list(range(8))
     np.testing.assert_array_equal(server.embeddings.client_of, np.repeat([0, 1], 4))
-    np.testing.assert_allclose(server.weights, [0.5, 0.5])
+    # equal shards, so combined_objective weighs the two clients 1/2 each
+    assert [cl.n_samples for cl in clients] == [36, 36]
     assert server.round == 0 and server.embeddings.shared_columns() == []
     # the clients are the partition's shards; their heads live only on the server
     assert [cl.client_id for cl in clients] == [0, 1]
@@ -863,11 +869,11 @@ def test_stack_owners_are_the_partition_assignment(scheme):
 def test_combined_objective_hand_value():
     cfg = small_cfg(mode="fedgc", lam=3.0)
     _, server, clients = make_federation(cfg)
-    expected = 0.0
+    expected, n_all = 0.0, sum(cl.n_samples for cl in clients)
     for cl in clients:
         feats = nn.forward(server.theta, cl.x)
         lg = batch_loss_and_grad(cfg.loss, head_of(server, cl.client_id), feats, cl.y_local)
-        expected += float(server.weights[cl.client_id]) * lg.loss
+        expected += cl.n_samples / n_all * lg.loss
     plain = expected
     expected += 3.0 * softmax_reg(server.embeddings).value
     assert abs(combined_objective(server, clients, cfg) - expected) < 1e-12

@@ -152,10 +152,11 @@ def _build_clients(
     for cls, hs in holders.items():
         start = starts[cls]
         share, longer = divmod(starts[cls + 1] - start, len(hs))
-        for i, k in enumerate(hs):
-            stop = start + share + (i < longer)
+        for k in hs:
+            stop = start + share + (longer > 0)
             shards[k][cls] = order[start:stop]
             start = stop
+            longer -= 1
     clients = []
     for k, shard in enumerate(shards):
         classes = sorted(shard)

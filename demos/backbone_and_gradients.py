@@ -20,7 +20,7 @@ def check_first_layer(params: BackboneParams, x: np.ndarray, probe: np.ndarray) 
     def objective(w1):
         arrays = params.to_list()
         arrays[0] = w1
-        return float((forward(BackboneParams.from_list(arrays, params.activation), x) * probe).sum())
+        return float((forward(BackboneParams.from_list(arrays), x) * probe).sum())
 
     grad_layers, _ = backward(params, x, probe)
     report = finite_diff_check(objective, params.layers[0][0], grad_layers[0][0])
@@ -43,7 +43,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     params = init_backbone([10, 16, 8], seed=args.seed)
-    print("backbone layers:", [w.shape for w, _ in params.layers], "activation:", params.activation)
+    print("backbone layers:", [w.shape for w, _ in params.layers], "activation: relu")
 
     x = rng.normal(size=(16, 10))
     feats = forward(params, x)
@@ -67,7 +67,7 @@ def main() -> int:
         gflat = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
         new = [a.copy() for a in flat]
         sgd_update(state, new, gflat)
-        params = BackboneParams.from_list(new[:-1], params.activation)
+        params = BackboneParams.from_list(new[:-1])
         head = new[-1]
         print(f"{step:4d}  {lg.loss:.4f}")
     return 0

@@ -15,6 +15,8 @@ from .regularizers import StackedEmbeddings
 # cosine differently in a block of only a few rows), unlike the penalties'
 # score blocks, whose size fixes a summation order.
 _SIMILARITY_BLOCK_ELEMENTS = 1 << 17
+# equal-width histogram bins over the cosine range [-1, 1]
+_SIMILARITY_BINS = 50
 
 
 @dataclass
@@ -88,7 +90,7 @@ class SimilarityStats:
     excluded_zero_norm: int
 
 
-def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> SimilarityStats:
+def embedding_similarity_stats(emb: StackedEmbeddings) -> SimilarityStats:
     """Pairwise column cosines, split into within-client and cross-client.
 
     Pairs of columns naming the same identity (the stack's class_of; copies
@@ -104,11 +106,11 @@ def embedding_similarity_stats(emb: StackedEmbeddings, bins: int = 50) -> Simila
     clients = emb.client_of[keep]
     cls = emb.class_of[keep]
     n = w.shape[1]
-    edges = np.linspace(-1.0, 1.0, bins + 1)
+    edges = np.linspace(-1.0, 1.0, _SIMILARITY_BINS + 1)
     # floating error can push a cosine a hair past +/-1; open outer edges count
     # it in the first or last bin, as clipping to [-1, 1] would, and NaN in none
     open_edges = np.r_[-np.inf, edges[1:-1], np.inf]
-    hists = {True: np.zeros(bins, dtype=np.int64), False: np.zeros(bins, dtype=np.int64)}
+    hists = {side: np.zeros(_SIMILARITY_BINS, dtype=np.int64) for side in (True, False)}
     maxima = {True: [], False: []}
     # row blocks of the upper triangle: rows i in a block against columns j > i,
     # their cosines written into one reused buffer

@@ -215,7 +215,7 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray
     """Minibatch SGD for each LocalRun (or 8-tuple of its fields) in `runs`.
 
     The one training loop behind run_round and centralized_round. Runs whose
-    backbone (shapes and activation), head shape, loss, optimizer settings,
+    backbone shapes, head shape, loss, optimizer settings,
     train_head flag and batch size at every step agree train in lockstep as
     one group, stacked on a leading client axis: one (K, P) parameter
     buffer, one gradient buffer and one velocity buffer. A group of one runs
@@ -273,7 +273,6 @@ def _group_key(run: LocalRun) -> tuple:
     """What runs must share to train in lockstep."""
     return (
         tuple(w.shape for w, _ in run.theta.layers),
-        run.theta.activation,
         run.head.shape,
         (run.loss.variant, run.loss.margin, run.loss.scale),
         (run.opt.learning_rate, run.opt.momentum, run.opt.weight_decay),
@@ -378,7 +377,6 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         h, *tape = (buf[: k * b].reshape(lead + (b, buf.shape[1])) for buf in buffers)
         steps[b] = h, tape
 
-    activation, loss = first.theta.activation, first.loss
     trace = []
     for idx, target, b in zip(rows, targets, sizes):
         h, tape = steps[b]
@@ -387,10 +385,10 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
                 run.x.take(idx_k, axis=0, out=h_k, mode="wrap")
         else:
             first.x.take(idx, axis=0, out=h, mode="wrap")
-        feats = nn.record_forward(layers, activation, h, tape)
-        lg = loss_and_grad(loss, head, feats, target)
+        feats = nn.record_forward(layers, h, tape)
+        lg = loss_and_grad(first.loss, head, feats, target)
         trace.append(lg.loss)
-        nn.reverse_sweep(layers, activation, h, tape, lg.grad_feature, grad_layers)
+        nn.reverse_sweep(layers, h, tape, lg.grad_feature, grad_layers)
         grad_head[...] = lg.grad_embeddings
         nn.sgd_update(opt, stepped, stepped_grad)
 
@@ -472,7 +470,7 @@ def correction_step(emb: StackedEmbeddings, cfg: FederationConfig) -> StackedEmb
     if step == 0.0 or emb.num_clients < 2:
         return emb.copy()
     rg = regularizer_grad(emb, cfg)
-    return replace(emb.copy(), W=emb.W - step * rg.grad)
+    return replace(emb, W=emb.W - step * rg.grad)
 
 
 def sample_clients(cfg: FederationConfig, rng: np.random.Generator) -> np.ndarray:
@@ -619,7 +617,7 @@ def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> Non
     emb = server.embeddings
     manifest = {
         "round": server.round,
-        "activation": server.theta.activation,
+        "activation": "relu",
         "clients": [
             {
                 "id": cl.client_id,
@@ -648,9 +646,10 @@ def load_checkpoint(path) -> tuple[nn.BackboneParams, dict[int, np.ndarray], dic
     """Read back a checkpoint: (backbone, heads by client id, manifest)."""
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
-    theta = nn.BackboneParams.from_list(
-        nn.read_tensors(os.path.join(path, "backbone.fgc")), manifest["activation"]
-    )
+    # the manifest names the hidden layers' activation; the backbone has only ReLUs
+    if manifest.get("activation") != "relu":
+        raise ValueError(f"{path}: unknown activation {manifest.get('activation')!r}")
+    theta = nn.BackboneParams.from_list(nn.read_tensors(os.path.join(path, "backbone.fgc")))
     heads = {}
     for entry in manifest["clients"]:
         cid = entry["id"]

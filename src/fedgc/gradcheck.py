@@ -81,10 +81,10 @@ def backward(
     if g.shape != (h.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
     tape = nn.new_tape(params.layers, h.shape[:-1])
-    nn.record_forward(params.layers, params.activation, h, tape)
+    nn.record_forward(params.layers, h, tape)
     grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
     grad_x = np.empty(h.shape)
-    nn.reverse_sweep(params.layers, params.activation, h, tape, g, grad_layers, grad_x)
+    nn.reverse_sweep(params.layers, h, tape, g, grad_layers, grad_x)
     return grad_layers, grad_x[0] if single else grad_x
 
 
@@ -290,7 +290,7 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
         for i in range(len(flat)):
             def f_param(t, i=i):
                 arrays = [t if j == i else flat[j] for j in range(len(flat))]
-                p = nn.BackboneParams.from_list(arrays, theta.activation)
+                p = nn.BackboneParams.from_list(arrays)
                 return float((nn.forward(p, x) * g_out).sum())
 
             err = max(err, _fd(f_param, flat[i], flat_grads[i]))

@@ -15,24 +15,19 @@ import numpy as np
 
 MAGIC = b"FGC1"
 
-_ACTIVATIONS = ("relu", "tanh")
-
 
 @dataclass
 class BackboneParams:
     """Weights of the shared feature extractor.
 
     layers: ordered (weight, bias) pairs; weight has shape (in_dim, out_dim),
-    bias has shape (out_dim,). The activation is applied after every layer
-    except the last, so the final output is a raw embedding.
+    bias has shape (out_dim,). A ReLU is applied after every layer except
+    the last, so the final output is a raw embedding.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         for i, (w, b) in enumerate(self.layers):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
@@ -53,7 +48,7 @@ class BackboneParams:
         return sum(w.size + b.size for w, b in self.layers)
 
     def copy(self) -> "BackboneParams":
-        return BackboneParams([(w.copy(), b.copy()) for w, b in self.layers], self.activation)
+        return BackboneParams([(w.copy(), b.copy()) for w, b in self.layers])
 
     def unflatten(self, flat: np.ndarray) -> "BackboneParams":
         """A backbone shaped like this one whose arrays are views into the
@@ -64,7 +59,7 @@ class BackboneParams:
         for a in self.to_list():
             arrays.append(flat[start : start + a.size].reshape(a.shape))
             start += a.size
-        return BackboneParams.from_list(arrays, self.activation)
+        return BackboneParams.from_list(arrays)
 
     def to_list(self) -> list[np.ndarray]:
         """Flatten to [W1, b1, W2, b2, ...] for the optimizer."""
@@ -74,21 +69,21 @@ class BackboneParams:
         return out
 
     @classmethod
-    def from_list(cls, arrays: list[np.ndarray], activation: str) -> "BackboneParams":
+    def from_list(cls, arrays: list[np.ndarray]) -> "BackboneParams":
         if len(arrays) % 2:
             raise ValueError("expected an even number of arrays (weight/bias pairs)")
         layers = [(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2)]
-        return cls(layers, activation)
+        return cls(layers)
 
 
-def init_backbone(layer_dims: list[int], seed: int, activation: str = "relu") -> BackboneParams:
+def init_backbone(layer_dims: list[int], seed: int) -> BackboneParams:
     """Seeded init: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
     layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
         layers.append((w, np.zeros(fan_out)))
-    return BackboneParams(layers, activation)
+    return BackboneParams(layers)
 
 
 def check_input(params: BackboneParams, h: np.ndarray) -> None:
@@ -103,7 +98,7 @@ def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     h = x[None, :] if single else x
     check_input(params, h)
-    h = record_forward(params.layers, params.activation, h, new_tape(params.layers, h.shape[:-1]))
+    h = record_forward(params.layers, h, new_tape(params.layers, h.shape[:-1]))
     return h[0] if single else h
 
 
@@ -113,7 +108,7 @@ def new_tape(layers: list, rows: tuple) -> list[np.ndarray]:
     return [np.empty(rows + w.shape[-1:]) for w, _ in layers]
 
 
-def record_forward(layers: list, activation: str, h: np.ndarray, tape: list) -> np.ndarray:
+def record_forward(layers: list, h: np.ndarray, tape: list) -> np.ndarray:
     """The layer loop on a checked float64 batch, with or without a client axis.
 
     h is (n, in_dim) and each layer (w, b) a (in, out) weight with a bias
@@ -124,22 +119,20 @@ def record_forward(layers: list, activation: str, h: np.ndarray, tape: list) -> 
 
     Writes every layer's output into the C-contiguous float64 buffers of a
     new_tape-shaped tape, for reverse_sweep: each hidden layer's after its
-    activation, which is all the sweep needs of it, and the last layer's
-    raw. Returns that last buffer, the embeddings. h and the layers are not
+    ReLU, which is all the sweep needs of it, and the last layer's raw.
+    Returns that last buffer, the embeddings. h and the layers are not
     mutated.
     """
-    relu = activation == "relu"
     for i, (w, b) in enumerate(layers):
         z = np.matmul(h, w, out=tape[i])
         z += b
         if i < len(layers) - 1:
-            h = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+            h = np.maximum(z, 0.0, out=z)
     return z
 
 
 def reverse_sweep(
     layers: list,
-    activation: str,
     h: np.ndarray,
     tape: list,
     g: np.ndarray,
@@ -159,16 +152,15 @@ def reverse_sweep(
     gradient w.r.t. h; without it the last product is skipped. h, g and the
     layers are not mutated.
     """
-    relu = activation == "relu"
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
         np.matmul((tape[i - 1] if i else h).swapaxes(-1, -2), g, out=gw)
         np.add.reduce(g, axis=-2, out=gb)
         if i:
             out = tape[i - 1]
-            # the activation's slope at its output; a ReLU output is > 0
-            # exactly where its input is, NaN included
-            slope = out > 0.0 if relu else 1.0 - out * out
+            # the ReLU's slope at its output: an output is > 0 exactly
+            # where its input is, NaN included
+            slope = out > 0.0
             g = np.matmul(g, layers[i][0].swapaxes(-1, -2), out=out)
             g *= slope
         elif grad_x is not None:

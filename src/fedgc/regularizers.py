@@ -27,12 +27,11 @@ their owner sets, the clients holding a column of their identity
 first and then one per identity several clients hold, and lists the pairs
 of sets that meet by a join on clients. The softmax penalty writes -inf
 into each block by flat index, at the columns of the sets meeting each
-anchor's set, built block by block (a stack with nothing shared and at
-least 1/8 of each block masked compares set ids instead). The cosine
-penalty is a closed form over per-set column sums. Both take
-O(d C + C B + meet pairs) memory. With nothing shared the meet list is one
-pair per client; when a few clients hold most identities jointly, nearly
-every pair of owner sets meets and the list approaches S^2 pairs.
+anchor's set, built block by block. The cosine penalty is a closed form
+over per-set column sums. Both take O(d C + C B + meet pairs) memory.
+With nothing shared the meet list is one pair per client; when a few
+clients hold most identities jointly, nearly every pair of owner sets
+meets and the list approaches S^2 pairs.
 """
 
 from __future__ import annotations
@@ -195,22 +194,21 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> np.ndarray:
+def _columns(emb: StackedEmbeddings, normalize_columns: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The columns, divided by their norms under normalize_columns, and those norms (else None)."""
     w = emb.W
     if not np.isfinite(w).all():
         raise NonFiniteError("non-finite entry in stacked embeddings")
     if not normalize_columns:
-        return w
+        return w, None
     norms = np.linalg.norm(w, axis=0)
     if np.any(norms == 0.0):
         raise NonFiniteError("zero-norm column cannot be normalized")
-    return w / norms
+    return w / norms, norms
 
 
-def _chain_normalization(emb: StackedEmbeddings, grad_n: np.ndarray) -> np.ndarray:
+def _chain_normalization(w_hat: np.ndarray, norms: np.ndarray, grad_n: np.ndarray) -> np.ndarray:
     # d(w/|w|)/dw applied column-wise: (g - (w_hat . g) w_hat) / |w|
-    norms = np.linalg.norm(emb.W, axis=0)
-    w_hat = emb.W / norms
     return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
 
 
@@ -220,15 +218,10 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
     A column is a negative for an anchor only when their owner sets are
     disjoint, so copies of one shared identity are never pushed apart.
     """
-    a_mat = _columns(emb, normalize_columns)
+    a_mat, norms = _columns(emb, normalize_columns)
     c = emb.num_columns
     set_of, meets, met = _ownership(emb)
-    size = np.bincount(set_of)
-    # with nothing shared and at least 1/8 of every block masked, comparing set
-    # ids is faster than the flat index (the measured crossover at C >= 256; at
-    # C <= 128 the compare is faster at any share)
-    compare = meets.size == size.size and 8 * (size @ size) >= c * c
-    meeting = None if compare else _meeting_index(set_of, size, meets, met)
+    meeting = _meeting_index(set_of, np.bincount(set_of), meets, met)
     value = 0.0
     grad_n = np.zeros_like(a_mat)
     blocks = _blocks(c, c)
@@ -240,11 +233,7 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
         scores = np.matmul(block.T, a_mat, out=buffer[: cols.size * c].reshape(cols.size, c))
         scores -= scores[np.arange(cols.size), cols][:, None]
         # -inf at the pairs whose owner sets meet
-        sets = set_of[blk]
-        if compare:
-            np.copyto(scores, -np.inf, where=sets[:, None] == set_of)
-        else:
-            buffer[meeting(sets)] = -np.inf
+        buffer[meeting(set_of[blk])] = -np.inf
         # log(1 + sum exp(...)) with the self term's exp(0) folded in; 0 if no negatives
         top = np.maximum(scores.max(axis=1), 0.0)
         if top.any():  # normalized columns nearly always give top == 0.0, and x - 0.0 == x
@@ -254,7 +243,7 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
         value += float((top + np.log(denom)).sum())
         scores /= denom[:, None]
         grad_n += block @ scores  # grad[:, w] = sum_a weight[a, w] * anchor_a
-    grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
+    grad = grad_n if norms is None else _chain_normalization(a_mat, norms, grad_n)
     return RegGrad(value, grad)
 
 
@@ -269,7 +258,7 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     P_t the sum over owner set t and N_t the sum of P over every set meeting
     t, value = S.S - sum_t P_t.N_t, and column v of set t gets 2 (S - N_t).
     """
-    a_mat = _columns(emb, normalize_columns)
+    a_mat, norms = _columns(emb, normalize_columns)
     set_of, meets, met = _ownership(emb)
     d, s = a_mat.shape[0], int(set_of.max(initial=-1)) + 1
     # per-set column sums, accumulated in column order
@@ -282,5 +271,5 @@ def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGr
     value = float(total @ total - (near * own).sum())
     far = (total - near[set_of]).T
     grad_n = far + far
-    grad = _chain_normalization(emb, grad_n) if normalize_columns else grad_n
+    grad = grad_n if norms is None else _chain_normalization(a_mat, norms, grad_n)
     return RegGrad(value, grad)

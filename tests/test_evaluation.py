@@ -23,7 +23,7 @@ from fedgc.regularizers import StackedEmbeddings
 
 def linear_backbone(dim):
     # single layer, identity weights: forward(x) == x (no activation on the last layer)
-    return nn.BackboneParams([(np.eye(dim), np.zeros(dim))], "relu")
+    return nn.BackboneParams([(np.eye(dim), np.zeros(dim))])
 
 
 def brute_force_threshold_accuracy(sims, same):
@@ -106,12 +106,13 @@ def test_similarity_stats_hand_stack():
     # client 0: e1, e2; client 1: (e1+e2)/sqrt(2)  -> cross max cos(45 deg)
     w = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     emb = StackedEmbeddings(w, np.array([0, 0, 1]))
-    stats = embedding_similarity_stats(emb, bins=4)
+    stats = embedding_similarity_stats(emb)
     assert abs(stats.cross_client_max_cos - 1.0 / np.sqrt(2.0)) < 1e-12
     assert abs(stats.within_client_max_cos - 0.0) < 1e-12
     # histograms cover every surviving pair and use the stated edges
     assert stats.cross_hist.sum() == 2 and stats.within_hist.sum() == 1
-    np.testing.assert_allclose(stats.bin_edges, np.linspace(-1, 1, 5))
+    np.testing.assert_allclose(stats.bin_edges, np.linspace(-1, 1, 51))
+    assert stats.cross_hist.shape == stats.within_hist.shape == (50,)
     assert stats.excluded_zero_norm == 0
 
 

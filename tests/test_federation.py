@@ -6,6 +6,7 @@ correct) and demands bitwise agreement with run_round.
 """
 
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -289,7 +290,7 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
         nn.sgd_update(opt, new, grads)
         if train_head:
             head = new.pop()
-        theta = nn.BackboneParams.from_list(new, theta.activation)
+        theta = nn.BackboneParams.from_list(new)
     return theta, head, trace
 
 
@@ -347,19 +348,16 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
 
 @pytest.mark.parametrize("train_head", [True, False])
 @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 5e-4), (0.0, 0.0), (0.5, 0.0), (0.0, 1e-2)])
-@pytest.mark.parametrize(
-    "dims, activation",
-    [([5, 6], "relu"), ([5, 10, 6], "tanh"), ([5, 9, 7, 6], "relu"), ([5, 9, 7, 6], "tanh")],
-)
+@pytest.mark.parametrize("dims", [[5, 6], [5, 10, 6], [5, 9, 7, 6]])
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
 def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
-    loss, dims, activation, momentum, weight_decay, train_head
+    loss, dims, momentum, weight_decay, train_head
 ):
-    # the presets only train two ReLU layers with momentum and decay; the fused
-    # step must also match on one layer, three layers, tanh and a zero
-    # momentum or decay
+    # the presets only train two layers with momentum and decay; the fused
+    # step must also match on one layer, three layers and a zero momentum
+    # or decay
     ds = generate(SyntheticSpec(num_classes=5, samples_per_class=12, input_dim=5, seed=2))
-    theta = nn.init_backbone(dims, seed=4, activation=activation)
+    theta = nn.init_backbone(dims, seed=4)
     head = init_head(5, dims[-1], np.random.default_rng(9))
     cfg = small_cfg(batch_size=16, local_steps=6)
     batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
@@ -401,9 +399,9 @@ def test_local_sgd_classifies_divergence_inside_the_step():
 # ---------------------------------------------------------------- lockstep groups
 
 
-def random_run(rng, dims, activation, classes, rows, batch_size, steps, loss, opt, train_head):
+def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt, train_head):
     """A LocalRun on random data whose batch plan has the given shape."""
-    theta = nn.init_backbone(dims, seed=int(rng.integers(2**31)), activation=activation)
+    theta = nn.init_backbone(dims, seed=int(rng.integers(2**31)))
     for _, b in theta.layers:
         b[:] = rng.normal(0.0, 0.1, size=b.shape)
     head = rng.normal(0.0, 1.0, size=(dims[-1], classes))
@@ -423,7 +421,6 @@ def assert_same_training_and_velocity(got, want, opt_got, opt_want):
 @given(
     k=st.integers(1, 16),
     hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-    activation=st.sampled_from(["relu", "tanh"]),
     loss=st.sampled_from([LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()]),
     rows=st.integers(1, 40),
     batch_size=st.integers(1, 39),
@@ -436,13 +433,13 @@ def assert_same_training_and_velocity(got, want, opt_got, opt_want):
     seed=st.integers(0, 2**32 - 1),
 )
 # sixteen runs whose third step is a 1-row partial batch; three 1-row runs
-@example(k=16, hidden=[9, 9, 9], activation="relu", loss=LossSpec.cosface(), rows=33,
+@example(k=16, hidden=[9, 9, 9], loss=LossSpec.cosface(), rows=33,
          batch_size=16, steps=5, classes=5, momentum=0.9, decay=5e-3, train_head=True,
          others=3, seed=1)
-@example(k=3, hidden=[2], activation="tanh", loss=LossSpec.arcface(), rows=1, batch_size=1,
+@example(k=3, hidden=[2], loss=LossSpec.arcface(), rows=1, batch_size=1,
          steps=2, classes=2, momentum=0.0, decay=0.0, train_head=False, others=0, seed=2)
 def test_lockstep_local_sgd_is_bitwise_per_run(
-    k, hidden, activation, loss, rows, batch_size, steps, classes, momentum, decay,
+    k, hidden, loss, rows, batch_size, steps, classes, momentum, decay,
     train_head, others, seed,
 ):
     # k runs of one shape train as one stacked group; `others` runs with a
@@ -456,7 +453,7 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
 
     def make(classes_k, rows_k):
         # one run twice, each copy with its own optimizer
-        run = random_run(rng, dims, activation, classes_k, rows_k, batch_size, steps, loss,
+        run = random_run(rng, dims, classes_k, rows_k, batch_size, steps, loss,
                          nn.SgdState(0.05, momentum, decay), train_head)
         return run, run._replace(opt=nn.SgdState(0.05, momentum, decay))
 
@@ -488,7 +485,7 @@ def test_lockstep_group_diverges_with_one_dead_client():
     # one zero-norm head column in one client of a CosFace group diverges the call
     rng = np.random.default_rng(3)
     runs = [
-        random_run(rng, [4, 8, 3], "relu", 3, 20, 8, 3, LossSpec.cosface(), nn.SgdState(0.05), True)
+        random_run(rng, [4, 8, 3], 3, 20, 8, 3, LossSpec.cosface(), nn.SgdState(0.05), True)
         for _ in range(5)
     ]
     runs[2].head[:, 1] = 0.0
@@ -504,7 +501,7 @@ def test_lockstep_batches_index_each_client_alone():
     # does; an index past either end raises instead of reading a neighbour's
     rng = np.random.default_rng(5)
     runs = [
-        random_run(rng, [4, 6, 3], "relu", 2, 7, 4, 2, LossSpec.softmax(), nn.SgdState(0.05), True)
+        random_run(rng, [4, 6, 3], 2, 7, 4, 2, LossSpec.softmax(), nn.SgdState(0.05), True)
         for _ in range(3)
     ]
     runs = [run._replace(batches=[np.array([-1, 0, -7, 3]), np.array([6, -2, 1, 2])]) for run in runs]
@@ -521,7 +518,7 @@ def test_lockstep_batches_index_each_client_alone():
 def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
     rng = np.random.default_rng(4)
     opt = nn.SgdState(0.05, 0.9)
-    a, b = (random_run(rng, [4, 5, 3], "relu", 2, 9, 4, 2, LossSpec.softmax(), opt, True) for _ in range(2))
+    a, b = (random_run(rng, [4, 5, 3], 2, 9, 4, 2, LossSpec.softmax(), opt, True) for _ in range(2))
     with pytest.raises(ValueError, match="own SgdState"):
         local_sgd([a, b])
     # a velocity that does not fit the trained parameters (here: the frozen
@@ -931,7 +928,7 @@ def test_centralized_momentum_persists_across_rounds():
     p1 = [p - cfg.eta * g for p, g in zip(theta0.to_list() + [head0], g1)]
     np.testing.assert_allclose(states[0][1], p1[-1], atol=1e-12)
     # round 2: v2 = m v1 + g2
-    theta1 = nn.BackboneParams.from_list(p1[:-1], theta0.activation)
+    theta1 = nn.BackboneParams.from_list(p1[:-1])
     g2 = full_grads(theta1, p1[-1])
     p2 = [p - cfg.eta * (cfg.momentum * v + g) for p, v, g in zip(p1, g1, g2)]
     np.testing.assert_allclose(states[1][1], p2[-1], atol=1e-12)
@@ -954,7 +951,7 @@ def test_checkpoint_roundtrip(tmp_path):
         return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     assert all(same_bits(a, b) for a, b in zip(theta.to_list(), server.theta.to_list()))
-    assert theta.activation == server.theta.activation
+    assert manifest["activation"] == "relu"
     for cl in clients:
         assert same_bits(heads[cl.client_id], head_of(server, cl.client_id))
     assert manifest["round"] == 1
@@ -965,3 +962,18 @@ def test_checkpoint_roundtrip(tmp_path):
     assert len(shared) == 2
     assert [cls for cls, _ in manifest["shared_groups"]] == shared
     assert [tuple(g) for _, g in manifest["shared_groups"]] == [assignment[c] for c in shared]
+
+
+def test_load_checkpoint_refuses_a_manifest_naming_another_activation(tmp_path):
+    # the backbone has only ReLU hidden layers; a manifest that names another
+    # activation describes a network this program cannot rebuild
+    _, server, clients = make_federation(small_cfg())
+    path = tmp_path / "ckpt"
+    save_checkpoint(server, clients, path)
+    manifest_file = path / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["activation"] = "tanh"
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="tanh") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)

@@ -45,20 +45,18 @@ def test_params_validation():
         BackboneParams([(np.zeros((3, 4)), np.zeros(5))])
     with pytest.raises(ValueError):  # second layer does not chain
         BackboneParams([(np.zeros((3, 4)), np.zeros(4)), (np.zeros((5, 2)), np.zeros(2))])
-    with pytest.raises(ValueError):
-        BackboneParams([(np.zeros((3, 4)), np.zeros(4))], activation="sigmoid")
 
 
 def test_to_list_from_list_roundtrip():
-    params = init_backbone([3, 5, 2], seed=7, activation="tanh")
+    params = init_backbone([3, 5, 2], seed=7)
     arrays = params.to_list()
     assert len(arrays) == 4
-    again = BackboneParams.from_list(arrays, "tanh")
+    again = BackboneParams.from_list(arrays)
     for (w0, b0), (w1, b1) in zip(params.layers, again.layers):
         np.testing.assert_array_equal(w0, w1)
         np.testing.assert_array_equal(b0, b1)
     with pytest.raises(ValueError):
-        BackboneParams.from_list(arrays[:3], "tanh")
+        BackboneParams.from_list(arrays[:3])
 
 
 def test_forward_single_layer_is_affine():
@@ -98,9 +96,8 @@ def test_forward_rejects_wrong_input_dim():
         forward(params, np.zeros(5))
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_backward_matches_finite_differences(activation):
-    params = init_backbone([4, 6, 3], seed=5, activation=activation)
+def test_backward_matches_finite_differences():
+    params = init_backbone([4, 6, 3], seed=5)
     rng = np.random.default_rng(11)
     # keep relu pre-activations away from the kink
     x = rng.normal(size=(7, 4)) + 0.1
@@ -113,7 +110,7 @@ def test_backward_matches_finite_differences(activation):
         def objective(a, i=i):
             patched = arrays.copy()
             patched[i] = a
-            return float((forward(BackboneParams.from_list(patched, activation), x) * probe).sum())
+            return float((forward(BackboneParams.from_list(patched), x) * probe).sum())
 
         report = finite_diff_check(objective, arrays[i], grads[i])
         assert report.passed, f"tensor {i}: {report.max_rel_err}"

@@ -401,9 +401,8 @@ def prior_blocked_softmax_reg(emb, normalize=False):
 @pytest.mark.parametrize("long_column", [False, True], ids=["normalized", "one-long-column"])
 def test_softmax_reg_bytes_match_the_dense_mask_algorithm(monkeypatch, budget, long_column):
     # bitwise, no tolerance: masking by the meet list, reusing one score buffer
-    # and skipping an all-zero top shift must not move a single bit. The plain
-    # stack (6 clients) masks by a set-id compare; one column per client and
-    # shared identities mask by flat index
+    # and skipping an all-zero top shift must not move a single bit, on the
+    # plain stack (6 clients), one column per client and shared identities
     monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
     assert len(regularizers._blocks(42, 42)) > 1
     for seed in range(3):

@@ -348,14 +348,14 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
 
 @pytest.mark.parametrize("train_head", [True, False])
 @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 5e-4), (0.0, 0.0), (0.5, 0.0), (0.0, 1e-2)])
-@pytest.mark.parametrize("dims", [[5, 6], [5, 10, 6], [5, 9, 7, 6]])
+@pytest.mark.parametrize("dims", [[5, 6], [5, 10, 6], [5, 9, 7, 6], [5, 3, 8, 4, 6]])
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
 def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
     loss, dims, momentum, weight_decay, train_head
 ):
     # the presets only train two layers with momentum and decay; the fused
-    # step must also match on one layer, three layers and a zero momentum
-    # or decay
+    # step must also match on one layer, three layers, four layers through a
+    # hidden layer narrower than the input, and a zero momentum or decay
     ds = generate(SyntheticSpec(num_classes=5, samples_per_class=12, input_dim=5, seed=2))
     theta = nn.init_backbone(dims, seed=4)
     head = init_head(5, dims[-1], np.random.default_rng(9))

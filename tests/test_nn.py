@@ -96,8 +96,9 @@ def test_forward_rejects_wrong_input_dim():
         forward(params, np.zeros(5))
 
 
-def test_backward_matches_finite_differences():
-    params = init_backbone([4, 6, 3], seed=5)
+@pytest.mark.parametrize("dims", [[4, 6, 3], [4, 6, 5, 3]])
+def test_backward_matches_finite_differences(dims):
+    params = init_backbone(dims, seed=5)
     rng = np.random.default_rng(11)
     # keep relu pre-activations away from the kink
     x = rng.normal(size=(7, 4)) + 0.1

@@ -6,7 +6,6 @@ Modes:
   fedgc       - fedpe plus a server-side correction step that walks the
                 stacked head matrix down the softmax regularizer gradient
   fedcos      - same correction with the plain cosine (dot-product) regularizer
-  fedpe_fixed - heads frozen at initialization; only the backbone trains
   centralized - pooled single-head SGD, the upper-bound baseline
 
 All training runs through one fused loop, local_sgd, which is bitwise equal
@@ -50,7 +49,7 @@ from .data import ClientData
 from .losses import LossSpec, check_inputs, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 
-MODES = ("fedpe", "fedgc", "fedcos", "fedpe_fixed", "centralized")
+MODES = ("fedpe", "fedgc", "fedcos", "centralized")
 CORRECTION_MODES = ("fedgc", "fedcos")
 
 
@@ -158,8 +157,7 @@ def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator) -> list
 class LocalRun(NamedTuple):
     """One job for local_sgd: SGD on (theta, head) over x[idx], y[idx] for idx in batches.
 
-    opt carries the momentum, so the caller decides whether it persists;
-    with train_head False the head stays fixed.
+    opt carries the momentum, so the caller decides whether it persists.
     """
 
     theta: nn.BackboneParams
@@ -169,7 +167,6 @@ class LocalRun(NamedTuple):
     batches: list
     opt: nn.SgdState
     loss: LossSpec
-    train_head: bool
 
 
 class Workspace:
@@ -212,24 +209,23 @@ class _Cursor:
 
 
 def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
-    """Minibatch SGD for each LocalRun (or 8-tuple of its fields) in `runs`.
+    """Minibatch SGD on backbone and head for each LocalRun in `runs`.
 
     The one training loop behind run_round and centralized_round. Runs whose
-    backbone shapes, head shape, loss, optimizer settings,
-    train_head flag and batch size at every step agree train in lockstep as
-    one group, stacked on a leading client axis: one (K, P) parameter
-    buffer, one gradient buffer and one velocity buffer. A group of one runs
-    the same loop with that axis dropped. Every product is a batched @ and
-    every reduction runs within one client, so each run's numbers are
-    bitwise what it gets trained alone; one run that goes non-finite raises
-    NonFiniteError for the call.
+    backbone shapes, head shape, loss, optimizer settings and batch size at
+    every step agree train in lockstep as one group, stacked on a leading
+    client axis: one (K, P) parameter buffer, one gradient buffer and one
+    velocity buffer. A group of one runs the same loop with that axis
+    dropped. Every product is a batched @ and every reduction runs within
+    one client, so each run's numbers are bitwise what it gets trained
+    alone; one run that goes non-finite raises NonFiniteError for the call.
 
     Shapes and labels are checked once per run, and a batch index out of
-    range raises IndexError as x[idx] would. Each step
-    runs one recorded forward pass for both the loss and the reverse sweep,
-    which writes the backbone gradients straight into views of the gradient
-    buffer; the head gradient is copied into its own view; then one
-    nn.sgd_update moves the buffer in place. Every buffer a step writes
+    range raises IndexError as x[idx] would. Each step runs one recorded
+    forward pass for both the loss and the reverse sweep, which writes the
+    backbone gradients straight into views of the gradient buffer; the head
+    gradient is copied into its own view; then one nn.sgd_update moves the
+    whole buffer, backbone and head, in place. Every buffer a step writes
     comes from `workspace`.
 
     Returns (backbone, head, per-step losses) per run, in input order: the
@@ -240,7 +236,7 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray
     its next use; a call without a workspace gets fresh buffers, which
     nothing else writes to. No run's theta, head, x or y is mutated.
     """
-    runs = [_checked_run(*run) for run in runs]
+    runs = [_checked_run(run) for run in runs]
     if len({id(run.opt) for run in runs}) != len(runs):
         raise ValueError("every run needs its own SgdState")
     groups: dict[tuple, list[int]] = {}
@@ -261,12 +257,12 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray
     return out
 
 
-def _checked_run(theta, head, x, y, batches, opt, loss, train_head) -> LocalRun:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    nn.check_input(theta, x)
-    check_inputs(head, (len(x), theta.output_dim), y)
-    return LocalRun(theta, head, x, y, list(batches), opt, loss, train_head)
+def _checked_run(run: LocalRun) -> LocalRun:
+    x = np.asarray(run.x, dtype=np.float64)
+    y = np.asarray(run.y, dtype=np.int64)
+    nn.check_input(run.theta, x)
+    check_inputs(run.head, (len(x), run.theta.output_dim), y)
+    return LocalRun(run.theta, run.head, x, y, list(run.batches), run.opt, run.loss)
 
 
 def _group_key(run: LocalRun) -> tuple:
@@ -276,7 +272,6 @@ def _group_key(run: LocalRun) -> tuple:
         run.head.shape,
         (run.loss.variant, run.loss.margin, run.loss.scale),
         (run.opt.learning_rate, run.opt.momentum, run.opt.weight_decay),
-        run.train_head,
         tuple(len(idx) for idx in run.batches),
     )
 
@@ -286,21 +281,18 @@ class _Layout(NamedTuple):
 
     theta: int  # the backbone, flat
     size: int  # the backbone, then the head
-    stepped: int  # what SGD moves: size, or the backbone alone with the head fixed
     widths: list  # the input, then every layer's output
     most: int  # the rows of the largest step
 
     def lengths(self, k: int) -> tuple[int, int]:
         """The held and scratch lengths _train_group takes for k runs."""
-        return k * (self.size + self.stepped), k * (self.size + self.most * sum(self.widths))
+        return k * 2 * self.size, k * (self.size + self.most * sum(self.widths))
 
 
 def _layout(run: LocalRun) -> _Layout:
-    size = run.theta.size + run.head.size
     return _Layout(
         run.theta.size,
-        size,
-        size if run.train_head else run.theta.size,
+        run.theta.size + run.head.size,
         [run.x.shape[1]] + [w.shape[-1] for w, _ in run.theta.layers],
         max(map(len, run.batches), default=0),
     )
@@ -315,7 +307,7 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         return a if lead else a[None]
 
     flat = held.take(lead + (layout.size,))
-    velocity = held.take(lead + (layout.stepped,))
+    velocity = held.take(lead + (layout.size,))
     grad = scratch.take(lead + (layout.size,))  # every slot a step reads is written first
     params, grads, start = [], [], 0
     for a in first.theta.to_list() + [first.head]:
@@ -334,7 +326,6 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         row[...] = run.head
     layers = list(zip(params[::2], params[1::2]))
     grad_layers = list(zip(grads[::2], grads[1::2]))
-    stepped, stepped_grad = [flat[..., : layout.stepped]], [grad[..., : layout.stepped]]
 
     for row, run in zip(per_run(velocity), group):
         if not run.opt.velocity:
@@ -345,7 +336,7 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
             row[...] = run.opt.velocity[0]
     # the gradient buffer doubles as the update's scratch
     opt = nn.SgdState(
-        first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [velocity], stepped_grad
+        first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [velocity], [grad]
     )
 
     # every step's row indices and targets, up front: an index out of range
@@ -390,7 +381,7 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         trace.append(lg.loss)
         nn.reverse_sweep(layers, h, tape, lg.grad_feature, grad_layers)
         grad_head[...] = lg.grad_embeddings
-        nn.sgd_update(opt, stepped, stepped_grad)
+        nn.sgd_update(opt, [flat], [grad])
 
     traces = np.array(trace, dtype=np.float64).reshape(len(trace), k).T.tolist()
     results = []
@@ -429,7 +420,6 @@ def client_update(
         _batch_plan(client.n_samples, cfg, rng),
         nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay),
         cfg.loss,
-        cfg.mode != "fedpe_fixed",
     )
 
 
@@ -511,8 +501,7 @@ def run_round(
     for k, (backbone, head_k, trace) in zip(trained, local_sgd(runs, workspace)):
         rows.append(backbone)
         counts.append(clients[k].n_samples)
-        if cfg.mode != "fedpe_fixed":
-            new_w[:, server.head_slices[k]] = head_k
+        new_w[:, server.head_slices[k]] = head_k
         if trace:
             losses.append(float(np.mean(trace)))
 
@@ -596,7 +585,7 @@ def centralized_round(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
     batches = _batch_plan(client.n_samples, cfg, rng)
     ((backbone, head, trace),) = local_sgd(
-        [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss, True)]
+        [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss)]
     )
     new_server = replace(
         server,

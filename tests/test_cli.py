@@ -96,6 +96,25 @@ def test_validate_rejects_the_removed_correct_all_heads_key(tmp_path, capsys):
     assert "[federation] correct_all_heads: unknown key" in capsys.readouterr().err
 
 
+def test_validate_and_run_reject_the_removed_fedpe_fixed_mode(tmp_path, capsys):
+    # every local run trains backbone and head; frozen heads are no mode any more
+    path = write_tiny(tmp_path)
+    assert cli.main(["run", str(path), "--mode", "fedpe_fixed"]) == 1
+    assert "[grid] modes: unknown mode 'fedpe_fixed'" in capsys.readouterr().err
+    path.write_text(path.read_text().replace("modes = fedpe", "modes = fedpe, fedpe_fixed"))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "[grid] modes: unknown mode 'fedpe_fixed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_a_negative_class_center_scale(tmp_path, capsys):
+    # numpy would refuse it only when the run draws the class centers
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace("input_dim = 4", "input_dim = 4\nclass_center_scale = -1"))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "[data] class_center_scale: need in [0, inf)" in capsys.readouterr().err
+
+
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert cli.main(["run", str(path)]) == 0

@@ -52,6 +52,11 @@ def test_spec_validation():
         SyntheticSpec(input_dim=0)
     with pytest.raises(ValueError):
         SyntheticSpec(cluster_std=-0.1)
+    # both scales must be finite and non-negative, NaN included
+    for name in ("cluster_std", "class_center_scale"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name}: need in \\[0, inf\\)"):
+                SyntheticSpec(**{name: bad})
     with pytest.raises(ValueError):
         SyntheticSpec(pairs_per_class=0)
 

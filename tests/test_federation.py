@@ -248,14 +248,6 @@ def test_client_update_single_step_matches_hand_gradient():
         np.testing.assert_allclose(b, b0 - cfg.eta * gb, atol=1e-12)
 
 
-def test_fixed_head_mode_trains_backbone_only():
-    cfg = small_cfg(mode="fedpe_fixed")
-    _, server, clients = make_federation(cfg)
-    theta_k, head_k, _ = train_client(clients[0], server.theta, head_of(server, 0), cfg)
-    np.testing.assert_array_equal(head_k, head_of(server, 0))
-    assert not np.array_equal(theta_k.layers[0][0], server.theta.layers[0][0])
-
-
 def test_local_training_reduces_loss():
     cfg = small_cfg(local_steps=30)
     _, server, clients = make_federation(cfg)
@@ -266,7 +258,7 @@ def test_local_training_reduces_loss():
 # ---------------------------------------------------------------- fused loop vs reference
 
 
-def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
+def reference_local_sgd(theta, head, x, y, batches, opt, loss):
     """The unfused loop local_sgd replaced, kept here as its bitwise oracle.
 
     Each step runs nn.forward, gradcheck.batch_loss_and_grad,
@@ -281,15 +273,11 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss, train_head):
         lg = batch_loss_and_grad(loss, head, feats, yb)
         trace.append(lg.loss)
         grad_layers, _ = backward(theta, xb, np.atleast_2d(lg.grad_feature))
-        params = theta.to_list()
-        grads = [g for pair in grad_layers for g in pair]
-        if train_head:
-            params.append(head)
-            grads.append(lg.grad_embeddings)
+        params = theta.to_list() + [head]
+        grads = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
         new = [p.copy() for p in params]
         nn.sgd_update(opt, new, grads)
-        if train_head:
-            head = new.pop()
+        head = new.pop()
         theta = nn.BackboneParams.from_list(new)
     return theta, head, trace
 
@@ -304,12 +292,11 @@ def assert_same_training(got, want):
     np.testing.assert_array_equal(trace_a, trace_b)
 
 
-@pytest.mark.parametrize("mode", ["fedpe", "fedpe_fixed"])
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
-def test_client_update_bitwise_matches_reference_loop(loss, mode):
+def test_client_update_bitwise_matches_reference_loop(loss):
     # 36 samples in batches of 16: seven steps cross two epoch boundaries and
     # take the partial 4-sample batch twice
-    cfg = small_cfg(loss=loss, mode=mode, local_steps=7)
+    cfg = small_cfg(loss=loss, local_steps=7)
     _, server, clients = make_federation(cfg)
     cl = clients[0]
     assert cl.n_samples % cfg.batch_size
@@ -319,11 +306,9 @@ def test_client_update_bitwise_matches_reference_loop(loss, mode):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
     want = reference_local_sgd(
         server.theta, head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
-        nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay), cfg.loss, mode != "fedpe_fixed",
+        nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay), cfg.loss,
     )
     assert_same_training(got, want)
-    if mode == "fedpe_fixed":
-        np.testing.assert_array_equal(got[1], head)
 
 
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
@@ -340,33 +325,33 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r, 0xCE]))
         theta, head, trace = reference_local_sgd(
             theta, head, ds.train_x, ds.train_y, _batch_plan(len(ds.train_y), cfg, rng),
-            opt, cfg.loss, True,
+            opt, cfg.loss,
         )
         theta_c, head_c, loss_c = got[r]
         assert_same_training((theta_c, head_c, [loss_c]), (theta, head, [np.mean(trace)]))
 
 
-@pytest.mark.parametrize("train_head", [True, False])
+@pytest.mark.parametrize("batch_size", [16, 11])
 @pytest.mark.parametrize("momentum, weight_decay", [(0.9, 5e-4), (0.0, 0.0), (0.5, 0.0), (0.0, 1e-2)])
 @pytest.mark.parametrize("dims", [[5, 6], [5, 10, 6], [5, 9, 7, 6], [5, 3, 8, 4, 6]])
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
 def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
-    loss, dims, momentum, weight_decay, train_head
+    loss, dims, momentum, weight_decay, batch_size
 ):
     # the presets only train two layers with momentum and decay; the fused
     # step must also match on one layer, three layers, four layers through a
-    # hidden layer narrower than the input, and a zero momentum or decay
+    # hidden layer narrower than the input, and a zero momentum or decay.
+    # The 45 training rows end each epoch in a 13-row batch of 16 or a
+    # 1-row batch of 11.
     ds = generate(SyntheticSpec(num_classes=5, samples_per_class=12, input_dim=5, seed=2))
     theta = nn.init_backbone(dims, seed=4)
     head = init_head(5, dims[-1], np.random.default_rng(9))
-    cfg = small_cfg(batch_size=16, local_steps=6)
+    cfg = small_cfg(batch_size=batch_size, local_steps=6)
     batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
     assert len(ds.train_y) % cfg.batch_size
     args = (ds.train_x, ds.train_y, batches)
-    (got,) = local_sgd([(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head)])
-    want = reference_local_sgd(
-        theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss, train_head
-    )
+    (got,) = local_sgd([LocalRun(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)])
+    want = reference_local_sgd(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)
     assert_same_training(got, want)
     assert got[0].shape == (theta.size,)
 
@@ -382,24 +367,24 @@ def test_local_sgd_classifies_divergence_inside_the_step():
     dead = head.copy()
     dead[:, 2] = 0.0
     with pytest.raises(NonFiniteError, match="zero-norm") as exc:
-        local_sgd([(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface(), True)])
+        local_sgd([LocalRun(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface())])
     assert exc.type is NonFiniteError
     for loss in (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # the first step is finite; its update overflows the parameters
             (one_step,) = local_sgd(
-                [(theta, head, ds.train_x, ds.train_y, batches[:1], nn.SgdState(1e300), loss, True)]
+                [LocalRun(theta, head, ds.train_x, ds.train_y, batches[:1], nn.SgdState(1e300), loss)]
             )
             assert np.isfinite(one_step[2]).all()
             with pytest.raises(NonFiniteError) as exc:
-                local_sgd([(theta, head, ds.train_x, ds.train_y, batches, nn.SgdState(1e300), loss, True)])
+                local_sgd([LocalRun(theta, head, ds.train_x, ds.train_y, batches, nn.SgdState(1e300), loss)])
         assert exc.type is NonFiniteError
 
 
 # ---------------------------------------------------------------- lockstep groups
 
 
-def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt, train_head):
+def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt):
     """A LocalRun on random data whose batch plan has the given shape."""
     theta = nn.init_backbone(dims, seed=int(rng.integers(2**31)))
     for _, b in theta.layers:
@@ -408,7 +393,7 @@ def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt, train_hea
     x = rng.normal(0.0, 2.0, size=(rows, dims[0]))
     y = rng.integers(0, classes, size=rows)
     cfg = small_cfg(batch_size=batch_size, local_steps=steps)
-    return LocalRun(theta, head, x, y, _batch_plan(rows, cfg, rng), opt, loss, train_head)
+    return LocalRun(theta, head, x, y, _batch_plan(rows, cfg, rng), opt, loss)
 
 
 def assert_same_training_and_velocity(got, want, opt_got, opt_want):
@@ -428,19 +413,16 @@ def assert_same_training_and_velocity(got, want, opt_got, opt_want):
     classes=st.integers(1, 5),
     momentum=st.sampled_from([0.0, 0.9]),
     decay=st.sampled_from([0.0, 5e-3]),
-    train_head=st.booleans(),
     others=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 # sixteen runs whose third step is a 1-row partial batch; three 1-row runs
 @example(k=16, hidden=[9, 9, 9], loss=LossSpec.cosface(), rows=33,
-         batch_size=16, steps=5, classes=5, momentum=0.9, decay=5e-3, train_head=True,
-         others=3, seed=1)
+         batch_size=16, steps=5, classes=5, momentum=0.9, decay=5e-3, others=3, seed=1)
 @example(k=3, hidden=[2], loss=LossSpec.arcface(), rows=1, batch_size=1,
-         steps=2, classes=2, momentum=0.0, decay=0.0, train_head=False, others=0, seed=2)
+         steps=2, classes=2, momentum=0.0, decay=0.0, others=0, seed=2)
 def test_lockstep_local_sgd_is_bitwise_per_run(
-    k, hidden, loss, rows, batch_size, steps, classes, momentum, decay,
-    train_head, others, seed,
+    k, hidden, loss, rows, batch_size, steps, classes, momentum, decay, others, seed,
 ):
     # k runs of one shape train as one stacked group; `others` runs with a
     # different head width or row count join the call at random positions
@@ -454,7 +436,7 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
     def make(classes_k, rows_k):
         # one run twice, each copy with its own optimizer
         run = random_run(rng, dims, classes_k, rows_k, batch_size, steps, loss,
-                         nn.SgdState(0.05, momentum, decay), train_head)
+                         nn.SgdState(0.05, momentum, decay))
         return run, run._replace(opt=nn.SgdState(0.05, momentum, decay))
 
     pairs = [make(classes, rows) for _ in range(k)]
@@ -475,8 +457,6 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
         for run_g, run_a, ref_opt, g, w in zip(grouped, alone, ref_opts, got, want, strict=True):
             assert_same_training_and_velocity(g, w, run_g.opt, run_a.opt)
             assert_same_training(g, reference_local_sgd(*run_a._replace(opt=ref_opt)))
-            if not train_head:
-                np.testing.assert_array_equal(g[1], run_g.head)
         grouped = [run._replace(theta=run.theta.unflatten(g[0]), head=g[1]) for run, g in zip(grouped, got)]
         alone = [run._replace(theta=run.theta.unflatten(w[0]), head=w[1]) for run, w in zip(alone, want)]
 
@@ -485,7 +465,7 @@ def test_lockstep_group_diverges_with_one_dead_client():
     # one zero-norm head column in one client of a CosFace group diverges the call
     rng = np.random.default_rng(3)
     runs = [
-        random_run(rng, [4, 8, 3], 3, 20, 8, 3, LossSpec.cosface(), nn.SgdState(0.05), True)
+        random_run(rng, [4, 8, 3], 3, 20, 8, 3, LossSpec.cosface(), nn.SgdState(0.05))
         for _ in range(5)
     ]
     runs[2].head[:, 1] = 0.0
@@ -501,7 +481,7 @@ def test_lockstep_batches_index_each_client_alone():
     # does; an index past either end raises instead of reading a neighbour's
     rng = np.random.default_rng(5)
     runs = [
-        random_run(rng, [4, 6, 3], 2, 7, 4, 2, LossSpec.softmax(), nn.SgdState(0.05), True)
+        random_run(rng, [4, 6, 3], 2, 7, 4, 2, LossSpec.softmax(), nn.SgdState(0.05))
         for _ in range(3)
     ]
     runs = [run._replace(batches=[np.array([-1, 0, -7, 3]), np.array([6, -2, 1, 2])]) for run in runs]
@@ -518,15 +498,18 @@ def test_lockstep_batches_index_each_client_alone():
 def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
     rng = np.random.default_rng(4)
     opt = nn.SgdState(0.05, 0.9)
-    a, b = (random_run(rng, [4, 5, 3], 2, 9, 4, 2, LossSpec.softmax(), opt, True) for _ in range(2))
+    a, b = (random_run(rng, [4, 5, 3], 2, 9, 4, 2, LossSpec.softmax(), opt) for _ in range(2))
     with pytest.raises(ValueError, match="own SgdState"):
         local_sgd([a, b])
-    # a velocity that does not fit the trained parameters (here: the frozen
-    # head) is refused, alone or in a group
+    # a velocity that does not fit the trained parameters (here: one left by
+    # a run with a narrower head) is refused, alone or in a group
     (trained,) = local_sgd([a])
     assert len(trained[2]) == 2
+    narrow = a._replace(head=a.head[:, :1], y=np.zeros_like(a.y), opt=nn.SgdState(0.05, 0.9))
+    local_sgd([narrow])
+    foreign = a._replace(opt=narrow.opt)
     b = b._replace(opt=nn.SgdState(0.05, 0.9))
-    for runs in ([a._replace(train_head=False)], [a._replace(train_head=False), b._replace(train_head=False)]):
+    for runs in ([foreign], [foreign, b]):
         with pytest.raises(ValueError, match="mismatch"):
             local_sgd(runs)
     assert local_sgd([]) == []
@@ -620,8 +603,7 @@ def replay_round(server, clients, cfg, rng):
         ((backbone, head_k, trace),) = local_sgd([run])
         rows.append(backbone)
         counts.append(clients[k].n_samples)
-        if cfg.mode != "fedpe_fixed":
-            new_w[:, server.head_slices[k]] = head_k
+        new_w[:, server.head_slices[k]] = head_k
         losses.append(float(np.mean(trace)))
     emb = replace(server.embeddings, W=new_w)
     theta = aggregate_theta(rows, counts, server.theta)
@@ -713,17 +695,6 @@ def test_workspace_stops_growing():
         server, _ = run_round(server, clients, cfg, rng, workspace)
         assert [(id(a), a.nbytes) for a in (workspace.held, workspace.scratch)] == arenas
     assert len(head_widths) > 1
-
-
-def test_fixed_heads_stay_at_initialization_across_rounds():
-    cfg = small_cfg(mode="fedpe_fixed", rounds=3)
-    _, server, clients = make_federation(cfg)
-    w0 = server.embeddings.W.copy()
-    rng = round_rng(cfg.seed)
-    for _ in range(3):
-        server, _ = run_round(server, clients, cfg, rng)
-    np.testing.assert_array_equal(server.embeddings.W, w0)
-    assert server.round == 3
 
 
 def test_partial_participation_head_movement():

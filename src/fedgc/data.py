@@ -34,7 +34,8 @@ class SyntheticSpec:
             ("samples_per_class", self.samples_per_class >= 8,
              f"need >= 8, got {self.samples_per_class}"),
             ("input_dim", self.input_dim >= 1, f"need >= 1, got {self.input_dim}"),
-            ("cluster_std", 0.0 <= self.cluster_std < np.inf, f"need in [0, inf), got {self.cluster_std}"),
+            ("cluster_std", 0.0 <= self.cluster_std < np.inf,
+             f"need in [0, inf), got {self.cluster_std}"),
             ("class_center_scale", 0.0 <= self.class_center_scale < np.inf,
              f"need in [0, inf), got {self.class_center_scale}"),
             ("pairs_per_class", self.pairs_per_class >= 1, f"need >= 1, got {self.pairs_per_class}"),

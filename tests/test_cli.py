@@ -107,12 +107,17 @@ def test_validate_and_run_reject_the_removed_fedpe_fixed_mode(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_rejects_a_negative_class_center_scale(tmp_path, capsys):
-    # numpy would refuse it only when the run draws the class centers
+@pytest.mark.parametrize("key, value", [
+    ("class_center_scale", "-1"), ("class_center_scale", "nan"),
+    ("class_center_scale", "inf"), ("cluster_std", "inf"),
+])
+def test_validate_rejects_a_bad_data_scale(tmp_path, capsys, key, value):
+    # a negative scale crashed numpy only when the run drew the data; a NaN or
+    # infinite one validated and then diverged every cell at round 0
     path = write_tiny(tmp_path)
-    path.write_text(path.read_text().replace("input_dim = 4", "input_dim = 4\nclass_center_scale = -1"))
+    path.write_text(path.read_text().replace("input_dim = 4", f"input_dim = 4\n{key} = {value}"))
     assert cli.main(["validate", str(path)]) == 1
-    assert "[data] class_center_scale: need in [0, inf)" in capsys.readouterr().err
+    assert f"[data] {key}: need in [0, inf)" in capsys.readouterr().err
 
 
 def test_run_trains_and_writes_outputs(tmp_path, capsys):

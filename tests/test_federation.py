@@ -292,11 +292,12 @@ def assert_same_training(got, want):
     np.testing.assert_array_equal(trace_a, trace_b)
 
 
+@pytest.mark.parametrize("batch_size, local_steps", [(16, 7), (5, 17)])
 @pytest.mark.parametrize("loss", [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()])
-def test_client_update_bitwise_matches_reference_loop(loss):
-    # 36 samples in batches of 16: seven steps cross two epoch boundaries and
-    # take the partial 4-sample batch twice
-    cfg = small_cfg(loss=loss, local_steps=7)
+def test_client_update_bitwise_matches_reference_loop(loss, batch_size, local_steps):
+    # 36 samples in batches of 16 or 5: the steps cross two epoch boundaries
+    # and take the partial 4-sample or 1-sample batch twice
+    cfg = small_cfg(loss=loss, batch_size=batch_size, local_steps=local_steps)
     _, server, clients = make_federation(cfg)
     cl = clients[0]
     assert cl.n_samples % cfg.batch_size

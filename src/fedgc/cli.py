@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from . import experiments
+from .config import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,11 +57,14 @@ def _cmd_run(args) -> int:
             lam=args.lam,
             fraction=args.fraction,
         )
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 1
-    return experiments.run_experiment(spec, echo=print)
+    if not problems:
+        try:
+            return experiments.run_experiment(spec, echo=print)
+        except ConfigError as exc:  # data whose draws overflow, found once they are drawn
+            problems = experiments.file_problems(exc)
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return 1
 
 
 def _cmd_validate(args) -> int:

@@ -82,7 +82,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """Seeded dataset with a disjoint train/test split and verification pairs.
 
     Pairs come from the test block only: spec.pairs_per_class * C positive
-    pairs (same class, distinct samples) and as many negative pairs.
+    pairs (same class, distinct samples) and as many negative pairs. Draws
+    past float64's range raise ConfigError naming the scale behind them.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     c, spc, dim = spec.num_classes, spec.samples_per_class, spec.input_dim
@@ -90,10 +91,17 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     n_train, n_test = split_rows(spc)
 
+    per_class = rng.normal(0.0, spec.cluster_std, size=(c, spc, dim))
+    centers_ok, noise_ok = np.isfinite(centers).all(), np.isfinite(per_class).all()
     # each class's centre added in place to its noise rows: the same sums as
     # centre + noise, without two more arrays of every sample
-    per_class = rng.normal(0.0, spec.cluster_std, size=(c, spc, dim))
-    per_class += centers[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_class += centers[:, None, :]
+    # a finite scale can still draw past float64's range. Past finite centres only
+    # noise of 1e292 or more (half float64's largest ulp) takes a sample there
+    noise_ok &= not centers_ok or np.isfinite(per_class).all()
+    check(spec, [(name, ok, f"draws overflow float64 at {getattr(spec, name):g}")
+                 for name, ok in (("class_center_scale", centers_ok), ("cluster_std", noise_ok))])
     train_x = per_class[:, :n_train, :].reshape(c * n_train, dim)
     train_y = np.repeat(np.arange(c), n_train)
     test_x = per_class[:, n_train:, :].reshape(c * n_test, dim)

@@ -1,4 +1,4 @@
-"""Verification accuracy and embedding-geometry statistics."""
+"""Verification accuracy, embedding-geometry statistics and the fit to the client shards."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import nn
+from .losses import LossSpec, check_inputs, loss_and_grad, target_index
 from .regularizers import StackedEmbeddings
 
 # Elements in one block of the similarity pass: 1 MiB of float64 per
@@ -146,14 +147,21 @@ def embedding_similarity_stats(emb: StackedEmbeddings) -> SimilarityStats:
     )
 
 
-def mean_anchor_feature_distance(server, clients) -> float:
-    """Mean distance between each sample's feature and its own class embedding."""
-    total, count = 0.0, 0
+def shard_fit(server, clients, loss: LossSpec) -> tuple[float, float]:
+    """(empirical loss, mean anchor distance) over the clients' shards, one forward each.
+
+    Client k's mean loss weighs n_k / N, N the samples of all the given clients.
+    The distance is from each sample's feature to its own class embedding, NaN if N = 0.
+    """
+    n_all = sum(cl.n_samples for cl in clients)
+    total_loss, total_dist = 0.0, 0.0
     for cl in clients:
         if cl.n_samples == 0:
             continue
         feats = nn.forward(server.theta, cl.x)
-        cols = server.embeddings.W[:, server.head_slices[cl.client_id]]
-        total += float(np.linalg.norm(cols[:, cl.y_local].T - feats, axis=1).sum())
-        count += cl.n_samples
-    return total / count if count else float("nan")
+        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
+        check_inputs(head, feats.shape, cl.y_local)
+        lg = loss_and_grad(loss, head, feats, target_index(cl.y_local, head.shape[1]))
+        total_loss += cl.n_samples / n_all * float(lg.loss)
+        total_dist += float(np.linalg.norm(head[:, cl.y_local].T - feats, axis=1).sum())
+    return total_loss, total_dist / n_all if n_all else float("nan")

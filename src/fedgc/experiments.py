@@ -241,7 +241,7 @@ _RENAMED = {
 }
 
 
-def _file_problems(exc: ConfigError) -> list[str]:
+def file_problems(exc: ConfigError) -> list[str]:
     """A dataclass's problems, each prefixed with the [section] key a file sets it with."""
     out = []
     for name, why in exc.problems:
@@ -318,7 +318,7 @@ def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
         try:
             return make(*args, **kwargs)
         except ConfigError as exc:
-            problems.extend(_file_problems(exc))
+            problems.extend(file_problems(exc))
             return exc.value
 
     def owned_by(cls) -> dict:
@@ -371,7 +371,7 @@ def apply_overrides(
     try:
         return replace(spec, **changes), []
     except ConfigError as exc:
-        return spec, _file_problems(exc)
+        return spec, file_problems(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +415,18 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
     cross, within = stats.cross_client_max_cos, stats.within_client_max_cos
     cross = cross if np.isfinite(cross) else stats.all_pairs_max_cos
     within = within if np.isfinite(within) else stats.all_pairs_max_cos
+    # the combined objective: shard losses plus lambda times a correction mode's penalty
+    objective, anchor_dist = evaluation.shard_fit(server, clients, cfg.loss)
+    if cfg.lam > 0.0 and cfg.mode in federation.CORRECTION_MODES:
+        objective += cfg.lam * federation.regularizer_grad(server.embeddings, cfg).value
     return evaluation.RoundMetrics(
         round=server.round,
         mean_local_loss=mean_loss,
-        combined_objective=federation.combined_objective(server, clients, cfg),
+        combined_objective=objective,
         verification_accuracy=accuracy,
         cross_client_max_cos=cross,
         within_client_max_cos=within,
-        mean_anchor_feature_dist=evaluation.mean_anchor_feature_distance(server, clients),
+        mean_anchor_feature_dist=anchor_dist,
         similarity=stats,
     )
 
@@ -485,11 +489,9 @@ def train_centralized(dataset, cfg, eval_every: int = 10):
     return _train_rounds(server, [client], step, cfg, dataset, eval_every)
 
 
-def run_cell(spec: ExperimentSpec, cell: Cell, dataset=None) -> CellResult:
-    """Train one grid cell on `dataset`, generated from the spec when not given."""
+def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> CellResult:
+    """Train one grid cell on the grid's dataset (make_dataset)."""
     cfg = cell_config(spec, cell)
-    if dataset is None:
-        dataset = make_dataset(spec, cfg)
     if cfg.mode == "centralized":
         status, metrics, server, clients = train_centralized(dataset, cfg, spec.eval_every)
     else:
@@ -506,7 +508,7 @@ def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
             w.writerow([float(left), int(count)])
 
 
-def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -> str:
+def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset: datasets.Dataset) -> str:
     """Write one cell's directory whole: remove what an earlier run left there, then write."""
     cell_dir = os.path.join(spec.out_dir, result.cell.name)
     if os.path.exists(cell_dir):
@@ -528,13 +530,12 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset=None) -
         _write_hist(
             os.path.join(cell_dir, "similarity_within.csv"), stats.bin_edges, stats.within_hist
         )
-        if dataset is not None:
-            # raw feature matrix + labels, for external projection/plotting
-            feats = nn.forward(result.server.theta, dataset.test_x)
-            nn.write_tensors(
-                os.path.join(cell_dir, "test_features.fgc"),
-                [feats, dataset.test_y.astype(np.float64)],
-            )
+        # raw feature matrix + labels, for external projection/plotting
+        feats = nn.forward(result.server.theta, dataset.test_x)
+        nn.write_tensors(
+            os.path.join(cell_dir, "test_features.fgc"),
+            [feats, dataset.test_y.astype(np.float64)],
+        )
     return cell_dir
 
 
@@ -572,10 +573,10 @@ def write_summary(spec: ExperimentSpec, results: list[CellSummary]) -> str:
 
 def run_experiment(spec: ExperimentSpec, echo=None) -> int:
     """Run the whole grid; 0 if any cell finished, 2 if every cell diverged."""
-    os.makedirs(spec.out_dir, exist_ok=True)
     # cell_config changes only mode, participation and lambda, so every cell
     # has the data and seed of spec.fed
     dataset = make_dataset(spec, spec.fed)
+    os.makedirs(spec.out_dir, exist_ok=True)
     results = []
     for cell in spec.grid():
         result = _run_and_write_cell(spec, cell, dataset)

@@ -534,28 +534,6 @@ def merge_shared_identities(server: ServerState) -> ServerState:
     return replace(server, embeddings=replace(server.embeddings, W=w))
 
 
-def combined_objective(server: ServerState, clients: list[ClientData], cfg: FederationConfig) -> float:
-    """Weighted mean of client empirical losses plus lambda times the regularizer.
-
-    Client k weighs n_k / N, N the samples of all the given clients.
-    Evaluation only; the training loop never differentiates this directly.
-    """
-    n_all = sum(cl.n_samples for cl in clients)
-    total = 0.0
-    for cl in clients:
-        if cl.n_samples == 0:
-            continue
-        feats = nn.forward(server.theta, cl.x)
-        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
-        check_inputs(head, feats.shape, cl.y_local)
-        lg = loss_and_grad(cfg.loss, head, feats, target_index(cl.y_local, head.shape[1]))
-        total += cl.n_samples / n_all * float(lg.loss)
-    if cfg.lam > 0.0 and cfg.mode in CORRECTION_MODES:
-        rg = regularizer_grad(server.embeddings, cfg)
-        total += cfg.lam * rg.value
-    return total
-
-
 def build_centralized(
     x: np.ndarray, y: np.ndarray, num_classes: int, cfg: FederationConfig
 ) -> tuple[ServerState, ClientData]:

@@ -22,6 +22,7 @@ from fedgc.data import generate, partition_balanced
 from fedgc.experiments import (
     OK,
     cell_config,
+    compute_round_metrics,
     make_dataset,
     make_partition,
     parse_config,
@@ -47,8 +48,9 @@ def collect(name, seeds=range(5)):
     for seed in seeds:
         s = replace(spec, fed=replace(spec.fed, seed=seed))
         t0 = time.perf_counter()
+        dataset = make_dataset(s, s.fed)
         for cell in s.grid():
-            rows.append((cell, seed, run_cell(s, cell)))
+            rows.append((cell, seed, run_cell(s, cell, dataset)))
         times.append(time.perf_counter() - t0)
     return rows, times
 
@@ -164,7 +166,7 @@ def test_criterion_04_combined_objective_equals_per_sample_evaluation():
         reg += float(np.log(1.0 + np.exp(w[:, cross].T @ w[:, a] - w[:, a] @ w[:, a]).sum()))
     expected = per_sample + cfg.lam * reg
 
-    got = federation.combined_objective(server, clients, cfg)
+    got = compute_round_metrics(server, clients, cfg, ds, 0.0).combined_objective
     rel = abs(got - expected) / max(1.0, abs(expected))
     assert rel < 1e-10, rel
     print(f"\n[PASS] criterion 4: combined objective matches the per-sample "
@@ -258,7 +260,7 @@ def test_criterion_09_multiplier_sweep_rises_then_collapses(sweep_runs):
 def test_criterion_10_shared_identity_merge_and_masked_penalty():
     spec = load_preset("shared")
     cell = next(c for c in spec.grid() if c.mode == "fedgc")
-    result = run_cell(spec, cell)
+    result = run_cell(spec, cell, make_dataset(spec, spec.fed))
     assert result.status == OK
     server, clients = result.server, result.clients
     cfg = cell_config(spec, cell)

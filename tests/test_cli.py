@@ -120,6 +120,18 @@ def test_validate_rejects_a_bad_data_scale(tmp_path, capsys, key, value):
     assert f"[data] {key}: need in [0, inf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["class_center_scale", "cluster_std"])
+def test_run_refuses_a_data_scale_whose_draws_overflow(tmp_path, capsys, key):
+    # 1e308 is a valid scale, but some of its draws overflow float64; the run
+    # reported every cell diverged at round 0 and exited 2
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace("input_dim = 4", f"input_dim = 4\n{key} = 1e308"))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: [data] {key}: draws overflow float64 at 1e+308" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert cli.main(["run", str(path)]) == 0

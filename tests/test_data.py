@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgc.config import ConfigError
 from fedgc.data import (
     ClientData,
     Dataset,
@@ -64,6 +65,20 @@ def test_spec_validation():
 def test_generate_rejects_too_few_samples_per_class():
     with pytest.raises(ValueError, match="samples_per_class"):
         generate(small_spec(samples_per_class=7))
+
+
+@pytest.mark.parametrize("center, std, named", [
+    (1e308, 1.0, ["class_center_scale"]),
+    (5.0, 1e308, ["cluster_std"]),
+    (1e308, 1e308, ["class_center_scale", "cluster_std"]),
+    # at seed 0 every centre and every noise draw is finite, but some sums are not
+    (4e307, 4e307, ["cluster_std"]),
+])
+def test_generate_refuses_draws_that_overflow(center, std, named):
+    # finite scales pass the spec's rules, but their draws can leave float64's range
+    with pytest.raises(ConfigError) as info:
+        generate(SyntheticSpec(class_center_scale=center, cluster_std=std, seed=0))
+    assert [name for name, _ in info.value.problems] == named
 
 
 def test_generate_is_deterministic_in_seed():

@@ -12,8 +12,8 @@ from fedgc.data import SyntheticSpec, generate, partition_balanced
 from fedgc.evaluation import (
     best_threshold_accuracy,
     embedding_similarity_stats,
-    mean_anchor_feature_distance,
     pair_cosines,
+    shard_fit,
     verification_accuracy,
 )
 from fedgc.federation import FederationConfig, build_federation, run_round
@@ -315,7 +315,7 @@ def small_federation(rounds=0, mode="fedpe", lam=0.0):
 
 
 def test_mean_anchor_feature_distance_hand_value():
-    server, clients, _ = small_federation()
+    server, clients, cfg = small_federation()
     # independent accumulation straight from the definition
     total, count = 0.0, 0
     for cl in clients:
@@ -325,7 +325,7 @@ def test_mean_anchor_feature_distance_hand_value():
             total += float(np.linalg.norm(server.embeddings.W[:, col] - feats[i]))
             count += 1
     expected = total / count
-    assert abs(mean_anchor_feature_distance(server, clients) - expected) < 1e-12
+    assert abs(shard_fit(server, clients, cfg.loss)[1] - expected) < 1e-12
 
 
 def test_grad_direction_diagnostic_probe_identity():

@@ -378,6 +378,24 @@ def test_single_client_metrics_fall_back_to_all_pairs():
     assert row.cross_client_max_cos == row.within_client_max_cos
 
 
+def test_evaluation_forwards_each_nonempty_shard_once(monkeypatch):
+    # the combined objective and the anchor distance share one forward per
+    # shard; the shared partition of 16 classes over 12 clients leaves 9 and 10 empty
+    ds = datasets.generate(
+        datasets.SyntheticSpec(num_classes=16, samples_per_class=12, input_dim=5, seed=1)
+    )
+    shards = datasets.partition_shared(ds, 12, 0.5, seed=5, group_size=2)
+    assert [cl.client_id for cl in shards if cl.n_samples == 0] == [9, 10]
+    cfg = replace(tiny_spec().fed, num_clients=12, mode="fedgc")
+    server, clients = federation.build_federation(shards, ds.input_dim, cfg)
+    real, seen = nn.forward, []
+    monkeypatch.setattr(nn, "forward", lambda params, x: seen.append(x) or real(params, x))
+    compute_round_metrics(server, clients, cfg, ds, 0.0)
+    inputs = [cl.x for cl in clients if cl.n_samples] + [ds.test_x]
+    assert len(seen) == len(inputs) == 11
+    assert all(sum(x is y for x in seen) == 1 for y in inputs)
+
+
 def test_centralized_evaluation_makes_one_similarity_pass(monkeypatch):
     real, calls = evaluation.embedding_similarity_stats, []
 
@@ -506,7 +524,7 @@ def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):
     refs, starts = [], []
     real_write, real_run = experiments.write_cell_outputs, experiments.run_cell
 
-    def write(spec, result, dataset=None):
+    def write(spec, result, dataset):
         objects = [result.server, *result.clients, *result.metrics]
         refs.append([weakref.ref(o) for o in objects])
         return real_write(spec, result, dataset)

@@ -25,6 +25,8 @@ from fedgc.data import (
     partition_lognormal,
     partition_shared,
 )
+from fedgc.evaluation import shard_fit
+from fedgc.experiments import compute_round_metrics
 from fedgc.federation import (
     FederationConfig,
     LocalRun,
@@ -35,7 +37,6 @@ from fedgc.federation import (
     build_federation,
     centralized_round,
     client_update,
-    combined_objective,
     correction_step,
     init_head,
     load_checkpoint,
@@ -167,7 +168,7 @@ def test_build_federation_layout():
     assert server.head_slices == [slice(0, 4), slice(4, 8)]
     assert server.embeddings.class_of.tolist() == list(range(8))
     np.testing.assert_array_equal(server.embeddings.client_of, np.repeat([0, 1], 4))
-    # equal shards, so combined_objective weighs the two clients 1/2 each
+    # equal shards, so the combined objective weighs the two clients 1/2 each
     assert [cl.n_samples for cl in clients] == [36, 36]
     assert server.round == 0 and server.embeddings.shared_columns() == []
     # the clients are the partition's shards; their heads live only on the server
@@ -837,7 +838,7 @@ def test_stack_owners_are_the_partition_assignment(scheme):
 
 def test_combined_objective_hand_value():
     cfg = small_cfg(mode="fedgc", lam=3.0)
-    _, server, clients = make_federation(cfg)
+    ds, server, clients = make_federation(cfg)
     expected, n_all = 0.0, sum(cl.n_samples for cl in clients)
     for cl in clients:
         feats = nn.forward(server.theta, cl.x)
@@ -845,9 +846,12 @@ def test_combined_objective_hand_value():
         expected += cl.n_samples / n_all * lg.loss
     plain = expected
     expected += 3.0 * softmax_reg(server.embeddings).value
-    assert abs(combined_objective(server, clients, cfg) - expected) < 1e-12
+    got = compute_round_metrics(server, clients, cfg, ds, 0.0).combined_objective
+    assert abs(got - expected) < 1e-12
     # fedpe never pays the penalty term even with lambda set
-    assert abs(combined_objective(server, clients, small_cfg(mode="fedpe", lam=3.0)) - plain) < 1e-12
+    fedpe = small_cfg(mode="fedpe", lam=3.0)
+    got = compute_round_metrics(server, clients, fedpe, ds, 0.0).combined_objective
+    assert abs(got - plain) < 1e-12
 
 
 def test_combined_objective_rejects_out_of_range_labels():
@@ -859,7 +863,7 @@ def test_combined_objective_rejects_out_of_range_labels():
     y[0] = len(clients[0].classes)
     shards = [replace(clients[0], y_local=y), *clients[1:]]
     with pytest.raises(ValueError, match="label out of range"):
-        combined_objective(server, shards, cfg)
+        shard_fit(server, shards, cfg.loss)
 
 
 # ---------------------------------------------------------------- centralized

@@ -57,7 +57,8 @@ def main() -> int:
     labels = rng.integers(4, size=16)
     head = rng.normal(0.0, 0.5, size=(8, 4))
     spec = LossSpec.softmax()
-    state = SgdState(learning_rate=0.1, momentum=0.9)
+    # one optimizer per tensor, the head's last
+    states = [SgdState(learning_rate=0.1, momentum=0.9) for _ in params.to_list() + [head]]
     print("step  loss")
     for step in range(6):
         feats = forward(params, x)
@@ -66,7 +67,8 @@ def main() -> int:
         flat = params.to_list() + [head]
         gflat = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
         new = [a.copy() for a in flat]
-        sgd_update(state, new, gflat)
+        for state, param, grad in zip(states, new, gflat, strict=True):
+            sgd_update(state, param, grad)
         params = BackboneParams.from_list(new[:-1])
         head = new[-1]
         print(f"{step:4d}  {lg.loss:.4f}")

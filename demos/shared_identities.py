@@ -65,11 +65,11 @@ def main() -> int:
     # the merge snaps them back together
     runs = []
     for k in range(cfg.num_clients):
-        head = server.embeddings.W[:, server.head_slices[k]]
+        head = server.embeddings.W[:, server.columns(k)]
         runs.append(federation.client_update(clients[k], server.theta, head, cfg, server.round))
     new_w = server.embeddings.W.copy()
     for k, (_, head_k, _) in enumerate(federation.local_sgd(runs)):
-        new_w[:, server.head_slices[k]] = head_k
+        new_w[:, server.columns(k)] = head_k
     drifted = replace(server, embeddings=replace(server.embeddings, W=new_w))
     merged = federation.merge_shared_identities(drifted)
 

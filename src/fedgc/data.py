@@ -38,6 +38,8 @@ class SyntheticSpec:
              f"need in [0, inf), got {self.cluster_std}"),
             ("class_center_scale", 0.0 <= self.class_center_scale < np.inf,
              f"need in [0, inf), got {self.class_center_scale}"),
+            ("cluster_std", self.cluster_std != 0.0 or self.class_center_scale != 0.0,
+             "need > 0 when class_center_scale = 0, or every sample is the zero vector"),
             ("pairs_per_class", self.pairs_per_class >= 1, f"need >= 1, got {self.pairs_per_class}"),
         ])
 

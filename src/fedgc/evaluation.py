@@ -39,25 +39,22 @@ class RoundMetrics:
 def best_threshold_accuracy(similarities: np.ndarray, same: np.ndarray) -> float:
     """Best accuracy over all thresholds on 'same iff similarity >= t'.
 
-    Sweeps every midpoint of consecutive sorted similarities plus the two
-    extremes, so the result depends only on the ordering of similarities.
-    Each threshold's correct count comes from cumulative same-pair counts
-    over the sorted similarities, which is O(N log N); NaN similarities pass
-    no threshold.
+    Sweeps every cut of the sorted similarities: below all of them, between
+    each two neighbours that differ, and above all of them, so the result
+    depends only on the ordering of similarities. Each cut's correct count
+    comes from cumulative same-pair counts over the sorted similarities,
+    which is O(N log N); NaN similarities pass no threshold.
     """
     similarities = np.asarray(similarities, dtype=np.float64)
     same = np.asarray(same, dtype=bool)
     if similarities.size == 0 or similarities.shape != same.shape:
         raise ValueError("need matching, nonempty similarity/label arrays")
-    order = np.sort(np.unique(similarities))
-    midpoints = (order[:-1] + order[1:]) / 2.0
-    thresholds = np.concatenate([[order[0] - 1.0], midpoints, [order[-1] + 1.0]])
     by_similarity = np.argsort(similarities, kind="stable")
-    sorted_sims = similarities[by_similarity]
     same_before = np.concatenate([[0], np.cumsum(same[by_similarity])])
     # sorted positions [lo, hi) are predicted same; NaNs sort last and pass nothing
     hi = int(np.count_nonzero(~np.isnan(similarities)))
-    lo = np.minimum(np.searchsorted(sorted_sims, thresholds, side="left"), hi)
+    ranked = similarities[by_similarity[:hi]]
+    lo = np.concatenate([[0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, [hi]])
     true_same = same_before[hi] - same_before[lo]
     different = similarities.size - same_before[-1]
     correct = different + 2 * true_same - (hi - lo)
@@ -159,7 +156,7 @@ def shard_fit(server, clients, loss: LossSpec) -> tuple[float, float]:
         if cl.n_samples == 0:
             continue
         feats = nn.forward(server.theta, cl.x)
-        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
+        head = server.embeddings.W[:, server.columns(cl.client_id)]
         check_inputs(head, feats.shape, cl.y_local)
         lg = loss_and_grad(loss, head, feats, target_index(cl.y_local, head.shape[1]))
         total_loss += cl.n_samples / n_all * float(lg.loss)

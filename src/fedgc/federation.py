@@ -101,7 +101,10 @@ class ServerState:
     theta: nn.BackboneParams
     embeddings: StackedEmbeddings
     round: int
-    head_slices: list[slice]         # column range of each client's head
+
+    def columns(self, k: int) -> slice:
+        """Client k's column range; the stack holds the clients in id order."""
+        return slice(*np.searchsorted(self.embeddings.client_of, [k, k + 1]))
 
 
 def init_head(num_classes: int, embedding_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,25 +121,25 @@ def build_federation(
     with its client and its global class; a client is only ever handed the
     backbone and its own columns: run_round hands client_update the server's
     own arrays, which local_sgd copies into its buffers and never writes to.
+    The shards must come in id order 0..K-1: run_round finds client k at
+    clients[k], and ServerState.columns finds its columns by that order.
     """
     theta = nn.init_backbone([input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     clients = list(client_data)
-    heads, client_of, class_of, slices = [], [], [], []
-    start = 0
+    if [cd.client_id for cd in clients] != list(range(len(clients))):
+        raise ValueError("clients must come in id order 0..K-1")
+    heads, client_of, class_of = [], [], []
     for cd in clients:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xEB, cd.client_id]))
         heads.append(init_head(len(cd.classes), cfg.embedding_dim, rng))
         client_of.extend([cd.client_id] * len(cd.classes))
         class_of.extend(cd.classes)
-        slices.append(slice(start, start + len(cd.classes)))
-        start += len(cd.classes)
     server = ServerState(
         theta=theta,
         embeddings=StackedEmbeddings(
             np.concatenate(heads, axis=1), np.array(client_of), class_of=np.array(class_of)
         ),
         round=0,
-        head_slices=slices,
     )
     return server, clients
 
@@ -231,7 +234,8 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray
     Returns (backbone, head, per-step losses) per run, in input order: the
     trained backbone as one flat row in BackboneParams.to_list order (see
     BackboneParams.unflatten) and the trained head. Each run's opt ends
-    holding its trained velocity, so every run needs its own SgdState. The
+    holding its trained velocity as one flat row, the backbone's in that
+    order and then the head's, so every run needs its own SgdState. The
     rows, heads and velocities are views into the workspace, valid until
     its next use; a call without a workspace gets fresh buffers, which
     nothing else writes to. No run's theta, head, x or y is mutated.
@@ -328,16 +332,10 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
     grad_layers = list(zip(grads[::2], grads[1::2]))
 
     for row, run in zip(per_run(velocity), group):
-        if not run.opt.velocity:
-            row[...] = 0.0
-        elif len(run.opt.velocity) != 1 or run.opt.velocity[0].shape != row.shape:
+        if run.opt.velocity is not None and run.opt.velocity.shape != row.shape:
             raise ValueError("velocity/params shape mismatch")
-        else:
-            row[...] = run.opt.velocity[0]
-    # the gradient buffer doubles as the update's scratch
-    opt = nn.SgdState(
-        first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, [velocity], [grad]
-    )
+        row[...] = 0.0 if run.opt.velocity is None else run.opt.velocity
+    opt = nn.SgdState(first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, velocity)
 
     # every step's row indices and targets, up front: an index out of range
     # raises here, as x[idx] would, so the gathers below may use take's
@@ -381,14 +379,14 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         trace.append(lg.loss)
         nn.reverse_sweep(layers, h, tape, lg.grad_feature, grad_layers)
         grad_head[...] = lg.grad_embeddings
-        nn.sgd_update(opt, [flat], [grad])
+        nn.sgd_update(opt, flat, grad)  # the gradient buffer doubles as its scratch
 
     traces = np.array(trace, dtype=np.float64).reshape(len(trace), k).T.tolist()
     results = []
     for run, row, head_k, velocity_k, trace_k in zip(
         group, per_run(flat), per_run(head), per_run(velocity), traces
     ):
-        run.opt.velocity = [velocity_k]
+        run.opt.velocity = velocity_k
         results.append((row[: layout.theta], head_k, trace_k))
     return results
 
@@ -491,7 +489,7 @@ def run_round(
     sampled = sample_clients(cfg, rng)
     runs, trained = [], []
     for k in sampled:
-        head = server.embeddings.W[:, server.head_slices[k]]
+        head = server.embeddings.W[:, server.columns(k)]
         run = client_update(clients[k], server.theta, head, cfg, server.round)
         if run is not None:
             runs.append(run)
@@ -501,7 +499,7 @@ def run_round(
     for k, (backbone, head_k, trace) in zip(trained, local_sgd(runs, workspace)):
         rows.append(backbone)
         counts.append(clients[k].n_samples)
-        new_w[:, server.head_slices[k]] = head_k
+        new_w[:, server.columns(k)] = head_k
         if trace:
             losses.append(float(np.mean(trace)))
 
@@ -547,7 +545,6 @@ def build_centralized(
         theta=theta,
         embeddings=StackedEmbeddings(head, np.zeros(num_classes, dtype=np.int64)),
         round=0,
-        head_slices=[slice(0, num_classes)],
     )
     return server, ClientData(0, list(range(num_classes)), x, y)
 
@@ -605,7 +602,7 @@ def save_checkpoint(server: ServerState, clients: list[ClientData], path) -> Non
     for cl in clients:
         nn.write_tensors(
             os.path.join(path, f"head_{cl.client_id:03d}.fgc"),
-            [emb.W[:, server.head_slices[cl.client_id]]],
+            [emb.W[:, server.columns(cl.client_id)]],
         )
 
 

@@ -67,55 +67,50 @@ def backward(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Gradients of <grad_out, forward(x)> w.r.t. parameters and x.
 
-    For a batch, grad_out rows pair with x rows and contributions are summed
-    over the batch (put any 1/n factor into grad_out).
+    x is an (n, in_dim) batch and grad_out an (n, out_dim) one whose rows
+    pair with x's; contributions are summed over the batch (put any 1/n
+    factor into grad_out).
 
     Returns (grad_layers, grad_x) with grad_layers matching params.layers.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    g = grad_out[None, :] if single else grad_out
-    nn.check_input(params, h)
-    if g.shape != (h.shape[0], params.output_dim):
+    nn.check_input(params, x)
+    if grad_out.shape != (x.shape[0], params.output_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
-    tape = nn.new_tape(params.layers, h.shape[:-1])
-    nn.record_forward(params.layers, h, tape)
+    tape = nn.new_tape(params.layers, x.shape[:-1])
+    nn.record_forward(params.layers, x, tape)
     grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
-    grad_x = np.empty(h.shape)
-    nn.reverse_sweep(params.layers, h, tape, g, grad_layers, grad_x)
-    return grad_layers, grad_x[0] if single else grad_x
+    grad_x = np.empty(x.shape)
+    nn.reverse_sweep(params.layers, x, tape, grad_out, grad_layers, grad_x)
+    return grad_layers, grad_x
 
 
 def batch_loss_and_grad(
     spec: LossSpec, embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> LossGrad:
-    """losses.loss_and_grad on unchecked inputs: one (d,) feature or an (n, d) batch.
+    """losses.loss_and_grad on unchecked inputs: an (n, d) batch with (n,) labels.
 
-    embeddings: (d, C) head columns; labels: one int or (n,) ints. Converts
-    to float64, applies check_inputs and returns a float loss; a one-row
-    batch gets a (d,) grad_feature.
+    embeddings: (d, C) head columns. Converts to float64 and int64, applies
+    check_inputs and returns a float loss.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     check_inputs(embeddings, features.shape, labels)
     lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
     lg.loss = float(lg.loss)
-    if features.shape[0] == 1:
-        lg.grad_feature = lg.grad_feature[0]
     return lg
 
 
-def global_softmax_grad(embeddings: np.ndarray, feature: np.ndarray, label: int) -> LossGrad:
-    """Standard softmax CE over the full stacked class space.
+def global_softmax_grad(embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray) -> LossGrad:
+    """Standard softmax CE over the full stacked class space, for a batch.
 
     This is the centralized oracle the correction step is compared against;
     it is plain cross entropy on raw logits, identical in form to the local
     softmax but over every class column.
     """
-    return batch_loss_and_grad(LossSpec.softmax(), embeddings, feature, label)
+    return batch_loss_and_grad(LossSpec.softmax(), embeddings, features, labels)
 
 
 def anchor_term(emb: StackedEmbeddings, a: int) -> RegGrad:
@@ -178,11 +173,10 @@ def grad_direction_diagnostic(server, clients, client_id: int = 0, sample: int =
     (c) the centralized softmax gradient over the full class space.
     """
     cl = clients[client_id]
-    feature = nn.forward(server.theta, cl.x[sample])
+    feature = nn.forward(server.theta, cl.x[sample : sample + 1])[0]
     label = int(cl.y_local[sample])
     w = server.embeddings.W.copy()
-    own = server.head_slices[cl.client_id]
-    anchor_col = own.start + label
+    anchor_col = server.columns(cl.client_id).start + label
     w[:, anchor_col] = feature
 
     client_of = server.embeddings.client_of
@@ -200,7 +194,7 @@ def grad_direction_diagnostic(server, clients, client_id: int = 0, sample: int =
     feature_form = (exps_f / denom_f)[:, None] * feature[None, :]
 
     # (c) centralized softmax over the full stacked class space
-    full = global_softmax_grad(w, feature, anchor_col)
+    full = global_softmax_grad(w, feature[None], [anchor_col])
     global_grads = full.grad_embeddings[:, cross].T
 
     def _mag(g):
@@ -323,8 +317,8 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     for sub in root.spawn(instances):
         rng = np.random.default_rng(sub)
         emb = rng.normal(size=(5, 9))
-        feat = rng.normal(size=5)
-        label = int(rng.integers(9))
+        feat = rng.normal(size=(1, 5))
+        label = [int(rng.integers(9))]
         lg = global_softmax_grad(emb, feat, label)
         err = max(
             err,
@@ -432,6 +426,6 @@ def _trained_regime_ratios(seed: int) -> np.ndarray:
     exps = np.exp(w[:, cross].T @ feature)
     denom_sub = np.exp(feature @ feature) + exps.sum()
     sub_mags = exps / denom_sub * np.linalg.norm(feature)
-    full = global_softmax_grad(w, feature, anchor_col)
+    full = global_softmax_grad(w, feature[None], [anchor_col])
     global_mags = np.linalg.norm(full.grad_embeddings[:, cross], axis=0)
     return sub_mags / global_mags

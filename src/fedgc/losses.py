@@ -65,7 +65,7 @@ class NonFiniteError(ValueError):
 @dataclass
 class LossGrad:
     loss: float                  # (K,) per-client means from a stacked loss_and_grad
-    grad_feature: np.ndarray     # (d,), (n, d) for a batch or (K, n, d) stacked
+    grad_feature: np.ndarray     # (n, d), or (K, n, d) stacked
     grad_embeddings: np.ndarray  # (d, num_classes), or (K, d, num_classes) stacked
 
 

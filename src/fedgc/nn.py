@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,19 +87,16 @@ def init_backbone(layer_dims: list[int], seed: int) -> BackboneParams:
 
 
 def check_input(params: BackboneParams, h: np.ndarray) -> None:
-    """Reject a (n, in_dim) batch whose width is not the backbone's input dim."""
-    if h.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {h.shape[1]} != backbone input {params.input_dim}")
+    """Reject anything but a (n, in_dim) batch of the backbone's input width."""
+    if h.ndim != 2 or h.shape[1] != params.input_dim:
+        raise ValueError(f"need an (n, {params.input_dim}) batch, got shape {h.shape}")
 
 
 def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
-    """Embed x (a single vector or a (n, in_dim) batch). Pure function."""
+    """Embed a (n, in_dim) batch x as (n, out_dim). Pure function."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    check_input(params, h)
-    h = record_forward(params.layers, h, new_tape(params.layers, h.shape[:-1]))
-    return h[0] if single else h
+    check_input(params, x)
+    return record_forward(params.layers, x, new_tape(params.layers, x.shape[:-1]))
 
 
 def new_tape(layers: list, rows: tuple) -> list[np.ndarray]:
@@ -171,16 +168,14 @@ def reverse_sweep(
 class SgdState:
     """SGD with classic momentum; weight decay folded into the velocity.
 
-    scratch holds one buffer per parameter for the update's scaled terms; it
-    may be the grads themselves, as each gradient is read before its
-    scratch is written.
+    velocity is None until the first update makes it zeros shaped like the
+    parameter.
     """
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity: list[np.ndarray] = field(default_factory=list)
-    scratch: list[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -191,34 +186,24 @@ class SgdState:
             raise ValueError("weight_decay must be >= 0")
 
 
-def sgd_update(state: SgdState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+def sgd_update(state: SgdState, param: np.ndarray, grad: np.ndarray) -> None:
     """One update in place: v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
-    Mutates each float64 array of params and the velocities in `state`;
-    the velocities and the scratch buffers are created on the first call
-    that finds none. grads are not mutated unless they are the scratch.
-    Every shape is checked before anything moves.
+    Mutates the float64 array param and the velocity in `state`. grad is
+    read once and then holds the update's scaled terms, so it ends
+    overwritten. Every shape is checked before anything moves.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    if not state.velocity:
-        state.velocity = [np.zeros_like(p) for p in params]
-    if not state.scratch:
-        state.scratch = [np.empty_like(p) for p in params]
-    if len(state.velocity) != len(params) or len(state.scratch) != len(params):
-        raise ValueError("velocity/params length mismatch")
-    for i, (p, g, v, s) in enumerate(zip(params, grads, state.velocity, state.scratch)):
-        if not p.shape == g.shape == v.shape == s.shape:
-            raise ValueError(f"tensor {i}: shape mismatch {p.shape} vs {g.shape}")
-    for p, g, v, scaled in zip(params, grads, state.velocity, state.scratch):
-        # the order of (momentum*v + grad) + wd*param, one operation at a time;
-        # both scaled terms share the scratch buffer
-        v *= state.momentum
-        v += g
-        np.multiply(state.weight_decay, p, out=scaled)
-        v += scaled
-        np.multiply(state.learning_rate, v, out=scaled)
-        p -= scaled
+    v = np.zeros_like(param) if state.velocity is None else state.velocity
+    if not param.shape == grad.shape == v.shape:
+        raise ValueError(f"shape mismatch: param {param.shape}, grad {grad.shape}, velocity {v.shape}")
+    state.velocity = v
+    # the order of (momentum*v + grad) + wd*param, one operation at a time
+    v *= state.momentum
+    v += grad
+    np.multiply(state.weight_decay, param, out=grad)
+    v += grad
+    np.multiply(state.learning_rate, v, out=grad)
+    param -= grad
 
 
 def write_tensors(path, arrays: list[np.ndarray]) -> None:

@@ -153,7 +153,7 @@ def test_criterion_04_combined_objective_equals_per_sample_evaluation():
     # a direct exponential double loop
     total, n = 0.0, 0
     for cl in clients:
-        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
+        head = server.embeddings.W[:, server.columns(cl.client_id)]
         feats = nn.forward(server.theta, cl.x)
         for i in range(cl.n_samples):
             total += batch_loss_and_grad(cfg.loss, head, feats[i : i + 1], cl.y_local[i : i + 1]).loss
@@ -273,11 +273,11 @@ def test_criterion_10_shared_identity_merge_and_masked_penalty():
     # return them, before the server averages the duplicates
     runs = []
     for cl in clients:
-        head = server.embeddings.W[:, server.head_slices[cl.client_id]]
+        head = server.embeddings.W[:, server.columns(cl.client_id)]
         runs.append(federation.client_update(cl, server.theta, head, cfg, server.round))
     new_w = server.embeddings.W.copy()
     for cl, (_, head_k, _) in zip(clients, federation.local_sgd(runs)):
-        new_w[:, server.head_slices[cl.client_id]] = head_k
+        new_w[:, server.columns(cl.client_id)] = head_k
 
     copy_cosines = []
     for cols in shared:

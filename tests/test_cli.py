@@ -132,6 +132,20 @@ def test_run_refuses_a_data_scale_whose_draws_overflow(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_all_zero_data_is_refused_at_parse_time(tmp_path, capsys, command):
+    # both scales 0 make every sample the zero vector: the run reported every
+    # CosFace cell diverged at round 0, and every softmax cell ok at 0.5
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace(
+        "input_dim = 4", "input_dim = 4\ncluster_std = 0\nclass_center_scale = 0"))
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: [data] cluster_std: need > 0 when class_center_scale = 0" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert cli.main(["run", str(path)]) == 0

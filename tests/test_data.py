@@ -58,6 +58,12 @@ def test_spec_validation():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name}: need in \\[0, inf\\)"):
                 SyntheticSpec(**{name: bad})
+    # either scale may be 0, not both: every sample would be the zero vector
+    SyntheticSpec(cluster_std=0.0)
+    SyntheticSpec(class_center_scale=0.0)
+    with pytest.raises(ConfigError) as exc:
+        SyntheticSpec(cluster_std=0.0, class_center_scale=0.0)
+    assert [name for name, _ in exc.value.problems] == ["cluster_std"]
     with pytest.raises(ValueError):
         SyntheticSpec(pairs_per_class=0)
 

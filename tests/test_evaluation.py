@@ -70,6 +70,12 @@ def test_best_threshold_edge_cases():
     assert best_threshold_accuracy(np.array([0.1, 0.9]), np.array([True, False])) == 0.5
     # all-equal similarities: predict the majority label
     assert best_threshold_accuracy(np.zeros(4), np.array([1, 1, 1, 0], bool)) == 0.75
+    # adjacent doubles: their midpoint rounds to one of them, yet a threshold
+    # at the larger one separates them
+    assert best_threshold_accuracy(np.array([1.0, np.nextafter(1.0, 2.0)]), np.array([False, True])) == 1.0
+    # every similarity NaN: nothing passes, so only the different pairs count
+    assert best_threshold_accuracy(np.full(3, np.nan), np.array([True, False, False])) == 2 / 3
+    assert best_threshold_accuracy(np.array([np.nan]), np.array([True])) == 0.0
     with pytest.raises(ValueError):
         best_threshold_accuracy(np.array([]), np.array([], dtype=bool))
     with pytest.raises(ValueError):
@@ -321,7 +327,7 @@ def test_mean_anchor_feature_distance_hand_value():
     for cl in clients:
         feats = nn.forward(server.theta, cl.x)
         for i in range(cl.n_samples):
-            col = server.head_slices[cl.client_id].start + cl.y_local[i]
+            col = server.columns(cl.client_id).start + cl.y_local[i]
             total += float(np.linalg.norm(server.embeddings.W[:, col] - feats[i]))
             count += 1
     expected = total / count

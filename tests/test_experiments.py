@@ -448,7 +448,7 @@ def test_run_cell_centralized(tmp_path):
     dataset = make_dataset(spec, cell_config(spec, cell))
     result = run_cell(spec, cell, dataset)
     assert result.status == OK
-    assert result.server.head_slices == [slice(0, 4)]
+    assert result.server.columns(0) == slice(0, 4)
     assert result.rounds_completed == 3
     cell_dir = experiments.write_cell_outputs(spec, result, dataset)
     features, labels = nn.read_tensors(f"{cell_dir}/test_features.fgc")

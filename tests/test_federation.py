@@ -54,7 +54,7 @@ from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
 
 def head_of(server, client_id):
     """A copy of one client's columns of the stacked head matrix."""
-    return server.embeddings.W[:, server.head_slices[client_id]].copy()
+    return server.embeddings.W[:, server.columns(client_id)].copy()
 
 
 def small_cfg(**kw):
@@ -165,7 +165,7 @@ def test_normalize_reg_follows_loss_family():
 def test_build_federation_layout():
     cfg = small_cfg()
     _, server, clients = make_federation(cfg)
-    assert server.head_slices == [slice(0, 4), slice(4, 8)]
+    assert [server.columns(k) for k in range(2)] == [slice(0, 4), slice(4, 8)]
     assert server.embeddings.class_of.tolist() == list(range(8))
     np.testing.assert_array_equal(server.embeddings.client_of, np.repeat([0, 1], 4))
     # equal shards, so the combined objective weighs the two clients 1/2 each
@@ -178,6 +178,9 @@ def test_build_federation_layout():
     assert not np.array_equal(head_of(server, 0), head_of(server, 1))
     _, server2, _ = make_federation(cfg)
     np.testing.assert_array_equal(server.embeddings.W, server2.embeddings.W)
+    # a client's columns and its place in the list are both read from its id
+    with pytest.raises(ValueError, match="id order"):
+        build_federation(clients[::-1], 5, cfg)
 
 
 def test_init_head_scale():
@@ -197,7 +200,7 @@ def test_client_update_deterministic_and_round_dependent():
     theta = server.theta
     head = head_of(server, 0)
     run = client_update(clients[0], theta, head, cfg, round_index=3)
-    assert isinstance(run, LocalRun) and run.opt.velocity == []
+    assert isinstance(run, LocalRun) and run.opt.velocity is None
     assert run.theta is theta and run.head is head  # nothing is copied before training
     a = train_client(clients[0], theta, head, cfg, round_index=3)
     b = train_client(clients[0], theta, head, cfg, round_index=3)
@@ -264,22 +267,32 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss):
 
     Each step runs nn.forward, gradcheck.batch_loss_and_grad,
     gradcheck.backward (which runs the forward pass again) and one
-    nn.sgd_update on copies of the separate tensors.
+    nn.sgd_update per tensor, on a copy, with the tensor's own SgdState.
+    Between calls opt.velocity holds their velocities concatenated in
+    to_list order, the head's last: the flat row local_sgd stores.
     """
     head = head.copy()
+    shapes = [a.shape for a in theta.to_list() + [head]]
+    velocities = [None] * len(shapes)
+    if opt.velocity is not None:
+        cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        velocities = [v.reshape(shape) for v, shape in zip(np.split(opt.velocity, cuts), shapes)]
+    opts = [nn.SgdState(opt.learning_rate, opt.momentum, opt.weight_decay, v) for v in velocities]
     trace = []
     for idx in batches:
         xb, yb = x[idx], y[idx]
         feats = nn.forward(theta, xb)
         lg = batch_loss_and_grad(loss, head, feats, yb)
         trace.append(lg.loss)
-        grad_layers, _ = backward(theta, xb, np.atleast_2d(lg.grad_feature))
+        grad_layers, _ = backward(theta, xb, lg.grad_feature)
         params = theta.to_list() + [head]
         grads = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
         new = [p.copy() for p in params]
-        nn.sgd_update(opt, new, grads)
+        for tensor_opt, param, grad in zip(opts, new, grads, strict=True):
+            nn.sgd_update(tensor_opt, param, grad)
         head = new.pop()
         theta = nn.BackboneParams.from_list(new)
+    opt.velocity = np.concatenate([tensor_opt.velocity.ravel() for tensor_opt in opts])
     return theta, head, trace
 
 
@@ -400,8 +413,8 @@ def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt):
 
 def assert_same_training_and_velocity(got, want, opt_got, opt_want):
     assert_same_training(got, want)
-    for a, b in zip(opt_got.velocity, opt_want.velocity, strict=True):
-        np.testing.assert_array_equal(a, b)
+    assert opt_got.velocity.shape == opt_want.velocity.shape
+    np.testing.assert_array_equal(opt_got.velocity, opt_want.velocity)
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,7 +471,8 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
         got = local_sgd(grouped)
         for run_g, run_a, ref_opt, g, w in zip(grouped, alone, ref_opts, got, want, strict=True):
             assert_same_training_and_velocity(g, w, run_g.opt, run_a.opt)
-            assert_same_training(g, reference_local_sgd(*run_a._replace(opt=ref_opt)))
+            reference = reference_local_sgd(*run_a._replace(opt=ref_opt))
+            assert_same_training_and_velocity(g, reference, run_g.opt, ref_opt)
         grouped = [run._replace(theta=run.theta.unflatten(g[0]), head=g[1]) for run, g in zip(grouped, got)]
         alone = [run._replace(theta=run.theta.unflatten(w[0]), head=w[1]) for run, w in zip(alone, want)]
 
@@ -605,7 +619,7 @@ def replay_round(server, clients, cfg, rng):
         ((backbone, head_k, trace),) = local_sgd([run])
         rows.append(backbone)
         counts.append(clients[k].n_samples)
-        new_w[:, server.head_slices[k]] = head_k
+        new_w[:, server.columns(k)] = head_k
         losses.append(float(np.mean(trace)))
     emb = replace(server.embeddings, W=new_w)
     theta = aggregate_theta(rows, counts, server.theta)

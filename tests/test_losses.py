@@ -44,13 +44,13 @@ def test_log_softmax_matches_direct_and_survives_shift():
 def test_softmax_loss_two_class_hand_value():
     # logits (1, 0), label 0: loss = log(1 + e^-1); d/dlogit = (p - onehot)
     emb = np.array([[1.0, 0.0]])
-    feat = np.array([1.0])
-    lg = batch_loss_and_grad(LossSpec.softmax(), emb, feat, 0)
+    feat = np.array([[1.0]])
+    lg = batch_loss_and_grad(LossSpec.softmax(), emb, feat, [0])
     expected = np.log1p(np.exp(-1.0))
     assert abs(lg.loss - expected) < 1e-12
     p1 = 1.0 / (1.0 + np.e)  # probability of the wrong class
     # grad wrt feature: (p - y) @ emb.T = -p1*1 + p1*0
-    np.testing.assert_allclose(lg.grad_feature, [-p1], atol=1e-12)
+    np.testing.assert_allclose(lg.grad_feature, [[-p1]], atol=1e-12)
     np.testing.assert_allclose(lg.grad_embeddings, [[-p1, p1]], atol=1e-12)
 
 
@@ -61,10 +61,10 @@ def test_batch_loss_is_mean_of_singles():
     labels = rng.integers(5, size=8)
     for spec in ALL_SPECS:
         batch = batch_loss_and_grad(spec, emb, feats, labels)
-        singles = [batch_loss_and_grad(spec, emb, feats[i], int(labels[i])) for i in range(8)]
+        singles = [batch_loss_and_grad(spec, emb, feats[i : i + 1], labels[i : i + 1]) for i in range(8)]
         assert abs(batch.loss - np.mean([s.loss for s in singles])) < 1e-12
         np.testing.assert_allclose(
-            batch.grad_feature, np.stack([s.grad_feature for s in singles]) / 8.0, atol=1e-12
+            batch.grad_feature, np.concatenate([s.grad_feature for s in singles]) / 8.0, atol=1e-12
         )
         np.testing.assert_allclose(
             batch.grad_embeddings, sum(s.grad_embeddings for s in singles) / 8.0, atol=1e-12
@@ -126,8 +126,8 @@ def test_arcface_matches_independent_construction():
 def test_arcface_near_parallel_feature_stays_finite():
     # cos(theta) ~ 1: the arccos chain would blow up without the clip
     emb = np.array([[1.0, 0.0], [0.0, 1.0]])
-    feat = np.array([1.0, 1e-9])
-    lg = batch_loss_and_grad(LossSpec.arcface(), emb, feat, 0)
+    feat = np.array([[1.0, 1e-9]])
+    lg = batch_loss_and_grad(LossSpec.arcface(), emb, feat, [0])
     assert np.isfinite(lg.loss)
     assert np.all(np.isfinite(lg.grad_feature))
     assert np.all(np.isfinite(lg.grad_embeddings))
@@ -135,9 +135,9 @@ def test_arcface_near_parallel_feature_stays_finite():
 
 def test_margin_loss_rejects_zero_norm():
     with pytest.raises(NonFiniteError):
-        batch_loss_and_grad(LossSpec.cosface(), np.eye(2), np.zeros(2), 0)
+        batch_loss_and_grad(LossSpec.cosface(), np.eye(2), np.zeros((1, 2)), [0])
     with pytest.raises(NonFiniteError):
-        batch_loss_and_grad(LossSpec.cosface(), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2), 0)
+        batch_loss_and_grad(LossSpec.cosface(), np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((1, 2)), [0])
 
 
 def test_input_validation():
@@ -155,16 +155,16 @@ def test_input_validation():
 def test_global_softmax_is_softmax_over_full_stack():
     rng = np.random.default_rng(9)
     stack = rng.normal(size=(6, 10))
-    feat = rng.normal(size=6)
-    lg = global_softmax_grad(stack, feat, 7)
-    ref = batch_loss_and_grad(LossSpec.softmax(), stack, feat, 7)
+    feat = rng.normal(size=(1, 6))
+    lg = global_softmax_grad(stack, feat, [7])
+    ref = batch_loss_and_grad(LossSpec.softmax(), stack, feat, [7])
     assert lg.loss == ref.loss
     np.testing.assert_array_equal(lg.grad_embeddings, ref.grad_embeddings)
 
     # softmax weights on non-target columns, shifted by -1 on the target
     p = np.exp(log_softmax(feat @ stack))
     delta = p.copy()
-    delta[7] -= 1.0
+    delta[0, 7] -= 1.0
     np.testing.assert_allclose(lg.grad_embeddings, np.outer(feat, delta), atol=1e-12)
 
 
@@ -216,5 +216,5 @@ def test_batch_loss_bitwise_matches_reference(spec, n):
     lg = batch_loss_and_grad(spec, emb, feats, labels)
     loss, grad_feat, grad_emb = reference_batch_loss(spec, emb, feats, labels)
     assert lg.loss == loss
-    np.testing.assert_array_equal(np.atleast_2d(lg.grad_feature), grad_feat)
+    np.testing.assert_array_equal(lg.grad_feature, grad_feat)
     np.testing.assert_array_equal(lg.grad_embeddings, grad_emb)

@@ -63,7 +63,7 @@ def test_forward_single_layer_is_affine():
     w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     b = np.array([0.5, -0.5])
     params = BackboneParams([(w, b)])
-    x = np.array([1.0, -1.0, 2.0])
+    x = np.array([[1.0, -1.0, 2.0]])
     np.testing.assert_allclose(forward(params, x), x @ w + b, rtol=0, atol=0)
 
 
@@ -74,7 +74,7 @@ def test_forward_relu_by_hand():
     w2 = np.array([[1.0], [-1.0]])
     b2 = np.array([1.0])
     params = BackboneParams([(w1, b1), (w2, b2)])
-    np.testing.assert_allclose(forward(params, np.array([1.0])), [-1.0])
+    np.testing.assert_allclose(forward(params, np.array([[1.0]])), [[-1.0]])
 
 
 def test_forward_single_matches_batch():
@@ -84,16 +84,19 @@ def test_forward_single_matches_batch():
     batch = forward(params, x)
     assert batch.shape == (5, 4)
     for i in range(5):
-        row = forward(params, x[i])
-        assert row.shape == (4,)
-        # gemv and gemm may round differently in the last ulp
-        np.testing.assert_allclose(row, batch[i], rtol=0, atol=1e-14)
+        row = forward(params, x[i : i + 1])
+        assert row.shape == (1, 4)
+        # a 1-row product may take gemv and round differently in the last ulp
+        np.testing.assert_allclose(row[0], batch[i], rtol=0, atol=1e-14)
 
 
 def test_forward_rejects_wrong_input_dim():
     params = init_backbone([6, 4], seed=0)
     with pytest.raises(ValueError):
-        forward(params, np.zeros(5))
+        forward(params, np.zeros((1, 5)))
+    # a lone vector, even of the right width, is not a batch
+    with pytest.raises(ValueError, match="batch"):
+        forward(params, np.zeros(6))
 
 
 @pytest.mark.parametrize("dims", [[4, 6, 3], [4, 6, 5, 3]])
@@ -132,8 +135,8 @@ def test_backward_batch_sums_single_sample_contributions():
     batch_layers, batch_x = backward(params, x, probe)
     acc = [np.zeros_like(g) for pair in batch_layers for g in pair]
     for i in range(6):
-        single_layers, single_x = backward(params, x[i], probe[i])
-        np.testing.assert_allclose(single_x, batch_x[i], atol=1e-12)
+        single_layers, single_x = backward(params, x[i : i + 1], probe[i : i + 1])
+        np.testing.assert_allclose(single_x[0], batch_x[i], atol=1e-12)
         for j, g in enumerate(g for pair in single_layers for g in pair):
             acc[j] += g
     for got, want in zip(acc, (g for pair in batch_layers for g in pair)):
@@ -146,10 +149,10 @@ def test_backward_rejects_mismatched_grad_out():
         backward(params, np.zeros((4, 3)), np.zeros((4, 3)))
 
 
-def stepped(state, params, grads):
-    """sgd_update on copies of params: the new parameter arrays."""
-    out = [p.copy() for p in params]
-    sgd_update(state, out, grads)
+def stepped(state, param, grad):
+    """sgd_update on copies of param and grad: the new parameter array."""
+    out = param.copy()
+    sgd_update(state, out, grad.copy())
     return out
 
 
@@ -158,12 +161,12 @@ def test_sgd_update_hand_unroll_plain():
     #   v1 = 0.5          p1 = 1 - 0.05  = 0.95
     #   v2 = 0.45 + 0.5   p2 = 0.95 - 0.095 = 0.855
     state = SgdState(0.1, momentum=0.9)
-    p = [np.array([1.0])]
-    g = [np.array([0.5])]
+    p = np.array([1.0])
+    g = np.array([0.5])
     p = stepped(state, p, g)
-    np.testing.assert_allclose(p[0], [0.95])
+    np.testing.assert_allclose(p, [0.95])
     p = stepped(state, p, g)
-    np.testing.assert_allclose(p[0], [0.855])
+    np.testing.assert_allclose(p, [0.855])
 
 
 def test_sgd_update_hand_unroll_weight_decay():
@@ -171,21 +174,29 @@ def test_sgd_update_hand_unroll_weight_decay():
     #   v1 = 0.5 + 0.1*1.0    = 0.6     p1 = 1 - 0.06      = 0.94
     #   v2 = 0.54 + 0.5 + 0.094 = 1.134 p2 = 0.94 - 0.1134 = 0.8266
     state = SgdState(0.1, momentum=0.9, weight_decay=0.1)
-    p = [np.array([1.0])]
-    g = [np.array([0.5])]
+    p = np.array([1.0])
+    g = np.array([0.5])
     p = stepped(state, p, g)
-    np.testing.assert_allclose(p[0], [0.94])
+    np.testing.assert_allclose(p, [0.94])
     p = stepped(state, p, g)
-    np.testing.assert_allclose(p[0], [0.8266])
+    np.testing.assert_allclose(p, [0.8266])
 
 
-def test_sgd_update_moves_params_in_place_and_keeps_grads():
-    state = SgdState(0.5)
-    p = [np.ones(3)]
-    g = [np.full(3, 2.0)]
-    sgd_update(state, p, g)
-    np.testing.assert_array_equal(p[0], np.zeros(3))
-    np.testing.assert_array_equal(g[0], np.full(3, 2.0))
+def test_sgd_update_moves_param_and_velocity_in_place():
+    # lr 0.5, momentum 0.5, gradient 2 on p0 = 1:
+    #   v1 = 2            p1 = 1 - 1   = 0
+    #   v2 = 1 + 2 = 3    p2 = 0 - 1.5 = -1.5
+    state = SgdState(0.5, momentum=0.5)
+    assert state.velocity is None
+    p = np.ones(3)
+    sgd_update(state, p, np.full(3, 2.0))
+    np.testing.assert_array_equal(p, np.zeros(3))
+    v = state.velocity
+    np.testing.assert_array_equal(v, np.full(3, 2.0))
+    sgd_update(state, p, np.full(3, 2.0))
+    assert state.velocity is v
+    np.testing.assert_array_equal(v, np.full(3, 3.0))
+    np.testing.assert_array_equal(p, np.full(3, -1.5))
 
 
 def test_sgd_state_validation():
@@ -195,14 +206,17 @@ def test_sgd_state_validation():
         SgdState(0.1, momentum=1.0)
     with pytest.raises(ValueError):
         SgdState(0.1, weight_decay=-1e-9)
-    state = SgdState(0.1)
-    with pytest.raises(ValueError):
-        sgd_update(state, [np.zeros(2)], [np.zeros(2), np.zeros(2)])
     # every shape is checked before anything moves
-    p = [np.ones(2), np.ones(2)]
+    state = SgdState(0.1)
+    p = np.ones(2)
     with pytest.raises(ValueError):
-        sgd_update(SgdState(0.1), p, [np.ones(2), np.zeros(3)])
-    np.testing.assert_array_equal(p[0], np.ones(2))
+        sgd_update(state, p, np.zeros(3))
+    assert state.velocity is None
+    state = SgdState(0.1, velocity=np.ones(3))
+    with pytest.raises(ValueError):
+        sgd_update(state, p, np.ones(2))
+    np.testing.assert_array_equal(p, np.ones(2))
+    np.testing.assert_array_equal(state.velocity, np.ones(3))
 
 
 def test_tensor_file_roundtrip(tmp_path):

@@ -22,8 +22,8 @@ def check_first_layer(params: BackboneParams, x: np.ndarray, probe: np.ndarray) 
         arrays[0] = w1
         return float((forward(BackboneParams.from_list(arrays), x) * probe).sum())
 
-    grad_layers, _ = backward(params, x, probe)
-    report = finite_diff_check(objective, params.layers[0][0], grad_layers[0][0])
+    grad, _ = backward(params, x, probe)
+    report = finite_diff_check(objective, params.layers[0][0], grad.layers[0][0])
     return report.max_rel_err
 
 
@@ -63,9 +63,9 @@ def main() -> int:
     for step in range(6):
         feats = forward(params, x)
         lg = batch_loss_and_grad(spec, head, feats, labels)
-        grad_layers, _ = backward(params, x, lg.grad_feature)
+        grad, _ = backward(params, x, lg.grad_feature)
         flat = params.to_list() + [head]
-        gflat = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
+        gflat = grad.to_list() + [lg.grad_embeddings]
         new = [a.copy() for a in flat]
         for state, param, grad in zip(states, new, gflat, strict=True):
             sgd_update(state, param, grad)

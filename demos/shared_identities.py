@@ -24,9 +24,8 @@ from fedgc.gradcheck import anchor_term
 PRESET = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 
-def copy_cosines(server):
+def copy_cosines(emb):
     """Cosine between the copies of every shared identity."""
-    emb = server.embeddings
     out = {}
     for cols in emb.shared_columns():
         a, b = emb.W[:, cols[0]], emb.W[:, cols[1]]
@@ -70,7 +69,7 @@ def main() -> int:
     new_w = server.embeddings.W.copy()
     for k, (_, head_k, _) in enumerate(federation.local_sgd(runs)):
         new_w[:, server.columns(k)] = head_k
-    drifted = replace(server, embeddings=replace(server.embeddings, W=new_w))
+    drifted = replace(server.embeddings, W=new_w)
     merged = federation.merge_shared_identities(drifted)
 
     pre, post = copy_cosines(drifted), copy_cosines(merged)
@@ -81,10 +80,9 @@ def main() -> int:
     # group-mates are not each other's negatives: take one shared column's
     # anchor term, on the unit columns the cosface penalty sees, and look at
     # the gradient on its twin
-    emb = merged.embeddings
-    cols = emb.shared_columns()[0]
-    cls = int(emb.class_of[cols[0]])
-    unit = replace(emb, W=emb.W / np.linalg.norm(emb.W, axis=0))
+    cols = merged.shared_columns()[0]
+    cls = int(merged.class_of[cols[0]])
+    unit = replace(merged, W=merged.W / np.linalg.norm(merged.W, axis=0))
     grad = anchor_term(unit, cols[0]).grad
     twin, outsider = np.abs(grad[:, cols[1]]).max(), np.abs(grad).max()
     print(f"\npenalty gradient from identity {cls}'s anchor: on its twin copy {twin:.1e}, "

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
   fedgc run <config>       train every grid cell in the config, write metrics
-  fedgc validate <config>  check a config file and report every problem
+  fedgc validate <config>  check a config file and draw its data; report every problem
   fedgc gradcheck          run the analytic-gradient verification suite
 
 Exit status: 0 success, 1 config error, 2 every grid cell diverged,
@@ -46,32 +46,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    spec, problems = experiments.parse_config(args.config)
+def _load(config, **overrides):
+    """(spec, dataset, problems) for a config file: the data is drawn, as a run
+    would draw it, so that every problem is found before anything is written."""
+    spec, problems = experiments.parse_config(config)
     if not problems:
-        spec, problems = experiments.apply_overrides(
-            spec,
-            seed=args.seed,
-            out=args.out,
-            mode=args.mode,
-            lam=args.lam,
-            fraction=args.fraction,
-        )
+        spec, problems = experiments.apply_overrides(spec, **overrides)
     if not problems:
         try:
-            return experiments.run_experiment(spec, echo=print)
+            return spec, experiments.make_dataset(spec, spec.fed), []
         except ConfigError as exc:  # data whose draws overflow, found once they are drawn
             problems = experiments.file_problems(exc)
     for p in problems:
         print(f"config error: {p}", file=sys.stderr)
-    return 1
+    return None, None, problems
+
+
+def _cmd_run(args) -> int:
+    spec, dataset, problems = _load(
+        args.config, seed=args.seed, out=args.out, mode=args.mode, lam=args.lam, fraction=args.fraction
+    )
+    return 1 if problems else experiments.run_experiment(spec, dataset, echo=print)
 
 
 def _cmd_validate(args) -> int:
-    _, problems = experiments.parse_config(args.config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    if _load(args.config)[2]:
         return 1
     print(f"{args.config}: ok")
     return 0

@@ -53,10 +53,11 @@ _AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
 class ExperimentSpec:
     """A grid of cells over one base config; checks its axes at construction.
 
-    A bad axis value, an empty axis, a zero lambda for a correction mode or
-    a partition the data cannot take raises ConfigError naming every field.
-    Both correction modes run on every partition, shared ones included: the
-    two penalties take cross-client pairs from one ownership rule.
+    A bad axis value, an empty axis, a zero lambda for a correction mode, a
+    partition the data cannot take or, in a federated grid, one that gives
+    every client one identity raises ConfigError naming every field. Both
+    correction modes run on every partition, shared ones included: the two
+    penalties take cross-client pairs from one ownership rule.
     """
 
     fed: federation.FederationConfig
@@ -90,7 +91,12 @@ class ExperimentSpec:
                 key = f"mode_lambdas[{m!r}]" if m in self.mode_lambdas else "lambdas"
                 problems.append((key, f"{m} cells need lambda > 0, got a 0 in the grid"))
                 break
+        federated = any(m != "centralized" for m in self.modes)
         for p in self.partitions:
+            # a one-class loss is constant, so local steps would only apply weight decay
+            if federated and p in ("balanced", "lognormal") and self.data.num_classes == self.fed.num_clients:
+                problems.append(("partitions", f"{p} gives each of the {self.fed.num_clients} clients "
+                                 "one identity, whose loss is constant: federated cells would not train"))
             # data names the argument at fault; the scheme and num_clients are the axis's
             problems += [
                 (name if name in ("share_fraction", "group_size") else "partitions", why)
@@ -571,11 +577,9 @@ def write_summary(spec: ExperimentSpec, results: list[CellSummary]) -> str:
     return path
 
 
-def run_experiment(spec: ExperimentSpec, echo=None) -> int:
-    """Run the whole grid; 0 if any cell finished, 2 if every cell diverged."""
-    # cell_config changes only mode, participation and lambda, so every cell
-    # has the data and seed of spec.fed
-    dataset = make_dataset(spec, spec.fed)
+def run_experiment(spec: ExperimentSpec, dataset: datasets.Dataset, echo=None) -> int:
+    """Run the whole grid on make_dataset(spec, spec.fed), which every cell shares (cell_config
+    changes only mode, participation and lambda); 0 if any cell finished, 2 if every cell diverged."""
     os.makedirs(spec.out_dir, exist_ok=True)
     results = []
     for cell in spec.grid():

@@ -211,7 +211,7 @@ class _Cursor:
         return view
 
 
-def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
+def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[nn.BackboneParams, np.ndarray, list[float]]]:
     """Minibatch SGD on backbone and head for each LocalRun in `runs`.
 
     The one training loop behind run_round and centralized_round. Runs whose
@@ -231,14 +231,13 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[np.ndarray
     whole buffer, backbone and head, in place. Every buffer a step writes
     comes from `workspace`.
 
-    Returns (backbone, head, per-step losses) per run, in input order: the
-    trained backbone as one flat row in BackboneParams.to_list order (see
-    BackboneParams.unflatten) and the trained head. Each run's opt ends
-    holding its trained velocity as one flat row, the backbone's in that
-    order and then the head's, so every run needs its own SgdState. The
-    rows, heads and velocities are views into the workspace, valid until
-    its next use; a call without a workspace gets fresh buffers, which
-    nothing else writes to. No run's theta, head, x or y is mutated.
+    Returns (backbone, head, per-step losses) per run, in input order. Each
+    run's opt ends holding its trained velocity as one flat row, the
+    backbone's flat row and then the head's, so every run needs its own
+    SgdState. The backbones' rows, heads and velocities are views into the
+    workspace, valid until its next use; a call without a workspace gets
+    fresh buffers, which nothing else writes to. No run's theta, head, x or
+    y is mutated.
     """
     runs = [_checked_run(run) for run in runs]
     if len({id(run.opt) for run in runs}) != len(runs):
@@ -272,7 +271,7 @@ def _checked_run(run: LocalRun) -> LocalRun:
 def _group_key(run: LocalRun) -> tuple:
     """What runs must share to train in lockstep."""
     return (
-        tuple(w.shape for w, _ in run.theta.layers),
+        run.theta.dims,
         run.head.shape,
         (run.loss.variant, run.loss.margin, run.loss.scale),
         (run.opt.learning_rate, run.opt.momentum, run.opt.weight_decay),
@@ -285,7 +284,7 @@ class _Layout(NamedTuple):
 
     theta: int  # the backbone, flat
     size: int  # the backbone, then the head
-    widths: list  # the input, then every layer's output
+    widths: tuple  # the input, then every layer's output
     most: int  # the rows of the largest step
 
     def lengths(self, k: int) -> tuple[int, int]:
@@ -297,7 +296,7 @@ def _layout(run: LocalRun) -> _Layout:
     return _Layout(
         run.theta.size,
         run.theta.size + run.head.size,
-        [run.x.shape[1]] + [w.shape[-1] for w, _ in run.theta.layers],
+        run.theta.dims,
         max(map(len, run.batches), default=0),
     )
 
@@ -323,11 +322,9 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         grads.append(grad[..., start:stop].reshape(lead + a.shape))
         start = stop
     head, grad_head = params.pop(), grads.pop()
-    for i, run in enumerate(group):
-        for dst, src in zip(params, run.theta.to_list()):
-            per_run(dst)[i] = src
-    for row, run in zip(per_run(head), group):
-        row[...] = run.head
+    for row, head_k, run in zip(per_run(flat), per_run(head), group):
+        row[: layout.theta] = run.theta.flat
+        head_k[...] = run.head
     layers = list(zip(params[::2], params[1::2]))
     grad_layers = list(zip(grads[::2], grads[1::2]))
 
@@ -387,7 +384,7 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         group, per_run(flat), per_run(head), per_run(velocity), traces
     ):
         run.opt.velocity = velocity_k
-        results.append((row[: layout.theta], head_k, trace_k))
+        results.append((nn.BackboneParams(row[: layout.theta], first.theta.dims), head_k, trace_k))
     return results
 
 
@@ -421,23 +418,23 @@ def client_update(
     )
 
 
-def aggregate_theta(rows: list[np.ndarray], counts: list[int], like: nn.BackboneParams) -> nn.BackboneParams:
-    """Sample-count-weighted average of flat backbone rows, renormalized over participants.
+def aggregate_theta(thetas: list[nn.BackboneParams], counts: list[int]) -> nn.BackboneParams:
+    """Sample-count-weighted average of backbones, renormalized over participants.
 
-    Each row is a backbone shaped like `like`, flattened in to_list order.
-    The sum runs over the rows in the given order, one acc += w * row each.
+    The sum runs over the flat rows in the given order, one acc += w * row each.
     """
-    if not rows:
+    if not thetas:
         raise ValueError("nothing to aggregate")
     total = float(sum(counts))
     if total == 0.0:
         raise ValueError("aggregate weights sum to zero")
-    acc = np.zeros(like.size)
-    for row, n_k in zip(rows, counts, strict=True):
-        if row.shape != acc.shape:
-            raise ValueError(f"backbone shape mismatch {row.shape} vs {acc.shape}")
-        acc += (n_k / total) * row
-    return like.unflatten(acc)
+    dims = thetas[0].dims
+    acc = np.zeros(thetas[0].size)
+    for theta, n_k in zip(thetas, counts, strict=True):
+        if theta.dims != dims:
+            raise ValueError(f"backbone shape mismatch {theta.dims} vs {dims}")
+        acc += (n_k / total) * theta.flat
+    return nn.BackboneParams(acc, dims)
 
 
 def regularizer_grad(emb: StackedEmbeddings, cfg: FederationConfig) -> RegGrad:
@@ -480,56 +477,54 @@ def run_round(
     the server's backbone and a view of the client's own columns (neither
     is copied or written to). One local_sgd call trains every run, equal
     shapes in lockstep, in `workspace` (fresh buffers without one). Then it
-    averages the trained backbone rows, restacks the heads, averages the
-    copies of every shared identity, and applies the correction step to the
-    whole stack in fedgc/fedcos mode. Reduction is in client-index order;
+    averages the trained backbones, restacks the heads, averages the copies
+    of every shared identity, and applies the correction step to the whole
+    stack in fedgc/fedcos mode. Reduction is in client-index order;
     server and clients are not mutated, and the new state shares no memory
     with the workspace, so the next round may reuse it.
     """
-    sampled = sample_clients(cfg, rng)
     runs, trained = [], []
-    for k in sampled:
-        head = server.embeddings.W[:, server.columns(k)]
-        run = client_update(clients[k], server.theta, head, cfg, server.round)
+    for k in sample_clients(cfg, rng):
+        cols = server.columns(k)
+        run = client_update(clients[k], server.theta, server.embeddings.W[:, cols], cfg, server.round)
         if run is not None:
             runs.append(run)
-            trained.append(k)
+            trained.append((k, cols))
     new_w = server.embeddings.W.copy()
-    rows, counts, losses = [], [], []
-    for k, (backbone, head_k, trace) in zip(trained, local_sgd(runs, workspace)):
-        rows.append(backbone)
+    thetas, counts, losses = [], [], []
+    for (k, cols), (theta_k, head_k, trace) in zip(trained, local_sgd(runs, workspace)):
+        thetas.append(theta_k)
         counts.append(clients[k].n_samples)
-        new_w[:, server.columns(k)] = head_k
+        new_w[:, cols] = head_k
         if trace:
             losses.append(float(np.mean(trace)))
 
-    theta = aggregate_theta(rows, counts, server.theta) if rows else server.theta.copy()
-    emb = replace(server.embeddings, W=new_w)
-    new_server = replace(server, theta=theta, embeddings=emb, round=server.round + 1)
-
-    if emb.shared_columns():
-        new_server = merge_shared_identities(new_server)
+    theta = aggregate_theta(thetas, counts) if thetas else server.theta.copy()
+    emb = merge_shared_identities(replace(server.embeddings, W=new_w))
     if cfg.mode in CORRECTION_MODES:
-        new_server = replace(new_server, embeddings=correction_step(new_server.embeddings, cfg))
+        emb = correction_step(emb, cfg)
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return new_server, mean_loss
+    return replace(server, theta=theta, embeddings=emb, round=server.round + 1), mean_loss
 
 
-def merge_shared_identities(server: ServerState) -> ServerState:
+def merge_shared_identities(emb: StackedEmbeddings) -> StackedEmbeddings:
     """Replace the columns that share a class id by their mean, in ascending column order.
 
     The identities held equally often are merged together: their columns
     gather into one (d, G, g) array whose means over the last axis are
-    scattered back.
+    scattered back. With no shared identity, emb itself is returned.
     """
-    w = server.embeddings.W.copy()
+    shared = emb.shared_columns()
+    if not shared:
+        return emb
+    w = emb.W.copy()
     by_size: dict[int, list[np.ndarray]] = {}
-    for cols in server.embeddings.shared_columns():
+    for cols in shared:
         by_size.setdefault(len(cols), []).append(cols)
     for groups in by_size.values():
         cols = np.array(groups)
         w[:, cols] = w[:, cols].mean(axis=2)[:, :, None]
-    return replace(server, embeddings=replace(server.embeddings, W=w))
+    return replace(emb, W=w)
 
 
 def build_centralized(
@@ -559,14 +554,11 @@ def centralized_round(
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
     batches = _batch_plan(client.n_samples, cfg, rng)
-    ((backbone, head, trace),) = local_sgd(
+    ((theta, head, trace),) = local_sgd(
         [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss)]
     )
     new_server = replace(
-        server,
-        theta=server.theta.unflatten(backbone),
-        embeddings=replace(server.embeddings, W=head),
-        round=server.round + 1,
+        server, theta=theta, embeddings=replace(server.embeddings, W=head), round=server.round + 1
     )
     return new_server, float(np.mean(trace)) if trace else float("nan")
 

@@ -64,14 +64,14 @@ def finite_diff_check(
 
 def backward(
     params: nn.BackboneParams, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[nn.BackboneParams, np.ndarray]:
     """Gradients of <grad_out, forward(x)> w.r.t. parameters and x.
 
     x is an (n, in_dim) batch and grad_out an (n, out_dim) one whose rows
     pair with x's; contributions are summed over the batch (put any 1/n
     factor into grad_out).
 
-    Returns (grad_layers, grad_x) with grad_layers matching params.layers.
+    Returns (grad, grad_x) with grad a BackboneParams shaped like params.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -80,10 +80,10 @@ def backward(
         raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
     tape = nn.new_tape(params.layers, x.shape[:-1])
     nn.record_forward(params.layers, x, tape)
-    grad_layers = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
+    grad = nn.BackboneParams(np.empty(params.size), params.dims)
     grad_x = np.empty(x.shape)
-    nn.reverse_sweep(params.layers, x, tape, grad_out, grad_layers, grad_x)
-    return grad_layers, grad_x
+    nn.reverse_sweep(params.layers, x, tape, grad_out, grad.layers, grad_x)
+    return grad, grad_x
 
 
 def batch_loss_and_grad(
@@ -278,16 +278,12 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
         theta = nn.init_backbone([4, 6, 3], int(rng.integers(2**31)))
         x = rng.uniform(-1.0, 1.0, size=(3, 4))
         g_out = rng.normal(size=(3, 3))
-        grads, grad_x = backward(theta, x, g_out)
-        flat = theta.to_list()
-        flat_grads = [g for pair in grads for g in pair]
-        for i in range(len(flat)):
-            def f_param(t, i=i):
-                arrays = [t if j == i else flat[j] for j in range(len(flat))]
-                p = nn.BackboneParams.from_list(arrays)
-                return float((nn.forward(p, x) * g_out).sum())
+        grad, grad_x = backward(theta, x, g_out)
 
-            err = max(err, _fd(f_param, flat[i], flat_grads[i]))
+        def f_param(t):
+            return float((nn.forward(nn.BackboneParams(t, theta.dims), x) * g_out).sum())
+
+        err = max(err, _fd(f_param, theta.flat, grad.flat))
         err = max(err, _fd(lambda t: float((nn.forward(theta, t) * g_out).sum()), x, grad_x))
     _record(rows, "backbone backward vs finite differences", err, 1e-5)
 

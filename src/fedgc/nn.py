@@ -18,72 +18,76 @@ MAGIC = b"FGC1"
 
 @dataclass
 class BackboneParams:
-    """Weights of the shared feature extractor.
+    """Weights of the shared feature extractor, as one flat float64 row.
 
-    layers: ordered (weight, bias) pairs; weight has shape (in_dim, out_dim),
-    bias has shape (out_dim,). A ReLU is applied after every layer except
-    the last, so the final output is a raw embedding.
+    flat: the row [W1, b1, W2, b2, ...], each weight (in, out) and each bias
+    (out,) in C order; dims: the layer widths, input first. A ReLU is
+    applied after every layer except the last, so the final output is a raw
+    embedding. layers and to_list() are views into flat.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        for i, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i}: input dim {w.shape[0]} does not chain")
+        self.dims = tuple(self.dims)
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.dims, self.dims[1:]))
+        if len(self.dims) < 2 or self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"dims {self.dims} need a float64 row of {size}, not {self.flat.dtype} {self.flat.shape}")
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self.dims[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
+        return self.dims[-1]
 
     @property
     def size(self) -> int:
-        """The number of parameters: the length of the backbone as one flat row."""
-        return sum(w.size + b.size for w, b in self.layers)
+        """The number of parameters, the length of flat."""
+        return self.flat.size
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per layer."""
+        arrays = self.to_list()
+        return list(zip(arrays[::2], arrays[1::2]))
 
     def copy(self) -> "BackboneParams":
-        return BackboneParams([(w.copy(), b.copy()) for w, b in self.layers])
-
-    def unflatten(self, flat: np.ndarray) -> "BackboneParams":
-        """A backbone shaped like this one whose arrays are views into the
-        1-D float64 row `flat`, laid out in to_list order."""
-        if flat.shape != (self.size,):
-            raise ValueError(f"backbone shape mismatch {flat.shape} vs ({self.size},)")
-        arrays, start = [], 0
-        for a in self.to_list():
-            arrays.append(flat[start : start + a.size].reshape(a.shape))
-            start += a.size
-        return BackboneParams.from_list(arrays)
+        return BackboneParams(self.flat.copy(), self.dims)
 
     def to_list(self) -> list[np.ndarray]:
-        """Flatten to [W1, b1, W2, b2, ...] for the optimizer."""
-        out = []
-        for w, b in self.layers:
-            out.extend([w, b])
+        """The views [W1, b1, W2, b2, ...] into flat."""
+        out, start = [], 0
+        for fan_in, fan_out in zip(self.dims, self.dims[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                n = math.prod(shape)
+                out.append(self.flat[start : start + n].reshape(shape))
+                start += n
         return out
 
     @classmethod
     def from_list(cls, arrays: list[np.ndarray]) -> "BackboneParams":
-        if len(arrays) % 2:
-            raise ValueError("expected an even number of arrays (weight/bias pairs)")
-        layers = [(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2)]
-        return cls(layers)
+        """A backbone holding copies of [W1, b1, W2, b2, ...], which must chain."""
+        if len(arrays) % 2 or not arrays:
+            raise ValueError("expected a non-empty list of weight/bias pairs")
+        for i, (w, b) in enumerate(zip(arrays[::2], arrays[1::2])):
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
+            if i > 0 and arrays[2 * i - 2].shape[1] != w.shape[0]:
+                raise ValueError(f"layer {i}: input dim {w.shape[0]} does not chain")
+        dims = (arrays[0].shape[0],) + tuple(w.shape[1] for w in arrays[::2])
+        return cls(np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays]), dims)
 
 
 def init_backbone(layer_dims: list[int], seed: int) -> BackboneParams:
     """Seeded init: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
-    layers = []
+    arrays = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-        layers.append((w, np.zeros(fan_out)))
-    return BackboneParams(layers)
+        arrays += [rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return BackboneParams.from_list(arrays)
 
 
 def check_input(params: BackboneParams, h: np.ndarray) -> None:

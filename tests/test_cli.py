@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
+import csv
 import importlib
 import inspect
+import json
+import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,8 @@ import pytest
 
 import golden
 
-from fedgc import cli, gradcheck
+from fedgc import cli, experiments, federation, gradcheck, nn
+from fedgc.regularizers import StackedEmbeddings
 
 
 TINY_CFG = """
@@ -120,16 +125,39 @@ def test_validate_rejects_a_bad_data_scale(tmp_path, capsys, key, value):
     assert f"[data] {key}: need in [0, inf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("key", ["class_center_scale", "cluster_std"])
-def test_run_refuses_a_data_scale_whose_draws_overflow(tmp_path, capsys, key):
+def test_run_refuses_a_data_scale_whose_draws_overflow(tmp_path, capsys, key, command):
     # 1e308 is a valid scale, but some of its draws overflow float64; the run
-    # reported every cell diverged at round 0 and exited 2
+    # reported every cell diverged at round 0 and exited 2, and validate,
+    # which drew no data, said ok
     path = write_tiny(tmp_path)
     path.write_text(path.read_text().replace("input_dim = 4", f"input_dim = 4\n{key} = 1e308"))
-    assert cli.main(["run", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert f"config error: [data] {key}: draws overflow float64 at 1e+308" in err
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: [data] {key}: draws overflow float64 at 1e+308" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_run_and_validate_draw_one_read_only_dataset(tmp_path, monkeypatch, command):
+    # both commands draw the data through one path; one read-only dataset
+    # serves every cell of a run's grid
+    made = []
+    real = experiments.make_dataset
+    monkeypatch.setattr(experiments, "make_dataset", lambda *a: made.append(real(*a)) or made[-1])
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace("modes = fedpe", "modes = fedpe, centralized"))
+    assert cli.main([command, str(path)]) == 0
+    assert len(made) == 1
+    assert (tmp_path / "out" / "summary.csv").exists() == (command == "run")
+    ds = made[0]
+    for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y, ds.centers,
+              ds.pairs.idx_a, ds.pairs.idx_b, ds.pairs.same):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -144,6 +172,21 @@ def test_all_zero_data_is_refused_at_parse_time(tmp_path, capsys, command):
     assert "config error: [data] cluster_std: need > 0 when class_center_scale = 0" in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_one_identity_per_client_is_refused_at_parse_time(tmp_path, capsys, command):
+    # every client of this grid holds one identity, so its local loss is
+    # constant; fedpe, fedcos and fedgc validated and then trained nothing
+    path = tmp_path / "one.cfg"
+    text = (golden.CONFIG_DIR / "default.cfg").read_text()
+    path.write_text(text.replace("num_clients = 8", "num_clients = 32").replace(
+        "out_dir = runs/default", f"out_dir = {tmp_path / 'out'}"))
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: [grid] partitions: balanced gives each of the 32 clients one identity" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
@@ -229,18 +272,82 @@ def test_traced_functions_are_called_as_the_grid_implies(tmp_path, monkeypatch):
         assert calls["compute_round_metrics", mode] == 3, mode
 
 
+def assert_outputs_prove_themselves(config, out_dir):
+    """Check a `fedgc run --seed 0` output tree against itself and the config alone.
+
+    Each summary.csv row matches its cell's last metrics row. In each ok
+    cell, the data regenerated from the config, the regenerated partition
+    and the checkpoint give that metrics row byte for byte, the histograms
+    and the test features bit for bit, and the manifest's clients and
+    shared groups are the partition's.
+    """
+    spec, problems = experiments.parse_config(config)
+    assert not problems
+    spec = replace(spec, fed=replace(spec.fed, seed=0))
+    dataset = experiments.make_dataset(spec, spec.fed)
+    with open(out_dir / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [(r["mode"], float(r["fraction"]), float(r["lambda"]), r["partition"]) for r in summary] == [
+        (c.mode, c.fraction, c.lam, c.partition) for c in spec.grid()
+    ]
+    for row, cell in zip(summary, spec.grid()):
+        cell_dir = out_dir / cell.name
+        lines = (cell_dir / "metrics.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1]) if lines else {}
+        finals = [last.get("verification_accuracy", math.nan), last.get("cross_client_max_cos", math.nan)]
+        assert [row["final_accuracy"], row["final_cross_client_max_cos"]] == [repr(v) for v in finals]
+        if row["status"] != experiments.OK:
+            continue
+        cfg = experiments.cell_config(spec, cell)
+        if cfg.mode == "centralized":
+            clients = [federation.build_centralized(dataset.train_x, dataset.train_y, dataset.num_classes, cfg)[1]]
+        else:
+            clients = experiments.make_partition(dataset, cell.partition, spec, cfg)
+        theta, heads, manifest = federation.load_checkpoint(cell_dir / "checkpoint")
+        assert int(row["rounds_completed"]) == manifest["round"] == last["round"] == cfg.rounds
+        assert manifest["clients"] == [
+            {"id": cl.client_id, "num_classes": len(cl.classes), "classes": list(map(int, cl.classes)),
+             "n_samples": cl.n_samples} for cl in clients
+        ]
+        holders = {}
+        for cl in clients:
+            for cls in cl.classes:
+                holders.setdefault(int(cls), []).append(cl.client_id)
+        assert sorted(manifest["shared_groups"]) == sorted([c, ks] for c, ks in holders.items() if len(ks) > 1)
+        emb = StackedEmbeddings(
+            np.concatenate([heads[cl.client_id] for cl in clients], axis=1),
+            np.concatenate([[cl.client_id] * len(cl.classes) for cl in clients]),
+            class_of=np.concatenate([cl.classes for cl in clients]),
+        )
+        server = federation.ServerState(theta, emb, manifest["round"])
+        again = experiments.compute_round_metrics(server, clients, cfg, dataset, last["mean_local_loss"])
+        assert json.dumps(again.to_dict(), sort_keys=True) == lines[-1]
+        stats = again.similarity
+        for side, counts in (("cross", stats.cross_hist), ("within", stats.within_hist)):
+            with open(cell_dir / f"similarity_{side}.csv", newline="") as fh:
+                hist = list(csv.reader(fh))[1:]
+            assert hist == [[repr(float(e)), str(int(n))] for e, n in zip(stats.bin_edges[:-1], counts)]
+        features, labels = nn.read_tensors(cell_dir / "test_features.fgc")
+        assert nn.forward(theta, dataset.test_x).tobytes() == features.tobytes()
+        assert labels.tobytes() == dataset.test_y.astype(np.float64).tobytes()
+
+
 @pytest.mark.parametrize("preset", golden.OUTPUT_PRESETS)
 def test_golden_digests_of_every_file_a_preset_run_writes(preset, tmp_path):
     """summary.csv, and per cell metrics.jsonl, the checkpoint, the histograms
-    and the test features, byte for byte as recorded in golden.json."""
-    want = golden.recorded("outputs")[preset]
+    and the test features, consistent with one another and with the config,
+    and byte for byte as recorded in golden.json."""
     assert golden.run_preset(preset, tmp_path) == 0
+    assert_outputs_prove_themselves(golden.CONFIG_DIR / f"{preset}.cfg", tmp_path)
+    want = golden.recorded("outputs")[preset]
     moved = golden.moved(want, golden.output_digests(tmp_path))
     assert not moved, f"{len(moved)} of {len(want)} files moved, first: {moved[:5]}"
 
 
 def test_a_rerun_with_fewer_clients_leaves_no_stale_heads(tmp_path):
     path = write_tiny(tmp_path)
+    # 8 identities, so that each of 4 clients holds two
+    path.write_text(path.read_text().replace("num_classes = 4", "num_classes = 8"))
     checkpoint = tmp_path / "out" / "fedpe_f1_l1_balanced" / "checkpoint"
     for clients, heads in ((4, 4), (2, 2)):
         path.write_text(re.sub(r"num_clients = \d+", f"num_clients = {clients}", path.read_text()))

@@ -23,7 +23,7 @@ from fedgc.regularizers import StackedEmbeddings
 
 def linear_backbone(dim):
     # single layer, identity weights: forward(x) == x (no activation on the last layer)
-    return nn.BackboneParams([(np.eye(dim), np.zeros(dim))])
+    return nn.BackboneParams.from_list([np.eye(dim), np.zeros(dim)])
 
 
 def brute_force_threshold_accuracy(sims, same):

@@ -86,14 +86,9 @@ def holders_of(shards) -> dict[int, tuple[int, ...]]:
 
 
 def train_client(client, theta, head, cfg, round_index=0):
-    """client_update's run for one client, trained alone, with its backbone unflattened."""
-    ((backbone, head_k, trace),) = local_sgd([client_update(client, theta, head, cfg, round_index)])
-    return theta.unflatten(backbone), head_k, trace
-
-
-def flat(theta):
-    """A backbone as local_sgd returns it: one row in to_list order."""
-    return np.concatenate([a.ravel() for a in theta.to_list()])
+    """client_update's run for one client, trained alone."""
+    (result,) = local_sgd([client_update(client, theta, head, cfg, round_index)])
+    return result
 
 
 def round_rng(seed):
@@ -244,12 +239,10 @@ def test_client_update_single_step_matches_hand_gradient():
 
     feats = nn.forward(server.theta, cl.x)
     lg = batch_loss_and_grad(cfg.loss, head, feats, cl.y_local)
-    grad_layers, _ = backward(server.theta, cl.x, lg.grad_feature)
+    grad, _ = backward(server.theta, cl.x, lg.grad_feature)
     assert abs(trace[0] - lg.loss) < 1e-12
     np.testing.assert_allclose(head_k, head - cfg.eta * lg.grad_embeddings, atol=1e-12)
-    for (w, b), (gw, gb), (w0, b0) in zip(theta_k.layers, grad_layers, server.theta.layers):
-        np.testing.assert_allclose(w, w0 - cfg.eta * gw, atol=1e-12)
-        np.testing.assert_allclose(b, b0 - cfg.eta * gb, atol=1e-12)
+    np.testing.assert_allclose(theta_k.flat, server.theta.flat - cfg.eta * grad.flat, atol=1e-12)
 
 
 def test_local_training_reduces_loss():
@@ -284,9 +277,9 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss):
         feats = nn.forward(theta, xb)
         lg = batch_loss_and_grad(loss, head, feats, yb)
         trace.append(lg.loss)
-        grad_layers, _ = backward(theta, xb, lg.grad_feature)
+        grad, _ = backward(theta, xb, lg.grad_feature)
         params = theta.to_list() + [head]
-        grads = [g for pair in grad_layers for g in pair] + [lg.grad_embeddings]
+        grads = grad.to_list() + [lg.grad_embeddings]
         new = [p.copy() for p in params]
         for tensor_opt, param, grad in zip(opts, new, grads, strict=True):
             nn.sgd_update(tensor_opt, param, grad)
@@ -297,11 +290,9 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss):
 
 
 def assert_same_training(got, want):
-    # either backbone may be a BackboneParams or local_sgd's flat row
     (theta_a, head_a, trace_a), (theta_b, head_b, trace_b) = got, want
-    rows = [t if isinstance(t, np.ndarray) else flat(t) for t in (theta_a, theta_b)]
-    assert rows[0].shape == rows[1].shape
-    np.testing.assert_array_equal(*rows)
+    assert theta_a.dims == theta_b.dims
+    np.testing.assert_array_equal(theta_a.flat, theta_b.flat)
     np.testing.assert_array_equal(head_a, head_b)
     np.testing.assert_array_equal(trace_a, trace_b)
 
@@ -368,7 +359,7 @@ def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
     (got,) = local_sgd([LocalRun(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)])
     want = reference_local_sgd(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)
     assert_same_training(got, want)
-    assert got[0].shape == (theta.size,)
+    assert got[0].dims == theta.dims
 
 
 def test_local_sgd_classifies_divergence_inside_the_step():
@@ -473,8 +464,8 @@ def test_lockstep_local_sgd_is_bitwise_per_run(
             assert_same_training_and_velocity(g, w, run_g.opt, run_a.opt)
             reference = reference_local_sgd(*run_a._replace(opt=ref_opt))
             assert_same_training_and_velocity(g, reference, run_g.opt, ref_opt)
-        grouped = [run._replace(theta=run.theta.unflatten(g[0]), head=g[1]) for run, g in zip(grouped, got)]
-        alone = [run._replace(theta=run.theta.unflatten(w[0]), head=w[1]) for run, w in zip(alone, want)]
+        grouped = [run._replace(theta=g[0], head=g[1]) for run, g in zip(grouped, got)]
+        alone = [run._replace(theta=w[0], head=w[1]) for run, w in zip(alone, want)]
 
 
 def test_lockstep_group_diverges_with_one_dead_client():
@@ -537,19 +528,19 @@ def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
 def test_aggregate_theta_weighted_mean():
     a = nn.init_backbone([3, 4, 2], seed=0)
     b = nn.init_backbone([3, 4, 2], seed=1)
-    merged = aggregate_theta([flat(a), flat(b)], [1, 3], a)
-    for m, x, y in zip(merged.to_list(), a.to_list(), b.to_list()):
-        np.testing.assert_allclose(m, 0.25 * x + 0.75 * y, atol=1e-15)
+    merged = aggregate_theta([a, b], [1, 3])
+    assert merged.dims == a.dims
+    np.testing.assert_allclose(merged.flat, 0.25 * a.flat + 0.75 * b.flat, atol=1e-15)
 
 
 def test_aggregate_theta_errors():
     a = nn.init_backbone([3, 4, 2], seed=0)
     with pytest.raises(ValueError):
-        aggregate_theta([], [], a)
+        aggregate_theta([], [])
     with pytest.raises(ValueError):
-        aggregate_theta([flat(a)], [0], a)
-    with pytest.raises(ValueError):
-        aggregate_theta([flat(a), flat(nn.init_backbone([3, 5, 2], seed=0))], [1, 1], a)
+        aggregate_theta([a], [0])
+    with pytest.raises(ValueError, match="mismatch"):
+        aggregate_theta([a, nn.init_backbone([3, 5, 2], seed=0)], [1, 1])
 
 
 def test_sample_clients_properties():
@@ -609,24 +600,20 @@ def replay_round(server, clients, cfg, rng):
     """
     sampled = sample_clients(cfg, rng)
     new_w = server.embeddings.W.copy()
-    rows, counts, losses, skipped, shapes = [], [], [], 0, set()
+    thetas, counts, losses, skipped, shapes = [], [], [], 0, set()
     for k in sampled:
         run = client_update(clients[k], server.theta, head_of(server, k), cfg, server.round)
         if run is None:
             skipped += 1
             continue
         shapes.add((run.head.shape, tuple(len(idx) for idx in run.batches)))
-        ((backbone, head_k, trace),) = local_sgd([run])
-        rows.append(backbone)
+        ((theta_k, head_k, trace),) = local_sgd([run])
+        thetas.append(theta_k)
         counts.append(clients[k].n_samples)
         new_w[:, server.columns(k)] = head_k
         losses.append(float(np.mean(trace)))
-    emb = replace(server.embeddings, W=new_w)
-    theta = aggregate_theta(rows, counts, server.theta)
-    expect = replace(server, theta=theta, embeddings=emb, round=server.round + 1)
-    if emb.shared_columns():
-        expect = merge_shared_identities(expect)
-    expect = replace(expect, embeddings=correction_step(expect.embeddings, cfg))
+    emb = correction_step(merge_shared_identities(replace(server.embeddings, W=new_w)), cfg)
+    expect = replace(server, theta=aggregate_theta(thetas, counts), embeddings=emb, round=server.round + 1)
     return expect, float(np.mean(losses)), skipped, len(shapes)
 
 
@@ -680,10 +667,10 @@ def test_run_round_leaves_inputs_untouched():
     data_before = [(cl.x.copy(), cl.y_local.copy()) for cl in clients]
     rng, workspace = round_rng(cfg.seed), Workspace()
     for _ in range(3):
-        w_before, theta_before = server.embeddings.W.copy(), flat(server.theta)
+        w_before, theta_before = server.embeddings.W.copy(), server.theta.flat.copy()
         after, _ = run_round(server, clients, cfg, rng, workspace)
         np.testing.assert_array_equal(server.embeddings.W, w_before)
-        np.testing.assert_array_equal(flat(server.theta), theta_before)
+        np.testing.assert_array_equal(server.theta.flat, theta_before)
         server = after
     for cl, (x, y) in zip(clients, data_before):
         np.testing.assert_array_equal(cl.x, x)
@@ -767,29 +754,30 @@ def test_merge_shared_identities_hand_mean():
     emb = server.embeddings
     shared = emb.shared_columns()
     assert len(shared) == 2
-    merged = merge_shared_identities(server)
+    w_before = emb.W.copy()
+    merged = merge_shared_identities(emb)
+    np.testing.assert_array_equal(emb.W, w_before)  # the input stack is not written
     for cols in shared:
         assert len(cols) == 2 and emb.class_of[cols[0]] == emb.class_of[cols[1]]
         mean = (emb.W[:, cols[0]] + emb.W[:, cols[1]]) / 2.0
-        np.testing.assert_allclose(merged.embeddings.W[:, cols[0]], mean, atol=1e-15)
-        np.testing.assert_allclose(merged.embeddings.W[:, cols[1]], mean, atol=1e-15)
+        np.testing.assert_allclose(merged.W[:, cols[0]], mean, atol=1e-15)
+        np.testing.assert_allclose(merged.W[:, cols[1]], mean, atol=1e-15)
     # exclusive columns untouched
     shared_cols = np.isin(np.arange(emb.num_columns), np.concatenate(shared))
-    np.testing.assert_array_equal(
-        merged.embeddings.W[:, ~shared_cols], emb.W[:, ~shared_cols]
-    )
+    np.testing.assert_array_equal(merged.W[:, ~shared_cols], emb.W[:, ~shared_cols])
+    np.testing.assert_array_equal(merged.client_of, emb.client_of)
+    np.testing.assert_array_equal(merged.class_of, emb.class_of)
 
 
 def test_merge_shared_identities_errors_and_degenerates():
     cfg = small_cfg()
     _, server, _ = make_federation(cfg)  # balanced: every class exclusive
-    # with one column per identity the merge is a no-op rather than an error
-    out = merge_shared_identities(server)
-    np.testing.assert_array_equal(out.embeddings.W, server.embeddings.W)
+    # with one column per identity the merge is a no-op that returns its input
+    assert merge_shared_identities(server.embeddings) is server.embeddings
     # three copies of one identity, on any clients, average in ascending column order
     w = np.arange(12.0).reshape(2, 6)
     emb = StackedEmbeddings(w, [0, 0, 1, 1, 2, 2], class_of=[9, 1, 2, 9, 4, 9])
-    merged = merge_shared_identities(replace(server, embeddings=emb)).embeddings.W
+    merged = merge_shared_identities(emb).W
     for col in (0, 3, 5):
         np.testing.assert_array_equal(merged[:, col], w[:, [0, 3, 5]].mean(axis=1))
     np.testing.assert_array_equal(merged[:, [1, 2, 4]], w[:, [1, 2, 4]])
@@ -817,8 +805,7 @@ def test_merge_by_group_size_is_bitwise_the_per_identity_loop(sizes, d, seed):
     client_of = rng.integers(0, 3, size=len(class_of))
     w = rng.normal(size=(d, len(class_of))) * 10.0 ** rng.integers(-3, 4, size=len(class_of))
     emb = StackedEmbeddings(w, client_of, class_of=class_of)
-    server = replace(make_federation(small_cfg())[1], embeddings=emb)
-    merged = merge_shared_identities(server).embeddings.W
+    merged = merge_shared_identities(emb).W
     assert merged.tobytes() == merge_one_identity_at_a_time(w, emb).tobytes()
 
 
@@ -910,8 +897,8 @@ def test_centralized_momentum_persists_across_rounds():
     def full_grads(theta, head):
         feats = nn.forward(theta, ds.train_x)
         lg = batch_loss_and_grad(cfg.loss, head, feats, ds.train_y)
-        layers, _ = backward(theta, ds.train_x, lg.grad_feature)
-        return [g for pair in layers for g in pair] + [lg.grad_embeddings]
+        grad, _ = backward(theta, ds.train_x, lg.grad_feature)
+        return grad.to_list() + [lg.grad_embeddings]
 
     # round 1: v1 = g1, p1 = p0 - eta g1 (full batch, so shuffling is irrelevant)
     g1 = full_grads(theta0, head0)

@@ -42,19 +42,25 @@ def test_init_backbone_seeding():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BackboneParams([(np.zeros((3, 4)), np.zeros(5))])
+        BackboneParams.from_list([np.zeros((3, 4)), np.zeros(5)])
     with pytest.raises(ValueError):  # second layer does not chain
-        BackboneParams([(np.zeros((3, 4)), np.zeros(4)), (np.zeros((5, 2)), np.zeros(2))])
+        BackboneParams.from_list([np.zeros((3, 4)), np.zeros(4), np.zeros((5, 2)), np.zeros(2)])
+    with pytest.raises(ValueError):  # dims (3, 4) take a row of 3 * 4 + 4
+        BackboneParams(np.zeros(15), (3, 4))
+    with pytest.raises(ValueError):
+        BackboneParams(np.zeros(16, dtype=np.float32), (3, 4))
 
 
 def test_to_list_from_list_roundtrip():
     params = init_backbone([3, 5, 2], seed=7)
     arrays = params.to_list()
-    assert len(arrays) == 4
+    assert len(arrays) == 4 and params.dims == (3, 5, 2) and params.size == 32
+    # the arrays are views into the one row, in [W1, b1, W2, b2] order
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), params.flat)
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
     again = BackboneParams.from_list(arrays)
-    for (w0, b0), (w1, b1) in zip(params.layers, again.layers):
-        np.testing.assert_array_equal(w0, w1)
-        np.testing.assert_array_equal(b0, b1)
+    assert again.dims == params.dims and not np.shares_memory(again.flat, params.flat)
+    np.testing.assert_array_equal(again.flat, params.flat)
     with pytest.raises(ValueError):
         BackboneParams.from_list(arrays[:3])
 
@@ -62,7 +68,7 @@ def test_to_list_from_list_roundtrip():
 def test_forward_single_layer_is_affine():
     w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     b = np.array([0.5, -0.5])
-    params = BackboneParams([(w, b)])
+    params = BackboneParams.from_list([w, b])
     x = np.array([[1.0, -1.0, 2.0]])
     np.testing.assert_allclose(forward(params, x), x @ w + b, rtol=0, atol=0)
 
@@ -73,7 +79,7 @@ def test_forward_relu_by_hand():
     b1 = np.array([-2.0, 0.0])
     w2 = np.array([[1.0], [-1.0]])
     b2 = np.array([1.0])
-    params = BackboneParams([(w1, b1), (w2, b2)])
+    params = BackboneParams.from_list([w1, b1, w2, b2])
     np.testing.assert_allclose(forward(params, np.array([[1.0]])), [[-1.0]])
 
 
@@ -106,18 +112,14 @@ def test_backward_matches_finite_differences(dims):
     # keep relu pre-activations away from the kink
     x = rng.normal(size=(7, 4)) + 0.1
     probe = rng.normal(size=(7, 3))
-    grad_layers, grad_x = backward(params, x, probe)
+    grad, grad_x = backward(params, x, probe)
+    assert grad.dims == params.dims
 
-    arrays = params.to_list()
-    grads = [g for pair in grad_layers for g in pair]
-    for i in range(len(arrays)):
-        def objective(a, i=i):
-            patched = arrays.copy()
-            patched[i] = a
-            return float((forward(BackboneParams.from_list(patched), x) * probe).sum())
+    def objective(row):
+        return float((forward(BackboneParams(row, params.dims), x) * probe).sum())
 
-        report = finite_diff_check(objective, arrays[i], grads[i])
-        assert report.passed, f"tensor {i}: {report.max_rel_err}"
+    report = finite_diff_check(objective, params.flat, grad.flat)
+    assert report.passed, f"coordinate {report.worst_index}: {report.max_rel_err}"
 
     report = finite_diff_check(
         lambda xf: float((forward(params, xf.reshape(x.shape)) * probe).sum()),
@@ -132,15 +134,13 @@ def test_backward_batch_sums_single_sample_contributions():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
     probe = rng.normal(size=(6, 2))
-    batch_layers, batch_x = backward(params, x, probe)
-    acc = [np.zeros_like(g) for pair in batch_layers for g in pair]
+    batch, batch_x = backward(params, x, probe)
+    acc = np.zeros(params.size)
     for i in range(6):
-        single_layers, single_x = backward(params, x[i : i + 1], probe[i : i + 1])
+        single, single_x = backward(params, x[i : i + 1], probe[i : i + 1])
         np.testing.assert_allclose(single_x[0], batch_x[i], atol=1e-12)
-        for j, g in enumerate(g for pair in single_layers for g in pair):
-            acc[j] += g
-    for got, want in zip(acc, (g for pair in batch_layers for g in pair)):
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        acc += single.flat
+    np.testing.assert_allclose(acc, batch.flat, atol=1e-12)
 
 
 def test_backward_rejects_mismatched_grad_out():

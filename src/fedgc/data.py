@@ -138,14 +138,32 @@ def _sample_pairs(labels: np.ndarray, n_each: int, rng: np.random.Generator) -> 
     return VerificationPairs(np.array(idx_a), np.array(idx_b), np.array(same))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientData:
-    """One client's shard; local label j means global class `classes[j]`."""
+    """One client's shard; local label j means global class `classes[j]`.
+
+    The one shard rule, applied once when the shard is made: x is (n, dim)
+    float64 and y_local holds n int64 labels in [0, len(classes)). The shard
+    keeps read-only views of both, so the check cannot go stale through it.
+    """
 
     client_id: int
     classes: list[int]
     x: np.ndarray
     y_local: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64).view()
+        y = np.asarray(self.y_local, dtype=np.int64).view()
+        if x.ndim != 2:
+            raise ValueError(f"need an (n, dim) shard, got shape {x.shape}")
+        if y.shape != (len(x),):
+            raise ValueError(f"labels of shape {y.shape} for {len(x)} rows")
+        if np.count_nonzero((y < 0) | (y >= len(self.classes))):
+            raise ValueError(f"label out of range for {len(self.classes)} classes")
+        for name, a in (("x", x), ("y_local", y)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_samples(self) -> int:

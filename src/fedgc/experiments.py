@@ -484,9 +484,7 @@ def train_federated(dataset, client_data, cfg, eval_every: int = 10):
 
 def train_centralized(dataset, cfg, eval_every: int = 10):
     """Pooled-baseline cell with the same metrics cadence as federated cells."""
-    server, client = federation.build_centralized(
-        dataset.train_x, dataset.train_y, dataset.num_classes, cfg
-    )
+    server, client = federation.build_centralized(dataset, cfg)
     opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
 
     def step(s):

@@ -20,7 +20,8 @@ workspace, valid until its next use; run_round copies out what it keeps. A
 call without a workspace gets fresh buffers.
 
 Heads live only on the server, as the columns of one stacked matrix (it
-receives them for aggregation anyway); a client holds just its data shard.
+receives them for aggregation anyway); a client holds just its data shard,
+a data.ClientData that checks its rows and labels once, when it is made.
 "Private" means client-to-client isolation: a client is only ever sent the
 backbone and its own columns. The centralized baseline is the same server
 state with a single client that holds every class, advanced by
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import nn
 from .config import check
-from .data import ClientData
-from .losses import LossSpec, check_inputs, loss_and_grad, target_index
+from .data import ClientData, Dataset
+from .losses import LossSpec, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 
 MODES = ("fedpe", "fedgc", "fedcos", "centralized")
@@ -158,15 +159,14 @@ def _batch_plan(n: int, cfg: FederationConfig, rng: np.random.Generator) -> list
 
 
 class LocalRun(NamedTuple):
-    """One job for local_sgd: SGD on (theta, head) over x[idx], y[idx] for idx in batches.
+    """One job for local_sgd: SGD on (theta, head), one step per index array in batches into the shard.
 
     opt carries the momentum, so the caller decides whether it persists.
     """
 
     theta: nn.BackboneParams
     head: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    shard: ClientData
     batches: list
     opt: nn.SgdState
     loss: LossSpec
@@ -223,23 +223,28 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[nn.Backbon
     one client, so each run's numbers are bitwise what it gets trained
     alone; one run that goes non-finite raises NonFiniteError for the call.
 
-    Shapes and labels are checked once per run, and a batch index out of
-    range raises IndexError as x[idx] would. Each step runs one recorded
-    forward pass for both the loss and the reverse sweep, which writes the
-    backbone gradients straight into views of the gradient buffer; the head
-    gradient is copied into its own view; then one nn.sgd_update moves the
-    whole buffer, backbone and head, in place. Every buffer a step writes
-    comes from `workspace`.
+    A shard checks its rows and labels once, when it is made; here each run's
+    backbone and head must fit its shard, and a batch index out of range
+    raises IndexError as x[idx] would. Each step runs one recorded forward
+    pass for both the loss and the reverse sweep, which writes the backbone
+    gradients straight into views of the gradient buffer; the head gradient
+    is copied into its own view; then one nn.sgd_update moves the whole
+    buffer, backbone and head, in place. Every buffer a step writes comes
+    from `workspace`.
 
     Returns (backbone, head, per-step losses) per run, in input order. Each
     run's opt ends holding its trained velocity as one flat row, the
     backbone's flat row and then the head's, so every run needs its own
     SgdState. The backbones' rows, heads and velocities are views into the
     workspace, valid until its next use; a call without a workspace gets
-    fresh buffers, which nothing else writes to. No run's theta, head, x or
-    y is mutated.
+    fresh buffers, which nothing else writes to. No run's theta or head is
+    mutated.
     """
-    runs = [_checked_run(run) for run in runs]
+    for run in runs:
+        x, classes = run.shard.x, run.shard.classes
+        if run.theta.input_dim != x.shape[1] or run.head.shape != (run.theta.output_dim, len(classes)):
+            raise ValueError(f"backbone {run.theta.dims} and head {run.head.shape} do not fit "
+                             f"a shard of {x.shape[1]} inputs and {len(classes)} classes")
     if len({id(run.opt) for run in runs}) != len(runs):
         raise ValueError("every run needs its own SgdState")
     groups: dict[tuple, list[int]] = {}
@@ -258,14 +263,6 @@ def local_sgd(runs, workspace: Workspace | None = None) -> list[tuple[nn.Backbon
         for i, result in zip(indices, _train_group(group, layout, held, scratch)):
             out[i] = result
     return out
-
-
-def _checked_run(run: LocalRun) -> LocalRun:
-    x = np.asarray(run.x, dtype=np.float64)
-    y = np.asarray(run.y, dtype=np.int64)
-    nn.check_input(run.theta, x)
-    check_inputs(run.head, (len(x), run.theta.output_dim), y)
-    return LocalRun(run.theta, run.head, x, y, list(run.batches), run.opt, run.loss)
 
 
 def _group_key(run: LocalRun) -> tuple:
@@ -334,25 +331,13 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
         row[...] = 0.0 if run.opt.velocity is None else run.opt.velocity
     opt = nn.SgdState(first.opt.learning_rate, first.opt.momentum, first.opt.weight_decay, velocity)
 
-    # every step's row indices and targets, up front: an index out of range
-    # raises here, as x[idx] would, so the gathers below may use take's
-    # "wrap" mode, which skips the copy "raise" makes of its output
-    num_classes = first.head.shape[1]
-    if lead:
-        n_rows = np.array([[len(run.x)] for run in group])
-        offsets = np.cumsum(n_rows, axis=0) - n_rows
-        y = np.concatenate([run.y for run in group])
-        rows, labels = [], []
-        for step in zip(*(run.batches for run in group)):
-            idx = np.stack(step)
-            if np.count_nonzero((idx < -n_rows) | (idx >= n_rows)):
-                raise IndexError("batch index out of range")
-            rows.append(np.where(idx < 0, idx + n_rows, idx))
-            labels.append(y.take(rows[-1] + offsets))
-    else:
-        rows = [np.asarray(idx) for idx in first.batches]
-        labels = [first.y.take(idx) for idx in rows]
-    targets = [target_index(step, num_classes) for step in labels]
+    # every step's targets, up front: take's default "raise" mode refuses an
+    # index out of range, as x[idx] does, and wraps a negative one, so the
+    # gathers below may use its "wrap" mode, which skips the copy "raise"
+    # makes of its output
+    plan = list(zip(*(run.batches for run in group)))
+    labels = (np.concatenate([run.shard.y_local.take(i) for run, i in zip(group, step)]) for step in plan)
+    targets = [target_index(y.reshape(lead + (-1,)), first.head.shape[1]) for y in labels]
 
     # a step of b rows takes the first rows of buffers sized for the
     # largest step: its input, then its tape of every layer's output
@@ -361,16 +346,13 @@ def _train_group(group: list[LocalRun], layout: _Layout, held: _Cursor, scratch:
     steps = {}
     for b in set(sizes):
         h, *tape = (buf[: k * b].reshape(lead + (b, buf.shape[1])) for buf in buffers)
-        steps[b] = h, tape
+        steps[b] = h, tape, list(per_run(h))
 
     trace = []
-    for idx, target, b in zip(rows, targets, sizes):
-        h, tape = steps[b]
-        if lead:
-            for run, h_k, idx_k in zip(group, h, idx):
-                run.x.take(idx_k, axis=0, out=h_k, mode="wrap")
-        else:
-            first.x.take(idx, axis=0, out=h, mode="wrap")
+    for step, target, b in zip(plan, targets, sizes):
+        h, tape, h_runs = steps[b]
+        for run, h_k, i in zip(group, h_runs, step):
+            run.shard.x.take(i, axis=0, out=h_k, mode="wrap")
         feats = nn.record_forward(layers, h, tape)
         lg = loss_and_grad(first.loss, head, feats, target)
         trace.append(lg.loss)
@@ -410,8 +392,7 @@ def client_update(
     return LocalRun(
         theta,
         head,
-        client.x,
-        client.y_local,
+        client,
         _batch_plan(client.n_samples, cfg, rng),
         nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay),
         cfg.loss,
@@ -527,13 +508,10 @@ def merge_shared_identities(emb: StackedEmbeddings) -> StackedEmbeddings:
     return replace(emb, W=w)
 
 
-def build_centralized(
-    x: np.ndarray, y: np.ndarray, num_classes: int, cfg: FederationConfig
-) -> tuple[ServerState, ClientData]:
+def build_centralized(dataset: Dataset, cfg: FederationConfig) -> tuple[ServerState, ClientData]:
     """The pooled upper-bound baseline: a one-client state holding every class."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    theta = nn.init_backbone([x.shape[1], cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
+    num_classes = dataset.num_classes
+    theta = nn.init_backbone([dataset.input_dim, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0]))
     head = init_head(num_classes, cfg.embedding_dim, rng)
     server = ServerState(
@@ -541,7 +519,7 @@ def build_centralized(
         embeddings=StackedEmbeddings(head, np.zeros(num_classes, dtype=np.int64)),
         round=0,
     )
-    return server, ClientData(0, list(range(num_classes)), x, y)
+    return server, ClientData(0, list(range(num_classes)), dataset.train_x, dataset.train_y)
 
 
 def centralized_round(
@@ -555,7 +533,7 @@ def centralized_round(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, server.round, 0xCE]))
     batches = _batch_plan(client.n_samples, cfg, rng)
     ((theta, head, trace),) = local_sgd(
-        [LocalRun(server.theta, server.embeddings.W, client.x, client.y_local, batches, opt, cfg.loss)]
+        [LocalRun(server.theta, server.embeddings.W, client, batches, opt, cfg.loss)]
     )
     new_server = replace(
         server, theta=theta, embeddings=replace(server.embeddings, W=head), round=server.round + 1

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import data as datasets
 from . import federation, nn
-from .losses import LossGrad, LossSpec, check_inputs, loss_and_grad, target_index
+from .losses import LossGrad, LossSpec, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 from .regularizers import _ownership
 
@@ -91,13 +91,19 @@ def batch_loss_and_grad(
 ) -> LossGrad:
     """losses.loss_and_grad on unchecked inputs: an (n, d) batch with (n,) labels.
 
-    embeddings: (d, C) head columns. Converts to float64 and int64, applies
-    check_inputs and returns a float loss.
+    embeddings: (d, C) head columns. Converts to float64 and int64, checks
+    the shapes and the label range, and returns a float loss.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    check_inputs(embeddings, features.shape, labels)
+    (n, feature_dim), (d, c) = features.shape, embeddings.shape
+    if feature_dim != d:
+        raise ValueError(f"feature dim {feature_dim} != embedding dim {d}")
+    if labels.shape != (n,):
+        raise ValueError(f"labels of shape {labels.shape} for {n} features")
+    if np.count_nonzero((labels < 0) | (labels >= c)):
+        raise ValueError(f"label out of range for {c} classes")
     lg = loss_and_grad(spec, embeddings, features, target_index(labels, embeddings.shape[1]))
     lg.loss = float(lg.loss)
     return lg

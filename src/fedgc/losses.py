@@ -84,18 +84,6 @@ def _log_softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def check_inputs(embeddings: np.ndarray, feature_shape: tuple, labels: np.ndarray) -> None:
-    """Shape and label-range rule shared by every loss entry point."""
-    n, feature_dim = feature_shape
-    d, c = embeddings.shape
-    if feature_dim != d:
-        raise ValueError(f"feature dim {feature_dim} != embedding dim {d}")
-    if labels.shape != (n,):
-        raise ValueError(f"labels of shape {labels.shape} for {n} features")
-    if np.count_nonzero((labels < 0) | (labels >= c)):
-        raise ValueError(f"label out of range for {c} classes")
-
-
 def target_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Flat positions of the (row, label) entries in a C-contiguous (..., n, C) array.
 
@@ -115,10 +103,10 @@ def loss_and_grad(
     of per-client means. Products are batched @, reductions run over one
     client's rows or columns (axis -1 or -2), so each client's numbers are
     bitwise what it gets alone. Takes float64 inputs, with labels as
-    target_index, and leaves the label rule to the caller's check_inputs;
-    the finiteness and zero-norm checks on the trained quantities stay, and
-    one bad client raises for the whole group. grad_feature is shaped like
-    features. No input is mutated.
+    target_index whose range the caller has checked (data.ClientData does
+    it for a shard); the finiteness and zero-norm checks on the trained
+    quantities stay, and one bad client raises for the whole group.
+    grad_feature is shaped like features. No input is mutated.
     """
     n = features.shape[-2]
 

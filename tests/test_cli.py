@@ -300,7 +300,7 @@ def assert_outputs_prove_themselves(config, out_dir):
             continue
         cfg = experiments.cell_config(spec, cell)
         if cfg.mode == "centralized":
-            clients = [federation.build_centralized(dataset.train_x, dataset.train_y, dataset.num_classes, cfg)[1]]
+            clients = [federation.build_centralized(dataset, cfg)[1]]
         else:
             clients = experiments.make_partition(dataset, cell.partition, spec, cfg)
         theta, heads, manifest = federation.load_checkpoint(cell_dir / "checkpoint")

@@ -183,6 +183,32 @@ def test_local_to_global_label_mapping_preserves_rows():
     assert seen == len(ds.train_y)
 
 
+def test_client_data_checks_its_shard_when_made():
+    # the one shard rule: (n, dim) float64 rows and n int64 labels in
+    # [0, len(classes)), checked once and then frozen read-only
+    cl = partition_balanced(generate(small_spec()), 2)[0]
+    assert cl.x.dtype == np.float64 and cl.y_local.dtype == np.int64
+    for label in (len(cl.classes), -1):
+        y = cl.y_local.copy()
+        y[3] = label
+        with pytest.raises(ValueError, match="label out of range"):
+            replace(cl, y_local=y)
+    with pytest.raises(ValueError, match="need an \\(n, dim\\) shard"):
+        replace(cl, x=cl.x[:, 0])
+    with pytest.raises(ValueError, match="labels of shape"):
+        replace(cl, y_local=cl.y_local[:-1])
+    empty = replace(cl, x=np.empty((0, 5)), y_local=np.empty(0, dtype=np.int64))
+    assert empty.n_samples == 0 and empty.x.shape == (0, 5)
+    for a in (cl.x, cl.y_local):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    # the shard's views are read-only; the caller's arrays are left as they were
+    x, y = np.zeros((4, 2)), np.zeros(4, dtype=np.int64)
+    shard = ClientData(0, [7], x, y)
+    assert x.flags.writeable and y.flags.writeable
+    assert np.shares_memory(shard.x, x) and np.shares_memory(shard.y_local, y)
+
+
 def test_lognormal_partition_covers_all_classes_exactly_once():
     ds = generate(small_spec(num_classes=12))
     clients = partition_lognormal(ds, 4, seed=0)

@@ -100,7 +100,7 @@ def centralized_rounds(ds, cfg):
 
     One optimizer is passed to every round, so momentum carries across them.
     """
-    server, client = build_centralized(ds.train_x, ds.train_y, ds.num_classes, cfg)
+    server, client = build_centralized(ds, cfg)
     opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
     states = []
     for r in range(cfg.rounds):
@@ -255,7 +255,7 @@ def test_local_training_reduces_loss():
 # ---------------------------------------------------------------- fused loop vs reference
 
 
-def reference_local_sgd(theta, head, x, y, batches, opt, loss):
+def reference_local_sgd(theta, head, shard, batches, opt, loss):
     """The unfused loop local_sgd replaced, kept here as its bitwise oracle.
 
     Each step runs nn.forward, gradcheck.batch_loss_and_grad,
@@ -273,7 +273,7 @@ def reference_local_sgd(theta, head, x, y, batches, opt, loss):
     opts = [nn.SgdState(opt.learning_rate, opt.momentum, opt.weight_decay, v) for v in velocities]
     trace = []
     for idx in batches:
-        xb, yb = x[idx], y[idx]
+        xb, yb = shard.x[idx], shard.y_local[idx]
         feats = nn.forward(theta, xb)
         lg = batch_loss_and_grad(loss, head, feats, yb)
         trace.append(lg.loss)
@@ -311,7 +311,7 @@ def test_client_update_bitwise_matches_reference_loop(loss, batch_size, local_st
     got = train_client(cl, server.theta, head, cfg, round_index=2)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, cl.client_id, 0xC1]))
     want = reference_local_sgd(
-        server.theta, head, cl.x, cl.y_local, _batch_plan(cl.n_samples, cfg, rng),
+        server.theta, head, cl, _batch_plan(cl.n_samples, cfg, rng),
         nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay), cfg.loss,
     )
     assert_same_training(got, want)
@@ -327,10 +327,11 @@ def test_centralized_train_bitwise_matches_reference_loop(loss):
     theta = nn.init_backbone([5, cfg.hidden_dim, cfg.embedding_dim], cfg.seed)
     head = init_head(8, cfg.embedding_dim, np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCE, 0])))
     opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
+    pooled = ClientData(0, list(range(8)), ds.train_x, ds.train_y)
     for r in range(cfg.rounds):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r, 0xCE]))
         theta, head, trace = reference_local_sgd(
-            theta, head, ds.train_x, ds.train_y, _batch_plan(len(ds.train_y), cfg, rng),
+            theta, head, pooled, _batch_plan(len(ds.train_y), cfg, rng),
             opt, cfg.loss,
         )
         theta_c, head_c, loss_c = got[r]
@@ -355,7 +356,7 @@ def test_local_sgd_bitwise_matches_reference_loop_beyond_preset_shapes(
     cfg = small_cfg(batch_size=batch_size, local_steps=6)
     batches = list(_batch_plan(len(ds.train_y), cfg, np.random.default_rng(5)))
     assert len(ds.train_y) % cfg.batch_size
-    args = (ds.train_x, ds.train_y, batches)
+    args = (ClientData(0, list(range(5)), ds.train_x, ds.train_y), batches)
     (got,) = local_sgd([LocalRun(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)])
     want = reference_local_sgd(theta, head, *args, nn.SgdState(0.05, momentum, weight_decay), loss)
     assert_same_training(got, want)
@@ -370,20 +371,21 @@ def test_local_sgd_classifies_divergence_inside_the_step():
     head = init_head(4, 6, np.random.default_rng(9))
     cfg = small_cfg(batch_size=8, local_steps=6)
     batches = _batch_plan(len(ds.train_y), cfg, np.random.default_rng(5))
+    pooled = ClientData(0, list(range(4)), ds.train_x, ds.train_y)
     dead = head.copy()
     dead[:, 2] = 0.0
     with pytest.raises(NonFiniteError, match="zero-norm") as exc:
-        local_sgd([LocalRun(theta, dead, ds.train_x, ds.train_y, batches, nn.SgdState(0.05), LossSpec.cosface())])
+        local_sgd([LocalRun(theta, dead, pooled, batches, nn.SgdState(0.05), LossSpec.cosface())])
     assert exc.type is NonFiniteError
     for loss in (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # the first step is finite; its update overflows the parameters
             (one_step,) = local_sgd(
-                [LocalRun(theta, head, ds.train_x, ds.train_y, batches[:1], nn.SgdState(1e300), loss)]
+                [LocalRun(theta, head, pooled, batches[:1], nn.SgdState(1e300), loss)]
             )
             assert np.isfinite(one_step[2]).all()
             with pytest.raises(NonFiniteError) as exc:
-                local_sgd([LocalRun(theta, head, ds.train_x, ds.train_y, batches, nn.SgdState(1e300), loss)])
+                local_sgd([LocalRun(theta, head, pooled, batches, nn.SgdState(1e300), loss)])
         assert exc.type is NonFiniteError
 
 
@@ -399,7 +401,8 @@ def random_run(rng, dims, classes, rows, batch_size, steps, loss, opt):
     x = rng.normal(0.0, 2.0, size=(rows, dims[0]))
     y = rng.integers(0, classes, size=rows)
     cfg = small_cfg(batch_size=batch_size, local_steps=steps)
-    return LocalRun(theta, head, x, y, _batch_plan(rows, cfg, rng), opt, loss)
+    shard = ClientData(0, list(range(classes)), x, y)
+    return LocalRun(theta, head, shard, _batch_plan(rows, cfg, rng), opt, loss)
 
 
 def assert_same_training_and_velocity(got, want, opt_got, opt_want):
@@ -512,7 +515,8 @@ def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
     # a run with a narrower head) is refused, alone or in a group
     (trained,) = local_sgd([a])
     assert len(trained[2]) == 2
-    narrow = a._replace(head=a.head[:, :1], y=np.zeros_like(a.y), opt=nn.SgdState(0.05, 0.9))
+    one_class = replace(a.shard, classes=[0], y_local=np.zeros_like(a.shard.y_local))
+    narrow = a._replace(head=a.head[:, :1], shard=one_class, opt=nn.SgdState(0.05, 0.9))
     local_sgd([narrow])
     foreign = a._replace(opt=narrow.opt)
     b = b._replace(opt=nn.SgdState(0.05, 0.9))
@@ -520,6 +524,26 @@ def test_local_sgd_rejects_shared_optimizer_and_foreign_velocity():
         with pytest.raises(ValueError, match="mismatch"):
             local_sgd(runs)
     assert local_sgd([]) == []
+
+
+def test_local_sgd_refuses_a_run_that_does_not_fit_its_shard():
+    # the shard checked its own rows and labels; a run must still bring a
+    # head with one column per class and a backbone as wide as the rows
+    rng = np.random.default_rng(6)
+    runs = [random_run(rng, [4, 5, 3], 3, 9, 4, 2, LossSpec.softmax(), nn.SgdState(0.05)) for _ in range(3)]
+    local_sgd(runs)
+    wide = ClientData(0, [0, 1, 2], np.zeros((9, 5)), runs[0].shard.y_local)
+    misfits = [
+        runs[0]._replace(head=runs[0].head[:, :2]),
+        runs[0]._replace(head=np.zeros((3, 4))),
+        runs[0]._replace(head=np.zeros((4, 3))),
+        runs[0]._replace(shard=replace(runs[0].shard, classes=[0, 1, 2, 3])),
+        runs[0]._replace(shard=wide),
+    ]
+    for misfit in misfits:
+        for call in ([misfit], [runs[1], misfit, runs[2]]):
+            with pytest.raises(ValueError, match="do not fit a shard"):
+                local_sgd([run._replace(opt=nn.SgdState(0.05)) for run in call])
 
 
 # ---------------------------------------------------------------- aggregation
@@ -857,14 +881,15 @@ def test_combined_objective_hand_value():
 
 def test_combined_objective_rejects_out_of_range_labels():
     # unchecked, label C would pick the next row's first logit as its target
-    # and return a plausible number
+    # and return a plausible number; the shard refuses it when it is made,
+    # so no shard that shard_fit or local_sgd reads can hold one
     cfg = small_cfg(mode="fedgc", lam=3.0)
     _, server, clients = make_federation(cfg)
     y = clients[0].y_local.copy()
     y[0] = len(clients[0].classes)
-    shards = [replace(clients[0], y_local=y), *clients[1:]]
     with pytest.raises(ValueError, match="label out of range"):
-        shard_fit(server, shards, cfg.loss)
+        replace(clients[0], y_local=y)
+    shard_fit(server, clients, cfg.loss)
 
 
 # ---------------------------------------------------------------- centralized

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from fedgc.gradcheck import batch_loss_and_grad, finite_diff_check, global_softmax_grad
-from fedgc.losses import LossSpec, NonFiniteError, _log_softmax_inplace, check_inputs
+from fedgc.losses import LossSpec, NonFiniteError, _log_softmax_inplace
 
 ALL_SPECS = [LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface()]
 
@@ -141,15 +141,16 @@ def test_margin_loss_rejects_zero_norm():
 
 
 def test_input_validation():
+    spec = LossSpec.softmax()
     with pytest.raises(ValueError, match="feature dim 2"):
-        check_inputs(np.eye(3), (1, 2), np.array([0]))
+        batch_loss_and_grad(spec, np.eye(3), np.ones((1, 2)), np.array([0]))
     with pytest.raises(ValueError, match="out of range"):
-        check_inputs(np.eye(3), (1, 3), np.array([3]))
+        batch_loss_and_grad(spec, np.eye(3), np.ones((1, 3)), np.array([3]))
     with pytest.raises(ValueError, match="out of range"):
-        check_inputs(np.eye(3), (1, 3), np.array([-1]))
+        batch_loss_and_grad(spec, np.eye(3), np.ones((1, 3)), np.array([-1]))
     with pytest.raises(ValueError, match="labels of shape"):
-        check_inputs(np.eye(3), (2, 3), np.array([0]))
-    check_inputs(np.eye(3), (2, 3), np.array([0, 2]))
+        batch_loss_and_grad(spec, np.eye(3), np.ones((2, 3)), np.array([0]))
+    batch_loss_and_grad(spec, np.eye(3), np.ones((2, 3)), np.array([0, 2]))
 
 
 def test_global_softmax_is_softmax_over_full_stack():

@@ -437,70 +437,47 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
     )
 
 
-def _finite_row(m: evaluation.RoundMetrics) -> bool:
-    return all(np.isfinite(v) for v in m.to_dict().values())
-
-
-def _eval_now(r: int, cfg, eval_every: int) -> bool:
-    return (r + 1) % eval_every == 0 or r + 1 == cfg.rounds
-
-
-def _train_rounds(server, clients, step, cfg, dataset, eval_every: int):
-    """Advance `server` by `step(server) -> (server, mean_loss)` for cfg.rounds rounds.
+def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> CellResult:
+    """Train one grid cell on the grid's dataset (make_dataset).
 
     The one round/eval/divergence loop behind federated and centralized
-    cells; returns (status, metrics, server, clients), where a diverged cell
-    keeps the state of the round it reached.
+    cells: `step(server) -> (server, mean_loss)` advances a round, and a
+    metrics row is taken every spec.eval_every rounds and after the last.
+    A non-finite loss or row makes the cell diverged, keeping the state of
+    the round it reached.
     """
-    metrics: list[evaluation.RoundMetrics] = []
+    cfg = cell_config(spec, cell)
+    if cfg.mode == "centralized":
+        server, client = federation.build_centralized(dataset, cfg)
+        clients = [client]
+        opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
+
+        def step(s):
+            return federation.centralized_round(s, client, cfg, opt)
+    else:
+        client_data = make_partition(dataset, cell.partition, spec, cfg)
+        server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
+        # the cell's training buffers, reused every round and freed with the cell
+        workspace = federation.Workspace()
+
+        def step(s):
+            return federation.run_round(s, clients, cfg, rng, workspace)
+
+    status, metrics = OK, []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r in range(cfg.rounds):
-            try:
+        try:
+            for r in range(cfg.rounds):
                 server, mean_loss = step(server)
                 if not np.isfinite(mean_loss):
                     raise NonFiniteError("mean local loss")
-                if _eval_now(r, cfg, eval_every):
+                if (r + 1) % spec.eval_every == 0 or r + 1 == cfg.rounds:
                     row = compute_round_metrics(server, clients, cfg, dataset, mean_loss)
-                    if not _finite_row(row):
+                    if not all(np.isfinite(v) for v in row.to_dict().values()):
                         raise NonFiniteError("metrics row")
                     metrics.append(row)
-            except NonFiniteError:
-                return DIVERGED, metrics, server, clients
-    return OK, metrics, server, clients
-
-
-def train_federated(dataset, client_data, cfg, eval_every: int = 10):
-    """Train one federated cell; returns (status, metrics, server, clients)."""
-    server, clients = federation.build_federation(client_data, dataset.input_dim, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5A]))
-    # the cell's training buffers, reused every round and freed with the cell
-    workspace = federation.Workspace()
-
-    def step(s):
-        return federation.run_round(s, clients, cfg, rng, workspace)
-
-    return _train_rounds(server, clients, step, cfg, dataset, eval_every)
-
-
-def train_centralized(dataset, cfg, eval_every: int = 10):
-    """Pooled-baseline cell with the same metrics cadence as federated cells."""
-    server, client = federation.build_centralized(dataset, cfg)
-    opt = nn.SgdState(cfg.eta, cfg.momentum, cfg.weight_decay)
-
-    def step(s):
-        return federation.centralized_round(s, client, cfg, opt)
-
-    return _train_rounds(server, [client], step, cfg, dataset, eval_every)
-
-
-def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> CellResult:
-    """Train one grid cell on the grid's dataset (make_dataset)."""
-    cfg = cell_config(spec, cell)
-    if cfg.mode == "centralized":
-        status, metrics, server, clients = train_centralized(dataset, cfg, spec.eval_every)
-    else:
-        client_data = make_partition(dataset, cell.partition, spec, cfg)
-        status, metrics, server, clients = train_federated(dataset, client_data, cfg, spec.eval_every)
+        except NonFiniteError:
+            status = DIVERGED
     return CellResult(cell, status, server.round, metrics, server, clients)
 
 

@@ -78,8 +78,8 @@ class FederationConfig:
              f"need in (0, 1], got {self.participation}"),
             # lam = 0 is allowed in every mode; a grid of fedgc/fedcos cells
             # rejects it (experiments.ExperimentSpec)
-            ("lam", self.lam >= 0.0, f"need >= 0, got {self.lam}"),
-            ("eta", self.eta > 0.0, f"need > 0, got {self.eta}"),
+            ("lam", 0.0 <= self.lam < np.inf, f"need in [0, inf), got {self.lam}"),
+            ("eta", 0.0 < self.eta < np.inf, f"need in (0, inf), got {self.eta}"),
             ("rounds", self.rounds >= 0, f"need >= 0, got {self.rounds}"),
             # zero steps would train nothing and report a NaN mean loss
             ("local_steps", self.local_steps is None or self.local_steps >= 1,
@@ -87,7 +87,8 @@ class FederationConfig:
             ("batch_size", self.batch_size >= 1, f"need >= 1, got {self.batch_size}"),
             ("mode", self.mode in MODES, f"unknown mode {self.mode!r}"),
             ("momentum", 0.0 <= self.momentum < 1.0, f"need in [0, 1), got {self.momentum}"),
-            ("weight_decay", self.weight_decay >= 0.0, f"need >= 0, got {self.weight_decay}"),
+            ("weight_decay", 0.0 <= self.weight_decay < np.inf,
+             f"need in [0, inf), got {self.weight_decay}"),
             ("hidden_dim", self.hidden_dim >= 1, f"need >= 1, got {self.hidden_dim}"),
             ("embedding_dim", self.embedding_dim >= 1, f"need >= 1, got {self.embedding_dim}"),
         ])

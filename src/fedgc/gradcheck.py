@@ -7,6 +7,7 @@ exponential form, and the server correction the centralized softmax gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import data as datasets
 from . import federation, nn
 from .losses import LossGrad, LossSpec, loss_and_grad, target_index
 from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
-from .regularizers import _ownership
+from .regularizers import _columns, _ownership
 
 
 @dataclass
@@ -35,7 +36,8 @@ def finite_diff_check(
     """Central differences per coordinate against an analytic gradient.
 
     Relative error uses max(1, |a| + |b|) as the denominator so tiny
-    gradients are compared absolutely.
+    gradients are compared absolutely. The first coordinate whose error is
+    NaN (a NaN or infinite analytic entry) is the worst and fails the check.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
@@ -57,9 +59,11 @@ def finite_diff_check(
         numeric = (fp - fm) / (2 * h)
         a = analytic_grad[idx]
         rel = abs(numeric - a) / max(1.0, abs(numeric) + abs(a))
+        if np.isnan(rel):
+            return FiniteDiffReport(max_rel_err=float(rel), worst_index=idx, passed=False)
         if rel > worst:
             worst, worst_idx = rel, idx
-    return FiniteDiffReport(max_rel_err=float(worst), worst_index=worst_idx, passed=worst < tol)
+    return FiniteDiffReport(max_rel_err=float(worst), worst_index=worst_idx, passed=bool(worst < tol))
 
 
 def backward(
@@ -125,9 +129,7 @@ def anchor_term(emb: StackedEmbeddings, a: int) -> RegGrad:
     The gradient falls on the negatives only, the columns whose owner sets
     are disjoint from a's, so column a and its group-mates get exactly zero.
     """
-    w = emb.W
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite entry in stacked embeddings")
+    w, _ = _columns(emb, False)
     set_of, meets, met = _ownership(emb)
     negatives = np.flatnonzero(~np.isin(set_of, met[meets == set_of[a]]))
     anchor = w[:, a]
@@ -229,10 +231,6 @@ class CheckRow:
     passed: bool
 
 
-def _record(rows: list[CheckRow], name: str, err: float, tol: float) -> None:
-    rows.append(CheckRow(name, float(err), tol, bool(err <= tol)))
-
-
 def _fd(f, x0, grad, h=1e-6) -> float:
     return finite_diff_check(f, x0, grad, h=h, tol=np.inf).max_rel_err
 
@@ -265,6 +263,70 @@ def _frozen_anchor_value(emb0: StackedEmbeddings, w: np.ndarray, normalize: bool
     return total
 
 
+def _backbone_errors(rng) -> list[float]:
+    theta = nn.init_backbone([4, 6, 3], int(rng.integers(2**31)))
+    x = rng.uniform(-1.0, 1.0, size=(3, 4))
+    g_out = rng.normal(size=(3, 3))
+    grad, grad_x = backward(theta, x, g_out)
+
+    def f_param(t):
+        return float((nn.forward(nn.BackboneParams(t, theta.dims), x) * g_out).sum())
+
+    return [
+        _fd(f_param, theta.flat, grad.flat),
+        _fd(lambda t: float((nn.forward(theta, t) * g_out).sum()), x, grad_x),
+    ]
+
+
+def _loss_errors(spec: LossSpec, d: int, c: int, n: int, rng) -> list[float]:
+    """Both gradients of a (d, c) head's loss on an (n, d) batch."""
+    emb = rng.normal(size=(d, c))
+    feats = rng.normal(size=(n, d))
+    labels = rng.integers(0, c, size=n)
+    lg = batch_loss_and_grad(spec, emb, feats, labels)
+    return [
+        _fd(lambda w: batch_loss_and_grad(spec, w, feats, labels).loss, emb, lg.grad_embeddings),
+        _fd(lambda t: batch_loss_and_grad(spec, emb, t, labels).loss, feats, lg.grad_feature),
+    ]
+
+
+def _softmax_reg_error(normalize: bool, rng) -> float:
+    # against the frozen-anchor oracle
+    emb = _random_stack(rng)
+    rg = softmax_reg(emb, normalize_columns=normalize)
+    return _fd(lambda w: _frozen_anchor_value(emb, w, normalize), emb.W, rg.grad)
+
+
+def _cosine_reg_errors(rng) -> list[float]:
+    emb = _random_stack(rng)
+
+    def value(w, normalize):
+        return cosine_reg(StackedEmbeddings(w, emb.client_of), normalize_columns=normalize).value
+
+    return [
+        _fd(partial(value, normalize=n), emb.W, cosine_reg(emb, normalize_columns=n).grad)
+        for n in (False, True)
+    ]
+
+
+def _stable_errors(rng) -> list[float]:
+    emb = _random_stack(rng, d=8)
+    stable, naive = softmax_reg(emb), softmax_reg_naive(emb)
+    return [abs(stable.value - naive.value), np.abs(stable.grad - naive.grad).max()]
+
+
+def _own_anchor_error(rng) -> float:
+    return np.abs(anchor_term(_random_stack(rng), 0).grad[:, 0]).max()
+
+
+def _closed_form_error() -> float:
+    w = np.eye(4)[:, :2]
+    rg = softmax_reg(StackedEmbeddings(w, np.array([0, 1])))
+    closed_value = 2.0 * np.log1p(np.exp(-1.0))
+    closed_col = w[:, 0] / (1.0 + np.e)
+    return np.max([abs(rg.value - closed_value), np.abs(rg.grad[:, 1] - closed_col).max()])
+
+
 def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     """Analytic-vs-numeric gradient checks plus the correction-geometry identities.
 
@@ -272,126 +334,35 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     finite differences on seeded random instances, then the diagnostic
     identities (frozen-anchor semantics, closed forms, feature substitution,
     local-vs-global magnitude agreement) are evaluated. Returns one row per
-    check; all must pass.
+    check; all must pass, and a NaN error fails its row.
     """
-    rows: list[CheckRow] = []
     root = np.random.SeedSequence([seed, 0x6C])
 
-    # backbone backward pass
-    err = 0.0
-    for sub in root.spawn(10):
-        rng = np.random.default_rng(sub)
-        theta = nn.init_backbone([4, 6, 3], int(rng.integers(2**31)))
-        x = rng.uniform(-1.0, 1.0, size=(3, 4))
-        g_out = rng.normal(size=(3, 3))
-        grad, grad_x = backward(theta, x, g_out)
+    def worst(count: int, errors) -> float:
+        # the largest error over `count` seeded instances; np.max keeps a NaN
+        return float(np.max([errors(np.random.default_rng(sub)) for sub in root.spawn(count)]))
 
-        def f_param(t):
-            return float((nn.forward(nn.BackboneParams(t, theta.dims), x) * g_out).sum())
-
-        err = max(err, _fd(f_param, theta.flat, grad.flat))
-        err = max(err, _fd(lambda t: float((nn.forward(theta, t) * g_out).sum()), x, grad_x))
-    _record(rows, "backbone backward vs finite differences", err, 1e-5)
-
-    # local loss gradients, all variants
-    for spec_name, spec in (
-        ("softmax", LossSpec.softmax()),
-        ("cosface", LossSpec.cosface()),
-        ("arcface", LossSpec.arcface()),
-    ):
-        err = 0.0
-        for sub in root.spawn(instances):
-            rng = np.random.default_rng(sub)
-            d, c, n = 5, 4, 3
-            emb = rng.normal(size=(d, c))
-            feats = rng.normal(size=(n, d))
-            labels = rng.integers(0, c, size=n)
-            lg = batch_loss_and_grad(spec, emb, feats, labels)
-            err = max(
-                err,
-                _fd(lambda w: batch_loss_and_grad(spec, w, feats, labels).loss, emb, lg.grad_embeddings),
-                _fd(lambda t: batch_loss_and_grad(spec, emb, t, labels).loss, feats, lg.grad_feature),
-            )
-        _record(rows, f"{spec_name} loss gradients", err, 1e-5)
-
-    # softmax over the full stacked class space
-    err = 0.0
-    for sub in root.spawn(instances):
-        rng = np.random.default_rng(sub)
-        emb = rng.normal(size=(5, 9))
-        feat = rng.normal(size=(1, 5))
-        label = [int(rng.integers(9))]
-        lg = global_softmax_grad(emb, feat, label)
-        err = max(
-            err,
-            _fd(lambda w: global_softmax_grad(w, feat, label).loss, emb, lg.grad_embeddings),
-            _fd(lambda t: global_softmax_grad(emb, t, label).loss, feat, lg.grad_feature),
-        )
-    _record(rows, "global softmax gradients", err, 1e-5)
-
-    # regularizer gradients against the frozen-anchor oracle
-    for normalize, label in ((False, "raw dot products"), (True, "normalized columns")):
-        err = 0.0
-        for sub in root.spawn(20):
-            rng = np.random.default_rng(sub)
-            emb = _random_stack(rng)
-            rg = softmax_reg(emb, normalize_columns=normalize)
-            err = max(err, _fd(lambda w: _frozen_anchor_value(emb, w, normalize), emb.W, rg.grad))
-        _record(rows, f"softmax regularizer gradient ({label})", err, 1e-5)
-
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng)
-        for normalize in (False, True):
-            rg = cosine_reg(emb, normalize_columns=normalize)
-
-            def f_cos(w, normalize=normalize):
-                return cosine_reg(
-                    StackedEmbeddings(w, emb.client_of), normalize_columns=normalize
-                ).value
-
-            err = max(err, _fd(f_cos, emb.W, rg.grad))
-    _record(rows, "cosine regularizer gradient", err, 1e-5)
-
-    # numerically stable vs direct exponential evaluation
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng, d=8)
-        stable = softmax_reg(emb)
-        naive = softmax_reg_naive(emb)
-        err = max(err, abs(stable.value - naive.value), np.abs(stable.grad - naive.grad).max())
-    _record(rows, "stable vs direct regularizer evaluation", err, 1e-10)
-
-    # an anchor's own term contributes nothing to its gradient
-    err = 0.0
-    for sub in root.spawn(20):
-        rng = np.random.default_rng(sub)
-        emb = _random_stack(rng)
-        err = max(err, np.abs(anchor_term(emb, 0).grad[:, 0]).max())
-    _record(rows, "own-anchor gradient contribution", err, 0.0)
-
-    # two-client orthonormal closed form
-    w = np.eye(4)[:, :2]
-    emb = StackedEmbeddings(w, np.array([0, 1]))
-    rg = softmax_reg(emb)
-    closed_value = 2.0 * np.log1p(np.exp(-1.0))
-    closed_col = w[:, 0] / (1.0 + np.e)
-    err = max(abs(rg.value - closed_value), np.abs(rg.grad[:, 1] - closed_col).max())
-    _record(rows, "two-client orthonormal closed form", err, 1e-10)
-
-    # correction geometry: substitution identity, direction, magnitude ratio
+    variants = (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface())
+    reg_forms = ((False, "raw dot products"), (True, "normalized columns"))
     report = grad_direction_diagnostic(*_probe_federation(seed))
-    _record(rows, "anchored vs feature-substituted correction", report.max_correction_vs_feature_diff, 1e-12)
-    _record(rows, "correction vs centralized direction", np.abs(report.direction_cosines - 1.0).max(), 1e-12)
-    _record(
-        rows,
-        "local-vs-global gradient magnitude ratio",
-        np.abs(_trained_regime_ratios(seed) - 1.0).max(),
-        1e-6,
-    )
-    return rows
+    table = [
+        ("backbone backward vs finite differences", worst(10, _backbone_errors), 1e-5),
+        *[(f"{spec.variant} loss gradients", worst(instances, partial(_loss_errors, spec, 5, 4, 3)), 1e-5)
+          for spec in variants],
+        # softmax over the full stacked class space, for one sample
+        ("global softmax gradients", worst(instances, partial(_loss_errors, variants[0], 5, 9, 1)), 1e-5),
+        *[(f"softmax regularizer gradient ({label})", worst(20, partial(_softmax_reg_error, normalize)), 1e-5)
+          for normalize, label in reg_forms],
+        ("cosine regularizer gradient", worst(20, _cosine_reg_errors), 1e-5),
+        ("stable vs direct regularizer evaluation", worst(20, _stable_errors), 1e-10),
+        ("own-anchor gradient contribution", worst(20, _own_anchor_error), 0.0),
+        ("two-client orthonormal closed form", _closed_form_error(), 1e-10),
+        # correction geometry: substitution identity, direction, magnitude ratio
+        ("anchored vs feature-substituted correction", report.max_correction_vs_feature_diff, 1e-12),
+        ("correction vs centralized direction", np.abs(report.direction_cosines - 1.0).max(), 1e-12),
+        ("local-vs-global gradient magnitude ratio", np.abs(_trained_regime_ratios(seed) - 1.0).max(), 1e-6),
+    ]
+    return [CheckRow(name, float(err), tol, bool(err <= tol)) for name, err, tol in table]
 
 
 def _probe_federation(seed: int):

@@ -33,8 +33,8 @@ class LossSpec:
     def __post_init__(self):
         check(self, [
             ("variant", self.variant in _VARIANTS, f"unknown variant {self.variant!r}"),
-            ("margin", self.margin >= 0.0, f"need >= 0, got {self.margin}"),
-            ("scale", self.scale > 0.0, f"need > 0, got {self.scale}"),
+            ("margin", 0.0 <= self.margin < np.inf, f"need in [0, inf), got {self.margin}"),
+            ("scale", 0.0 < self.scale < np.inf, f"need in (0, inf), got {self.scale}"),
         ])
 
     @classmethod

@@ -21,13 +21,12 @@ from fedgc import federation, nn
 from fedgc.data import generate, partition_balanced
 from fedgc.experiments import (
     OK,
+    Cell,
     cell_config,
     compute_round_metrics,
     make_dataset,
-    make_partition,
     parse_config,
     run_cell,
-    train_federated,
 )
 from fedgc.gradcheck import batch_loss_and_grad, verification_suite
 from fedgc.regularizers import StackedEmbeddings, softmax_reg
@@ -184,21 +183,20 @@ def test_criterion_05_correction_identity_and_magnitude_ratio(checks):
 
 
 def test_criterion_06_zero_multiplier_degeneracy_and_determinism():
-    spec = load_preset("default")
-    base = replace(spec.fed, rounds=50)
-    ds = make_dataset(spec, base)
-    shards = make_partition(ds, "balanced", spec, base)
+    preset = load_preset("default")
+    spec = replace(preset, fed=replace(preset.fed, rounds=50), eval_every=50)
+    ds = make_dataset(spec, spec.fed)
 
-    def final_state(cfg):
-        status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=50)
-        assert status == OK
-        return server, metrics
+    def final_state(mode, lam):
+        result = run_cell(spec, Cell(mode, spec.fed.participation, lam, "balanced"), ds)
+        assert result.status == OK
+        return result.server, result.metrics
 
-    # the zero-multiplier config is built directly (no grid accepts it for
+    # the zero-multiplier cell is built directly (no grid accepts it for
     # real runs) to pin down that the correction path contributes nothing
-    plain, m_plain = final_state(replace(base, mode="fedpe"))
-    degenerate, m_degen = final_state(replace(base, mode="fedgc", lam=0.0))
-    again, _ = final_state(replace(base, mode="fedgc", lam=0.0))
+    plain, m_plain = final_state("fedpe", spec.fed.lam)
+    degenerate, m_degen = final_state("fedgc", 0.0)
+    again, _ = final_state("fedgc", 0.0)
 
     np.testing.assert_array_equal(plain.embeddings.W, degenerate.embeddings.W)
     for a, b in zip(plain.theta.to_list(), degenerate.theta.to_list()):

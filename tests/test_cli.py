@@ -20,7 +20,7 @@ import pytest
 import golden
 
 from fedgc import cli, experiments, federation, gradcheck, nn
-from fedgc.regularizers import StackedEmbeddings
+from fedgc.regularizers import RegGrad, StackedEmbeddings
 
 
 TINY_CFG = """
@@ -123,6 +123,24 @@ def test_validate_rejects_a_bad_data_scale(tmp_path, capsys, key, value):
     path.write_text(path.read_text().replace("input_dim = 4", f"input_dim = 4\n{key} = {value}"))
     assert cli.main(["validate", str(path)]) == 1
     assert f"[data] {key}: need in [0, inf)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, refusal", [
+    ("lambdas = 1", "lambdas = inf", "[grid] lambdas: need in [0, inf), got inf"),
+    ("eta = 0.05", "eta = inf", "[federation] eta: need in (0, inf), got inf"),
+    ("seed = 3", "seed = 3\nweight_decay = inf", "[federation] weight_decay: need in [0, inf), got inf"),
+    ("seed = 3", "seed = 3\nloss = cosface\nloss_scale = inf",
+     "[federation] loss_scale: need in (0, inf), got inf"),
+    ("seed = 3", "seed = 3\nloss = cosface\nloss_margin = inf",
+     "[federation] loss_margin: need in [0, inf), got inf"),
+])
+def test_validate_rejects_an_infinite_hyperparameter(tmp_path, capsys, old, new, refusal):
+    # on configs/default.cfg each validated, and then the fedgc cell diverged
+    # at round 1 (lambdas) or every cell at round 0 (the others)
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace(old, new))
+    assert cli.main(["validate", str(path)]) == 1
+    assert f"config error: {refusal}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -397,6 +415,22 @@ def test_gradcheck_exit_3_on_failure(monkeypatch, capsys):
     assert cli.main(["gradcheck"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "0/1 checks passed" in out
+
+
+def test_a_nan_row_fails_the_suite_and_the_cli(monkeypatch, capsys):
+    # the row's hand-written max dropped NaN: an all-NaN direct evaluation passed at 0.0
+    def nan_naive(emb):
+        return RegGrad(float("nan"), np.full(emb.W.shape, np.nan))
+
+    monkeypatch.setattr(gradcheck, "softmax_reg_naive", nan_naive)
+    rows = {r.name: r for r in gradcheck.verification_suite(seed=1, instances=2)}
+    row = rows["stable vs direct regularizer evaluation"]
+    assert math.isnan(row.max_err) and row.passed is False
+    assert sum(not r.passed for r in rows.values()) == 1
+    assert cli.main(["gradcheck"]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"stable vs direct regularizer evaluation +max_err=nan .*FAIL", out)
+    assert "13/14 checks passed" in out
 
 
 NO_SCIPY = """

@@ -353,15 +353,21 @@ def test_finite_diff_check_accepts_true_gradient():
 
     x0 = np.array([[0.3, -0.7], [1.1, 0.4]])
     report = finite_diff_check(f, x0, 2.0 * a * x0)
-    assert report.passed and report.max_rel_err < 1e-8
+    assert report.passed is True and report.max_rel_err < 1e-8
 
 
 def test_finite_diff_check_flags_wrong_gradient():
     x0 = np.array([1.0, 2.0])
     report = finite_diff_check(lambda x: float((x * x).sum()), x0, np.array([2.0, 3.9]))
-    assert not report.passed
+    assert report.passed is False
     assert report.worst_index == (1,)
     assert report.max_rel_err > 1e-2
+    # a NaN error is the worst there is: the max dropped it and passed an all-NaN gradient
+    for grad, index in (([np.nan, np.nan], (0,)), ([2.0, np.nan], (1,))):
+        report = finite_diff_check(lambda x: float((x * x).sum()), x0, np.array(grad))
+        assert report.passed is False
+        assert report.worst_index == index
+        assert np.isnan(report.max_rel_err)
 
 
 def test_finite_diff_check_validation():

@@ -31,8 +31,6 @@ from fedgc.experiments import (
     parse_config,
     run_cell,
     run_experiment,
-    train_centralized,
-    train_federated,
 )
 from fedgc.gradcheck import verification_suite
 from fedgc.losses import LossSpec
@@ -249,6 +247,12 @@ def test_parse_config_pins_file_defaults(tmp_path):
         (lambda: federation.FederationConfig(num_clients=2, participation=0.0), "participation"),
         (lambda: federation.FederationConfig(num_clients=2, batch_size=0), "batch_size"),
         (lambda: federation.FederationConfig(num_clients=2, local_steps=0), "local_steps"),
+        (lambda: federation.FederationConfig(num_clients=2, lam=np.inf), "lam"),
+        (lambda: federation.FederationConfig(num_clients=2, eta=np.inf), "eta"),
+        (lambda: federation.FederationConfig(num_clients=2, weight_decay=np.inf), "weight_decay"),
+        (lambda: LossSpec("cosface", margin=np.inf), "margin"),
+        (lambda: LossSpec("cosface", scale=np.inf), "scale"),
+        (lambda: tiny_spec(lambdas=[np.inf]), "lambdas"),
         (lambda: replace(tiny_spec().fed, batch_size=0), "batch_size"),
         (lambda: tiny_spec(partitions=["striped"]), "partitions"),
         (lambda: tiny_spec(partitions=["shared"], group_size=3), "group_size"),
@@ -380,15 +384,13 @@ def test_cell_config_and_dataset_follow_the_cell():
 # ---------------------------------------------------------------- training cells
 
 
-def test_train_federated_metrics_cadence():
-    spec = tiny_spec()
-    cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
-    ds = make_dataset(spec, cfg)
-    shards = make_partition(ds, "balanced", spec, cfg)
-    status, metrics, server, _ = train_federated(ds, shards, cfg, eval_every=2)
-    assert status == OK and server.round == 3
-    assert [m.round for m in metrics] == [2, 3]
-    for m in metrics:
+def test_run_cell_metrics_cadence():
+    spec = replace(tiny_spec(), eval_every=2)
+    cell = Cell("fedpe", 1.0, 0.0, "balanced")
+    result = run_cell(spec, cell, make_dataset(spec, cell_config(spec, cell)))
+    assert result.status == OK and result.server.round == 3
+    assert [m.round for m in result.metrics] == [2, 3]
+    for m in result.metrics:
         assert all(np.isfinite(v) for v in m.to_dict().values())
 
 
@@ -430,42 +432,39 @@ def test_centralized_evaluation_makes_one_similarity_pass(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "embedding_similarity_stats", counting)
-    spec = tiny_spec()
-    cfg = cell_config(spec, Cell("centralized", 1.0, 0.0, "balanced"))
-    status, metrics, _, _ = train_centralized(make_dataset(spec, cfg), cfg, eval_every=1)
-    assert status == OK and len(metrics) == 3
+    spec = replace(tiny_spec(), eval_every=1)
+    cell = Cell("centralized", 1.0, 0.0, "balanced")
+    result = run_cell(spec, cell, make_dataset(spec, cell_config(spec, cell)))
+    assert result.status == OK and len(result.metrics) == 3
     assert len(calls) == 3
-    for m in metrics:  # one head: no cross-client pairs, so both sides report all pairs
+    for m in result.metrics:  # one head: no cross-client pairs, so both sides report all pairs
         assert m.cross_client_max_cos == m.within_client_max_cos == m.similarity.all_pairs_max_cos
 
 
 def test_divergent_cell_is_reported_not_raised():
-    spec = tiny_spec(fed=replace(tiny_spec().fed, eta=1e6, rounds=6))
-    cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
-    ds = make_dataset(spec, cfg)
-    shards = make_partition(ds, "balanced", spec, cfg)
-    status, metrics, _, _ = train_federated(ds, shards, cfg, eval_every=1)
-    assert status == DIVERGED
-    for m in metrics:  # rows recorded before the blow-up stay finite
+    spec = replace(tiny_spec(fed=replace(tiny_spec().fed, eta=1e6, rounds=6)), eval_every=1)
+    cell = Cell("fedpe", 1.0, 0.0, "balanced")
+    result = run_cell(spec, cell, make_dataset(spec, cell_config(spec, cell)))
+    assert result.status == DIVERGED
+    for m in result.metrics:  # rows recorded before the blow-up stay finite
         assert all(np.isfinite(v) for v in m.to_dict().values())
 
 
 def test_program_error_propagates_instead_of_diverging(monkeypatch):
     # only non-finite training state is divergence; any other ValueError is a bug
-    spec = tiny_spec()
-    cfg = cell_config(spec, Cell("fedpe", 1.0, 0.0, "balanced"))
-    ds = make_dataset(spec, cfg)
-    shards = make_partition(ds, "balanced", spec, cfg)
+    spec = replace(tiny_spec(), eval_every=10)
+    cell = Cell("fedpe", 1.0, 0.0, "balanced")
+    ds = make_dataset(spec, cell_config(spec, cell))
 
     def broken(*args, **kwargs):
         raise ValueError("backbone structure mismatch")
 
     monkeypatch.setattr(federation, "aggregate_theta", broken)
     with pytest.raises(ValueError, match="structure mismatch"):
-        train_federated(ds, shards, cfg)
+        run_cell(spec, cell, ds)
     monkeypatch.setattr(federation, "local_sgd", broken)
     with pytest.raises(ValueError, match="structure mismatch"):
-        train_centralized(ds, replace(cfg, mode="centralized"))
+        run_cell(spec, replace(cell, mode="centralized"), ds)
 
 
 def test_run_cell_centralized(tmp_path):

@@ -80,7 +80,11 @@ def _cmd_gradcheck(args) -> int:
     # imported here so that `fedgc run` does not load (and compile) the suite
     from . import gradcheck
 
-    rows = gradcheck.verification_suite(args.seed)
+    try:
+        rows = gradcheck.verification_suite(args.seed)
+    except ConfigError as exc:  # a negative seed, refused before any check runs
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     width = max(len(r.name) for r in rows)
     failed = 0
     for r in rows:

@@ -372,9 +372,9 @@ def apply_overrides(
         changes["fractions"] = [fraction]
     if out is not None:
         changes["out_dir"] = out
-    if seed is not None:
-        changes["fed"] = replace(spec.fed, seed=seed)
     try:
+        if seed is not None:
+            changes["fed"] = replace(spec.fed, seed=seed)
         return replace(spec, **changes), []
     except ConfigError as exc:
         return spec, file_problems(exc)

@@ -91,6 +91,7 @@ class FederationConfig:
              f"need in [0, inf), got {self.weight_decay}"),
             ("hidden_dim", self.hidden_dim >= 1, f"need >= 1, got {self.hidden_dim}"),
             ("embedding_dim", self.embedding_dim >= 1, f"need >= 1, got {self.embedding_dim}"),
+            ("seed", self.seed >= 0, f"need >= 0, got {self.seed}"),
         ])
 
     @property

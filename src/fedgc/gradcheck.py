@@ -15,8 +15,7 @@ import numpy as np
 from . import data as datasets
 from . import federation, nn
 from .losses import LossGrad, LossSpec, loss_and_grad, target_index
-from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
-from .regularizers import _columns, _ownership
+from .regularizers import RegGrad, StackedEmbeddings, _columns, _ownership, cosine_reg, softmax_reg
 
 
 @dataclass
@@ -113,16 +112,6 @@ def batch_loss_and_grad(
     return lg
 
 
-def global_softmax_grad(embeddings: np.ndarray, features: np.ndarray, labels: np.ndarray) -> LossGrad:
-    """Standard softmax CE over the full stacked class space, for a batch.
-
-    This is the centralized oracle the correction step is compared against;
-    it is plain cross entropy on raw logits, identical in form to the local
-    softmax but over every class column.
-    """
-    return batch_loss_and_grad(LossSpec.softmax(), embeddings, features, labels)
-
-
 def anchor_term(emb: StackedEmbeddings, a: int) -> RegGrad:
     """Anchor a's direct-exponential term: log(1 + sum exp(w.a - a.a)) over its negatives.
 
@@ -147,79 +136,60 @@ def softmax_reg_naive(emb: StackedEmbeddings) -> RegGrad:
     Overflows for large column norms; exists only to cross-check the stable
     form on small stacks.
     """
-    value = 0.0
-    grad = np.zeros_like(emb.W)
-    for a in range(emb.num_columns):
-        term = anchor_term(emb, a)
-        value += term.value
-        grad += term.grad
-    return RegGrad(float(value), grad)
+    terms = [anchor_term(emb, a) for a in range(emb.num_columns)]
+    return RegGrad(float(sum(t.value for t in terms)), sum(t.grad for t in terms))
 
 
 @dataclass
 class DirectionReport:
-    """Comparison of the correction gradient against its two reference forms.
+    """The correction geometry at a probe whose class embedding equals its feature.
 
-    For a probe sample whose target embedding is set equal to its feature,
-    the embedding-anchored correction gradient and its feature-anchored form
-    coincide; both are positive multiples of the probe direction, as is the
-    centralized full-softmax gradient on the same column.
+    Per column of another client: (a) the stop-gradient correction term, (b)
+    the same term with the feature substituted for the anchor, and (c) the
+    centralized softmax gradient over the full stacked class space. (a) and
+    (b) coincide, and both are positive multiples of (c)'s direction.
     """
 
     cross_columns: np.ndarray
-    max_correction_vs_feature_diff: float
-    feature_vs_global_ratios: np.ndarray
-    direction_cosines: np.ndarray      # correction vs centralized directions
+    max_correction_vs_feature_diff: float  # (a) vs (b)
+    feature_vs_global_ratios: np.ndarray  # |(b)| / |(c)|
+    direction_cosines: np.ndarray  # (a) vs (c)
 
 
 def grad_direction_diagnostic(server, clients, client_id: int = 0, sample: int = 0) -> DirectionReport:
-    """Evaluate the correction geometry on one probe sample.
+    """The correction geometry at one probe sample, whose class embedding is set to its feature.
 
-    The probe replaces the sample's own class embedding with its feature and
-    then compares, per cross-client column: (a) the stop-gradient correction
-    term, (b) the same term with the feature substituted for the anchor, and
-    (c) the centralized softmax gradient over the full class space.
+    The feature is scaled to norm 3: directions do not depend on the scale,
+    and exp(a . a) of a trained feature can overflow.
     """
     cl = clients[client_id]
     feature = nn.forward(server.theta, cl.x[sample : sample + 1])[0]
-    label = int(cl.y_local[sample])
-    w = server.embeddings.W.copy()
-    anchor_col = server.columns(cl.client_id).start + label
-    w[:, anchor_col] = feature
+    feature *= 3.0 / np.linalg.norm(feature)
+    col = server.columns(cl.client_id).start + int(cl.y_local[sample])
+    return _probe(server.embeddings.W, server.embeddings.client_of, col, feature)
 
-    client_of = server.embeddings.client_of
-    cross = np.flatnonzero(client_of != cl.client_id)
-    anchor = w[:, anchor_col]
 
-    # (a) embedding-anchored: exp(w_j . a) a / (exp(a . a) + sum_cross exp(w . a))
-    exps_a = np.exp(w[:, cross].T @ anchor)
-    denom_a = np.exp(anchor @ anchor) + exps_a.sum()
-    correction = (exps_a / denom_a)[:, None] * anchor[None, :]
+def _probe(w: np.ndarray, client_of: np.ndarray, col: int, feature: np.ndarray) -> DirectionReport:
+    """The DirectionReport of column col of w, with that column set to feature."""
+    w = w.copy()
+    w[:, col] = feature
+    anchor = w[:, col].copy()  # contiguous: its dot products round as the feature's do
+    cross = np.flatnonzero(client_of != client_of[col])
 
-    # (b) feature-anchored: same expression with the raw feature as the anchor
-    exps_f = np.exp(w[:, cross].T @ feature)
-    denom_f = np.exp(anchor @ feature) + exps_f.sum()
-    feature_form = (exps_f / denom_f)[:, None] * feature[None, :]
+    def coefficients(a):
+        # exp(w_j . a) / (exp(anchor . a) + sum_cross exp(w . a))
+        exps = np.exp(w[:, cross].T @ a)
+        return exps / (np.exp(anchor @ a) + exps.sum())
 
-    # (c) centralized softmax over the full stacked class space
-    full = global_softmax_grad(w, feature[None], [anchor_col])
-    global_grads = full.grad_embeddings[:, cross].T
-
-    def _mag(g):
-        return np.linalg.norm(g, axis=1)
-
-    ratios = _mag(feature_form) / _mag(global_grads)
-    cosines = np.array(
-        [
-            float(a @ c / (np.linalg.norm(a) * np.linalg.norm(c)))
-            for a, c in zip(correction, global_grads)
-        ]
-    )
+    correction = coefficients(anchor)[:, None] * anchor[None, :]
+    feature_coef = coefficients(feature)
+    global_grads = batch_loss_and_grad(LossSpec.softmax(), w, feature[None], [col]).grad_embeddings[:, cross]
+    cosines = [a @ c / (np.linalg.norm(a) * np.linalg.norm(c)) for a, c in zip(correction, global_grads.T)]
     return DirectionReport(
         cross_columns=cross,
-        max_correction_vs_feature_diff=float(np.abs(correction - feature_form).max()),
-        feature_vs_global_ratios=ratios,
-        direction_cosines=cosines,
+        max_correction_vs_feature_diff=float(np.abs(correction - feature_coef[:, None] * feature[None, :]).max()),
+        feature_vs_global_ratios=feature_coef * np.linalg.norm(feature) / np.linalg.norm(global_grads, axis=0),
+        direction_cosines=np.array(cosines),
     )
 
 
@@ -336,6 +306,8 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     local-vs-global magnitude agreement) are evaluated. Returns one row per
     check; all must pass, and a NaN error fails its row.
     """
+    # first: its FederationConfig refuses a negative seed before any check runs
+    report = grad_direction_diagnostic(*_probe_federation(seed))
     root = np.random.SeedSequence([seed, 0x6C])
 
     def worst(count: int, errors) -> float:
@@ -344,7 +316,6 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
 
     variants = (LossSpec.softmax(), LossSpec.cosface(), LossSpec.arcface())
     reg_forms = ((False, "raw dot products"), (True, "normalized columns"))
-    report = grad_direction_diagnostic(*_probe_federation(seed))
     table = [
         ("backbone backward vs finite differences", worst(10, _backbone_errors), 1e-5),
         *[(f"{spec.variant} loss gradients", worst(instances, partial(_loss_errors, spec, 5, 4, 3)), 1e-5)
@@ -385,20 +356,8 @@ def _trained_regime_ratios(seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4A]))
     d, per_client, n_clients = 8, 3, 3
     w = rng.normal(0.0, 0.3, size=(d, per_client * n_clients))
-    client_of = np.repeat(np.arange(n_clients), per_client)
     feature = rng.normal(size=d)
     feature *= 3.0 / np.linalg.norm(feature)
-    anchor_col = 0
-    w[:, anchor_col] = feature
-    own = np.flatnonzero(client_of == client_of[anchor_col])
-    for col in own:
-        if col != anchor_col:
-            # within-client non-target logit: w . f = -5 |f|^2 = -45
-            w[:, col] = -5.0 * feature
-    cross = np.flatnonzero(client_of != client_of[anchor_col])
-    exps = np.exp(w[:, cross].T @ feature)
-    denom_sub = np.exp(feature @ feature) + exps.sum()
-    sub_mags = exps / denom_sub * np.linalg.norm(feature)
-    full = global_softmax_grad(w, feature[None], [anchor_col])
-    global_mags = np.linalg.norm(full.grad_embeddings[:, cross], axis=0)
-    return sub_mags / global_mags
+    # within-client non-target logits: w . f = -5 |f|^2 = -45
+    w[:, 1:per_client] = -5.0 * feature[:, None]
+    return _probe(w, np.repeat(np.arange(n_clients), per_client), 0, feature).feature_vs_global_ratios

@@ -230,7 +230,7 @@ def _read_exact(fh, size: int, path, part: str) -> bytes:
 
 
 def read_tensors(path) -> list[np.ndarray]:
-    """Inverse of write_tensors; round-trips bit-exactly. A short file raises ValueError."""
+    """Inverse of write_tensors; round-trips bit-exactly. A short or long file raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a parameter file")
@@ -242,4 +242,6 @@ def read_tensors(path) -> list[np.ndarray]:
             n = math.prod(shape)
             data = np.frombuffer(_read_exact(fh, 8 * n, path, "payload"), dtype="<f8")
             out.append(data.astype(np.float64).reshape(shape))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
     return out

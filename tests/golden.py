@@ -1,12 +1,13 @@
 """Golden digests: what the program writes, pinned byte for byte in tests/golden.json.
 
 The tests hash the runs the acceptance fixtures already make (every cell of
-the default, participation and lambda_sweep presets over five seeds), the
-`verification_suite` rows, each demo's stdout and every file `fedgc run`
-writes for the partition and shared presets at seed 0, and compare the
-sha256 digests with the recorded ones. A change that moves one bit of any of them
-fails here, so a change meant to keep the outputs has to prove it; a change
-that moves them on purpose records the file again and names what moved.
+the default, participation and lambda_sweep presets over five seeds), each
+demo's stdout and every file `fedgc run` writes for the partition and shared
+presets at seed 0, and compare the sha256 digests with the recorded ones.
+The `verification_suite` rows are recorded whole, by name, each float as
+float.hex, so a moved row is named. A change that moves one bit of any of
+them fails here, so a change meant to keep the outputs has to prove it; a
+change that moves them on purpose records the file again and names what moved.
 
 The last bit of a float depends on the numpy build and on the BLAS kernel,
 so the file is keyed by both; under another key the tests skip and name the
@@ -65,12 +66,12 @@ def cell_digests(preset: str, rows) -> dict:
     return out
 
 
-def suite_digest(rows) -> str:
-    """The verification_suite rows: name, error (exact, as float.hex), tolerance, verdict."""
-    text = "".join(
-        f"{r.name}\t{float(r.max_err).hex()}\t{float(r.tol).hex()}\t{r.passed}\n" for r in rows
-    )
-    return sha(text.encode())
+def suite_rows(rows) -> dict:
+    """The verification_suite rows by name: position, error and tolerance (exact, as float.hex), verdict."""
+    return {
+        r.name: {"row": i, "max_err": float(r.max_err).hex(), "tol": float(r.tol).hex(), "passed": r.passed}
+        for i, r in enumerate(rows)
+    }
 
 
 def run_preset(preset: str, out_dir) -> int:
@@ -126,7 +127,7 @@ def record() -> None:
     golden = {
         "key": platform_key(),
         "cells": cells,
-        "verification_suite": suite_digest(verification_suite(seed=0, instances=100)),
+        "verification_suite": suite_rows(verification_suite(seed=0, instances=100)),
         "demos": demos,
         "outputs": outputs,
     }

@@ -207,6 +207,19 @@ def test_one_identity_per_client_is_refused_at_parse_time(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, override", [("validate", []), ("run", []), ("run", ["--seed", "-1"])])
+def test_a_negative_seed_is_refused_at_parse_time(tmp_path, capsys, command, override):
+    # numpy's SeedSequence raised "expected non-negative integer" from data.generate
+    path = write_tiny(tmp_path)
+    if not override:
+        path.write_text(path.read_text().replace("seed = 3", "seed = -1"))
+    assert cli.main([command, str(path), *override]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [federation] seed: need >= 0, got -1\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
 def test_run_trains_and_writes_outputs(tmp_path, capsys):
     path = write_tiny(tmp_path)
     assert cli.main(["run", str(path)]) == 0
@@ -407,6 +420,14 @@ def test_gradcheck_passes_with_exit_0(capsys):
     out = capsys.readouterr().out
     assert "14/14 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_refuses_a_negative_seed_before_any_check_runs(monkeypatch, capsys):
+    monkeypatch.setattr(gradcheck, "_fd", lambda *args, **kwargs: pytest.fail("a check ran"))
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: seed: need >= 0, got -1\n"
+    assert captured.out == ""
 
 
 def test_gradcheck_exit_3_on_failure(monkeypatch, capsys):

@@ -17,7 +17,7 @@ from fedgc.evaluation import (
     verification_accuracy,
 )
 from fedgc.federation import FederationConfig, build_federation, run_round
-from fedgc.gradcheck import finite_diff_check, grad_direction_diagnostic
+from fedgc.gradcheck import _probe_federation, _trained_regime_ratios, finite_diff_check, grad_direction_diagnostic
 from fedgc.regularizers import StackedEmbeddings
 
 
@@ -343,6 +343,17 @@ def test_grad_direction_diagnostic_probe_identity():
     assert np.all(report.feature_vs_global_ratios > 0.0)
     assert np.all(np.isfinite(report.direction_cosines))
     assert np.all(np.abs(report.direction_cosines) <= 1.0 + 1e-12)
+
+
+def test_correction_geometry_rows_hold_on_every_seed():
+    # at the suite's tolerances; the probe feature's squared norm ran to 348-1,383
+    # on these seeds, so exp(a . a) overflowed or the correction rows underflowed,
+    # and the direction row read NaN on 18 of them
+    for seed in range(40):
+        report = grad_direction_diagnostic(*_probe_federation(seed))
+        assert report.max_correction_vs_feature_diff <= 1e-12, seed
+        assert np.abs(report.direction_cosines - 1.0).max() <= 1e-12, seed
+        assert np.abs(_trained_regime_ratios(seed) - 1.0).max() <= 1e-6, seed
 
 
 def test_finite_diff_check_accepts_true_gradient():

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -250,6 +250,8 @@ def test_parse_config_pins_file_defaults(tmp_path):
         (lambda: federation.FederationConfig(num_clients=2, lam=np.inf), "lam"),
         (lambda: federation.FederationConfig(num_clients=2, eta=np.inf), "eta"),
         (lambda: federation.FederationConfig(num_clients=2, weight_decay=np.inf), "weight_decay"),
+        # numpy's SeedSequence raised "expected non-negative integer" when the data was drawn
+        (lambda: federation.FederationConfig(num_clients=2, seed=-1), "seed"),
         (lambda: LossSpec("cosface", margin=np.inf), "margin"),
         (lambda: LossSpec("cosface", scale=np.inf), "scale"),
         (lambda: tiny_spec(lambdas=[np.inf]), "lambdas"),
@@ -610,6 +612,7 @@ _REFUSED = [
     ("data", {"class_center_scale": 1e308}), ("data", {"cluster_std": 1e308}),
     ("fed", {"num_clients": 0}), ("fed", {"eta": 0.0}), ("fed", {"local_steps": 0}),
     ("fed", {"batch_size": 0}), ("fed", {"momentum": 1.0}), ("fed", {"hidden_dim": 0}),
+    ("fed", {"seed": -1}),
     ("grid", {"modes": []}), ("grid", {"fractions": [0.0]}), ("grid", {"partitions": ["bogus"]}),
     ("grid", {"partitions": ["shared"], "share_fraction": 1.0}),
     ("grid", {"partitions": ["shared"], "group_size": 1}), ("grid", {"eval_every": 0}),
@@ -643,6 +646,14 @@ _REFUSED = [
         "eval_every": st.integers(1, 2),
     }),
     refused=st.one_of(st.none(), st.none(), st.sampled_from(_REFUSED)),
+)
+# a negative seed passed the dataclasses, and numpy's SeedSequence raised a
+# ValueError when the data was drawn; pinned, as the draws skip most of _REFUSED
+@example(
+    data={"num_classes": 2, "samples_per_class": 8, "input_dim": 1},
+    fed={"num_clients": 1, "rounds": 1},
+    grid={"modes": ["fedpe"], "fractions": [1.0], "lambdas": [1.0], "partitions": ["balanced"]},
+    refused=("fed", {"seed": -1}),
 )
 def test_a_config_is_refused_when_built_or_every_cell_ends_ok_or_diverged(data, fed, grid, refused):
     # no other exception may escape a run, and a rerun writes the same bytes

@@ -279,9 +279,12 @@ def test_tensor_file_roundtrips_bit_exactly_and_rejects_every_truncation(arrays)
         back = read_tensors(path)
         assert len(back) == len(arrays)
         assert all(same_bits(a, b) for a, b in zip(arrays, back))
-        # a file cut short anywhere, header or payload, is a ValueError naming the file
+        # a file cut short anywhere, header or payload, or with bytes after the last
+        # tensor (they were read without complaint), is a ValueError naming the file
         size = os.path.getsize(path)
-        for cut in range(size - 1, -1, -1):
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        for cut in [size + 4, *range(size - 1, -1, -1)]:
             os.truncate(path, cut)
             with pytest.raises(ValueError, match="t.fgc"):
                 read_tensors(path)

@@ -41,6 +41,7 @@ class SyntheticSpec:
             ("cluster_std", self.cluster_std != 0.0 or self.class_center_scale != 0.0,
              "need > 0 when class_center_scale = 0, or every sample is the zero vector"),
             ("pairs_per_class", self.pairs_per_class >= 1, f"need >= 1, got {self.pairs_per_class}"),
+            ("seed", self.seed >= 0, f"need >= 0, got {self.seed}"),
         ])
 
 
@@ -120,22 +121,39 @@ def _class_order(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, list
 
 
 def _sample_pairs(labels: np.ndarray, n_each: int, rng: np.random.Generator) -> VerificationPairs:
-    order, starts = _class_order(labels, labels.max() + 1)
-    by_class = [order[a:b] for a, b in zip(starts[:-1], starts[1:])]
-    classes = len(by_class)
-    idx_a, idx_b, same = [], [], []
-    for _ in range(n_each):
-        cls = rng.integers(classes)
-        a, b = rng.choice(by_class[cls], size=2, replace=False)
-        idx_a.append(a)
-        idx_b.append(b)
-        same.append(True)
-    for _ in range(n_each):
-        ca, cb = rng.choice(classes, size=2, replace=False)
-        idx_a.append(rng.choice(by_class[ca]))
-        idx_b.append(rng.choice(by_class[cb]))
-        same.append(False)
-    return VerificationPairs(np.array(idx_a), np.array(idx_b), np.array(same))
+    """n_each positive, then n_each negative pairs, from one rng.integers call.
+
+    It makes a per-pair loop's draws, in order, from the same stream: a class
+    and choice(rows, 2, replace=False) per positive, choice(C, 2, replace=False)
+    and two choice(rows) per negative. Equal rows per class fix every bound.
+    """
+    counts = np.bincount(labels)
+    if counts.min() != counts.max():
+        raise ValueError(
+            f"need the same rows in every class, got counts {np.unique(counts).tolist()}"
+        )
+    c, n = len(counts), int(counts[0])
+    rows = np.argsort(labels, kind="stable").reshape(c, n)
+    bounds = np.r_[np.tile([c, n - 1, n, 2], n_each), np.tile([c - 1, c, 2, n, n], n_each)]
+    pos, neg = np.split(rng.integers(0, bounds), [4 * n_each])
+    cls, *pos_pair = pos.reshape(n_each, 4).T
+    *neg_classes, row_a, row_b = neg.reshape(n_each, 5).T
+    a, b = _floyd_pair(*pos_pair, n)
+    ca, cb = _floyd_pair(*neg_classes, c)
+    return VerificationPairs(
+        np.concatenate([rows[cls, a], rows[ca, row_a]]),
+        np.concatenate([rows[cls, b], rows[cb, row_b]]),
+        np.repeat([True, False], n_each),
+    )
+
+
+def _floyd_pair(first, second, swap, m):
+    """Generator.choice(m, 2, replace=False) from its draws in [0, m-1), [0, m), [0, 2).
+
+    Floyd's rule: a repeated second draw takes m-1. The shuffle's draw of 0 swaps.
+    """
+    second = np.where(second == first, m - 1, second)
+    return np.where(swap == 0, second, first), np.where(swap == 0, first, second)
 
 
 @dataclass(frozen=True)

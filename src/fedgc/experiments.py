@@ -330,14 +330,15 @@ def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
     def owned_by(cls) -> dict:
         return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
-    # the data takes its seed from [federation], as SyntheticSpec.seed is no file key
+    # the data takes its seed from [federation], as SyntheticSpec.seed is no file
+    # key; both refuse a bad one, and the file's one key is reported once
     data = build(datasets.SyntheticSpec, **owned_by(datasets.SyntheticSpec))
     values["loss"] = build(_loss_spec, values["loss"], margin, scale)
     fed = build(federation.FederationConfig, **owned_by(federation.FederationConfig))
     spec = build(
         ExperimentSpec, fed=fed, data=data, mode_lambdas=mode_lambdas, **owned_by(ExperimentSpec)
     )
-    return (None, problems) if problems else (spec, [])
+    return (None, list(dict.fromkeys(problems))) if problems else (spec, [])
 
 
 def _loss_spec(name: str, margin: float | None, scale: float | None) -> LossSpec:

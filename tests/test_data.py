@@ -66,6 +66,9 @@ def test_spec_validation():
     assert [name for name, _ in exc.value.problems] == ["cluster_std"]
     with pytest.raises(ValueError):
         SyntheticSpec(pairs_per_class=0)
+    # numpy's SeedSequence would refuse it only when the data is drawn
+    with pytest.raises(ConfigError, match="^seed: need >= 0, got -1$"):
+        SyntheticSpec(seed=-1)
 
 
 def test_generate_rejects_too_few_samples_per_class():
@@ -345,7 +348,8 @@ def test_partition_problems_name_the_argument():
 # ---------------------------------------------------------------- per-class scans as oracles
 # The loops the data layer used before it grouped rows by class with one
 # stable argsort: one flatnonzero scan of the labels per class, one gather
-# per (client, class). They fix the bytes the faster code must reproduce.
+# per (client, class), and a few Generator calls per verification pair. They
+# fix the bytes the faster code must reproduce.
 
 
 def scan_sample_pairs(labels, n_each, rng):
@@ -363,7 +367,9 @@ def scan_sample_pairs(labels, n_each, rng):
         idx_a.append(rng.choice(by_class[ca]))
         idx_b.append(rng.choice(by_class[cb]))
         same.append(False)
-    return VerificationPairs(np.array(idx_a), np.array(idx_b), np.array(same))
+    return VerificationPairs(
+        np.array(idx_a, dtype=np.int64), np.array(idx_b, dtype=np.int64), np.array(same, dtype=bool)
+    )
 
 
 def scan_build_clients(dataset, holders, splits, num_clients):
@@ -483,8 +489,38 @@ def test_sample_pairs_is_bytewise_the_per_class_scan(num_classes, rows_per_class
     labels = np.random.default_rng(seed).permutation(
         np.repeat(np.arange(num_classes), rows_per_class)
     )
-    got = _sample_pairs(labels, n_each, np.random.default_rng(seed + 1))
-    want = scan_sample_pairs(labels, n_each, np.random.default_rng(seed + 1))
+    assert_same_pairs_and_stream(labels, n_each, seed + 1)
+
+
+def assert_same_pairs_and_stream(labels, n_each, seed):
+    # the same pairs, and the generator left where the loop leaves it
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_pairs(labels, n_each, rng_got)
+    want = scan_sample_pairs(labels, n_each, rng_want)
     for a, b in [(got.idx_a, want.idx_a), (got.idx_b, want.idx_b), (got.same, want.same)]:
         assert_same_array(a, b)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("num_classes, rows_per_class, pairs_per_class", [
+    (2048, 2, 1),  # many_identities
+    (512, 2, 2),  # shared_identities
+    (32, 6, 10),  # configs/default.cfg
+    # two rows: Floyd's first draw has range 0 and takes nothing from the stream
+    (3, 2, 40),
+])
+def test_sample_pairs_matches_the_scan_at_workload_shapes(num_classes, rows_per_class, pairs_per_class):
+    labels = np.random.default_rng(num_classes).permutation(
+        np.repeat(np.arange(num_classes), rows_per_class)
+    )
+    assert_same_pairs_and_stream(labels, pairs_per_class * num_classes, seed=5)
+
+
+def test_sample_pairs_needs_equal_rows_per_class():
+    # every draw's range is fixed before the one call, so every class needs n rows
+    with pytest.raises(ValueError, match="same rows in every class, got counts \\[2, 3\\]"):
+        _sample_pairs(np.array([0, 0, 1, 1, 1]), 3, np.random.default_rng(0))
+    empty = _sample_pairs(np.array([0, 0, 1, 1]), 0, np.random.default_rng(0))
+    assert (empty.idx_a.dtype, empty.idx_b.dtype, empty.same.dtype) == (np.int64, np.int64, bool)
+    assert len(empty) == 0
 

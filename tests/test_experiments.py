@@ -612,7 +612,7 @@ _REFUSED = [
     ("data", {"class_center_scale": 1e308}), ("data", {"cluster_std": 1e308}),
     ("fed", {"num_clients": 0}), ("fed", {"eta": 0.0}), ("fed", {"local_steps": 0}),
     ("fed", {"batch_size": 0}), ("fed", {"momentum": 1.0}), ("fed", {"hidden_dim": 0}),
-    ("fed", {"seed": -1}),
+    ("data", {"seed": -1}), ("fed", {"seed": -1}),
     ("grid", {"modes": []}), ("grid", {"fractions": [0.0]}), ("grid", {"partitions": ["bogus"]}),
     ("grid", {"partitions": ["shared"], "share_fraction": 1.0}),
     ("grid", {"partitions": ["shared"], "group_size": 1}), ("grid", {"eval_every": 0}),
@@ -677,6 +677,44 @@ def test_a_config_is_refused_when_built_or_every_cell_ends_ok_or_diverged(data, 
     assert len(statuses) == len(spec.grid()) and set(statuses) <= {OK, DIVERGED}
     assert code == (0 if OK in statuses else 2)
     assert first == second
+
+
+# valid, and with 64 centres drawn, so both 1e308 scales overflow at seed 0
+_TINY = {
+    "data": {"num_classes": 4, "samples_per_class": 8, "input_dim": 16},
+    "fed": {"num_clients": 2, "rounds": 1},
+    "grid": {"modes": ["fedpe"], "fractions": [1.0], "lambdas": [1.0], "partitions": ["balanced"]},
+}
+# finite scales pass the spec's rules; their draws leave float64's range
+_REFUSED_WHEN_DRAWN = [("data", {"class_center_scale": 1e308}), ("data", {"cluster_std": 1e308})]
+
+
+def _tiny_spec(section="data", changes=()):
+    parts = {name: dict(part) for name, part in _TINY.items()}
+    parts[section].update(changes)
+    return ExperimentSpec(
+        fed=federation.FederationConfig(**parts["fed"]),
+        data=datasets.SyntheticSpec(**parts["data"]),
+        out_dir="unused",
+        **parts["grid"],
+    )
+
+
+@pytest.mark.parametrize("refused", _REFUSED, ids=str)
+def test_every_refusal_names_its_field_on_one_tiny_config(refused):
+    # the fuzz above draws only some of _REFUSED; here each entry is refused once
+    spec = _tiny_spec()
+    make_dataset(spec, spec.fed)
+    section, changes = refused
+    if refused in _REFUSED_WHEN_DRAWN:
+        spec = _tiny_spec(section, changes)
+        with pytest.raises(ConfigError) as info:
+            make_dataset(spec, spec.fed)
+    else:
+        with pytest.raises(ConfigError) as info:
+            _tiny_spec(section, changes)
+    # an entry's last key is the value refused; the others only make it reachable
+    assert [name for name, _ in info.value.problems] == [list(changes)[-1]]
 
 
 # ---------------------------------------------------------------- check suite

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from .regularizers import StackedEmbeddings
 # cosine differently in a block of only a few rows), unlike the penalties'
 # score blocks, whose size fixes a summation order.
 _SIMILARITY_BLOCK_ELEMENTS = 1 << 17
-# equal-width histogram bins over the cosine range [-1, 1]
-_SIMILARITY_BINS = 50
+# the similarity histograms' 50 equal-width bins over the cosine range [-1, 1]
+SIMILARITY_EDGES = np.linspace(-1.0, 1.0, 51)
 
 
 @dataclass
@@ -29,11 +29,6 @@ class RoundMetrics:
     cross_client_max_cos: float
     within_client_max_cos: float
     mean_anchor_feature_dist: float
-    # the similarity statistics behind the two max-cos fields; not part of the row
-    similarity: SimilarityStats = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "similarity"}
 
 
 def best_threshold_accuracy(similarities: np.ndarray, same: np.ndarray) -> float:
@@ -77,39 +72,22 @@ def verification_accuracy(params: nn.BackboneParams, x: np.ndarray, pairs) -> fl
     return best_threshold_accuracy(pair_cosines(params, x, pairs), pairs.same)
 
 
-@dataclass
-class SimilarityStats:
-    cross_client_max_cos: float
-    within_client_max_cos: float
-    all_pairs_max_cos: float  # over both sides; NaN when a cosine is NaN
-    cross_hist: np.ndarray    # 50 counts over [-1, 1]
-    within_hist: np.ndarray
-    bin_edges: np.ndarray
-    excluded_zero_norm: int
+def _split_cosines(emb: StackedEmbeddings):
+    """Yield each row block's (cross-client, within-client) pairwise column cosines.
 
-
-def embedding_similarity_stats(emb: StackedEmbeddings) -> SimilarityStats:
-    """Pairwise column cosines, split into within-client and cross-client.
-
-    Pairs of columns naming the same identity (the stack's class_of; copies
-    of a shared identity) are skipped -- after merging those are identical
-    by construction and would pin the cross-client max at 1.
+    Zero-norm columns are left out; a NaN norm stays, so its NaN cosines
+    reach the caller. Pairs of columns naming the same identity (the stack's
+    class_of; copies of a shared identity) are skipped -- after merging those
+    are identical by construction and would pin the cross-client max at 1.
     """
     if emb.num_columns < 2:
         raise ValueError("need at least 2 columns")
     norms = np.linalg.norm(emb.W, axis=0)
-    keep = norms != 0.0  # a NaN norm stays, so its NaN cosines reach the maxima
-    excluded = int((~keep).sum())
+    keep = norms != 0.0
     w = emb.W[:, keep] / norms[keep]
     clients = emb.client_of[keep]
     cls = emb.class_of[keep]
     n = w.shape[1]
-    edges = np.linspace(-1.0, 1.0, _SIMILARITY_BINS + 1)
-    # floating error can push a cosine a hair past +/-1; open outer edges count
-    # it in the first or last bin, as clipping to [-1, 1] would, and NaN in none
-    open_edges = np.r_[-np.inf, edges[1:-1], np.inf]
-    hists = {side: np.zeros(_SIMILARITY_BINS, dtype=np.int64) for side in (True, False)}
-    maxima = {True: [], False: []}
     # row blocks of the upper triangle: rows i in a block against columns j > i,
     # their cosines written into one reused buffer
     step = max(1, _SIMILARITY_BLOCK_ELEMENTS // max(n, 1))
@@ -124,24 +102,36 @@ def embedding_similarity_stats(emb: StackedEmbeddings) -> SimilarityStats:
         cross = clients[rows, None] != clients[None, cols]
         cross &= pick
         pick ^= cross  # now the within-client pairs
-        for is_cross, mask in ((True, cross), (False, pick)):
-            values = cos[mask]
+        yield cos[cross], cos[pick]
+
+
+def embedding_similarity_stats(emb: StackedEmbeddings) -> tuple[float, float]:
+    """(cross-client, within-client) maximum pairwise column cosine.
+
+    A side with no pairs (a centralized cell's single head, or one column per
+    client) reports the maximum over all pairs. A NaN cosine makes every
+    maximum that sees it NaN.
+    """
+    maxima = ([], [])
+    for block in _split_cosines(emb):
+        for found, values in zip(maxima, block):
             if values.size:
-                maxima[is_cross].append(values.max())
-                hists[is_cross] += np.histogram(values, bins=open_edges)[0]
+                found.append(values.max())
+    both = maxima[0] + maxima[1]
+    all_pairs = float(np.max(both)) if both else float("nan")
+    return tuple(float(np.max(found)) if found else all_pairs for found in maxima)
 
-    def overall(values):
-        return float(np.max(values)) if values else float("nan")
 
-    return SimilarityStats(
-        cross_client_max_cos=overall(maxima[True]),
-        within_client_max_cos=overall(maxima[False]),
-        all_pairs_max_cos=overall(maxima[True] + maxima[False]),
-        cross_hist=hists[True],
-        within_hist=hists[False],
-        bin_edges=edges,
-        excluded_zero_norm=excluded,
-    )
+def similarity_histograms(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray]:
+    """(cross-client, within-client) pair counts in the SIMILARITY_EDGES bins."""
+    # floating error can push a cosine a hair past +/-1; open outer edges count
+    # it in the first or last bin, as clipping to [-1, 1] would, and NaN in none
+    open_edges = np.r_[-np.inf, SIMILARITY_EDGES[1:-1], np.inf]
+    counts = np.zeros((2, SIMILARITY_EDGES.size - 1), dtype=np.int64)
+    for block in _split_cosines(emb):
+        for total, values in zip(counts, block):
+            total += np.histogram(values, bins=open_edges)[0]
+    return counts[0], counts[1]
 
 
 def shard_fit(server, clients, loss: LossSpec) -> tuple[float, float]:

@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -156,11 +156,6 @@ class CellResult:
     @property
     def final_cross_cos(self) -> float:
         return self.metrics[-1].cross_client_max_cos if self.metrics else float("nan")
-
-    @property
-    def similarity(self) -> evaluation.SimilarityStats | None:
-        """Similarity statistics of the last evaluated round; the final state's for ok cells."""
-        return self.metrics[-1].similarity if self.metrics else None
 
     def summary(self) -> CellSummary:
         return CellSummary(
@@ -416,12 +411,7 @@ def make_partition(dataset, partition: str, spec: ExperimentSpec, cfg) -> list[d
 def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> evaluation.RoundMetrics:
     """Full metrics row for the current state; every field finite for healthy runs."""
     accuracy = evaluation.verification_accuracy(server.theta, dataset.test_x, dataset.pairs)
-    stats = evaluation.embedding_similarity_stats(server.embeddings)
-    # a degenerate split (single head, or one column per client) has no
-    # pairs on one side; report the all-pairs maximum there instead
-    cross, within = stats.cross_client_max_cos, stats.within_client_max_cos
-    cross = cross if np.isfinite(cross) else stats.all_pairs_max_cos
-    within = within if np.isfinite(within) else stats.all_pairs_max_cos
+    cross, within = evaluation.embedding_similarity_stats(server.embeddings)
     # the combined objective: shard losses plus lambda times a correction mode's penalty
     objective, anchor_dist = evaluation.shard_fit(server, clients, cfg.loss)
     if cfg.lam > 0.0 and cfg.mode in federation.CORRECTION_MODES:
@@ -434,7 +424,6 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
         cross_client_max_cos=cross,
         within_client_max_cos=within,
         mean_anchor_feature_dist=anchor_dist,
-        similarity=stats,
     )
 
 
@@ -474,7 +463,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> Cel
                     raise NonFiniteError("mean local loss")
                 if (r + 1) % spec.eval_every == 0 or r + 1 == cfg.rounds:
                     row = compute_round_metrics(server, clients, cfg, dataset, mean_loss)
-                    if not all(np.isfinite(v) for v in row.to_dict().values()):
+                    if not all(np.isfinite(v) for v in asdict(row).values()):
                         raise NonFiniteError("metrics row")
                     metrics.append(row)
         except NonFiniteError:
@@ -482,11 +471,11 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> Cel
     return CellResult(cell, status, server.round, metrics, server, clients)
 
 
-def _write_hist(path, edges: np.ndarray, counts: np.ndarray) -> None:
+def _write_hist(path, counts: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["bin_left", "count"])
-        for left, count in zip(edges[:-1], counts):
+        for left, count in zip(evaluation.SIMILARITY_EDGES[:-1], counts):
             w.writerow([float(left), int(count)])
 
 
@@ -498,20 +487,14 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset: datase
     os.makedirs(cell_dir)
     with open(os.path.join(cell_dir, "metrics.jsonl"), "w") as fh:
         for m in result.metrics:
-            fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(m), sort_keys=True) + "\n")
     if result.status == OK:
         federation.save_checkpoint(
             result.server, result.clients, os.path.join(cell_dir, "checkpoint")
         )
-        stats = result.similarity
-        if stats is None:  # no round was evaluated (rounds = 0)
-            stats = evaluation.embedding_similarity_stats(result.server.embeddings)
-        _write_hist(
-            os.path.join(cell_dir, "similarity_cross.csv"), stats.bin_edges, stats.cross_hist
-        )
-        _write_hist(
-            os.path.join(cell_dir, "similarity_within.csv"), stats.bin_edges, stats.within_hist
-        )
+        hists = evaluation.similarity_histograms(result.server.embeddings)
+        for side, counts in zip(("cross", "within"), hists):
+            _write_hist(os.path.join(cell_dir, f"similarity_{side}.csv"), counts)
         # raw feature matrix + labels, for external projection/plotting
         feats = nn.forward(result.server.theta, dataset.test_x)
         nn.write_tensors(

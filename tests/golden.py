@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ def cell_digests(preset: str, rows) -> dict:
     metrics.jsonl writes them, the final backbone and the final stacked head."""
     out = {}
     for cell, seed, result in rows:
-        lines = "".join(json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in result.metrics)
+        lines = "".join(json.dumps(asdict(m), sort_keys=True) + "\n" for m in result.metrics)
         out[f"{preset}/seed{seed}/{cell.name}"] = {
             "metrics": sha(lines.encode()),
             "theta": sha(array_bytes(result.server.theta.to_list())),

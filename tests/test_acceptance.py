@@ -8,7 +8,7 @@ their settings, so the thresholds are checked against exactly what ships.
 """
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import median
 
@@ -201,7 +201,7 @@ def test_criterion_06_zero_multiplier_degeneracy_and_determinism():
     np.testing.assert_array_equal(plain.embeddings.W, degenerate.embeddings.W)
     for a, b in zip(plain.theta.to_list(), degenerate.theta.to_list()):
         np.testing.assert_array_equal(a, b)
-    assert [m.to_dict() for m in m_plain] == [m.to_dict() for m in m_degen]
+    assert [asdict(m) for m in m_plain] == [asdict(m) for m in m_degen]
     np.testing.assert_array_equal(degenerate.embeddings.W, again.embeddings.W)
     for a, b in zip(degenerate.theta.to_list(), again.theta.to_list()):
         np.testing.assert_array_equal(a, b)

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import pytest
 
 import golden
 
-from fedgc import cli, experiments, federation, gradcheck, nn
+from fedgc import cli, evaluation, experiments, federation, gradcheck, nn
 from fedgc.regularizers import RegGrad, StackedEmbeddings
 
 
@@ -352,12 +352,12 @@ def assert_outputs_prove_themselves(config, out_dir):
         )
         server = federation.ServerState(theta, emb, manifest["round"])
         again = experiments.compute_round_metrics(server, clients, cfg, dataset, last["mean_local_loss"])
-        assert json.dumps(again.to_dict(), sort_keys=True) == lines[-1]
-        stats = again.similarity
-        for side, counts in (("cross", stats.cross_hist), ("within", stats.within_hist)):
+        assert json.dumps(asdict(again), sort_keys=True) == lines[-1]
+        for side, counts in zip(("cross", "within"), evaluation.similarity_histograms(emb)):
             with open(cell_dir / f"similarity_{side}.csv", newline="") as fh:
                 hist = list(csv.reader(fh))[1:]
-            assert hist == [[repr(float(e)), str(int(n))] for e, n in zip(stats.bin_edges[:-1], counts)]
+            edges = evaluation.SIMILARITY_EDGES[:-1]
+            assert hist == [[repr(float(e)), str(int(n))] for e, n in zip(edges, counts)]
         features, labels = nn.read_tensors(cell_dir / "test_features.fgc")
         assert nn.forward(theta, dataset.test_x).tobytes() == features.tobytes()
         assert labels.tobytes() == dataset.test_y.astype(np.float64).tobytes()

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from fedgc import evaluation, nn
 from fedgc.data import SyntheticSpec, generate, partition_balanced
 from fedgc.evaluation import (
+    SIMILARITY_EDGES,
     best_threshold_accuracy,
     embedding_similarity_stats,
     pair_cosines,
     shard_fit,
+    similarity_histograms,
     verification_accuracy,
 )
 from fedgc.federation import FederationConfig, build_federation, run_round
@@ -112,23 +114,25 @@ def test_similarity_stats_hand_stack():
     # client 0: e1, e2; client 1: (e1+e2)/sqrt(2)  -> cross max cos(45 deg)
     w = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     emb = StackedEmbeddings(w, np.array([0, 0, 1]))
-    stats = embedding_similarity_stats(emb)
-    assert abs(stats.cross_client_max_cos - 1.0 / np.sqrt(2.0)) < 1e-12
-    assert abs(stats.within_client_max_cos - 0.0) < 1e-12
+    cross, within = embedding_similarity_stats(emb)
+    assert abs(cross - 1.0 / np.sqrt(2.0)) < 1e-12
+    assert abs(within - 0.0) < 1e-12
     # histograms cover every surviving pair and use the stated edges
-    assert stats.cross_hist.sum() == 2 and stats.within_hist.sum() == 1
-    np.testing.assert_allclose(stats.bin_edges, np.linspace(-1, 1, 51))
-    assert stats.cross_hist.shape == stats.within_hist.shape == (50,)
-    assert stats.excluded_zero_norm == 0
+    cross_hist, within_hist = similarity_histograms(emb)
+    assert cross_hist.sum() == 2 and within_hist.sum() == 1
+    np.testing.assert_allclose(SIMILARITY_EDGES, np.linspace(-1, 1, 51))
+    assert cross_hist.shape == within_hist.shape == (50,)
 
 
 def test_similarity_stats_drops_zero_norm_columns():
     w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     emb = StackedEmbeddings(w, np.array([0, 0, 1]))
-    stats = embedding_similarity_stats(emb)
-    assert stats.excluded_zero_norm == 1
-    assert abs(stats.cross_client_max_cos - 0.0) < 1e-12
-    assert np.isnan(stats.within_client_max_cos)  # the only within pair was dropped
+    cross_hist, within_hist = similarity_histograms(emb)
+    # the only within pair was dropped, so that side counts nothing and
+    # reports the all-pairs maximum, the one cross cosine (a kept zero
+    # column would make it NaN)
+    assert cross_hist.sum() == 1 and not within_hist.any()
+    assert embedding_similarity_stats(emb) == (0.0, 0.0)
 
 
 def test_similarity_stats_excludes_same_identity_pairs():
@@ -136,12 +140,13 @@ def test_similarity_stats_excludes_same_identity_pairs():
     # cross max at 1; the stack's class map removes exactly that pair
     w = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     emb = StackedEmbeddings(w, np.array([0, 0, 1]))
-    plain = embedding_similarity_stats(emb)
-    assert plain.cross_client_max_cos == 1.0
-    masked = embedding_similarity_stats(replace(emb, class_of=np.array([7, 3, 7])))
-    assert abs(masked.cross_client_max_cos - 0.0) < 1e-12
-    with pytest.raises(ValueError):
-        embedding_similarity_stats(StackedEmbeddings(w[:, :1], np.array([0])))
+    assert embedding_similarity_stats(emb)[0] == 1.0
+    masked = replace(emb, class_of=np.array([7, 3, 7]))
+    assert abs(embedding_similarity_stats(masked)[0] - 0.0) < 1e-12
+    assert [h.sum() for h in similarity_histograms(masked)] == [1, 1]
+    for fn in (embedding_similarity_stats, similarity_histograms):
+        with pytest.raises(ValueError):
+            fn(StackedEmbeddings(w[:, :1], np.array([0])))
 
 
 def dense_similarity_stats(emb, bins=50):
@@ -176,40 +181,41 @@ def test_blocked_similarity_stats_match_dense_matrix(monkeypatch, budget):
     class_of = rng.integers(0, 250, size=300)  # some identities repeat
     for cls in (None, class_of):
         emb = StackedEmbeddings(w, client_of, class_of=cls)
-        stats = embedding_similarity_stats(emb)
-        (cross_max, cross_hist), (within_max, within_hist) = dense_similarity_stats(emb)
+        cross, within = embedding_similarity_stats(emb)
+        cross_hist, within_hist = similarity_histograms(emb)
+        (cross_max, dense_cross), (within_max, dense_within) = dense_similarity_stats(emb)
         # the counts are exact; a maximum is one BLAS dot product, computed by a
         # different kernel (gemm per block, syrk for the full matrix), so it may
         # move in the last bit on some shapes
-        np.testing.assert_array_equal(stats.cross_hist, cross_hist)
-        np.testing.assert_array_equal(stats.within_hist, within_hist)
-        assert abs(stats.cross_client_max_cos - cross_max) <= 1e-15
-        assert abs(stats.within_client_max_cos - within_max) <= 1e-15
-        assert stats.excluded_zero_norm == 1
-        # the all-pairs maximum equals a second pass with one column per client
-        again = embedding_similarity_stats(replace(emb, client_of=np.arange(300)))
-        assert stats.all_pairs_max_cos == again.cross_client_max_cos
-        assert stats.all_pairs_max_cos == max(stats.cross_client_max_cos, stats.within_client_max_cos)
+        np.testing.assert_array_equal(cross_hist, dense_cross)
+        np.testing.assert_array_equal(within_hist, dense_within)
+        assert abs(cross - cross_max) <= 1e-15
+        assert abs(within - within_max) <= 1e-15
+        # one client, or one column per client, leaves one side without pairs:
+        # both sides then report the all-pairs maximum
+        for owners in (np.zeros(300, dtype=int), np.arange(300)):
+            again = embedding_similarity_stats(replace(emb, client_of=owners))
+            assert again == (max(cross, within),) * 2
 
 
 def test_all_pairs_max_keeps_a_nan_cosine_visible():
     # an infinite column normalizes to NaN: every maximum that sees it is NaN
     w = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 1.0]])
     with np.errstate(invalid="ignore"):
-        stats = embedding_similarity_stats(StackedEmbeddings(w, np.array([0, 0, 1])))
+        cross, within = embedding_similarity_stats(StackedEmbeddings(w, np.array([0, 0, 1])))
         solo = embedding_similarity_stats(StackedEmbeddings(w, np.zeros(3, dtype=int)))
-    assert stats.within_client_max_cos == 0.0
-    assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
-    assert np.isnan(solo.cross_client_max_cos)  # no cross pairs at all
-    assert np.isnan(solo.all_pairs_max_cos)
+    assert within == 0.0 and np.isnan(cross)
+    # no cross pairs at all: that side reports the all-pairs maximum, NaN
+    assert np.isnan(solo).all()
 
 
 def test_similarity_stats_keep_a_nan_column_visible():
-    # a NaN norm is not a zero norm: the column stays and its NaN cosines reach the maxima
+    # a NaN norm is not a zero norm: the column stays and its NaN cosines reach
+    # the maxima, while the histograms count them in no bin
     w = np.array([[1.0, 0.0, np.nan, 0.6], [0.0, 1.0, 1.0, 0.8]])
-    stats = embedding_similarity_stats(StackedEmbeddings(w, np.array([0, 0, 1, 1])))
-    assert stats.excluded_zero_norm == 0
-    assert np.isnan(stats.cross_client_max_cos) and np.isnan(stats.all_pairs_max_cos)
+    emb = StackedEmbeddings(w, np.array([0, 0, 1, 1]))
+    assert np.isnan(embedding_similarity_stats(emb)).all()
+    assert [h.sum() for h in similarity_histograms(emb)] == [2, 1]
 
 
 def test_similarity_hist_counts_cosines_past_one_in_the_outer_bins():
@@ -226,14 +232,15 @@ def test_similarity_hist_counts_cosines_past_one_in_the_outer_bins():
             break
     else:
         pytest.fail("no direction whose unit cosines pass +/-1")
-    stats = embedding_similarity_stats(StackedEmbeddings(w, np.arange(4)))
+    emb = StackedEmbeddings(w, np.arange(4))
+    cross_hist, within_hist = similarity_histograms(emb)
     iu, ju = np.triu_indices(4, k=1)
     np.testing.assert_array_equal(
-        stats.cross_hist, np.histogram(np.clip(cos[iu, ju], -1, 1), bins=stats.bin_edges)[0]
+        cross_hist, np.histogram(np.clip(cos[iu, ju], -1, 1), bins=SIMILARITY_EDGES)[0]
     )
-    assert stats.cross_hist[-1] == 1 and stats.cross_hist[0] == 2 and stats.cross_hist.sum() == 3
-    assert not stats.within_hist.any()
-    assert np.isnan(stats.cross_client_max_cos)
+    assert cross_hist[-1] == 1 and cross_hist[0] == 2 and cross_hist.sum() == 3
+    assert not within_hist.any()
+    assert np.isnan(embedding_similarity_stats(emb)).all()
 
 
 def past_one_columns(d=16):
@@ -284,26 +291,22 @@ def test_similarity_stats_do_not_depend_on_the_block_budget(monkeypatch, name):
     # counts are integer sums and a maximum is exact over the same cosines
     emb = similarity_cases()[name]
     n = emb.num_columns
-    reference = embedding_similarity_stats(emb)
-    assert reference.excluded_zero_norm == 1
+    maxima, hists = embedding_similarity_stats(emb), similarity_histograms(emb)
     for budget in (1, 7 * n, n * n // 3):
         monkeypatch.setattr(evaluation, "_SIMILARITY_BLOCK_ELEMENTS", budget)
-        stats = embedding_similarity_stats(emb)
-        for f in ("cross_hist", "within_hist", "bin_edges", "excluded_zero_norm"):
-            np.testing.assert_array_equal(getattr(stats, f), getattr(reference, f), err_msg=f)
-        for f in ("cross_client_max_cos", "within_client_max_cos", "all_pairs_max_cos"):
-            got, want = getattr(stats, f), getattr(reference, f)
-            if name == "past-one":
-                # BLAS rounds v . v by the kernel a block's shape picks (gemv
-                # for one row, small-matrix kernels for a few), so this one
-                # cosine may move by an ulp; its bin cannot
-                assert abs(got - want) <= np.spacing(1.0), f
-            else:
-                np.testing.assert_array_equal(got, want, err_msg=f)
+        np.testing.assert_array_equal(similarity_histograms(emb), hists)
+        got = embedding_similarity_stats(emb)
+        if name == "past-one":
+            # BLAS rounds v . v by the kernel a block's shape picks (gemv
+            # for one row, small-matrix kernels for a few), so this one
+            # cosine may move by an ulp; its bin cannot
+            np.testing.assert_allclose(got, maxima, rtol=0, atol=np.spacing(1.0))
+        else:
+            np.testing.assert_array_equal(got, maxima)
     if name == "nan-column":
-        assert np.isnan(reference.all_pairs_max_cos)
-    if name == "single-client":
-        assert np.isnan(reference.cross_client_max_cos) and not reference.cross_hist.any()
+        assert np.isnan(maxima).all()
+    if name == "single-client":  # no cross pairs: both sides report all pairs
+        assert maxima[0] == maxima[1] and not hists[0].any()
 
 
 def small_federation(rounds=0, mode="fedpe", lam=0.0):

@@ -3,10 +3,11 @@
 import csv
 import gc
 import json
+import os
 import tempfile
 import textwrap
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import golden
 from fedgc import data as datasets
 from fedgc import evaluation, experiments, federation, nn
 from fedgc.config import ConfigError
+from fedgc.evaluation import similarity_histograms
 from fedgc.experiments import (
     DIVERGED,
     OK,
@@ -393,7 +395,7 @@ def test_run_cell_metrics_cadence():
     assert result.status == OK and result.server.round == 3
     assert [m.round for m in result.metrics] == [2, 3]
     for m in result.metrics:
-        assert all(np.isfinite(v) for v in m.to_dict().values())
+        assert all(np.isfinite(v) for v in asdict(m).values())
 
 
 def test_single_client_metrics_fall_back_to_all_pairs():
@@ -429,9 +431,10 @@ def test_evaluation_forwards_each_nonempty_shard_once(monkeypatch):
 def test_centralized_evaluation_makes_one_similarity_pass(monkeypatch):
     real, calls = evaluation.embedding_similarity_stats, []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(emb):
+        # the maximum over all pairs: with one column per client every pair is cross-client
+        calls.append(real(replace(emb, client_of=np.arange(emb.num_columns)))[0])
+        return real(emb)
 
     monkeypatch.setattr(evaluation, "embedding_similarity_stats", counting)
     spec = replace(tiny_spec(), eval_every=1)
@@ -439,8 +442,9 @@ def test_centralized_evaluation_makes_one_similarity_pass(monkeypatch):
     result = run_cell(spec, cell, make_dataset(spec, cell_config(spec, cell)))
     assert result.status == OK and len(result.metrics) == 3
     assert len(calls) == 3
-    for m in result.metrics:  # one head: no cross-client pairs, so both sides report all pairs
-        assert m.cross_client_max_cos == m.within_client_max_cos == m.similarity.all_pairs_max_cos
+    for m, all_pairs in zip(result.metrics, calls):
+        # one head: no cross-client pairs, so both sides report all pairs
+        assert m.cross_client_max_cos == m.within_client_max_cos == all_pairs
 
 
 def test_divergent_cell_is_reported_not_raised():
@@ -449,7 +453,7 @@ def test_divergent_cell_is_reported_not_raised():
     result = run_cell(spec, cell, make_dataset(spec, cell_config(spec, cell)))
     assert result.status == DIVERGED
     for m in result.metrics:  # rows recorded before the blow-up stay finite
-        assert all(np.isfinite(v) for v in m.to_dict().values())
+        assert all(np.isfinite(v) for v in asdict(m).values())
 
 
 def test_program_error_propagates_instead_of_diverging(monkeypatch):
@@ -505,27 +509,34 @@ def test_run_experiment_outputs_and_exit_code(tmp_path):
     assert all(",ok," in line for line in summary[1:])
 
 
-@pytest.mark.parametrize("rounds", [0, 3])
-def test_histograms_come_from_the_last_evaluation(tmp_path, monkeypatch, rounds):
-    # the final state's similarity statistics are computed once: by the last
-    # evaluation, or by write_cell_outputs when no round was evaluated
+@pytest.mark.parametrize("rounds, eta, rows", [(0, 0.05, 0), (3, 0.05, 3), (6, 1e6, 3)])
+def test_histograms_are_binned_once_from_the_final_stack(tmp_path, monkeypatch, rounds, eta, rows):
+    # a metrics row takes the two maxima only; write_cell_outputs bins an ok
+    # cell's final stack once, and a diverged cell writes no histograms
     calls = []
-    real = evaluation.embedding_similarity_stats
-    monkeypatch.setattr(
-        evaluation, "embedding_similarity_stats", lambda *a, **k: calls.append(a) or real(*a, **k)
-    )
-    spec = tiny_spec(tmp_path / "out", fed=replace(tiny_spec().fed, rounds=rounds), modes=["fedgc"])
+    for name in ("embedding_similarity_stats", "similarity_histograms"):
+        real = getattr(evaluation, name)
+        monkeypatch.setattr(
+            evaluation, name, lambda emb, name=name, real=real: calls.append(name) or real(emb)
+        )
+    fed = replace(tiny_spec().fed, rounds=rounds, eta=eta)
+    spec = replace(tiny_spec(tmp_path / "out", fed=fed, modes=["fedgc"]), eval_every=1)
     cell = spec.grid()[0]
     dataset = make_dataset(spec, cell_config(spec, cell))
     result = run_cell(spec, cell, dataset)
+    assert result.status == (OK if eta < 1 else DIVERGED) and len(result.metrics) == rows
+    # eval_every = 1: every round reached takes a row, the diverged cell's rejected one too
+    taken = ["embedding_similarity_stats"] * result.rounds_completed
+    assert calls == taken
     cell_dir = experiments.write_cell_outputs(spec, result, dataset)
-    assert len(result.metrics) == (2 if rounds else 0)
-    assert len(calls) == max(1, len(result.metrics))
-    fresh = real(result.server.embeddings)
-    for side, counts in (("cross", fresh.cross_hist), ("within", fresh.within_hist)):
+    assert calls == taken + (["similarity_histograms"] if result.status == OK else [])
+    if result.status == DIVERGED:
+        assert not [name for name in os.listdir(cell_dir) if name.startswith("similarity")]
+        return
+    for side, counts in zip(("cross", "within"), similarity_histograms(result.server.embeddings)):
         with open(f"{cell_dir}/similarity_{side}.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert [int(count) for _, count in rows] == counts.tolist()
+            written = list(csv.reader(fh))[1:]
+        assert [int(count) for _, count in written] == counts.tolist()
 
 
 def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fedgc import regularizers
-from fedgc.evaluation import embedding_similarity_stats
+from fedgc.evaluation import embedding_similarity_stats, similarity_histograms
 from fedgc.gradcheck import anchor_term, finite_diff_check, softmax_reg_naive
 from fedgc.losses import NonFiniteError
 from fedgc.regularizers import StackedEmbeddings, cosine_reg, softmax_reg
@@ -454,6 +454,7 @@ def test_server_paths_hold_no_dense_pair_matrix():
         "cosine_reg": lambda: cosine_reg(emb, normalize_columns=True),
         "cosine_reg, shared identities": lambda: cosine_reg(shared, normalize_columns=True),
         "embedding_similarity_stats": lambda: embedding_similarity_stats(shared),
+        "similarity_histograms": lambda: similarity_histograms(shared),
         "softmax_reg, one column per client": lambda: softmax_reg(solo, normalize_columns=True),
         "cosine_reg, one column per client": lambda: cosine_reg(solo, normalize_columns=True),
     }
@@ -471,13 +472,14 @@ def test_server_paths_hold_no_dense_pair_matrix():
     assert max(solo_peaks.values()) < solo_budget, peaks
 
 
-def test_similarity_pass_holds_less_than_one_score_block():
+@pytest.mark.parametrize("similarity_pass", [embedding_similarity_stats, similarity_histograms])
+def test_similarity_pass_holds_less_than_one_score_block(similarity_pass):
     # the statistics' blocks set only memory, so at C = 4096 the whole pass
     # (cosines, pair masks, picked values) stays under one 4 MiB score block
     shared = shared_stack(14, clients=64, per_client=64, d=8, identities=4000)
     tracemalloc.start()
     try:
-        embedding_similarity_stats(shared)
+        similarity_pass(shared)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

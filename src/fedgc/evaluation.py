@@ -11,10 +11,11 @@ from .losses import LossSpec, loss_and_grad, target_index
 from .regularizers import StackedEmbeddings
 
 # Elements in one block of the similarity pass: 1 MiB of float64 per
-# temporary. Histogram counts are integer sums and maxima are exact over the
-# cosines, so the blocking sets only the pass's memory (BLAS may round a
-# cosine differently in a block of only a few rows), unlike the penalties'
-# score blocks, whose size fixes a summation order.
+# temporary, whatever C. Histogram counts are integer sums and maxima are
+# exact over the cosines, so the blocking sets only the pass's memory (BLAS
+# may round a cosine differently in a block of only a few rows). The
+# penalties instead cut fixed blocks of regularizers._BLOCK_ROWS anchors,
+# since their block size fixes a summation order.
 _SIMILARITY_BLOCK_ELEMENTS = 1 << 17
 # the similarity histograms' 50 equal-width bins over the cosine range [-1, 1]
 SIMILARITY_EDGES = np.linspace(-1.0, 1.0, 51)

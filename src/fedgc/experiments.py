@@ -415,7 +415,7 @@ def compute_round_metrics(server, clients, cfg, dataset, mean_loss: float) -> ev
     # the combined objective: shard losses plus lambda times a correction mode's penalty
     objective, anchor_dist = evaluation.shard_fit(server, clients, cfg.loss)
     if cfg.lam > 0.0 and cfg.mode in federation.CORRECTION_MODES:
-        objective += cfg.lam * federation.regularizer_grad(server.embeddings, cfg).value
+        objective += cfg.lam * federation.regularizer_value(server.embeddings, cfg)
     return evaluation.RoundMetrics(
         round=server.round,
         mean_local_loss=mean_loss,

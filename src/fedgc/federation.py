@@ -48,7 +48,7 @@ from . import nn
 from .config import check
 from .data import ClientData, Dataset
 from .losses import LossSpec, loss_and_grad, target_index
-from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
+from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg, softmax_value
 
 MODES = ("fedpe", "fedgc", "fedcos", "centralized")
 CORRECTION_MODES = ("fedgc", "fedcos")
@@ -428,6 +428,13 @@ def regularizer_grad(emb: StackedEmbeddings, cfg: FederationConfig) -> RegGrad:
     if cfg.mode == "fedcos":
         return cosine_reg(emb, normalize_columns=cfg.loss.normalizes)
     return softmax_reg(emb, normalize_columns=cfg.loss.normalizes)
+
+
+def regularizer_value(emb: StackedEmbeddings, cfg: FederationConfig) -> float:
+    """regularizer_grad(emb, cfg).value, bit for bit; the softmax mode skips the gradient."""
+    if cfg.mode == "fedcos":
+        return cosine_reg(emb, normalize_columns=cfg.loss.normalizes).value
+    return softmax_value(emb, normalize_columns=cfg.loss.normalizes)
 
 
 def correction_step(emb: StackedEmbeddings, cfg: FederationConfig) -> StackedEmbeddings:

@@ -18,20 +18,21 @@ small-scale cross-check because exp(|w|^2) overflows quickly for
 unnormalized embeddings.
 
 Nothing here holds a dense C x C array. The softmax penalty streams the
-anchors in blocks: each block's scores against every column, their
-log-sum-exp and their softmax weights live in one (B, C) buffer, with B set
-by a fixed element budget. Each anchor's term is independent, so blocking
-changes only the summation order. Both penalties separate two columns iff
-their owner sets, the clients holding a column of their identity
-(class_of), are disjoint. _ownership numbers the owner sets, the clients
-first and then one per identity several clients hold, and lists the pairs
-of sets that meet by a join on clients. The softmax penalty writes -inf
-into each block by flat index, at the columns of the sets meeting each
-anchor's set, built block by block. The cosine penalty is a closed form
-over per-set column sums. Both take O(d C + C B + meet pairs) memory.
-With nothing shared the meet list is one pair per client; when a few
-clients hold most identities jointly, nearly every pair of owner sets
-meets and the list approaches S^2 pairs.
+anchors in blocks of B = 128: each block's scores against every column,
+their log-sum-exp and their softmax weights live in one (B, C) buffer, 1 KiB
+per column. Each anchor's term is independent, so blocking changes only the
+summation order, and only when C > B. The value alone (softmax_value, for a
+metrics row) runs the same blocks and stops at each block's terms. Both
+penalties separate two columns iff their owner sets, the clients holding a
+column of their identity (class_of), are disjoint. _ownership numbers the
+owner sets, the clients first and then one per identity several clients
+hold, and lists the pairs of sets that meet by a join on clients. The
+softmax penalty writes -inf into each block by flat index, at the columns of
+the sets meeting each anchor's set, built block by block. The cosine penalty
+is a closed form over per-set column sums. Both take O(d C + C B + meet
+pairs) memory. With nothing shared the meet list is one pair per client;
+when a few clients hold most identities jointly, nearly every pair of owner
+sets meets and the list approaches S^2 pairs.
 """
 
 from __future__ import annotations
@@ -99,15 +100,18 @@ class RegGrad:
     grad: np.ndarray  # (d, C), same layout as the stacked matrix
 
 
-# Elements in one block of pair scores: 4 MiB of float64 per temporary, so a
-# pass over all C x C pairs holds O(C * B) memory instead of O(C^2).
-_BLOCK_ELEMENTS = 1 << 19
+# Anchors in one block of pair scores: a (B, C) float64 buffer is 1 KiB per
+# column, so a pass over all C x C pairs holds O(C * B) memory instead of
+# O(C^2), and B rows are enough for BLAS at any C.
+_BLOCK_ROWS = 128
 
 
-def _blocks(count: int, width: int) -> list[slice]:
-    """Cut `count` rows into slices of at most _BLOCK_ELEMENTS / width rows."""
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+def _blocks(count: int) -> list[slice]:
+    """Cut `count` anchors into consecutive slices of _BLOCK_ROWS, the last one shorter.
+
+    The slices fix the order in which anchor terms and gradient products are summed.
+    """
+    return [slice(start, min(start + _BLOCK_ROWS, count)) for start in range(0, count, _BLOCK_ROWS)]
 
 
 def _ownership(emb: StackedEmbeddings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,21 +216,19 @@ def _chain_normalization(w_hat: np.ndarray, norms: np.ndarray, grad_n: np.ndarra
     return (grad_n - w_hat * (w_hat * grad_n).sum(axis=0)) / norms
 
 
-def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
-    """Softmax regularizer value and stop-gradient-aware gradient.
+def _softmax_blocks(emb: StackedEmbeddings, a_mat: np.ndarray):
+    """Yield each anchor block's (anchors, exp scores, row sums, summed anchor terms).
 
-    A column is a negative for an anchor only when their owner sets are
-    disjoint, so copies of one shared identity are never pushed apart.
+    The scores are exp(w.T a - a.T a - top) in the (B, C) buffer every block
+    reuses, -inf (so 0) where the owner sets meet; an anchor's term is
+    top + log(row sum), its row sum including the self term's exp(-top).
+    The caller may overwrite the scores before asking for the next block.
     """
-    a_mat, norms = _columns(emb, normalize_columns)
     c = emb.num_columns
     set_of, meets, met = _ownership(emb)
     meeting = _meeting_index(set_of, np.bincount(set_of), meets, met)
-    value = 0.0
-    grad_n = np.zeros_like(a_mat)
-    blocks = _blocks(c, c)
-    buffer = np.empty(blocks[0].stop * c if blocks else 0)  # the scores of every block
-    for blk in blocks:
+    buffer = np.empty(min(_BLOCK_ROWS, c) * c)  # the scores of every block
+    for blk in _blocks(c):
         cols = np.arange(blk.start, blk.stop)
         block = a_mat[:, cols]
         # exponent of every negative w against each anchor a, shifted by the self term
@@ -240,11 +242,32 @@ def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegG
             scores -= top[:, None]
         np.exp(scores, out=scores)
         denom = scores.sum(axis=1) + np.exp(-top)
-        value += float((top + np.log(denom)).sum())
+        yield block, scores, denom, float((top + np.log(denom)).sum())
+
+
+def softmax_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:
+    """Softmax regularizer value and stop-gradient-aware gradient.
+
+    A column is a negative for an anchor only when their owner sets are
+    disjoint, so copies of one shared identity are never pushed apart.
+    """
+    a_mat, norms = _columns(emb, normalize_columns)
+    value = 0.0
+    grad_n = np.zeros_like(a_mat)
+    for block, scores, denom, term in _softmax_blocks(emb, a_mat):
+        value += term
         scores /= denom[:, None]
         grad_n += block @ scores  # grad[:, w] = sum_a weight[a, w] * anchor_a
     grad = grad_n if norms is None else _chain_normalization(a_mat, norms, grad_n)
     return RegGrad(value, grad)
+
+
+def softmax_value(emb: StackedEmbeddings, normalize_columns: bool = False) -> float:
+    """softmax_reg(emb, normalize_columns).value, bit for bit, without the gradient."""
+    value = 0.0
+    for *_, term in _softmax_blocks(emb, _columns(emb, normalize_columns)[0]):
+        value += term
+    return value
 
 
 def cosine_reg(emb: StackedEmbeddings, normalize_columns: bool = False) -> RegGrad:

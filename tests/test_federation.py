@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedgc import nn
+from fedgc import nn, regularizers
 from fedgc.config import ConfigError
 from fedgc.data import (
     ClientData,
@@ -43,6 +43,7 @@ from fedgc.federation import (
     local_sgd,
     merge_shared_identities,
     regularizer_grad,
+    regularizer_value,
     run_round,
     sample_clients,
     save_checkpoint,
@@ -595,6 +596,27 @@ def test_regularizer_grad_dispatch():
     # margin losses switch both regularizers to normalized columns
     cfg_m = small_cfg(mode="fedgc", loss=LossSpec.cosface())
     assert regularizer_grad(emb, cfg_m).value == softmax_reg(emb, normalize_columns=True).value
+
+
+@pytest.mark.parametrize("rows", [1, 5, 128])
+def test_regularizer_value_is_the_gradient_pass_value_bitwise(monkeypatch, rows):
+    # the metrics row's value-only pass runs the gradient pass's blocks, so
+    # its value keeps every bit, at any block size, in both modes and both
+    # column rules, on plain, shared and one-column-per-client stacks
+    monkeypatch.setattr(regularizers, "_BLOCK_ROWS", rows)
+    rng = np.random.default_rng(3)
+    w = rng.normal(0.0, 0.6, size=(6, 300))
+    plain = StackedEmbeddings(w, np.repeat(np.arange(12), 25))
+    shared = replace(plain, class_of=rng.integers(0, 200, size=300))
+    solo = replace(plain, client_of=np.arange(300))
+    assert len(regularizers._blocks(300)) == -(-300 // rows)
+    for emb in (plain, shared, solo):
+        for mode in ("fedgc", "fedcos"):
+            for loss in (LossSpec.softmax(), LossSpec.cosface()):
+                cfg = small_cfg(mode=mode, loss=loss)
+                got = regularizer_value(emb, cfg)
+                assert got == regularizer_grad(emb, cfg).value, (mode, loss)
+                assert np.isfinite(got)
 
 
 def test_correction_step_hand_value_and_guards():

@@ -351,15 +351,15 @@ def shared_stack(seed, clients=6, per_client=7, d=5, identities=None):
     return emb
 
 
-@pytest.mark.parametrize("budget", [1, 5 * 42, None])
+@pytest.mark.parametrize("rows", [1, 5, None])
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("identities", [None, 8], ids=["spread", "crowded"])
-def test_blocked_penalties_match_dense_references(monkeypatch, budget, normalize, identities):
-    # budget 1 gives one-anchor blocks, 5 * C five-anchor blocks, None the default.
+def test_blocked_penalties_match_dense_references(monkeypatch, rows, normalize, identities):
+    # rows 1 gives one-anchor blocks, 5 five-anchor blocks, None the default.
     # "spread" draws 28 ids for 42 columns; "crowded" draws 8, so most owner
     # sets span several clients and some anchors have few or no negatives
-    if budget is not None:
-        monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
+    if rows is not None:
+        monkeypatch.setattr(regularizers, "_BLOCK_ROWS", rows)
     for seed in range(3):
         emb = shared_stack(seed, identities=identities)
         plain = replace(emb, class_of=None)
@@ -379,7 +379,7 @@ def prior_blocked_softmax_reg(emb, normalize=False):
     value = 0.0
     grad_n = np.zeros_like(a_mat)
     tops = []
-    for blk in regularizers._blocks(emb.num_columns, emb.num_columns):
+    for blk in regularizers._blocks(emb.num_columns):
         cols = np.arange(blk.start, blk.stop)
         block = a_mat[:, cols]
         scores = block.T @ a_mat
@@ -397,14 +397,14 @@ def prior_blocked_softmax_reg(emb, normalize=False):
     return value, grad, np.concatenate(tops)
 
 
-@pytest.mark.parametrize("budget", [1, 5 * 42, 17 * 42])
+@pytest.mark.parametrize("rows", [1, 5, 17])
 @pytest.mark.parametrize("long_column", [False, True], ids=["normalized", "one-long-column"])
-def test_softmax_reg_bytes_match_the_dense_mask_algorithm(monkeypatch, budget, long_column):
+def test_softmax_reg_bytes_match_the_dense_mask_algorithm(monkeypatch, rows, long_column):
     # bitwise, no tolerance: masking by the meet list, reusing one score buffer
     # and skipping an all-zero top shift must not move a single bit, on the
     # plain stack (6 clients), one column per client and shared identities
-    monkeypatch.setattr(regularizers, "_BLOCK_ELEMENTS", budget)
-    assert len(regularizers._blocks(42, 42)) > 1
+    monkeypatch.setattr(regularizers, "_BLOCK_ROWS", rows)
+    assert len(regularizers._blocks(42)) > 1
     for seed in range(3):
         shared = shared_stack(seed)
         plain = replace(shared, class_of=None)
@@ -420,8 +420,8 @@ def test_softmax_reg_bytes_match_the_dense_mask_algorithm(monkeypatch, budget, l
 
 
 def test_penalties_match_dense_references_across_default_blocks():
-    # 1200 columns span several blocks of the default element budget
-    assert len(regularizers._blocks(1200, 1200)) > 1
+    # 1200 columns span several blocks of the default anchor count
+    assert len(regularizers._blocks(1200)) > 1
     emb = random_stack(13, d=6, columns_per_client=(100,) * 12, scale=0.5)
     # identity 0 on clients 0 and 1, identity 750 on clients 7 and 3
     class_of = np.arange(emb.num_columns)
@@ -447,7 +447,7 @@ def test_server_paths_hold_no_dense_pair_matrix():
     # one column per client: a dense owner-set table would be S x S = 4096 x 4096
     # (16 MiB of bool); the penalties must stay below three 4 MiB score blocks
     solo = replace(emb, client_of=np.arange(4096))
-    budget, solo_budget = 4096 * 4096 * 8 // 4, 3 * regularizers._BLOCK_ELEMENTS * 8
+    budget, solo_budget = 4096 * 4096 * 8 // 4, 3 * regularizers._BLOCK_ROWS * 4096 * 8
     calls = {
         "softmax_reg": lambda: softmax_reg(emb, normalize_columns=True),
         "softmax_reg, shared identities": lambda: softmax_reg(shared, normalize_columns=True),
@@ -472,6 +472,29 @@ def test_server_paths_hold_no_dense_pair_matrix():
     assert max(solo_peaks.values()) < solo_budget, peaks
 
 
+def softmax_reg_peak(emb, normalize):
+    tracemalloc.start()
+    try:
+        softmax_reg(emb, normalize_columns=normalize)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_softmax_reg_scratch_follows_the_stack():
+    # a score block holds _BLOCK_ROWS anchors, 1 KiB per column, so the
+    # scratch shrinks with C: at C = 2048 (d = 32, 64 clients, normalized) the
+    # call stays under 5 MiB, and on a stack shaped like 512 identities over
+    # 32 clients with 128 of them on two clients (C = 640, raw columns) under 2 MiB
+    wide = random_stack(21, d=32, columns_per_client=(32,) * 64, scale=0.2)
+    assert softmax_reg_peak(wide, normalize=True) < 5 * 2**20
+    rng = np.random.default_rng(22)
+    class_of = rng.permutation(np.r_[np.arange(512), np.arange(128)])
+    shared = random_stack(22, d=32, columns_per_client=(20,) * 32, scale=0.2, class_of=class_of)
+    assert len(shared.shared_columns()) == 128
+    assert softmax_reg_peak(shared, normalize=False) < 2 * 2**20
+
+
 @pytest.mark.parametrize("similarity_pass", [embedding_similarity_stats, similarity_histograms])
 def test_similarity_pass_holds_less_than_one_score_block(similarity_pass):
     # the statistics' blocks set only memory, so at C = 4096 the whole pass
@@ -483,7 +506,7 @@ def test_similarity_pass_holds_less_than_one_score_block(similarity_pass):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < regularizers._BLOCK_ELEMENTS * 8, peak
+    assert peak < regularizers._BLOCK_ROWS * 4096 * 8, peak
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ over every pair of stacked columns: softmax_reg, the value-only softmax pass
 a metrics row takes, cosine_reg, embedding_similarity_stats and
 similarity_histograms. Columns are normalized, as under a margin loss.
 
-The stacks are d = 32 with 16 columns per client, at each --sizes C, plain
+The stacks are d = 32 with 16 columns per client, at each C in SIZES, plain
 (one identity per column) and shared (a fifth of the columns are second
 copies of identities held by two clients), plus the dense-meet stack: 2
-clients holding 3/4 of --dense-meet identities jointly (C = 3,584 at 2,048).
+clients holding 3/4 of DENSE_MEET identities jointly (C = 3,584).
 
-Each row records the median and quartiles of --repeats timed calls, the
+Each row records the median and quartiles of REPEATS timed calls, the
 repeat count, the tracemalloc peak of one more call and the median minor
 page faults per call. The run records the git rev of --src, nproc, the BLAS
 library and the thread environment, and is stored under runs[--label], so a
@@ -43,6 +43,9 @@ import numpy as np  # noqa: E402
 D = 32
 PER_CLIENT = 16
 SEED = 0
+SIZES = (256, 1024, 4096, 16384)
+DENSE_MEET = 2048  # identities of the dense-meet stack
+REPEATS = 5
 
 
 def plain_stack(regularizers, c: int):
@@ -67,15 +70,13 @@ def held_stack(regularizers, clients: int, identities: int, shared: int):
     return regularizers.StackedEmbeddings(w, client_of[order], class_of[order])
 
 
-def stacks(regularizers, sizes: list[int], dense_meet: int):
+def stacks(regularizers):
     """(name, stack) for every size, plain then shared, then the dense-meet stack."""
-    for c in sizes:
+    for c in SIZES:
         yield f"plain_C{c}", plain_stack(regularizers, c)
         shared = c // 5
         yield f"shared_C{c}", held_stack(regularizers, max(2, c // PER_CLIENT), c - shared, shared)
-    if dense_meet:
-        shared = 3 * dense_meet // 4
-        yield f"dense_meet_{dense_meet}", held_stack(regularizers, 2, dense_meet, shared)
+    yield f"dense_meet_{DENSE_MEET}", held_stack(regularizers, 2, DENSE_MEET, 3 * DENSE_MEET // 4)
 
 
 def calls(regularizers, evaluation) -> dict:
@@ -94,8 +95,8 @@ def calls(regularizers, evaluation) -> dict:
     }
 
 
-def measure(call, emb, repeats: int) -> dict:
-    """One tracemalloc-traced call (which also warms up), then `repeats` timed calls."""
+def measure(call, emb) -> dict:
+    """One tracemalloc-traced call (which also warms up), then REPEATS timed calls."""
     tracemalloc.start()
     try:
         call(emb)
@@ -103,7 +104,7 @@ def measure(call, emb, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     times, faults = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         call(emb)
@@ -114,7 +115,7 @@ def measure(call, emb, repeats: int) -> dict:
         "median_s": median,
         "q1_s": q1,
         "q3_s": q3,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "tracemalloc_peak_mib": peak / 2**20,
         "minor_faults": statistics.median(faults),
     }
@@ -143,12 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to create or merge into")
     parser.add_argument("--label", required=True, help="the key this run is stored under")
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
-    parser.add_argument("--sizes", default="256,1024,4096,16384", help="comma-separated C")
-    parser.add_argument("--dense-meet", type=int, default=2048, help="identities; 0 skips")
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -158,12 +154,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"imported fedgc from {regularizers.__file__}, not from {src}")
     timed = calls(regularizers, evaluation)
     rows = []
-    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    for name, emb in stacks(regularizers, sizes, args.dense_meet):
+    for name, emb in stacks(regularizers):
         for call_name, call in timed.items():
             row = {"stack": name, "call": call_name, "C": emb.num_columns,
                    "clients": emb.num_clients, "d": D}
-            row.update(measure(call, emb, args.repeats))
+            row.update(measure(call, emb))
             rows.append(row)
             print(f"{name:>18} {call_name:>27} {row['median_s'] * 1e3:10.2f} ms "
                   f"{row['tracemalloc_peak_mib']:9.2f} MiB", flush=True)

@@ -1,25 +1,38 @@
 """bench/rows.py writes a run whose every row carries its timing, memory and fault fields."""
 
+import importlib.util
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "rows.py"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 ROW_FIELDS = {"stack", "call", "C", "clients", "d", "median_s", "q1_s", "q3_s", "repeats",
               "tracemalloc_peak_mib", "minor_faults"}
 CALLS = ["softmax_reg", "softmax_value", "cosine_reg", "embedding_similarity_stats",
          "similarity_histograms"]
 
 
-def test_rows_script_writes_every_field_for_a_tiny_stack(tmp_path):
+def load_rows(monkeypatch):
+    """Import the script as a module; the thread variables and sys.path it sets are undone."""
+    for key in THREAD_VARS:  # the script pins these at import; monkeypatch restores them
+        monkeypatch.setenv(key, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_rows", SCRIPT)
+    rows = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rows)
+    assert set(rows.THREAD_ENV) == set(THREAD_VARS)
+    return rows
+
+
+def test_rows_script_writes_every_field_for_a_tiny_stack(tmp_path, monkeypatch):
+    rows = load_rows(monkeypatch)
+    monkeypatch.setattr(rows, "SIZES", (48,))
+    monkeypatch.setattr(rows, "DENSE_MEET", 16)
+    monkeypatch.setattr(rows, "REPEATS", 1)
     out = tmp_path / "bench.json"
     for label in ("first", "second"):
-        subprocess.run(
-            [sys.executable, str(SCRIPT), "--out", str(out), "--label", label,
-             "--sizes", "48", "--dense-meet", "16", "--repeats", "1"],
-            check=True, capture_output=True, text=True,
-        )
+        assert rows.main(["--out", str(out), "--label", label]) == 0
     doc = json.loads(out.read_text())
     assert list(doc["runs"]) == ["first", "second"]  # a second label merges, not overwrites
     run = doc["runs"]["second"]

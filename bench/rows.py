@@ -16,10 +16,11 @@ clients holding 3/4 of DENSE_MEET identities jointly (C = 3,584).
 
 Each row records the median and quartiles of REPEATS timed calls, the
 repeat count, the tracemalloc peak of one more call and the median minor
-page faults per call. The run records the git rev of --src, nproc, the BLAS
-library and the thread environment, and is stored under runs[--label], so a
-parent checkout and a change can be timed into one file. BLAS runs on one
-thread: the thread variables are pinned before numpy is imported.
+page faults per call. The run records the git rev of --src, the line count
+of its fedgc/*.py (src_lines), nproc, the BLAS library and the thread
+environment, and is stored under runs[--label], so a parent checkout and a
+change can be timed into one file. BLAS runs on one thread: the thread
+variables are pinned before numpy is imported.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ os.environ.update(THREAD_ENV)
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import pathlib  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -130,6 +132,8 @@ def environment(src: str) -> dict:
     return {
         "git_rev": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--", ".")),
+        # counted as `wc -l` counts
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in pathlib.Path(src, "fedgc").glob("*.py")),
         "nproc": len(os.sched_getaffinity(0)),
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "numpy": np.__version__,

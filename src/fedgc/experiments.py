@@ -40,7 +40,12 @@ class Cell:
 
     @property
     def name(self) -> str:
-        return f"{self.mode}_f{self.fraction:g}_l{self.lam:g}_{self.partition}"
+        return f"{self.mode}_f{_label(self.fraction)}_l{_label(self.lam)}_{self.partition}"
+
+
+def _label(value) -> str:
+    """How a grid value reads in a cell name: a number to 6 significant digits (:g)."""
+    return value if isinstance(value, str) else f"{value:g}"
 
 
 # the config-file section of each ExperimentSpec field a file sets
@@ -53,11 +58,12 @@ _AXIS_FIELDS = {"modes": "mode", "fractions": "participation", "lambdas": "lam"}
 class ExperimentSpec:
     """A grid of cells over one base config; checks its axes at construction.
 
-    A bad axis value, an empty axis, a zero lambda for a correction mode, a
-    partition the data cannot take or, in a federated grid, one that gives
-    every client one identity raises ConfigError naming every field. Both
-    correction modes run on every partition, shared ones included: the two
-    penalties take cross-client pairs from one ownership rule.
+    A bad axis value, an empty axis, a zero lambda for a correction mode, two
+    values on an axis that give cells one name, a partition the data cannot
+    take or, in a federated grid, one that gives every client one identity
+    raises ConfigError naming every field. Both correction modes run on every
+    partition, shared ones included: the two penalties take cross-client
+    pairs from one ownership rule.
     """
 
     fed: federation.FederationConfig
@@ -86,11 +92,19 @@ class ExperimentSpec:
             problems += [(key, why) for v in axis for why in _cell_problems(self.fed, name, v)]
         if not self.partitions:
             problems.append(("partitions", "empty grid axis"))
+        lams = {m: f"mode_lambdas[{m!r}]" if m in self.mode_lambdas else "lambdas" for m in self.modes}
         for m in self.modes:
             if m in federation.CORRECTION_MODES and 0.0 in self.lambdas_for(m):
-                key = f"mode_lambdas[{m!r}]" if m in self.mode_lambdas else "lambdas"
-                problems.append((key, f"{m} cells need lambda > 0, got a 0 in the grid"))
+                problems.append((lams[m], f"{m} cells need lambda > 0, got a 0 in the grid"))
                 break
+        # a cell's directory is its name, so no two values on an axis may read alike in one
+        used = [("modes", self.modes), ("fractions", self.fractions), ("partitions", self.partitions)]
+        for key, axis in used + [(lams[m], self.lambdas_for(m)) for m in self.modes]:
+            labels = [_label(v) for v in axis]
+            repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+            if repeated:
+                problems.append((key, f"two values read {repeated[0]!r} in a cell name, "
+                                 "so two cells would write one directory"))
         federated = any(m != "centralized" for m in self.modes)
         for p in self.partitions:
             # a one-class loss is constant, so local steps would only apply weight decay
@@ -144,10 +158,13 @@ def _cell_problems(fed: federation.FederationConfig, name: str, value) -> list[s
 class CellResult:
     cell: Cell
     status: str
-    rounds_completed: int
     metrics: list[evaluation.RoundMetrics]
     server: federation.ServerState
     clients: list[datasets.ClientData]
+
+    @property
+    def rounds_completed(self) -> int:
+        return self.server.round
 
     @property
     def final_accuracy(self) -> float:
@@ -156,22 +173,6 @@ class CellResult:
     @property
     def final_cross_cos(self) -> float:
         return self.metrics[-1].cross_client_max_cos if self.metrics else float("nan")
-
-    def summary(self) -> CellSummary:
-        return CellSummary(
-            self.cell, self.status, self.rounds_completed, self.final_accuracy, self.final_cross_cos
-        )
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    """What a grid keeps of a finished cell: its summary.csv row."""
-
-    cell: Cell
-    status: str
-    rounds_completed: int
-    final_accuracy: float
-    final_cross_cos: float
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +253,6 @@ def file_problems(exc: ConfigError) -> list[str]:
     return out
 
 
-class _Reader:
-    """Typed key access over configparser that collects problems instead of raising."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-        self.problems: list[str] = []
-
-    def get(self, section: str, key: str, cast, default):
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key)
-        try:
-            return cast(raw)
-        except (ValueError, TypeError):
-            kind = cast.__name__.replace("_as_", "")
-            self.problems.append(f"[{section}] {key}: cannot read {raw.strip()!r} as {kind}")
-            return default
-
-
 def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
     """Read and fully validate a config file.
 
@@ -296,20 +278,29 @@ def parse_config(path) -> tuple[ExperimentSpec | None, list[str]]:
             if key not in _KNOWN_KEYS[section]:
                 problems.append(f"[{section}] {key}: unknown key")
 
-    r = _Reader(parser)
+    def get(section: str, key: str, cast, default):
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except (ValueError, TypeError):
+            kind = cast.__name__.replace("_as_", "")
+            problems.append(f"[{section}] {key}: cannot read {raw.strip()!r} as {kind}")
+            return default
+
     values = {}
     for section, f in _FILE_FIELDS:
         cast = _CASTS[f.type]
         default = cast(_FILE_DEFAULTS[f.name]) if f.name in _FILE_DEFAULTS else f.default
-        values[f.name] = r.get(section, f.name, cast, default)
-    margin = r.get("federation", "loss_margin", float, None)
-    scale = r.get("federation", "loss_scale", float, None)
+        values[f.name] = get(section, f.name, cast, default)
+    margin = get("federation", "loss_margin", float, None)
+    scale = get("federation", "loss_scale", float, None)
     mode_lambdas = {}
     for m in federation.CORRECTION_MODES:
-        per_mode = r.get("grid", f"lambdas_{m}", _as_floats, None)
+        per_mode = get("grid", f"lambdas_{m}", _as_floats, None)
         if per_mode is not None:
             mode_lambdas[m] = per_mode
-    problems.extend(r.problems)
     if values["loss"] == "softmax":
         for key, value in (("loss_margin", margin), ("loss_scale", scale)):
             if value is not None:
@@ -468,7 +459,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell, dataset: datasets.Dataset) -> Cel
                     metrics.append(row)
         except NonFiniteError:
             status = DIVERGED
-    return CellResult(cell, status, server.round, metrics, server, clients)
+    return CellResult(cell, status, metrics, server, clients)
 
 
 def _write_hist(path, counts: np.ndarray) -> None:
@@ -504,64 +495,44 @@ def write_cell_outputs(spec: ExperimentSpec, result: CellResult, dataset: datase
     return cell_dir
 
 
-def write_summary(spec: ExperimentSpec, results: list[CellSummary]) -> str:
-    path = os.path.join(spec.out_dir, "summary.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "mode",
-                "fraction",
-                "lambda",
-                "partition",
-                "status",
-                "rounds_completed",
-                "final_accuracy",
-                "final_cross_client_max_cos",
-            ]
-        )
-        for res in results:
-            w.writerow(
-                [
-                    res.cell.mode,
-                    res.cell.fraction,
-                    res.cell.lam,
-                    res.cell.partition,
-                    res.status,
-                    res.rounds_completed,
-                    res.final_accuracy,
-                    res.final_cross_cos,
-                ]
-            )
-    return path
+# one summary.csv row per cell, written as the cell ends
+SUMMARY_HEADER = [
+    "mode", "fraction", "lambda", "partition", "status",
+    "rounds_completed", "final_accuracy", "final_cross_client_max_cos",
+]
 
 
 def run_experiment(spec: ExperimentSpec, dataset: datasets.Dataset, echo=None) -> int:
     """Run the whole grid on make_dataset(spec, spec.fed), which every cell shares (cell_config
-    changes only mode, participation and lambda); 0 if any cell finished, 2 if every cell diverged."""
-    os.makedirs(spec.out_dir, exist_ok=True)
-    results = []
-    for cell in spec.grid():
-        result = _run_and_write_cell(spec, cell, dataset)
-        results.append(result)
-        if echo is not None:
-            echo(
-                f"{cell.name}: {result.status}, rounds={result.rounds_completed}, "
-                f"accuracy={result.final_accuracy:.4f}, "
-                f"cross_max_cos={result.final_cross_cos:.4f}"
-            )
-    summary = write_summary(spec, results)
-    if echo is not None:
-        echo(f"summary: {summary}")
-    return 0 if any(r.status == OK for r in results) else 2
+    changes only mode, participation and lambda); 0 if any cell finished, 2 if every cell diverged.
 
-
-def _run_and_write_cell(spec: ExperimentSpec, cell: Cell, dataset) -> CellSummary:
-    """Train and write one cell, and return only its summary row.
-
-    The cell's server, shards and metrics rows are freed when this returns,
-    so a grid holds one cell's working set at a time.
+    A cell's files and its summary.csv row are written as it ends, and its
+    server, shards and metrics are dropped before the next cell trains, so a
+    grid holds one cell's working set at a time. A grid stopped by an error
+    leaves a summary.csv with the rows of the cells it finished.
     """
-    result = run_cell(spec, cell, dataset)
-    write_cell_outputs(spec, result, dataset)
-    return result.summary()
+    os.makedirs(spec.out_dir, exist_ok=True)
+    path = os.path.join(spec.out_dir, "summary.csv")
+    statuses = []
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SUMMARY_HEADER)
+        for cell in spec.grid():
+            result = run_cell(spec, cell, dataset)
+            write_cell_outputs(spec, result, dataset)
+            w.writerow([
+                cell.mode, cell.fraction, cell.lam, cell.partition, result.status,
+                result.rounds_completed, result.final_accuracy, result.final_cross_cos,
+            ])
+            fh.flush()
+            statuses.append(result.status)
+            if echo is not None:
+                echo(
+                    f"{cell.name}: {result.status}, rounds={result.rounds_completed}, "
+                    f"accuracy={result.final_accuracy:.4f}, "
+                    f"cross_max_cos={result.final_cross_cos:.4f}"
+                )
+            del result
+    if echo is not None:
+        echo(f"summary: {path}")
+    return 0 if OK in statuses else 2

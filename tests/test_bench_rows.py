@@ -1,4 +1,5 @@
-"""bench/rows.py writes a run whose every row carries its timing, memory and fault fields."""
+"""bench/rows.py writes a run whose every row carries its timing, memory and fault fields,
+and which records the line count of the source it timed."""
 
 import importlib.util
 import json
@@ -36,7 +37,10 @@ def test_rows_script_writes_every_field_for_a_tiny_stack(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert list(doc["runs"]) == ["first", "second"]  # a second label merges, not overwrites
     run = doc["runs"]["second"]
-    assert {"git_rev", "nproc", "blas", "threads"} <= set(run)
+    assert {"git_rev", "nproc", "blas", "threads", "src_lines"} <= set(run)
+    # the fedgc/*.py of the default --src, this checkout's src/
+    package = SCRIPT.parent.parent / "src" / "fedgc"
+    assert run["src_lines"] == sum(p.read_bytes().count(b"\n") for p in package.glob("*.py")) > 0
     assert run["threads"]["OMP_NUM_THREADS"] == "1" and run["nproc"] >= 1
     assert run["blas"]["name"]
     stacks = ["plain_C48", "shared_C48", "dense_meet_16"]

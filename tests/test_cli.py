@@ -207,6 +207,22 @@ def test_one_identity_per_client_is_refused_at_parse_time(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cells_that_share_a_name_are_refused_at_parse_time(tmp_path, capsys, command):
+    # both lambdas read l50: the run trained both cells into one directory,
+    # the second overwriting the first, and summary.csv listed it twice
+    path = write_tiny(tmp_path)
+    path.write_text(path.read_text().replace("lambdas = 1", "lambdas = 50, 50.0000001"))
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: [grid] lambdas: two values read '50' in a cell name, "
+        "so two cells would write one directory\n"
+    )
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
 @pytest.mark.parametrize("command, override", [("validate", []), ("run", []), ("run", ["--seed", "-1"])])
 def test_a_negative_seed_is_refused_at_parse_time(tmp_path, capsys, command, override):
     # numpy's SeedSequence raised "expected non-negative integer" from data.generate

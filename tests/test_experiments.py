@@ -566,6 +566,29 @@ def test_run_experiment_holds_one_cell_at_a_time(tmp_path, monkeypatch):
     assert all(r() is None for cell_refs in refs for r in cell_refs)
 
 
+def test_an_interrupted_grid_leaves_the_rows_of_the_cells_it_finished(tmp_path, monkeypatch):
+    # summary.csv was written after the last cell, so an error left an earlier
+    # run's file beside freshly rewritten cell directories
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_text("left,by,an,earlier,run\n")
+    real_run = experiments.run_cell
+
+    def run(spec, cell, dataset):
+        if cell.mode == "fedpe":
+            raise RuntimeError("second cell")
+        return real_run(spec, cell, dataset)
+
+    monkeypatch.setattr(experiments, "run_cell", run)
+    spec = tiny_spec(out, modes=["fedgc", "fedpe"])
+    with pytest.raises(RuntimeError, match="second cell"):
+        run_experiment(spec, make_dataset(spec, spec.fed))
+    with open(out / "summary.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:5] == ["mode", "fraction", "lambda", "partition", "status"]
+    assert [row[:5] for row in rows] == [["fedgc", "1.0", "1.0", "balanced", OK]]
+
+
 def test_run_experiment_bitwise_reproducible(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -627,6 +650,7 @@ _REFUSED = [
     ("grid", {"modes": []}), ("grid", {"fractions": [0.0]}), ("grid", {"partitions": ["bogus"]}),
     ("grid", {"partitions": ["shared"], "share_fraction": 1.0}),
     ("grid", {"partitions": ["shared"], "group_size": 1}), ("grid", {"eval_every": 0}),
+    ("grid", {"lambdas": [1.0, 1.0000001]}),
 ]
 
 

@@ -83,14 +83,9 @@ def stacks(regularizers):
 
 def calls(regularizers, evaluation) -> dict:
     """The timed calls by row name; each takes a stack."""
-    # a checkout without the value-only pass takes the value off the gradient pass
-    value = getattr(regularizers, "softmax_value", None)
-    if value is None:
-        def value(emb, normalize_columns):
-            return regularizers.softmax_reg(emb, normalize_columns=normalize_columns).value
     return {
         "softmax_reg": lambda emb: regularizers.softmax_reg(emb, normalize_columns=True),
-        "softmax_value": lambda emb: value(emb, normalize_columns=True),
+        "softmax_value": lambda emb: regularizers.softmax_value(emb, normalize_columns=True),
         "cosine_reg": lambda emb: regularizers.cosine_reg(emb, normalize_columns=True),
         "embedding_similarity_stats": evaluation.embedding_similarity_stats,
         "similarity_histograms": evaluation.similarity_histograms,

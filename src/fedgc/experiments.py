@@ -63,7 +63,8 @@ class ExperimentSpec:
     take or, in a federated grid, one that gives every client one identity
     raises ConfigError naming every field. Both correction modes run on every
     partition, shared ones included: the two penalties take cross-client
-    pairs from one ownership rule.
+    pairs from one ownership rule. Only they read lambdas, and only the
+    federated modes read fractions and partitions.
     """
 
     fed: federation.FederationConfig
@@ -136,12 +137,13 @@ class ExperimentSpec:
         return self.mode_lambdas.get(mode, self.lambdas)
 
     def grid(self) -> list[Cell]:
+        """The cells: a mode crosses only the axes it reads and takes the others' first values."""
         return [
             Cell(m, f, l, p)
             for m in self.modes
-            for f in self.fractions
-            for l in self.lambdas_for(m)
-            for p in self.partitions
+            for f in (self.fractions if m != "centralized" else self.fractions[:1])
+            for l in (self.lambdas_for(m) if m in federation.CORRECTION_MODES else self.lambdas_for(m)[:1])
+            for p in (self.partitions if m != "centralized" else self.partitions[:1])
         ]
 
 

@@ -12,10 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import data as datasets
-from . import federation, nn
-from .losses import LossGrad, LossSpec, loss_and_grad, target_index
-from .regularizers import RegGrad, StackedEmbeddings, _columns, _ownership, cosine_reg, softmax_reg
+from . import nn
+from .config import check
+from .losses import LossGrad, LossSpec, NonFiniteError, loss_and_grad, target_index
+from .regularizers import RegGrad, StackedEmbeddings, cosine_reg, softmax_reg
 
 
 @dataclass
@@ -115,12 +115,18 @@ def batch_loss_and_grad(
 def anchor_term(emb: StackedEmbeddings, a: int) -> RegGrad:
     """Anchor a's direct-exponential term: log(1 + sum exp(w.a - a.a)) over its negatives.
 
-    The gradient falls on the negatives only, the columns whose owner sets
-    are disjoint from a's, so column a and its group-mates get exactly zero.
+    The gradient falls on the negatives only, so column a and its
+    group-mates get exactly zero. A column's holders are the clients holding
+    a column of its identity (class_of); the negatives are the columns whose
+    holders are disjoint from a's, found here by brute force from client_of
+    and class_of alone.
     """
-    w, _ = _columns(emb, False)
-    set_of, meets, met = _ownership(emb)
-    negatives = np.flatnonzero(~np.isin(set_of, met[meets == set_of[a]]))
+    w = emb.W
+    if not np.isfinite(w).all():
+        raise NonFiniteError("non-finite entry in stacked embeddings")
+    # the columns on a client holding a's identity, and every identity those clients hold
+    near = np.isin(emb.client_of, emb.client_of[emb.class_of == emb.class_of[a]])
+    negatives = np.flatnonzero(~np.isin(emb.class_of, emb.class_of[near]))
     anchor = w[:, a]
     self_term = np.exp(anchor @ anchor)
     cross = np.exp(w[:, negatives].T @ anchor)
@@ -150,23 +156,9 @@ class DirectionReport:
     (b) coincide, and both are positive multiples of (c)'s direction.
     """
 
-    cross_columns: np.ndarray
     max_correction_vs_feature_diff: float  # (a) vs (b)
     feature_vs_global_ratios: np.ndarray  # |(b)| / |(c)|
     direction_cosines: np.ndarray  # (a) vs (c)
-
-
-def grad_direction_diagnostic(server, clients, client_id: int = 0, sample: int = 0) -> DirectionReport:
-    """The correction geometry at one probe sample, whose class embedding is set to its feature.
-
-    The feature is scaled to norm 3: directions do not depend on the scale,
-    and exp(a . a) of a trained feature can overflow.
-    """
-    cl = clients[client_id]
-    feature = nn.forward(server.theta, cl.x[sample : sample + 1])[0]
-    feature *= 3.0 / np.linalg.norm(feature)
-    col = server.columns(cl.client_id).start + int(cl.y_local[sample])
-    return _probe(server.embeddings.W, server.embeddings.client_of, col, feature)
 
 
 def _probe(w: np.ndarray, client_of: np.ndarray, col: int, feature: np.ndarray) -> DirectionReport:
@@ -186,11 +178,28 @@ def _probe(w: np.ndarray, client_of: np.ndarray, col: int, feature: np.ndarray) 
     global_grads = batch_loss_and_grad(LossSpec.softmax(), w, feature[None], [col]).grad_embeddings[:, cross]
     cosines = [a @ c / (np.linalg.norm(a) * np.linalg.norm(c)) for a, c in zip(correction, global_grads.T)]
     return DirectionReport(
-        cross_columns=cross,
         max_correction_vs_feature_diff=float(np.abs(correction - feature_coef[:, None] * feature[None, :]).max()),
         feature_vs_global_ratios=feature_coef * np.linalg.norm(feature) / np.linalg.norm(global_grads, axis=0),
         direction_cosines=np.array(cosines),
     )
+
+
+def _trained_regime(seed: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """_probe's (w, client_of, col, feature) for a seeded stack trained well locally.
+
+    Column 0 takes a norm-3 feature as its class embedding: directions do not
+    depend on the scale, and exp(a . a) stays finite. Its client's other
+    columns sit far in the negative-logit region, the regime where the
+    feature-substituted correction magnitude matches the centralized one.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4A]))
+    d, per_client, n_clients = 8, 3, 3
+    w = rng.normal(0.0, 0.3, size=(d, per_client * n_clients))
+    feature = rng.normal(size=d)
+    feature *= 3.0 / np.linalg.norm(feature)
+    # within-client non-target logits: w . f = -5 |f|^2 = -45
+    w[:, 1:per_client] = -5.0 * feature[:, None]
+    return w, np.repeat(np.arange(n_clients), per_client), 0, feature
 
 
 @dataclass
@@ -303,11 +312,12 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
     Every analytic gradient in the package is compared against central
     finite differences on seeded random instances, then the diagnostic
     identities (frozen-anchor semantics, closed forms, feature substitution,
-    local-vs-global magnitude agreement) are evaluated. Returns one row per
-    check; all must pass, and a NaN error fails its row.
+    local-vs-global magnitude agreement) are evaluated, all on constructed
+    instances. Returns one row per check; all must pass, and a NaN error
+    fails its row. A negative seed raises ConfigError before any draw.
     """
-    # first: its FederationConfig refuses a negative seed before any check runs
-    report = grad_direction_diagnostic(*_probe_federation(seed))
+    check(seed, [("seed", seed >= 0, f"need >= 0, got {seed}")])
+    report = _probe(*_trained_regime(seed))
     root = np.random.SeedSequence([seed, 0x6C])
 
     def worst(count: int, errors) -> float:
@@ -331,33 +341,6 @@ def verification_suite(seed: int = 0, instances: int = 100) -> list[CheckRow]:
         # correction geometry: substitution identity, direction, magnitude ratio
         ("anchored vs feature-substituted correction", report.max_correction_vs_feature_diff, 1e-12),
         ("correction vs centralized direction", np.abs(report.direction_cosines - 1.0).max(), 1e-12),
-        ("local-vs-global gradient magnitude ratio", np.abs(_trained_regime_ratios(seed) - 1.0).max(), 1e-6),
+        ("local-vs-global gradient magnitude ratio", np.abs(report.feature_vs_global_ratios - 1.0).max(), 1e-6),
     ]
     return [CheckRow(name, float(err), tol, bool(err <= tol)) for name, err, tol in table]
-
-
-def _probe_federation(seed: int):
-    """A minimal random federation for the correction-geometry diagnostic."""
-    cfg = federation.FederationConfig(num_clients=3, mode="fedgc", lam=1.0, seed=seed, rounds=1)
-    spec = datasets.SyntheticSpec(num_classes=6, samples_per_class=8, input_dim=5, seed=seed)
-    dataset = datasets.generate(spec)
-    client_data = datasets.partition_balanced(dataset, cfg.num_clients)
-    return federation.build_federation(client_data, dataset.input_dim, cfg)
-
-
-def _trained_regime_ratios(seed: int) -> np.ndarray:
-    """Magnitude ratios in the constructed well-trained-locally regime.
-
-    The probe feature doubles as its own class embedding, and the client's
-    other columns are pushed far into the negative-logit region, which is
-    the regime where the feature-substituted correction magnitude matches
-    the centralized softmax gradient magnitude.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4A]))
-    d, per_client, n_clients = 8, 3, 3
-    w = rng.normal(0.0, 0.3, size=(d, per_client * n_clients))
-    feature = rng.normal(size=d)
-    feature *= 3.0 / np.linalg.norm(feature)
-    # within-client non-target logits: w . f = -5 |f|^2 = -45
-    w[:, 1:per_client] = -5.0 * feature[:, None]
-    return _probe(w, np.repeat(np.arange(n_clients), per_client), 0, feature).feature_vs_global_ratios

@@ -182,12 +182,12 @@ class SgdState:
     velocity: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be in [0, inf)")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be in [0, inf)")
 
 
 def sgd_update(state: SgdState, param: np.ndarray, grad: np.ndarray) -> None:

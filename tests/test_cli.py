@@ -440,6 +440,7 @@ def test_gradcheck_passes_with_exit_0(capsys):
 
 def test_gradcheck_refuses_a_negative_seed_before_any_check_runs(monkeypatch, capsys):
     monkeypatch.setattr(gradcheck, "_fd", lambda *args, **kwargs: pytest.fail("a check ran"))
+    monkeypatch.setattr(gradcheck, "_trained_regime", lambda seed: pytest.fail("a probe was drawn"))
     assert cli.main(["gradcheck", "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: seed: need >= 0, got -1\n"

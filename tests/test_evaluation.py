@@ -19,7 +19,7 @@ from fedgc.evaluation import (
     verification_accuracy,
 )
 from fedgc.federation import FederationConfig, build_federation, run_round
-from fedgc.gradcheck import _probe_federation, _trained_regime_ratios, finite_diff_check, grad_direction_diagnostic
+from fedgc.gradcheck import _probe, _trained_regime, finite_diff_check
 from fedgc.regularizers import StackedEmbeddings
 
 
@@ -337,26 +337,33 @@ def test_mean_anchor_feature_distance_hand_value():
     assert abs(shard_fit(server, clients, cfg.loss)[1] - expected) < 1e-12
 
 
-def test_grad_direction_diagnostic_probe_identity():
+def test_probe_identity_on_a_trained_stack():
     server, clients, _ = small_federation(rounds=6, mode="fedgc", lam=1.0)
-    report = grad_direction_diagnostic(server, clients, client_id=0, sample=2)
+    cl = clients[0]
+    # sample 2's feature, scaled to norm 3 so that exp(a . a) stays finite
+    feature = nn.forward(server.theta, cl.x[2:3])[0]
+    feature *= 3.0 / np.linalg.norm(feature)
+    col = server.columns(cl.client_id).start + int(cl.y_local[2])
+    report = _probe(server.embeddings.W, server.embeddings.client_of, col, feature)
     # with the anchor replaced by the feature the two forms are the same expression
     assert report.max_correction_vs_feature_diff <= 1e-12
-    assert report.cross_columns.tolist() == list(range(4, 8))
+    # one entry per column of client 1: columns 4-7
+    assert np.flatnonzero(server.embeddings.client_of != 0).tolist() == list(range(4, 8))
+    assert report.direction_cosines.shape == report.feature_vs_global_ratios.shape == (4,)
     assert np.all(report.feature_vs_global_ratios > 0.0)
     assert np.all(np.isfinite(report.direction_cosines))
     assert np.all(np.abs(report.direction_cosines) <= 1.0 + 1e-12)
 
 
 def test_correction_geometry_rows_hold_on_every_seed():
-    # at the suite's tolerances; the probe feature's squared norm ran to 348-1,383
-    # on these seeds, so exp(a . a) overflowed or the correction rows underflowed,
-    # and the direction row read NaN on 18 of them
+    # at the suite's tolerances; an unscaled trained feature's squared norm ran
+    # to 348-1,383, so exp(a . a) overflowed or the correction rows underflowed,
+    # and the direction row read NaN on 18 of these seeds
     for seed in range(40):
-        report = grad_direction_diagnostic(*_probe_federation(seed))
+        report = _probe(*_trained_regime(seed))
         assert report.max_correction_vs_feature_diff <= 1e-12, seed
         assert np.abs(report.direction_cosines - 1.0).max() <= 1e-12, seed
-        assert np.abs(_trained_regime_ratios(seed) - 1.0).max() <= 1e-6, seed
+        assert np.abs(report.feature_vs_global_ratios - 1.0).max() <= 1e-6, seed
 
 
 def test_finite_diff_check_accepts_true_gradient():

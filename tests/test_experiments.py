@@ -109,6 +109,19 @@ def test_grid_expands_all_axes_with_per_mode_lambdas():
     assert spec.lambdas_for("fedcos") == [1.0, 2.0]
 
 
+def test_grid_crosses_each_mode_only_with_the_axes_it_reads():
+    # a fedpe cell ignores its lambda and a centralized one its fraction and
+    # partition: crossing them wrote byte-identical cell directories
+    spec = tiny_spec(modes=["fedpe", "fedgc", "centralized"], fractions=[0.5, 1.0], lambdas=[1.0, 10.0])
+    assert [c.name for c in spec.grid()] == [
+        "fedpe_f0.5_l1_balanced", "fedpe_f1_l1_balanced",
+        "fedgc_f0.5_l1_balanced", "fedgc_f0.5_l10_balanced", "fedgc_f1_l1_balanced", "fedgc_f1_l10_balanced",
+        "centralized_f0.5_l1_balanced",
+    ]
+    spec = replace(spec, modes=["centralized"], partitions=["lognormal", "balanced"])
+    assert [c.name for c in spec.grid()] == ["centralized_f0.5_l1_lognormal"]
+
+
 # ---------------------------------------------------------------- config files
 
 

@@ -200,12 +200,14 @@ def test_sgd_update_moves_param_and_velocity_in_place():
 
 
 def test_sgd_state_validation():
-    with pytest.raises(ValueError):
-        SgdState(-0.1)
+    for lr in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SgdState(lr)
     with pytest.raises(ValueError):
         SgdState(0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        SgdState(0.1, weight_decay=-1e-9)
+    for wd in (-1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weight_decay"):
+            SgdState(0.1, weight_decay=wd)
     # every shape is checked before anything moves
     state = SgdState(0.1)
     p = np.ones(2)

@@ -9,6 +9,7 @@ reference takes a column's owners from the stack: the clients holding a
 column of the same identity (class_of).
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -437,6 +438,29 @@ def test_naive_form_uses_the_shared_ownership():
     emb = shared_stack(5, clients=4, per_client=3)
     naive = softmax_reg_naive(emb)
     assert_matches(naive, dense_softmax_reg(emb), tol=1e-10)
+
+
+def test_naive_form_takes_no_owner_rule_from_the_penalty(monkeypatch):
+    # anchor_term read its negatives off _ownership, so a fault there moved the
+    # penalty and its direct-form oracle alike and "stable vs direct" still passed
+    emb = shared_stack(5, clients=4, per_client=3)
+    before = softmax_reg_naive(emb)
+    assert_matches(softmax_reg(emb), (before.value, before.grad), tol=1e-10)
+    ownership = regularizers._ownership
+
+    def own_set_only(e):
+        # every owner set meets only itself: shared copies become negatives of their holders' columns
+        set_of, meets, met = ownership(e)
+        return set_of, meets[meets == met], met[meets == met]
+
+    # wherever the package holds the owner rule, it now gets the faulty one
+    for module in [m for name, m in sys.modules.items() if name.startswith("fedgc")]:
+        for attr in [k for k, v in vars(module).items() if v is ownership]:
+            monkeypatch.setattr(module, attr, own_set_only)
+    stable, naive = softmax_reg(emb), softmax_reg_naive(emb)
+    assert abs(stable.value - naive.value) > 1e-3
+    assert np.abs(stable.grad - naive.grad).max() > 1e-3
+    assert_matches(naive, (before.value, before.grad), tol=0.0)
 
 
 def test_server_paths_hold_no_dense_pair_matrix():
